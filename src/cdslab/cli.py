@@ -1,12 +1,10 @@
 """Batch experiment runner with deterministic seeding and report emission.
 
-Every suite resolves to a list of independent tasks, runs them (optionally
-on a thread pool), and merges the results in construction order, so output
-bytes depend only on the configuration and seed — never on the worker
-count.  Reports are emitted as a JSON array of verification-report objects
-or as a CSV with one row per report; suites that measure extra quantities
-(T-depth, cheating estimates) add columns to the CSV only, keeping the JSON
-schema fixed.
+Every suite builds its report rows in order, so output bytes depend only
+on the configuration and seed.  Reports are emitted as a JSON array of
+verification-report objects or as a CSV with one row per report; suites
+that measure extra quantities (T-depth, cheating estimates) add columns to
+the CSV only, keeping the JSON schema fixed.
 
 Seed propagation: the configured 64-bit seed is recorded verbatim in every
 report row; suites that need multiple streams derive them through
@@ -23,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -73,8 +70,7 @@ class ExperimentConfig:
     """One experiment run: a suite, its size parameters, and output choices.
 
     The seed is recorded in every emitted report and is the only source of
-    randomness; identical configs produce byte-identical files regardless
-    of ``workers``.
+    randomness; identical configs produce byte-identical files.
     """
 
     suite: str
@@ -84,7 +80,6 @@ class ExperimentConfig:
     seed: int = 2026
     out: Optional[str] = None
     format: str = "json"
-    workers: int = 1
 
     def __post_init__(self):
         if self.suite not in SUITES:
@@ -94,8 +89,6 @@ class ExperimentConfig:
             raise ValueError(f"seed {self.seed} does not fit in 64 bits")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.format!r}")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
         for name in ("n", "k", "reps"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -112,26 +105,16 @@ class ExperimentConfig:
         return cls(**dict(values))
 
 
-def _run_ordered(tasks: Sequence[Callable[[], object]], workers: int) -> list:
-    """Run independent tasks, returning results in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
-
-
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
 def _suite_neq_classical(cfg: ExperimentConfig):
     top = cfg.n or 4
-    tasks = [
-        (lambda size=size: cds_verify(neq_cds(size), neq_function(size), seed=cfg.seed))
+    rows: List[Row] = [
+        (cds_verify(neq_cds(size), neq_function(size), seed=cfg.seed), {})
         for size in range(1, top + 1)
     ]
-    rows: List[Row] = [(rep, {}) for rep in _run_ordered(tasks, cfg.workers)]
     failures = [
         f"neq_cds({rep.n}): expected exact correctness and hiding, "
         f"got eps={rep.epsilon_hat} delta={rep.delta_hat}"
@@ -145,11 +128,10 @@ def _suite_ip_psm(cfg: ExperimentConfig):
     top = cfg.n or 2
     if top > 3:
         raise ValueError("ip-psm enumerates exhaustively; n must be at most 3")
-    tasks = [
-        (lambda size=size: psm_verify(ip_psm(size), ip_function(size), seed=cfg.seed))
+    rows: List[Row] = [
+        (psm_verify(ip_psm(size), ip_function(size), seed=cfg.seed), {})
         for size in range(1, top + 1)
     ]
-    rows: List[Row] = [(rep, {}) for rep in _run_ordered(tasks, cfg.workers)]
     failures = [
         f"ip_psm({rep.n}): expected exact correctness and privacy, "
         f"got eps={rep.epsilon_hat} delta={rep.delta_hat}"
@@ -191,16 +173,10 @@ def _suite_hybrid(cfg: ExperimentConfig):
 
 
 def _suite_toys(cfg: ExperimentConfig):
-    pairs = toy_suite()
-
-    def check(pf):
-        p, f = pf
-        return cdqs_verify(p, f, seed=cfg.seed)
-
-    reports = _run_ordered([lambda pf=pf: check(pf) for pf in pairs], cfg.workers)
     rows: List[Row] = []
     failures = []
-    for rep in reports:
+    for p, f in toy_suite():
+        rep = cdqs_verify(p, f, seed=cfg.seed)
         rows.append((rep, {"passes": rep.passes()}))
         if not rep.passes():
             failures.append(
@@ -285,9 +261,7 @@ def _suite_forrelation(cfg: ExperimentConfig):
         }
         return rep, extras
 
-    rows: List[Row] = _run_ordered(
-        [lambda n=n: sweep_point(n) for n in ns], cfg.workers
-    )
+    rows: List[Row] = [sweep_point(n) for n in ns]
     failures = []
     depths = {extras["t_depth"] for _, extras in rows}
     if len(depths) > 1:
@@ -390,7 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="64-bit experiment seed")
     parser.add_argument("--out", help="report file path")
     parser.add_argument("--format", choices=("json", "csv"), help="report format")
-    parser.add_argument("--workers", type=int, help="thread pool size")
     parser.add_argument("--config", help="JSON config file (overrides flags)")
     return parser
 

@@ -47,8 +47,11 @@ def _as_sign_vector(z: Sequence[float], what: str = "vector") -> np.ndarray:
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard butterfly (in natural/Hadamard order)."""
-    out = v.astype(float).copy()
+    """Unnormalised Walsh-Hadamard butterfly (in natural/Hadamard order).
+
+    The result keeps the input's dtype, so integer signs transform exactly.
+    """
+    out = np.array(v)
     h = 1
     while h < out.size:
         for start in range(0, out.size, 2 * h):

@@ -1,16 +1,24 @@
 """Protocol objects and their exact execution.
 
-Three families of protocol representations live here:
+Classical :class:`CdsProtocol` / :class:`PsmProtocol` are message functions
+over integer-encoded inputs plus dyadic shared randomness, executed by
+exhaustive enumeration with exact rational probabilities.
 
-* classical :class:`CdsProtocol` / :class:`PsmProtocol`: message functions
-  over integer-encoded inputs plus dyadic shared randomness, executed by
-  exhaustive enumeration with exact rational probabilities;
-* dense :class:`CdqsProtocol`: named-subsystem quantum channels for Alice
-  and Bob plus an optional pure resource state, executed by channel
-  composition (feasible for the small toy protocols);
-* :class:`TranscriptCdqsProtocol`: the special but common shape "classical
-  transcript + one Pauli-padded qubit", stored as exact probability blocks
-  so that protocols with large classical registers stay cheap to verify.
+Every CDQS shape answers the same three per-input questions, which is all
+the verifier asks of it:
+
+* ``decoding_distance(x, y)``: distance of the decoded Choi state from the
+  maximally entangled one (the lower end of epsilon);
+* ``entanglement_fidelity(x, y)``: overlap of the decoded Choi state with
+  the maximally entangled one;
+* ``product_distance(x, y)``: ``|| rho_{QbarM} - pi (x) rho_M ||_1`` of the
+  mid-protocol state (the lower end of delta).
+
+A dense :class:`CdqsProtocol` (named-subsystem channels for Alice and Bob
+plus an optional pure resource state) answers them at its Choi state, so
+it stays small; a :class:`TranscriptCdqsProtocol` ("classical transcript +
+one Pauli-padded qubit", stored as exact probability blocks) answers them
+exactly in rationals, so large classical registers stay cheap.
 
 Integer encodings: an ``n``-bit input is an integer in ``[0, 2^n)``; bit
 ``i`` of ``x`` is ``(x >> i) & 1``.  Shared randomness is an integer
@@ -41,9 +49,13 @@ from .qcore import (
     canonical_kraus,
     channel_from_choi,
     layout_dim,
+    layout_dims,
     layout_names,
     maximally_entangled,
+    partial_trace_matrix,
+    permute_matrix,
     tensor,
+    trace_norm,
 )
 
 ENUMERATION_BUDGET_BITS = 24
@@ -309,6 +321,34 @@ class CdqsProtocol:
         db = layout_dim(self.bob_channel(0).output_layout) if self.bob_channel else 1
         return da, db
 
+    def decoding_distance(self, x: int, y: int) -> float:
+        """``||J(D o N) - J(id)||_1`` for the shipped decoder ``D``.
+
+        The mid state already is the Choi state of the combined channel, so
+        decoding it and comparing against the maximally entangled state
+        gives the normalised Choi distance directly.
+        """
+        rho = self._decoded(x, y)
+        phi = maximally_entangled("Qbar", "Q", self.d_q).density_matrix()
+        return trace_norm(np.asarray(rho.entries) - np.asarray(phi.entries))
+
+    def entanglement_fidelity(self, x: int, y: int) -> float:
+        """``<phi+| (decoder (x) id)(mid state) |phi+>`` for the shipped decoder."""
+        rho = self._decoded(x, y)
+        phi = maximally_entangled("Qbar", "Q", self.d_q)
+        return float(np.real(phi.amplitudes.conj() @ rho.entries @ phi.amplitudes))
+
+    def product_distance(self, x: int, y: int) -> float:
+        """``|| rho_{QbarM} - pi (x) rho_M ||_1`` of the mid state."""
+        mid = mid_protocol_state(self, x, y)
+        return product_gap(mid.entries, mid.layout, self.d_q)
+
+    def _decoded(self, x: int, y: int) -> DensityMatrix:
+        dec = self.decoder(x, y)
+        if dec is None:
+            raise ValueError(f"no decoder shipped for input ({x}, {y})")
+        return apply_channel(dec, mid_protocol_state(self, x, y)).permuted(["Qbar", "Q"])
+
 
 def run_cdqs(p: CdqsProtocol, x: int, y: int, secret: DensityMatrix) -> DensityMatrix:
     """Execute the protocol on an explicit secret state; result on messages."""
@@ -334,15 +374,18 @@ def mid_protocol_state(p: CdqsProtocol, x: int, y: int) -> DensityMatrix:
         rho = apply_channel(p.bob_channel(y), rho)
     return rho
 
-def decoded_entanglement_fidelity(p: CdqsProtocol, x: int, y: int) -> float:
-    """``<phi+| (decoder (x) id)(mid state) |phi+>`` for the shipped decoder."""
-    dec = p.decoder(x, y)
-    if dec is None:
-        raise ValueError(f"no decoder shipped for input ({x}, {y})")
-    rho = apply_channel(dec, mid_protocol_state(p, x, y))
-    rho = rho.permuted(["Qbar", "Q"])
-    phi = maximally_entangled("Qbar", "Q", p.d_q)
-    return float(np.real(phi.amplitudes.conj() @ rho.entries @ phi.amplitudes))
+def product_gap(mat: np.ndarray, layout, d_q: int) -> float:
+    """``|| rho - pi (x) rho_M ||_1`` for a state on ``Qbar`` and messages.
+
+    ``mat`` is a raw matrix over ``layout``; ``Qbar`` is moved to the front,
+    the messages' marginal ``rho_M`` is taken, and ``pi = I / d_q``.
+    """
+    names = list(layout_names(layout))
+    perm = [names.index("Qbar")] + [i for i, nm in enumerate(names) if nm != "Qbar"]
+    mat = permute_matrix(mat, layout, perm)
+    dims = [layout_dims(layout)[i] for i in perm]
+    rho_m = partial_trace_matrix(mat, dims, keep_positions=list(range(1, len(dims))))
+    return trace_norm(mat - np.kron(np.eye(d_q) / d_q, rho_m))
 
 def joint_channel(p: CdqsProtocol, x: int, y: int) -> QuantumChannel:
     """The combined channel ``Q -> messages`` at a fixed input pair."""
@@ -372,7 +415,14 @@ def _interleave(k: int) -> list[int]:
         out.extend([i, k + i])
     return out
 
-def _kron_repeat(channel: QuantumChannel, k: int, in_dims, out_dim, in_layout, out_layout):
+def _kron_power(ops, k: int) -> list:
+    """All ``k``-fold Kronecker products of ``ops``, the first factor slowest."""
+    out = [np.eye(1)]
+    for _ in range(k):
+        out = [np.kron(a, b) for a in out for b in ops]
+    return out
+
+def _kron_repeat(channel: QuantumChannel, k: int, in_dims, in_layout, out_layout):
     """k-fold product of a channel whose input has two registers.
 
     Input registers group as (first^k, second^k); the single output
@@ -381,10 +431,7 @@ def _kron_repeat(channel: QuantumChannel, k: int, in_dims, out_dim, in_layout, o
     da, db = in_dims
     perm = _interleave(k)
     p_in = _regroup_matrix([da] * k + [db] * k, perm)
-    ops = [np.eye(1)]
-    for _ in range(k):
-        ops = [np.kron(a, b) for a in ops for b in channel.kraus_operators]
-    kraus = [op @ p_in for op in ops]
+    kraus = [op @ p_in for op in _kron_power(channel.kraus_operators, k)]
     ch = QuantumChannel(kraus, in_layout, out_layout, validate=False)
     if len(kraus) > ch.dim_in * ch.dim_out:
         ch = canonical_kraus(ch)
@@ -422,28 +469,20 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
         base = _p.alice_channel(x)
         if _p.resource is None:
             # single input register: plain Kronecker power
-            ops = [np.eye(1)]
-            for _ in range(_k):
-                ops = [np.kron(a, b) for a in ops for b in base.kraus_operators]
+            ops = _kron_power(base.kraus_operators, _k)
             return QuantumChannel(
                 ops, (("Q", _p.d_q**_k),), (("MA", base.dim_out**_k),), validate=False
             )
         return _kron_repeat(
-            base,
-            _k,
-            (_p.d_q, _dl),
-            base.dim_out,
-            (("Q", _p.d_q**_k), ("L", _dl**_k)),
-            (("MA", base.dim_out**_k),),
+            base, _k, (_p.d_q, _dl),
+            (("Q", _p.d_q**_k), ("L", _dl**_k)), (("MA", base.dim_out**_k),),
         )
 
     bob = None
     if p.bob_channel is not None:
         def bob(y, _p=p, _k=k):
             base = _p.bob_channel(y)
-            ops = [np.eye(1)]
-            for _ in range(_k):
-                ops = [np.kron(a, b) for a in ops for b in base.kraus_operators]
+            ops = _kron_power(base.kraus_operators, _k)
             return QuantumChannel(
                 ops, (("R", base.dim_in**_k),), (("MB", base.dim_out**_k),), validate=False
             )
@@ -453,18 +492,11 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
         if base is None:
             return None
         if _db == 1:
-            ops = [np.eye(1)]
-            for _ in range(_k):
-                ops = [np.kron(a, b) for a in ops for b in base.kraus_operators]
             in_lt = (("MA", _da**_k),) if _p.bob_channel is None else (("MA", _da**_k), ("MB", 1))
+            ops = _kron_power(base.kraus_operators, _k)
             return QuantumChannel(ops, in_lt, (("Q", _p.d_q**_k),), validate=False)
         return _kron_repeat(
-            base,
-            _k,
-            (_da, _db),
-            _p.d_q,
-            (("MA", _da**_k), ("MB", _db**_k)),
-            (("Q", _p.d_q**_k),),
+            base, _k, (_da, _db), (("MA", _da**_k), ("MB", _db**_k)), (("Q", _p.d_q**_k),)
         )
 
     return CdqsProtocol(
@@ -517,11 +549,43 @@ class TranscriptCdqsProtocol:
     def y_inputs(self):
         return range(1 << self.n)
 
+    def decoding_distance(self, x: int, y: int) -> Fraction:
+        """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
+        on a Bell state orthogonal to the reference one."""
+        return 2 * (1 - self.entanglement_fidelity(x, y))
+
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
-        return transcript_entanglement_fidelity(self, x, y)
+        """Exact decoded entanglement fidelity at one input.
+
+        Unpadding with the decoded key either restores the maximally entangled
+        state (key correct) or maps it to an orthogonal Bell state, so the
+        fidelity is the probability mass whose key is decoded correctly.
+        """
+        good = Fraction(0)
+        for prob, t, key in self.blocks(x, y):
+            if self.decode_key(t, x, y) == key:
+                good += prob
+        return good
 
     def product_distance(self, x: int, y: int) -> Fraction:
-        return transcript_product_distance(self, x, y)
+        """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1`` at one input.
+
+        Within each transcript block the padded half of the entangled pair
+        is a Bell-diagonal state with weights given by the pad-key
+        distribution; the product comparison state is the uniform Bell
+        mixture, so the block contributes an exact l1 distance between key
+        distributions.
+        """
+        per_transcript: dict = {}
+        for prob, t, key in self.blocks(x, y):
+            bucket = per_transcript.setdefault(t, [Fraction(0)] * 4)
+            bucket[key] += prob
+        dist = Fraction(0)
+        for weights in per_transcript.values():
+            block_total = sum(weights)
+            for w in weights:
+                dist += abs(w - block_total / 4)
+        return dist
 
 
 def transcript_block_checks(p: TranscriptCdqsProtocol, x: int, y: int) -> None:
@@ -536,42 +600,21 @@ def transcript_block_checks(p: TranscriptCdqsProtocol, x: int, y: int) -> None:
     if total != 1:
         raise ValueError(f"block probabilities sum to {total}, not 1")
 
-def transcript_entanglement_fidelity(p: TranscriptCdqsProtocol, x: int, y: int) -> Fraction:
-    """Exact decoded entanglement fidelity at one input.
-
-    Unpadding with the decoded key either restores the maximally entangled
-    state (key correct) or maps it to an orthogonal Bell state, so the
-    fidelity is the probability mass whose key is decoded correctly.
-    """
-    good = Fraction(0)
-    for prob, t, key in p.blocks(x, y):
-        if p.decode_key(t, x, y) == key:
-            good += prob
-    return good
-
-def transcript_product_distance(p: TranscriptCdqsProtocol, x: int, y: int) -> Fraction:
-    """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1`` at one input.
-
-    Within each transcript block the padded half of the entangled pair is
-    a Bell-diagonal state with weights given by the pad-key distribution;
-    the product comparison state is the uniform Bell mixture, so the block
-    contributes an exact l1 distance between key distributions.
-    """
-    per_transcript: dict = {}
-    for prob, t, key in p.blocks(x, y):
-        bucket = per_transcript.setdefault(t, [Fraction(0)] * 4)
-        bucket[key] += prob
-    dist = Fraction(0)
-    for weights in per_transcript.values():
-        block_total = sum(weights)
-        for w in weights:
-            dist += abs(w - block_total / 4)
-    return dist
-
 
 # ---------------------------------------------------------------------------
 # conversions
 # ---------------------------------------------------------------------------
+
+def _pad_lift_cost(key_cds: CdsProtocol) -> CostReport:
+    """Cost of the pad lift of ``key_cds``, which must hide 2-bit keys."""
+    if key_cds.secret_alphabet != 4:
+        raise ValueError("the pad lift needs a CDS hiding 2-bit secrets (alphabet 4)")
+    return CostReport(
+        comm_bits=key_cds.message_bits_a + key_cds.message_bits_b,
+        comm_qubits=1,
+        shared_random_bits=key_cds.randomness_bits,
+        shared_epr_pairs=0,
+    )
 
 def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     """Turn a classical CDS hiding 2-bit keys into a CDQS for one qubit.
@@ -582,8 +625,7 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     Message subsystems: ``MAc`` (Alice's classical message), ``Qs`` (the
     padded qubit), ``MBc`` (Bob's classical message).
     """
-    if key_cds.secret_alphabet != 4:
-        raise ValueError("the pad lift needs a CDS hiding 2-bit secrets (alphabet 4)")
+    cost = _pad_lift_cost(key_cds)
     r_count = 1 << key_cds.randomness_bits
     xs = list(key_cds.x_inputs())
     ys = list(key_cds.y_inputs())
@@ -640,12 +682,6 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
             kraus, (("MAc", dim_a), ("Qs", 2), ("MBc", dim_b)), (("Q", 2),), validate=False
         )
 
-    cost = CostReport(
-        comm_bits=key_cds.message_bits_a + key_cds.message_bits_b,
-        comm_qubits=1,
-        shared_random_bits=key_cds.randomness_bits,
-        shared_epr_pairs=0,
-    )
     return CdqsProtocol(
         n=key_cds.n,
         d_q=2,
@@ -668,8 +704,7 @@ def transcript_form(key_cds: CdsProtocol) -> TranscriptCdqsProtocol:
     the resulting fidelity/distance with the dense lift is a cross-check,
     and the rational form stays usable when the dense one would not fit.
     """
-    if key_cds.secret_alphabet != 4:
-        raise ValueError("the pad lift needs a CDS hiding 2-bit secrets (alphabet 4)")
+    cost = _pad_lift_cost(key_cds)
     r_count = 1 << key_cds.randomness_bits
     weight = Fraction(1, 4 * r_count)
 
@@ -690,12 +725,7 @@ def transcript_form(key_cds: CdsProtocol) -> TranscriptCdqsProtocol:
         d_q=2,
         blocks=blocks,
         decode_key=decode_key,
-        cost=CostReport(
-            comm_bits=key_cds.message_bits_a + key_cds.message_bits_b,
-            comm_qubits=1,
-            shared_random_bits=key_cds.randomness_bits,
-            shared_epr_pairs=0,
-        ),
+        cost=cost,
         construction=f"pad_lift_transcript({key_cds.construction or 'anonymous'})",
         params=key_cds.params,
     )

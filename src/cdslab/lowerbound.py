@@ -30,7 +30,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .framework import CdqsProtocol, PromiseFunction, joint_channel, parallel_repeat
+from .framework import (
+    CdqsProtocol,
+    PromiseFunction,
+    joint_channel,
+    parallel_repeat,
+    product_gap,
+)
 from .qcore import (
     DensityMatrix,
     Isometry,
@@ -43,12 +49,9 @@ from .qcore import (
     find_best_decoder,
     identity_channel,
     layout_dim,
-    layout_dims,
     layout_names,
     maximally_entangled,
     partial_trace,
-    partial_trace_matrix,
-    permute_matrix,
     purify_channel,
     tensor,
     trace_norm,
@@ -169,15 +172,7 @@ def quantized_product_gap(p: CdqsProtocol, x: int, y: int, k: int):
         full = np.asarray(phi.entries)
         layout = phi.layout
     mid, mid_layout = apply_channel_matrix(p.alice_channel(x), full, layout)
-    mid_names = list(layout_names(mid_layout))
-    perm = [mid_names.index("Qbar")] + [
-        i for i, nm in enumerate(mid_names) if nm != "Qbar"
-    ]
-    mid = permute_matrix(mid, mid_layout, perm)
-    dims = [layout_dims(mid_layout)[i] for i in perm]
-    rho_m = partial_trace_matrix(mid, dims, keep_positions=list(range(1, len(dims))))
-    gap = trace_norm(mid - np.kron(np.eye(p.d_q) / p.d_q, rho_m))
-    return gap, record
+    return product_gap(mid, mid_layout, p.d_q), record
 
 
 def one_way_decide(

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import ip_psm, neq_cds, double_secret, promise_neq_function
+from .forrelation import _walsh_hadamard
 from .framework import CostReport, PsmProtocol, enumerate_message_distribution
 
 _QUARTER = Fraction(1, 4)
@@ -40,19 +41,6 @@ def _as_bits_int(x, n: int) -> int:
 
 def _parity(v: int) -> int:
     return v.bit_count() & 1
-
-
-def _wht_signs(z: int, n: int) -> list[int]:
-    """Integer Walsh-Hadamard transform of the sign vector (-1)^{z_i}."""
-    arr = [1 - 2 * ((z >> i) & 1) for i in range(n)]
-    h = 1
-    while h < n:
-        for base in range(0, n, 2 * h):
-            for j in range(base, base + h):
-                a, b = arr[j], arr[j + h]
-                arr[j], arr[j + h] = a + b, a - b
-        h *= 2
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +64,8 @@ def dj_shorten(x, y, n: int | None = None) -> dict[tuple[int, int], Fraction]:
     if n < 2 or n & (n - 1):
         raise ValueError("string length must be a power of two >= 2")
     z = _as_bits_int(x, n) ^ _as_bits_int(y, n)
-    signs = _wht_signs(z, n)
+    phases = np.array([1 - 2 * ((z >> i) & 1) for i in range(n)])
+    signs = [int(s) for s in _walsh_hadamard(phases)]
     cube = n**3
     out = {}
     for a in range(n):
@@ -170,6 +159,11 @@ class HybridNeqCdqs:
 
     def y_inputs(self):
         return range(1 << self.n)
+
+    def decoding_distance(self, x: int, y: int) -> Fraction:
+        """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
+        on a Bell state orthogonal to the reference one."""
+        return 2 * (1 - self.entanglement_fidelity(x, y))
 
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
         """Exact post-decoding entanglement fidelity with the reference.

@@ -7,13 +7,13 @@ observed per-secret (CDS) or per-input (PSM) distributions.  For binary
 secrets the optimal simulator is the midpoint of the two distributions; for
 anything larger a linear program finds it.
 
-Quantum protocols are certified at the channel level.  By linearity a
-channel is determined by its action on one maximally entangled input (its
-Choi state), which is why every quantity below is evaluated there: the
-normalised Choi-state distance lower-bounds the diamond norm and ``d_Q``
-times it upper-bounds it, giving honest two-sided intervals without an SDP.
-The constant simulator is instantiated as ``sigma_M = rho_M``, the actual
-message marginal at the entangled input.
+Quantum protocols are certified per input through the three measurements
+every CDQS shape provides (see :mod:`cdslab.framework`): a dense protocol
+takes them at its Choi state, a transcript protocol exactly in rationals.
+``decoding_distance`` and ``product_distance`` lower-bound the diamond
+distances to the identity and to the constant simulator ``sigma_M =
+rho_M``; ``d_Q`` times either upper-bounds it, giving honest two-sided
+intervals without an SDP.
 
 Reports carry one diagnostic entry per promise input, merged in
 lexicographic input order, and serialise to a fixed JSON schema
@@ -34,17 +34,14 @@ from scipy.sparse import coo_matrix
 
 from .framework import (
     CdsProtocol,
-    CdqsProtocol,
     CostReport,
     PromiseFunction,
     PsmProtocol,
     cds_decode_failure,
     enumerate_message_distribution,
-    mid_protocol_state,
     protocol_cost,
     psm_decode_failure,
 )
-from .qcore import apply_channel, maximally_entangled, partial_trace, trace_norm
 
 #: Default error budgets for pass/fail verdicts.
 EPSILON_BUDGET = 0.09
@@ -266,32 +263,6 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
 # quantum verifier
 # ---------------------------------------------------------------------------
 
-def _product_gap_dense(p: CdqsProtocol, x: int, y: int) -> float:
-    """``|| rho_{QbarM} - pi (x) rho_M ||_1`` from the dense mid state."""
-    mid = mid_protocol_state(p, x, y)
-    msg_names = [name for name, _ in mid.layout if name != "Qbar"]
-    mid = mid.permuted(["Qbar"] + msg_names)
-    rho_m = partial_trace(mid, keep=msg_names)
-    product = np.kron(np.eye(p.d_q) / p.d_q, np.asarray(rho_m.entries))
-    return trace_norm(np.asarray(mid.entries) - product)
-
-
-def _dense_epsilon(p: CdqsProtocol, x: int, y: int):
-    """Choi-state distance of decoder-composed channel from the identity.
-
-    The mid state already is the Choi state of the combined channel, so
-    applying the shipped decoder and comparing against the maximally
-    entangled state gives ``||J(D o N) - J(id)||_1`` directly.
-    """
-    dec = p.decoder(x, y)
-    if dec is None:
-        raise ValueError(f"no decoder shipped for input ({x}, {y})")
-    rho = apply_channel(dec, mid_protocol_state(p, x, y)).permuted(["Qbar", "Q"])
-    phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
-    lo = trace_norm(np.asarray(rho.entries) - np.asarray(phi.entries))
-    return lo, min(2.0, p.d_q * lo)
-
-
 def cdqs_verify(
     p,
     f: PromiseFunction,
@@ -300,18 +271,13 @@ def cdqs_verify(
 ) -> VerificationReport:
     """Channel-level verification of a CDQS protocol.
 
-    Correctness: per disclosing input, the normalised Choi distance between
-    decoder-composed channel and identity (a diamond-norm lower bound), with
-    the ``d_Q``-scaled upper bound alongside in the diagnostics.  Security:
-    per hiding input, the distance of the entangled-input mid state from
-    ``pi (x) rho_M``, bracketing the diamond distance to the constant
-    simulator as ``[value, d_Q * value]``.
-
-    Transcript-form protocols (exposing ``entanglement_fidelity`` and
-    ``product_distance``) are measured exactly in rational arithmetic; dense
-    ones go through their Choi states.  ``inputs`` defaults to every promise
-    pair, which must be explicitly supplied when the domain is too large to
-    enumerate.
+    Correctness: per disclosing input, ``p.decoding_distance`` (a
+    diamond-norm lower bound for the decoded channel against the identity).
+    Security: per hiding input, ``p.product_distance`` (a lower bound for
+    the diamond distance to the constant simulator).  Each lower value
+    ``lo`` comes with the upper bound ``min(2, d_Q * lo)`` in the
+    diagnostics.  ``inputs`` defaults to every promise pair, which must be
+    explicitly supplied when the domain is too large to enumerate.
     """
     if inputs is None:
         if f.x_size * f.y_size > _ENUMERABLE_PAIRS:
@@ -319,39 +285,29 @@ def cdqs_verify(
                 "promise domain too large to enumerate; pass inputs explicitly"
             )
         inputs = list(f.promise_pairs())
-    inputs = sorted(inputs)
-    exact = hasattr(p, "entanglement_fidelity") and hasattr(p, "product_distance")
-    eps_lower = 0.0
-    delta_lower = 0.0
-    delta_upper = 0.0
     diagnostics = []
-    for x, y in inputs:
+    for x, y in sorted(inputs):
         value = f.value(x, y)
         if value is None:
             raise ValueError(f"input ({x}, {y}) is outside the promise")
-        entry = {"x": x, "y": y, "value": value}
         if value == 1:
-            if exact:
-                lo = float(2 * (1 - p.entanglement_fidelity(x, y)))
-                hi = min(2.0, p.d_q * lo)
-            else:
-                lo, hi = _dense_epsilon(p, x, y)
-            eps_lower = max(eps_lower, lo)
-            entry["epsilon_lower"] = lo
-            entry["epsilon_upper"] = hi
+            name, lo = "epsilon", float(p.decoding_distance(x, y))
         else:
-            gap = float(p.product_distance(x, y)) if exact else _product_gap_dense(p, x, y)
-            entry["delta_lower"] = gap
-            entry["delta_upper"] = min(2.0, p.d_q * gap)
-            delta_lower = max(delta_lower, entry["delta_lower"])
-            delta_upper = max(delta_upper, entry["delta_upper"])
-        diagnostics.append(entry)
+            name, lo = "delta", float(p.product_distance(x, y))
+        diagnostics.append({
+            "x": x, "y": y, "value": value,
+            f"{name}_lower": lo, f"{name}_upper": min(2.0, p.d_q * lo),
+        })
+
+    def worst(key):
+        return max([0.0] + [e[key] for e in diagnostics if key in e])
+
     return VerificationReport(
-        protocol=getattr(p, "construction", "") or "anonymous",
+        protocol=p.construction or "anonymous",
         n=p.n,
-        epsilon_hat=eps_lower,
-        delta_hat_lower=delta_lower,
-        delta_hat_upper=delta_upper,
+        epsilon_hat=worst("epsilon_lower"),
+        delta_hat_lower=worst("delta_lower"),
+        delta_hat_upper=worst("delta_upper"),
         inputs=tuple(diagnostics),
         cost=protocol_cost(p),
         seed=seed,
@@ -375,24 +331,17 @@ def productness_check(
         report = cdqs_verify(p, f, inputs=inputs)
     if inputs is None:
         inputs = [(e["x"], e["y"]) for e in report.inputs]
-    exact = hasattr(p, "entanglement_fidelity") and hasattr(p, "product_distance")
     out = []
     for x, y in sorted(inputs):
-        value = f.value(x, y)
-        if value == 1:
-            if exact:
-                fid = float(p.entanglement_fidelity(x, y))
-            else:
-                from .framework import decoded_entanglement_fidelity
-
-                fid = decoded_entanglement_fidelity(p, x, y)
+        if f.value(x, y) == 1:
+            fid = float(p.entanglement_fidelity(x, y))
             bound = 1.0 - report.epsilon_hat - 1e-9
             out.append(
                 {"x": x, "y": y, "value": 1, "fidelity": fid, "bound": bound,
                  "ok": fid >= bound}
             )
         else:
-            gap = float(p.product_distance(x, y)) if exact else _product_gap_dense(p, x, y)
+            gap = float(p.product_distance(x, y))
             bound = report.delta_hat_upper + 1e-9
             out.append(
                 {"x": x, "y": y, "value": 0, "distance": gap, "bound": bound,

@@ -33,7 +33,6 @@ def test_config_from_mapping_fills_defaults():
     cfg = ExperimentConfig.from_mapping({"suite": "toys"})
     assert cfg.seed == 2026
     assert cfg.format == "json"
-    assert cfg.workers == 1
     assert cfg.n is None and cfg.out is None
 
 
@@ -56,8 +55,6 @@ def test_config_validates_fields():
         ExperimentConfig(suite="toys", seed=1 << 64)
     with pytest.raises(ValueError, match="format"):
         ExperimentConfig(suite="toys", format="yaml")
-    with pytest.raises(ValueError, match="worker"):
-        ExperimentConfig(suite="toys", workers=0)
     with pytest.raises(ValueError, match="n must be positive"):
         ExperimentConfig(suite="toys", n=0)
 
@@ -104,18 +101,6 @@ def test_neq_classical_suite_runs_clean(tmp_path, capsys):
     assert all(entry["epsilon_hat"] == 0 for entry in payload)
     assert all(entry["delta_hat_upper"] == 0 for entry in payload)
     assert "neq_cds(4)" in capsys.readouterr().out
-
-
-def test_reports_are_byte_identical_across_workers(tmp_path):
-    texts = []
-    for workers in (1, 4):
-        out = tmp_path / f"w{workers}.json"
-        cfg = ExperimentConfig(
-            suite="neq-classical", n=3, seed=42, out=str(out), workers=workers
-        )
-        assert run_suite(cfg)[0] == 0
-        texts.append(out.read_text())
-    assert texts[0] == texts[1]
 
 
 def test_forrelation_suite_has_constant_t_depth(tmp_path):

@@ -14,7 +14,6 @@ from cdslab.framework import (
     PromiseFunction,
     cds_decode_failure,
     classical_to_quantum_lift,
-    decoded_entanglement_fidelity,
     describe,
     enumerate_message_distribution,
     joint_channel,
@@ -110,11 +109,11 @@ def test_mid_state_and_entanglement_fidelity():
     p = trivial_forwarding()
     mid = mid_protocol_state(p, 0, 0)
     assert abs(np.trace(np.asarray(mid.entries)) - 1) < 1e-12
-    assert abs(decoded_entanglement_fidelity(p, 0, 0) - 1.0) < 1e-12
+    assert abs(p.entanglement_fidelity(0, 0) - 1.0) < 1e-12
 
 def test_gated_forwarding_only_on_allowed_pair():
     p = gated_forwarding()
-    assert abs(decoded_entanglement_fidelity(p, 1, 1) - 1.0) < 1e-12
+    assert abs(p.entanglement_fidelity(1, 1) - 1.0) < 1e-12
     # on the erased branch the message is |0><0| whatever the secret was
     mid = mid_protocol_state(p, 0, 0).permuted(["Qbar", "MA"])
     want = np.kron(np.eye(2) / 2, [[1, 0], [0, 0]])
@@ -145,8 +144,8 @@ def test_lift_requires_four_letter_secret():
 
 def test_lifted_protocol_is_perfect_on_promise():
     p = lifted_neq()
-    assert abs(decoded_entanglement_fidelity(p, 0, 1) - 1.0) < 1e-11
-    assert abs(decoded_entanglement_fidelity(p, 1, 0) - 1.0) < 1e-11
+    assert abs(p.entanglement_fidelity(0, 1) - 1.0) < 1e-11
+    assert abs(p.entanglement_fidelity(1, 0) - 1.0) < 1e-11
 
 def test_lifted_protocol_hides_on_equal_inputs():
     p = lifted_neq()
@@ -167,7 +166,7 @@ def test_parallel_repeat_identity_at_one():
 def test_parallel_repeat_exact_on_gated_toy():
     p = parallel_repeat(gated_forwarding(), 2)
     assert p.d_q == 4
-    assert abs(decoded_entanglement_fidelity(p, 1, 1) - 1.0) < 1e-10
+    assert abs(p.entanglement_fidelity(1, 1) - 1.0) < 1e-10
     assert protocol_cost(p).comm_qubits == 2 * protocol_cost(gated_forwarding()).comm_qubits
 
 def test_parallel_repeat_budget_guard():
@@ -196,7 +195,7 @@ def test_transcript_form_agrees_with_dense_lift():
     dense = classical_to_quantum_lift(key)
     for x in range(2):
         for y in range(2):
-            fid = decoded_entanglement_fidelity(dense, x, y) if x != y else None
+            fid = dense.entanglement_fidelity(x, y) if x != y else None
             if fid is not None:
                 assert abs(float(exact.entanglement_fidelity(x, y)) - fid) < 1e-10
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cdslab.framework import (
-    decoded_entanglement_fidelity,
     mid_protocol_state,
     protocol_cost,
 )
@@ -34,7 +33,7 @@ def _product_gap(p, x, y):
 
 def test_trivial_forwarding_is_correct_everywhere():
     p = trivial_forwarding()
-    assert abs(decoded_entanglement_fidelity(p, 0, 0) - 1.0) < 1e-12
+    assert abs(p.entanglement_fidelity(0, 0) - 1.0) < 1e-12
 
 def test_trivial_forwarding_hides_nothing():
     # the message *is* the secret: maximal distance from any product state
@@ -46,15 +45,15 @@ def test_unencrypted_distance_frozen():
     assert abs(_product_gap(unencrypted(), 0, 0) - 1.5) < 1e-12
 
 def test_gated_forwarding_correct_when_open():
-    assert abs(decoded_entanglement_fidelity(gated_forwarding(), 1, 1) - 1.0) < 1e-12
+    assert abs(gated_forwarding().entanglement_fidelity(1, 1) - 1.0) < 1e-12
 
 def test_gated_forwarding_private_when_closed():
     assert _product_gap(gated_forwarding(), 0, 0) < 1e-12
 
 def test_lifted_toys_are_perfect():
     neq = lifted_neq()
-    assert abs(decoded_entanglement_fidelity(neq, 0, 1) - 1.0) < 1e-11
-    assert abs(decoded_entanglement_fidelity(neq, 1, 0) - 1.0) < 1e-11
+    assert abs(neq.entanglement_fidelity(0, 1) - 1.0) < 1e-11
+    assert abs(neq.entanglement_fidelity(1, 0) - 1.0) < 1e-11
 
 def test_lifted_neq_private_on_equal_inputs():
     p = lifted_neq()
@@ -65,14 +64,14 @@ def test_lifted_and_private_unless_both_ones():
     p = lifted_and()
     for x, y in ((0, 0), (0, 1), (1, 0)):
         assert _product_gap(p, x, y) < 1e-11
-    assert abs(decoded_entanglement_fidelity(p, 1, 1) - 1.0) < 1e-11
+    assert abs(p.entanglement_fidelity(1, 1) - 1.0) < 1e-11
 
 def test_depolarized_interpolates_fidelity():
     base = gated_forwarding()
     mild = depolarized(base, 0.1)
     harsh = depolarized(base, 0.9)
-    f_mild = decoded_entanglement_fidelity(mild, 1, 1)
-    f_harsh = decoded_entanglement_fidelity(harsh, 1, 1)
+    f_mild = mild.entanglement_fidelity(1, 1)
+    f_harsh = harsh.entanglement_fidelity(1, 1)
     assert f_mild > f_harsh
     # depolarizing with strength p leaves fidelity 1 - 3p/4 on a Bell pair
     assert abs(f_mild - (1 - 0.075)) < 1e-10

@@ -4,14 +4,21 @@ from fractions import Fraction
 import pytest
 
 from cdslab.classical import (
+    and_cds,
     and_function,
     constant_function,
+    double_secret,
     ip_function,
     ip_psm,
     neq_cds,
     neq_function,
 )
-from cdslab.framework import CdsProtocol, PsmProtocol
+from cdslab.framework import (
+    CdsProtocol,
+    PsmProtocol,
+    classical_to_quantum_lift,
+    transcript_form,
+)
 from cdslab.quantum import hybrid_promise_function, neq_promise_cdqs
 from cdslab.toys import (
     depolarized,
@@ -272,6 +279,26 @@ def test_productness_accepts_precomputed_report():
     report = cdqs_verify(p, f)
     checks = productness_check(p, f, report=report)
     assert all(c["ok"] for c in checks)
+
+
+def test_transcript_and_dense_pad_lifts_verify_alike():
+    cases = [
+        (double_secret(neq_cds(1)), neq_function(1)),
+        (double_secret(and_cds()), and_function()),
+    ]
+    for key_cds, function in cases:
+        exact = transcript_form(key_cds)
+        dense = classical_to_quantum_lift(key_cds)
+        exact_report = cdqs_verify(exact, function)
+        dense_report = cdqs_verify(dense, function)
+        assert len(exact_report.inputs) == len(dense_report.inputs) > 0
+        for a, b in zip(exact_report.inputs, dense_report.inputs):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert abs(a[key] - b[key]) <= 1e-12, (a, b, key)
+        for p, report in ((exact, exact_report), (dense, dense_report)):
+            checks = productness_check(p, function, report=report)
+            assert checks and all(c["ok"] for c in checks)
 
 
 # ---------------------------------------------------------------------------
