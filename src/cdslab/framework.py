@@ -15,10 +15,11 @@ the verifier asks of it:
   mid-protocol state (the lower end of delta).
 
 A dense :class:`CdqsProtocol` (named-subsystem channels for Alice and Bob
-plus an optional pure resource state) answers them at its Choi state, so
-it stays small; a :class:`TranscriptCdqsProtocol` ("classical transcript +
-one Pauli-padded qubit", stored as exact probability blocks) answers them
-exactly in rationals, so large classical registers stay cheap.
+plus a pure resource state, each one-dimensional when unused) answers them
+at its Choi state, so it stays small; a :class:`TranscriptCdqsProtocol`
+("classical transcript + one Pauli-padded qubit", stored as exact
+probability blocks) answers them exactly in rationals, so large classical
+registers stay cheap.
 
 Integer encodings: an ``n``-bit input is an integer in ``[0, 2^n)``; bit
 ``i`` of ``x`` is ``(x >> i) & 1``.  Shared randomness is an integer
@@ -28,7 +29,9 @@ Subsystem naming convention for dense CDQS protocols: the secret is ``Q``
 (reference copy ``Qbar``), the resource state lives on ``(L, R)``, Alice's
 channel consumes ``(Q, L)`` and Bob's consumes ``R``; message subsystems
 may have any non-colliding names, and the decoder consumes exactly the
-message subsystems and outputs ``Q``.
+message subsystems and outputs ``Q``.  A protocol without a resource or
+a Bob message keeps ``L``, ``R`` and Bob's message ``MB`` as
+one-dimensional registers, so every dense protocol has the same shape.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
 from .qcore import (
+    PAULI,
     DensityMatrix,
     QuantumChannel,
     StateVector,
@@ -62,11 +66,8 @@ ENUMERATION_BUDGET_BITS = 24
 #: cap on the mid-protocol state dimension of dense CDQS objects
 DENSE_DIMENSION_BUDGET = 4096
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 #: qubit pad operators X^{k1} Z^{k2} indexed by k = 2*k1 + k2
-PAD_OPERATORS = (_I2, _Z, _X, _X @ _Z)
+PAD_OPERATORS = (PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["X"] @ PAULI["Z"])
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +203,6 @@ class CdsProtocol:
     def kind(self) -> str:
         return "cds"
 
-    def x_inputs(self):
-        return range(1 << self.n)
-
-    def y_inputs(self):
-        return range(1 << self.n)
-
 
 @dataclass(frozen=True)
 class PsmProtocol:
@@ -229,12 +224,15 @@ class PsmProtocol:
     def kind(self) -> str:
         return "psm"
 
-    def x_inputs(self):
-        return range(1 << (self.x_bits or self.n))
 
-    def y_inputs(self):
-        return range(1 << self.n)
-
+def _randomness_count(protocol) -> int:
+    """``2^randomness_bits``, refused above the enumeration budget."""
+    if protocol.randomness_bits > ENUMERATION_BUDGET_BITS:
+        raise ValueError(
+            f"enumeration over {protocol.randomness_bits} randomness bits exceeds "
+            f"the {ENUMERATION_BUDGET_BITS}-bit budget"
+        )
+    return 1 << protocol.randomness_bits
 
 def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = None):
     """Exact transcript distribution of a classical protocol at one input.
@@ -242,12 +240,7 @@ def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = 
     Returns a mapping ``(m_a, m_b) -> Fraction`` whose values sum to 1.
     For CDS protocols the secret ``s`` is required; PSM protocols take none.
     """
-    if protocol.randomness_bits > ENUMERATION_BUDGET_BITS:
-        raise ValueError(
-            f"enumeration over {protocol.randomness_bits} randomness bits exceeds "
-            f"the {ENUMERATION_BUDGET_BITS}-bit budget"
-        )
-    total = 1 << protocol.randomness_bits
+    total = _randomness_count(protocol)
     counts: dict = {}
     if isinstance(protocol, CdsProtocol):
         if s is None:
@@ -263,7 +256,7 @@ def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = 
 
 def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     """Exact probability that the referee fails to output ``s``."""
-    total = 1 << p.randomness_bits
+    total = _randomness_count(p)
     bad = 0
     for r in range(total):
         got = p.decoder(p.message_a(x, s, r), x, p.message_b(y, r), y)
@@ -273,7 +266,7 @@ def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
 
 def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
     """Exact probability that the referee's output differs from ``value``."""
-    total = 1 << p.randomness_bits
+    total = _randomness_count(p)
     bad = 0
     for r in range(total):
         if p.referee(p.message_a(x, r), p.message_b(y, r)) != value:
@@ -285,22 +278,33 @@ def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
 # dense quantum protocols
 # ---------------------------------------------------------------------------
 
+# defaults of a protocol that shares no resource and has no Bob message
+_NO_RESOURCE = StateVector(np.ones(1, dtype=complex), (("L", 1), ("R", 1)), validate=False)
+_SILENT_BOB = QuantumChannel([np.ones((1, 1))], (("R", 1),), (("MB", 1),), validate=False)
+
+
+def _silent_bob(y: int) -> QuantumChannel:
+    return _SILENT_BOB
+
+
 @dataclass(frozen=True)
 class CdqsProtocol:
     """A CDQS protocol in explicit channel form.
 
-    ``alice_channel(x)`` consumes ``(Q, L)`` (or just ``Q`` when there is
-    no resource), ``bob_channel(y)`` consumes ``R``; ``decoder(x, y)``
-    returns a channel from the message subsystems to ``Q``, or None on
-    inputs where decoding is not promised.
+    ``alice_channel(x)`` consumes ``(Q, L)``, ``bob_channel(y)`` consumes
+    ``R``; ``decoder(x, y)`` returns a channel from the message subsystems
+    to ``Q``, or None on inputs where decoding is not promised.  Without a
+    resource or a Bob message, the defaults keep ``L``, ``R`` and ``MB`` as
+    one-dimensional registers: ``resource`` is the amplitude-``[1]`` state
+    on ``(L(1), R(1))`` and ``bob_channel`` maps ``R(1) -> MB(1)``.
     """
 
     n: int
     d_q: int
     alice_channel: Callable[[int], QuantumChannel]
-    bob_channel: Optional[Callable[[int], QuantumChannel]]
     decoder: Callable[[int, int], Optional[QuantumChannel]]
-    resource: Optional[StateVector] = None
+    bob_channel: Callable[[int], QuantumChannel] = _silent_bob
+    resource: StateVector = _NO_RESOURCE
     cost: Optional[CostReport] = None
     construction: str = ""
     params: tuple = ()
@@ -309,16 +313,10 @@ class CdqsProtocol:
     def kind(self) -> str:
         return "cdqs"
 
-    def x_inputs(self):
-        return range(1 << self.n)
-
-    def y_inputs(self):
-        return range(1 << self.n)
-
     def message_dims(self) -> tuple[int, int]:
         """(dim of Alice's message, dim of Bob's message), probed at x=y=0."""
         da = layout_dim(self.alice_channel(0).output_layout)
-        db = layout_dim(self.bob_channel(0).output_layout) if self.bob_channel else 1
+        db = layout_dim(self.bob_channel(0).output_layout)
         return da, db
 
     def decoding_distance(self, x: int, y: int) -> float:
@@ -354,11 +352,9 @@ def run_cdqs(p: CdqsProtocol, x: int, y: int, secret: DensityMatrix) -> DensityM
     """Execute the protocol on an explicit secret state; result on messages."""
     if secret.layout != (("Q", p.d_q),):
         raise ValueError(f"secret must live on (('Q', {p.d_q}),), got {secret.layout}")
-    state = secret if p.resource is None else tensor(secret, p.resource.density_matrix())
+    state = tensor(secret, p.resource.density_matrix())
     state = apply_channel(p.alice_channel(x), state)
-    if p.bob_channel is not None:
-        state = apply_channel(p.bob_channel(y), state)
-    return state
+    return apply_channel(p.bob_channel(y), state)
 
 def mid_protocol_state(p: CdqsProtocol, x: int, y: int) -> DensityMatrix:
     """Joint state of the reference ``Qbar`` and both messages.
@@ -366,13 +362,9 @@ def mid_protocol_state(p: CdqsProtocol, x: int, y: int) -> DensityMatrix:
     The secret register enters maximally entangled with ``Qbar``, so this
     is the (normalised) Choi state of the combined protocol channel.
     """
-    phi = maximally_entangled("Qbar", "Q", p.d_q)
-    state = phi if p.resource is None else tensor(phi, p.resource)
-    rho = state.density_matrix()
+    rho = tensor(maximally_entangled("Qbar", "Q", p.d_q), p.resource).density_matrix()
     rho = apply_channel(p.alice_channel(x), rho)
-    if p.bob_channel is not None:
-        rho = apply_channel(p.bob_channel(y), rho)
-    return rho
+    return apply_channel(p.bob_channel(y), rho)
 
 def product_gap(mat: np.ndarray, layout, d_q: int) -> float:
     """``|| rho - pi (x) rho_M ||_1`` for a state on ``Qbar`` and messages.
@@ -448,8 +440,8 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     if k == 1:
         return p
     da, db = p.message_dims()
-    dl = layout_dim(p.resource.layout[:1]) if p.resource is not None else 1
-    dr = layout_dim(p.resource.layout[1:]) if p.resource is not None else 1
+    dl = layout_dim(p.resource.layout[:1])
+    dr = layout_dim(p.resource.layout[1:])
     mid_dim = (p.d_q * da * db) ** k
     if mid_dim > DENSE_DIMENSION_BUDGET:
         raise ValueError(
@@ -457,44 +449,28 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
             f"dense budget {DENSE_DIMENSION_BUDGET}"
         )
 
-    resource = None
-    if p.resource is not None:
-        amps = np.array([1.0], dtype=complex)
-        for _ in range(k):
-            amps = np.kron(amps, p.resource.amplitudes)
-        regroup = _regroup_matrix([dl, dr] * k, [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)])
-        resource = StateVector(regroup @ amps, (("L", dl**k), ("R", dr**k)), validate=False)
+    amps = _kron_power([p.resource.amplitudes], k)[0].reshape(-1)
+    regroup = _regroup_matrix([dl, dr] * k, [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)])
+    resource = StateVector(regroup @ amps, (("L", dl**k), ("R", dr**k)), validate=False)
 
     def alice(x, _p=p, _k=k, _dl=dl):
         base = _p.alice_channel(x)
-        if _p.resource is None:
-            # single input register: plain Kronecker power
-            ops = _kron_power(base.kraus_operators, _k)
-            return QuantumChannel(
-                ops, (("Q", _p.d_q**_k),), (("MA", base.dim_out**_k),), validate=False
-            )
         return _kron_repeat(
             base, _k, (_p.d_q, _dl),
             (("Q", _p.d_q**_k), ("L", _dl**_k)), (("MA", base.dim_out**_k),),
         )
 
-    bob = None
-    if p.bob_channel is not None:
-        def bob(y, _p=p, _k=k):
-            base = _p.bob_channel(y)
-            ops = _kron_power(base.kraus_operators, _k)
-            return QuantumChannel(
-                ops, (("R", base.dim_in**_k),), (("MB", base.dim_out**_k),), validate=False
-            )
+    def bob(y, _p=p, _k=k):
+        base = _p.bob_channel(y)
+        ops = _kron_power(base.kraus_operators, _k)
+        return QuantumChannel(
+            ops, (("R", base.dim_in**_k),), (("MB", base.dim_out**_k),), validate=False
+        )
 
     def decoder(x, y, _p=p, _k=k, _da=da, _db=db):
         base = _p.decoder(x, y)
         if base is None:
             return None
-        if _db == 1:
-            in_lt = (("MA", _da**_k),) if _p.bob_channel is None else (("MA", _da**_k), ("MB", 1))
-            ops = _kron_power(base.kraus_operators, _k)
-            return QuantumChannel(ops, in_lt, (("Q", _p.d_q**_k),), validate=False)
         return _kron_repeat(
             base, _k, (_da, _db), (("MA", _da**_k), ("MB", _db**_k)), (("Q", _p.d_q**_k),)
         )
@@ -542,12 +518,6 @@ class TranscriptCdqsProtocol:
     @property
     def kind(self) -> str:
         return "cdqs-transcript"
-
-    def x_inputs(self):
-        return range(1 << self.n)
-
-    def y_inputs(self):
-        return range(1 << self.n)
 
     def decoding_distance(self, x: int, y: int) -> Fraction:
         """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
@@ -627,12 +597,11 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     """
     cost = _pad_lift_cost(key_cds)
     r_count = 1 << key_cds.randomness_bits
-    xs = list(key_cds.x_inputs())
-    ys = list(key_cds.y_inputs())
+    inputs = range(1 << key_cds.n)
     ma_space = sorted(
-        {key_cds.message_a(x, s, r) for x in xs for s in range(4) for r in range(r_count)}
+        {key_cds.message_a(x, s, r) for x in inputs for s in range(4) for r in range(r_count)}
     )
-    mb_space = sorted({key_cds.message_b(y, r) for y in ys for r in range(r_count)})
+    mb_space = sorted({key_cds.message_b(y, r) for y in inputs for r in range(r_count)})
     ma_index = {m: i for i, m in enumerate(ma_space)}
     mb_index = {m: i for i, m in enumerate(mb_space)}
     dim_a, dim_b = len(ma_space), len(mb_space)
@@ -676,7 +645,7 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
                 row_b = np.zeros((1, dim_b))
                 row_b[0, j] = 1.0
                 key = _p.decoder(ma, x, mb, y)
-                unpad = _I2 if key is None else PAD_OPERATORS[int(key)].conj().T
+                unpad = PAULI["I"] if key is None else PAD_OPERATORS[int(key)].conj().T
                 kraus.append(np.kron(np.kron(row_a, unpad), row_b))
         return QuantumChannel(
             kraus, (("MAc", dim_a), ("Qs", 2), ("MBc", dim_b)), (("Q", 2),), validate=False
@@ -782,9 +751,7 @@ def protocol_cost(p) -> CostReport:
             return p.cost
         da, db = p.message_dims()
         qubits = _exact_log2(da, "Alice message") + _exact_log2(db, "Bob message")
-        pairs = 0
-        if p.resource is not None:
-            pairs = _exact_log2(layout_dim(p.resource.layout[:1]), "resource")
+        pairs = _exact_log2(layout_dim(p.resource.layout[:1]), "resource")
         return CostReport(
             comm_bits=0, comm_qubits=qubits, shared_random_bits=0, shared_epr_pairs=pairs
         )

@@ -142,36 +142,21 @@ def quantize_state(rho: DensityMatrix, k: int) -> QuantizedState:
 # one-way reduction
 # ---------------------------------------------------------------------------
 
-def _bob_side_state(p: CdqsProtocol, y: int) -> Optional[DensityMatrix]:
-    """Joint state of Bob's message and Alice's resource half, or ``None``
-    when the protocol has neither (Alice holds the whole pre-message state)."""
-    state = maximally_entangled("Qbar", "Q", p.d_q)
-    if p.resource is not None:
-        state = tensor(state, p.resource)
-    rho = state.density_matrix()
-    if p.bob_channel is not None:
-        rho = apply_channel(p.bob_channel(y), rho)
+def _bob_side_state(p: CdqsProtocol, y: int) -> DensityMatrix:
+    """Joint state of Alice's resource half and Bob's message."""
+    rho = tensor(maximally_entangled("Qbar", "Q", p.d_q), p.resource).density_matrix()
+    rho = apply_channel(p.bob_channel(y), rho)
     names = [nm for nm, _ in rho.layout if nm not in ("Qbar", "Q")]
-    if not names:
-        return None
     return partial_trace(rho.permuted(["Qbar", "Q"] + names), keep=names)
 
 
 def quantized_product_gap(p: CdqsProtocol, x: int, y: int, k: int):
     """Distance from product of the mid state rebuilt from a quantized
     description of Bob's side, plus the quantization record."""
-    bob_side = _bob_side_state(p, y)
-    record = None
-    if bob_side is not None:
-        record = quantize_state(bob_side, k)
-        phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
-        full = np.kron(np.asarray(phi.entries), record.entries)
-        layout = phi.layout + record.layout
-    else:
-        phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
-        full = np.asarray(phi.entries)
-        layout = phi.layout
-    mid, mid_layout = apply_channel_matrix(p.alice_channel(x), full, layout)
+    record = quantize_state(_bob_side_state(p, y), k)
+    phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
+    full = np.kron(np.asarray(phi.entries), record.entries)
+    mid, mid_layout = apply_channel_matrix(p.alice_channel(x), full, phi.layout + record.layout)
     return product_gap(mid, mid_layout, p.d_q), record
 
 
@@ -191,12 +176,8 @@ def one_way_decide(
     means hiding.
     """
     gamma = gamma_threshold(epsilon, delta, p.d_q)
-    bob_side = _bob_side_state(p, y)
-    if bob_side is not None:
-        dim_bob = layout_dim(bob_side.layout)
-        needed = required_digits(math.ceil(math.log2(dim_bob)), 0, gamma)
-    else:
-        needed = 1
+    dim_bob = layout_dim(p.resource.layout[:1]) * layout_dim(p.bob_channel(y).output_layout)
+    needed = required_digits(math.ceil(math.log2(dim_bob)), 0, gamma)
     if k < needed:
         raise ValueError(f"need at least {needed} digits, got {k}")
     gap, _ = quantized_product_gap(p, x, y, k)
@@ -237,31 +218,28 @@ class TwoProverProof:
     k: int
     d_q: int
     alice_purification: Callable[[int], Isometry]
-    bob_purification: Optional[Callable[[int], Isometry]]
+    bob_purification: Callable[[int], Isometry]
     recovery: Callable[[int, int], Isometry]
     padded: bool
     test_description: str
+
+    def purified_run(self, state: StateVector, x: int, y: int) -> StateVector:
+        """Both purifications applied to ``state (x) resource``."""
+        state = tensor(state, self.protocol.resource)
+        state = apply_isometry(self.alice_purification(x), state)
+        return apply_isometry(self.bob_purification(y), state)
 
     def accept_vector(self, x: int, y: int, s: int) -> StateVector:
         """``psi^s``: the purified protocol run on the basis secret ``s``."""
         if not 0 <= s < self.d_q:
             raise ValueError(f"secret {s} outside [0, {self.d_q})")
-        state = basis_state(s, (("Q", self.d_q),))
-        if self.protocol.resource is not None:
-            state = tensor(state, self.protocol.resource)
-        state = apply_isometry(self.alice_purification(x), state)
-        if self.bob_purification is not None:
-            state = apply_isometry(self.bob_purification(y), state)
-        return state
+        return self.purified_run(basis_state(s, (("Q", self.d_q),)), x, y)
 
     def system_names(self, x: int, y: int):
         """Message-system and purifying-system names, in layout order."""
         message = list(layout_names(self.protocol.alice_channel(x).output_layout))
-        private = ["EA"]
-        if self.protocol.bob_channel is not None:
-            message += list(layout_names(self.protocol.bob_channel(y).output_layout))
-            private.append("EB")
-        return message, private
+        message += list(layout_names(self.protocol.bob_channel(y).output_layout))
+        return message, ["EA", "EB"]
 
     def communication_cost(self, x: int, y: int) -> dict:
         """Log-dimensions of everything the provers and Bob send, with the
@@ -269,16 +247,11 @@ class TwoProverProof:
         a = self.alice_purification(x)
         d_ma = layout_dim(a.output_layout[:-1])
         d_ma_env = a.output_layout[-1][1]
-        d_mb = d_mb_env = d_r = 1
-        if self.bob_purification is not None:
-            b = self.bob_purification(y)
-            d_mb = layout_dim(b.output_layout[:-1])
-            d_mb_env = b.output_layout[-1][1]
-            d_r = layout_dim(b.input_layout)
-        d_l = 1
-        if self.protocol.resource is not None:
-            total_resource = layout_dim(self.protocol.resource.layout)
-            d_l = total_resource // d_r
+        b = self.bob_purification(y)
+        d_mb = layout_dim(b.output_layout[:-1])
+        d_mb_env = b.output_layout[-1][1]
+        d_r = layout_dim(b.input_layout)
+        d_l = layout_dim(self.protocol.resource.layout) // d_r
         logs = {
             "m_a": math.log2(d_ma),
             "m_a_env": math.log2(d_ma_env),
@@ -298,10 +271,8 @@ class TwoProverProof:
     def system_bounds_ok(self, x: int, y: int) -> bool:
         """Purification environments within ``d_Q d_L d_MA`` and ``d_R d_MB``."""
         cost = self.communication_cost(x, y)
-        a_ok = cost["m_a_env"] <= math.log2(self.d_q) + cost["m_a"] + (
-            math.log2(layout_dim(self.protocol.resource.layout)) - cost["r"]
-            if self.protocol.resource is not None else 0.0
-        ) + 1e-9
+        d_l_log = math.log2(layout_dim(self.protocol.resource.layout)) - cost["r"]
+        a_ok = cost["m_a_env"] <= math.log2(self.d_q) + cost["m_a"] + d_l_log + 1e-9
         b_ok = cost["m_b_env"] <= cost["r"] + cost["m_b"] + 1e-9
         return a_ok and b_ok
 
@@ -324,12 +295,8 @@ def build_two_prover_proof(
     bob_cache: dict = {}
     recovery_cache: dict = {}
 
-    d_r = 1
-    if rep.resource is not None and rep.bob_channel is not None:
-        d_r = layout_dim(rep.bob_channel(0).input_layout)
-    d_l = 1
-    if rep.resource is not None:
-        d_l = layout_dim(rep.resource.layout) // d_r
+    d_r = layout_dim(rep.bob_channel(0).input_layout)
+    d_l = layout_dim(rep.resource.layout) // d_r
 
     def alice_purification(x: int) -> Isometry:
         if x not in alice_cache:
@@ -340,16 +307,14 @@ def build_two_prover_proof(
             alice_cache[x] = iso
         return alice_cache[x]
 
-    bob_purification = None
-    if rep.bob_channel is not None:
-        def bob_purification(y: int) -> Isometry:
-            if y not in bob_cache:
-                iso = purify_channel(rep.bob_channel(y), env_name="EB")
-                if pad_environments:
-                    ch = rep.bob_channel(y)
-                    iso = _pad_environment(iso, d_r * ch.dim_out)
-                bob_cache[y] = iso
-            return bob_cache[y]
+    def bob_purification(y: int) -> Isometry:
+        if y not in bob_cache:
+            iso = purify_channel(rep.bob_channel(y), env_name="EB")
+            if pad_environments:
+                ch = rep.bob_channel(y)
+                iso = _pad_environment(iso, d_r * ch.dim_out)
+            bob_cache[y] = iso
+        return bob_cache[y]
 
     def recovery(x: int, y: int) -> Isometry:
         if (x, y) not in recovery_cache:
@@ -394,12 +359,7 @@ def honest_acceptance_by_secret(tp: TwoProverProof, f: PromiseFunction, x: int, 
     rec = tp.recovery(x, y)
     message, private = tp.system_names(x, y)
 
-    phi = maximally_entangled("Qbar", "Q", tp.d_q)
-    if tp.protocol.resource is not None:
-        phi = tensor(phi, tp.protocol.resource)
-    run = apply_isometry(tp.alice_purification(x), phi)
-    if tp.bob_purification is not None:
-        run = apply_isometry(tp.bob_purification(y), run)
+    run = tp.purified_run(maximally_entangled("Qbar", "Q", tp.d_q), x, y)
     xi = apply_isometry(rec, run)
     # rows of xi over (Qbar, Q) are the (unnormalised) pure components of the
     # prover pre-shared state on (P, private); their squared norms sum to 1

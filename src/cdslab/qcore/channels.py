@@ -15,7 +15,6 @@ maximally entangled pairing follows the row-major vec ordering, so that
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .states import (
     layout_dims,
     layout_names,
     layout_positions,
+    _frozen,
 )
 
 PAULI = {
@@ -38,11 +38,6 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 class QuantumChannel:

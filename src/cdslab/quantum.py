@@ -16,13 +16,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classical import ip_psm, neq_cds, double_secret, promise_neq_function
+from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, PsmProtocol, enumerate_message_distribution
+from .framework import CostReport, enumerate_message_distribution
 
 _QUARTER = Fraction(1, 4)
 
@@ -37,10 +36,6 @@ def _as_bits_int(x, n: int) -> int:
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"expected {n} bits, got {x!r}")
     return sum(b << i for i, b in enumerate(bits))
-
-
-def _parity(v: int) -> int:
-    return v.bit_count() & 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +148,6 @@ class HybridNeqCdqs:
             shared_random_bits=self.key_cds.randomness_bits,
             shared_epr_pairs=m,
         )
-
-    def x_inputs(self):
-        return range(1 << self.n)
-
-    def y_inputs(self):
-        return range(1 << self.n)
 
     def decoding_distance(self, x: int, y: int) -> Fraction:
         """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands

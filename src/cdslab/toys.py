@@ -13,14 +13,14 @@ import numpy as np
 
 from .classical import and_cds, and_function, constant_function, double_secret, neq_cds, neq_function
 from .framework import CdqsProtocol, PromiseFunction, classical_to_quantum_lift
-from .qcore import QuantumChannel
+from .qcore import PAULI, QuantumChannel
 
-_I2 = np.eye(2, dtype=complex)
-_SEND = (("Q", 2),), (("MA", 2),)
+# Alice's channel on the secret and the one-dimensional resource half
+_SEND = (("Q", 2), ("L", 1)), (("MA", 2),)
 
 
 def _forward_channel() -> QuantumChannel:
-    return QuantumChannel([_I2], *_SEND, validate=False)
+    return QuantumChannel([PAULI["I"]], *_SEND, validate=False)
 
 
 def _erase_channel() -> QuantumChannel:
@@ -30,15 +30,14 @@ def _erase_channel() -> QuantumChannel:
 
 
 def _partial_depolarize_channel(strength: float) -> QuantumChannel:
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    w = [np.sqrt(1 - 3 * strength / 4) * _I2] + [np.sqrt(strength / 4) * p for p in (x, y, z)]
+    w = [np.sqrt(1 - 3 * strength / 4) * PAULI["I"]] + [
+        np.sqrt(strength / 4) * PAULI[p] for p in "XYZ"
+    ]
     return QuantumChannel(w, *_SEND, validate=False)
 
 
 def _identity_decoder() -> QuantumChannel:
-    return QuantumChannel([_I2], (("MA", 2),), (("Q", 2),), validate=False)
+    return QuantumChannel([PAULI["I"]], (("MA", 2), ("MB", 1)), (("Q", 2),), validate=False)
 
 
 def trivial_forwarding() -> CdqsProtocol:
@@ -47,7 +46,6 @@ def trivial_forwarding() -> CdqsProtocol:
         n=1,
         d_q=2,
         alice_channel=lambda x: _forward_channel(),
-        bob_channel=None,
         decoder=lambda x, y: _identity_decoder(),
         construction="trivial_forwarding",
     )
@@ -68,7 +66,6 @@ def unencrypted() -> CdqsProtocol:
         n=1,
         d_q=2,
         alice_channel=lambda x: _forward_channel(),
-        bob_channel=None,
         decoder=lambda x, y: None,
         construction="unencrypted",
     )
@@ -93,7 +90,6 @@ def gated_forwarding() -> CdqsProtocol:
         n=1,
         d_q=2,
         alice_channel=alice,
-        bob_channel=None,
         decoder=lambda x, y: _identity_decoder() if (x, y) == (1, 1) else None,
         construction="gated_forwarding",
     )
@@ -172,7 +168,6 @@ def leaky(strength: float) -> CdqsProtocol:
         n=1,
         d_q=2,
         alice_channel=alice,
-        bob_channel=None,
         decoder=lambda x, y: _identity_decoder() if (x, y) == (1, 1) else None,
         construction=f"leaky({strength})",
         params=(("leak_strength", strength),),

@@ -6,12 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdslab.classical import and_cds, and_function, double_secret, neq_cds, table_psm
 from cdslab.framework import (
     CdsProtocol,
+    CdqsProtocol,
     CostReport,
     PromiseFunction,
+    PsmProtocol,
     cds_decode_failure,
     classical_to_quantum_lift,
     describe,
@@ -20,13 +24,21 @@ from cdslab.framework import (
     mid_protocol_state,
     parallel_repeat,
     protocol_cost,
+    psm_decode_failure,
     psm_to_cds,
     run_cdqs,
     serialize_protocol,
     transcript_block_checks,
     transcript_form,
 )
-from cdslab.qcore import DensityMatrix, apply_channel, partial_trace
+from cdslab.qcore import (
+    DensityMatrix,
+    QuantumChannel,
+    apply_channel,
+    maximally_entangled,
+    partial_trace,
+    trace_norm,
+)
 from cdslab.quantum import neq_promise_cdqs
 from cdslab.toys import gated_forwarding, lifted_neq, trivial_forwarding
 
@@ -79,8 +91,20 @@ def test_enumeration_budget_guard():
         decoder=lambda ma, x, mb, y: 0,
         message_bits_a=1, message_bits_b=1,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget"):
         enumerate_message_distribution(big, 0, 0, 0)
+    with pytest.raises(ValueError, match="budget"):
+        cds_decode_failure(big, 0, 0, 0)
+    big_psm = PsmProtocol(
+        n=1, randomness_bits=25, value_alphabet=2,
+        message_a=lambda x, r: 0, message_b=lambda y, r: 0,
+        referee=lambda ma, mb: 0,
+        message_bits_a=1, message_bits_b=1,
+    )
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_message_distribution(big_psm, 0, 0)
+    with pytest.raises(ValueError, match="budget"):
+        psm_decode_failure(big_psm, 0, 0, 0)
 
 def test_decode_failure_counts_mass():
     # decoder that answers 1 - s half the time: failure exactly 1/2
@@ -115,7 +139,7 @@ def test_gated_forwarding_only_on_allowed_pair():
     p = gated_forwarding()
     assert abs(p.entanglement_fidelity(1, 1) - 1.0) < 1e-12
     # on the erased branch the message is |0><0| whatever the secret was
-    mid = mid_protocol_state(p, 0, 0).permuted(["Qbar", "MA"])
+    mid = mid_protocol_state(p, 0, 0).permuted(["Qbar", "MA", "MB"])
     want = np.kron(np.eye(2) / 2, [[1, 0], [0, 0]])
     assert np.allclose(np.asarray(mid.entries), want, atol=1e-11)
 
@@ -226,6 +250,10 @@ def test_protocol_cost_classical():
     c = protocol_cost(and_cds())
     assert c.comm_bits == 2 and c.comm_qubits == 0 and c.shared_random_bits == 1
 
+def test_default_registers_cost_nothing():
+    c = protocol_cost(trivial_forwarding())
+    assert c == CostReport(comm_bits=0, comm_qubits=1, shared_random_bits=0, shared_epr_pairs=0)
+
 def test_protocol_cost_dense_quantum():
     c = protocol_cost(lifted_neq())
     assert c.comm_qubits == 1
@@ -238,3 +266,38 @@ def test_describe_and_serialize():
     assert json.loads(blob)["cost"]["comm_bits"] == 5
     # canonical: keys sorted
     assert blob == json.dumps(json.loads(blob), sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# default registers of a Bob-less protocol
+# ---------------------------------------------------------------------------
+
+def _random_qubit_kraus(seed: int, count: int) -> list:
+    """Kraus operators of a random qubit channel: blocks of a random isometry."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
+    iso, _ = np.linalg.qr(g)
+    return [iso[2 * i : 2 * i + 2] for i in range(count)]
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4))
+def test_bobless_protocol_matches_direct_choi_computation(seed, count):
+    kraus = _random_qubit_kraus(seed, count)
+    p = CdqsProtocol(
+        n=1,
+        d_q=2,
+        alice_channel=lambda x: QuantumChannel(kraus, (("Q", 2), ("L", 1)), (("MA", 2),)),
+        decoder=lambda x, y: QuantumChannel(
+            [np.eye(2)], (("MA", 2), ("MB", 1)), (("Q", 2),)
+        ),
+    )
+    # the Choi state of the channel on (Qbar, MA), built without the protocol
+    phi = maximally_entangled("Qbar", "Q", 2).density_matrix()
+    choi = apply_channel(QuantumChannel(kraus, (("Q", 2),), (("MA", 2),)), phi)
+    assert choi.layout == (("Qbar", 2), ("MA", 2))
+    j = np.asarray(choi.entries)
+    decoding = trace_norm(j - np.asarray(phi.entries))
+    rho_m = np.asarray(partial_trace(choi, keep=["MA"]).entries)
+    product = trace_norm(j - np.kron(np.eye(2) / 2, rho_m))
+    assert abs(p.decoding_distance(0, 0) - decoding) <= 1e-12
+    assert abs(p.product_distance(0, 0) - product) <= 1e-12

@@ -109,6 +109,15 @@ def test_one_way_works_at_minimum_digits():
         lb.one_way_decide(p, f, 0, 0, k - 1)
 
 
+def test_one_way_bobless_needs_the_gamma_digits():
+    # no Bob qubits: required_digits(0, 0, gamma) = ceil(-log2 0.1464...) = 3
+    p, f = gated_forwarding(), gated_function()
+    for x, y in f.promise_pairs():
+        assert lb.one_way_decide(p, f, x, y, 3) == f.value(x, y)
+    with pytest.raises(ValueError, match="digits"):
+        lb.one_way_decide(p, f, 0, 0, 2)
+
+
 def test_product_gap_separates_the_two_sides():
     p, f = gated_forwarding(), gated_function()
     hiding, _ = lb.quantized_product_gap(p, 0, 0, 40)
@@ -122,9 +131,10 @@ def test_quantized_gap_reports_the_record():
     _, record = lb.quantized_product_gap(lifted_neq(), 0, 0, 14)
     assert record.digits == 14
     assert record.l1_error <= record.l1_bound
-    # gated has no resource and no Bob message, so nothing is quantized
-    _, empty = lb.quantized_product_gap(gated_forwarding(), 0, 0, 14)
-    assert empty is None
+    # gated has no resource and no Bob message: only the 1x1 trivial state
+    _, trivial = lb.quantized_product_gap(gated_forwarding(), 0, 0, 14)
+    assert trivial.layout == (("L", 1), ("MB", 1))
+    assert trivial.l1_error <= 1e-15
 
 
 def test_two_prover_gated_all_repetitions():
