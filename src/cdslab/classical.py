@@ -319,7 +319,6 @@ def table_psm(h, x_bits: int, y_bits: int) -> PsmProtocol:
         referee=referee,
         message_bits_a=x_bits + 1,
         message_bits_b=domain,
-        x_bits=x_bits,
         construction=f"table_psm({x_bits}x{y_bits})",
         params=(("truth_table_bits", domain),),
     )

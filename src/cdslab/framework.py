@@ -32,6 +32,10 @@ may have any non-colliding names, and the decoder consumes exactly the
 message subsystems and outputs ``Q``.  A protocol without a resource or
 a Bob message keeps ``L``, ``R`` and Bob's message ``MB`` as
 one-dimensional registers, so every dense protocol has the same shape.
+
+Run order: Alice acts on ``(Q, L)`` and Bob on ``R`` only, so Bob's side
+runs first, and every dense run is Alice's channel on ``secret (x)
+bob_side_state(p, y)`` (no state holds ``Q``, ``L`` and ``R`` at once).
 """
 
 from __future__ import annotations
@@ -113,12 +117,6 @@ class PromiseFunction:
             for y in range(self.y_size):
                 if self.value(x, y) is not None:
                     yield x, y
-
-    def ones(self):
-        return [(x, y) for x, y in self.promise_pairs() if self.value(x, y) == 1]
-
-    def zeros(self):
-        return [(x, y) for x, y in self.promise_pairs() if self.value(x, y) == 0]
 
     def __repr__(self):
         return f"PromiseFunction({self.name}, n={self.n})"
@@ -216,7 +214,6 @@ class PsmProtocol:
     referee: Callable[[Hashable, Hashable], int]
     message_bits_a: int
     message_bits_b: int
-    x_bits: int = 0  # Alice's input width when it differs from n
     construction: str = ""
     params: tuple = ()
 
@@ -348,23 +345,28 @@ class CdqsProtocol:
         return apply_channel(dec, mid_protocol_state(self, x, y)).permuted(["Qbar", "Q"])
 
 
+def bob_side_state(p: CdqsProtocol, y: int) -> DensityMatrix:
+    """Alice's resource half and Bob's message: ``bob_channel(y)`` on the
+    resource, laid out on ``(L, Bob's message)``."""
+    return apply_channel(p.bob_channel(y), p.resource.density_matrix())
+
 def run_cdqs(p: CdqsProtocol, x: int, y: int, secret: DensityMatrix) -> DensityMatrix:
-    """Execute the protocol on an explicit secret state; result on messages."""
+    """Execute the protocol on an explicit secret state, result on messages:
+    Alice's channel on ``secret (x) bob_side_state(p, y)``."""
     if secret.layout != (("Q", p.d_q),):
         raise ValueError(f"secret must live on (('Q', {p.d_q}),), got {secret.layout}")
-    state = tensor(secret, p.resource.density_matrix())
-    state = apply_channel(p.alice_channel(x), state)
-    return apply_channel(p.bob_channel(y), state)
+    return apply_channel(p.alice_channel(x), tensor(secret, bob_side_state(p, y)))
 
 def mid_protocol_state(p: CdqsProtocol, x: int, y: int) -> DensityMatrix:
     """Joint state of the reference ``Qbar`` and both messages.
 
     The secret register enters maximally entangled with ``Qbar``, so this
-    is the (normalised) Choi state of the combined protocol channel.
+    is the (normalised) Choi state of the combined protocol channel:
+    Alice's channel on ``phi (x) bob_side_state(p, y)``, laid out as
+    ``(Qbar, Alice's message, Bob's message)``.
     """
-    rho = tensor(maximally_entangled("Qbar", "Q", p.d_q), p.resource).density_matrix()
-    rho = apply_channel(p.alice_channel(x), rho)
-    return apply_channel(p.bob_channel(y), rho)
+    phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
+    return apply_channel(p.alice_channel(x), tensor(phi, bob_side_state(p, y)))
 
 def product_gap(mat: np.ndarray, layout, d_q: int) -> float:
     """``|| rho - pi (x) rho_M ||_1`` for a state on ``Qbar`` and messages.

@@ -33,6 +33,7 @@ import numpy as np
 from .framework import (
     CdqsProtocol,
     PromiseFunction,
+    bob_side_state,
     joint_channel,
     parallel_repeat,
     product_gap,
@@ -42,7 +43,6 @@ from .qcore import (
     Isometry,
     StateVector,
     apply_channel,
-    apply_channel_matrix,
     apply_isometry,
     basis_state,
     complementary_channel,
@@ -51,7 +51,6 @@ from .qcore import (
     layout_dim,
     layout_names,
     maximally_entangled,
-    partial_trace,
     purify_channel,
     tensor,
     trace_norm,
@@ -142,22 +141,14 @@ def quantize_state(rho: DensityMatrix, k: int) -> QuantizedState:
 # one-way reduction
 # ---------------------------------------------------------------------------
 
-def _bob_side_state(p: CdqsProtocol, y: int) -> DensityMatrix:
-    """Joint state of Alice's resource half and Bob's message."""
-    rho = tensor(maximally_entangled("Qbar", "Q", p.d_q), p.resource).density_matrix()
-    rho = apply_channel(p.bob_channel(y), rho)
-    names = [nm for nm, _ in rho.layout if nm not in ("Qbar", "Q")]
-    return partial_trace(rho.permuted(["Qbar", "Q"] + names), keep=names)
-
-
 def quantized_product_gap(p: CdqsProtocol, x: int, y: int, k: int):
     """Distance from product of the mid state rebuilt from a quantized
     description of Bob's side, plus the quantization record."""
-    record = quantize_state(_bob_side_state(p, y), k)
+    record = quantize_state(bob_side_state(p, y), k)
+    side = DensityMatrix(record.entries, record.layout, validate=False)
     phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
-    full = np.kron(np.asarray(phi.entries), record.entries)
-    mid, mid_layout = apply_channel_matrix(p.alice_channel(x), full, phi.layout + record.layout)
-    return product_gap(mid, mid_layout, p.d_q), record
+    mid = apply_channel(p.alice_channel(x), tensor(phi, side))
+    return product_gap(mid.entries, mid.layout, p.d_q), record
 
 
 def one_way_decide(
@@ -220,8 +211,6 @@ class TwoProverProof:
     alice_purification: Callable[[int], Isometry]
     bob_purification: Callable[[int], Isometry]
     recovery: Callable[[int, int], Isometry]
-    padded: bool
-    test_description: str
 
     def purified_run(self, state: StateVector, x: int, y: int) -> StateVector:
         """Both purifications applied to ``state (x) resource``."""
@@ -331,12 +320,6 @@ def build_two_prover_proof(
         alice_purification=alice_purification,
         bob_purification=bob_purification,
         recovery=recovery,
-        padded=pad_environments,
-        test_description=(
-            "verifier sends uniform s to prover 1 only; provers return message "
-            "and purifying systems; verifier inverts both purifications and "
-            "accepts on outcome (s, resource state, ancillas zero)"
-        ),
     )
 
 

@@ -170,6 +170,12 @@ def chebyshev_radius(dists: Sequence[dict]):
     return float(res.fun), center
 
 
+def _check_sizes(p, f: PromiseFunction) -> None:
+    """Refuse a protocol whose input size differs from the function's."""
+    if p.n != f.n:
+        raise ValueError(f"protocol has n={p.n} but function {f.name} has n={f.n}")
+
+
 # ---------------------------------------------------------------------------
 # classical verifiers
 # ---------------------------------------------------------------------------
@@ -181,6 +187,7 @@ def cds_verify(p: CdsProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     inputs and secrets; ``delta_hat`` the worst simulator radius over hiding
     inputs.  Both are exact rationals cast to float at the end.
     """
+    _check_sizes(p, f)
     eps = Fraction(0)
     delta = 0.0
     diagnostics = []
@@ -220,6 +227,7 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     Security solves one Chebyshev-center problem per function value over all
     inputs in that value class.
     """
+    _check_sizes(p, f)
     eps = Fraction(0)
     diagnostics = {}
     classes: dict = {}
@@ -279,6 +287,7 @@ def cdqs_verify(
     diagnostics.  ``inputs`` defaults to every promise pair, which must be
     explicitly supplied when the domain is too large to enumerate.
     """
+    _check_sizes(p, f)
     if inputs is None:
         if f.x_size * f.y_size > _ENUMERABLE_PAIRS:
             raise ValueError(
@@ -327,6 +336,7 @@ def productness_check(
     bound); disclosing inputs must decode with entanglement fidelity at
     least ``1 - epsilon_hat``.
     """
+    _check_sizes(p, f)
     if report is None:
         report = cdqs_verify(p, f, inputs=inputs)
     if inputs is None:

@@ -16,6 +16,7 @@ from cdslab.framework import (
     CostReport,
     PromiseFunction,
     PsmProtocol,
+    bob_side_state,
     cds_decode_failure,
     classical_to_quantum_lift,
     describe,
@@ -31,12 +32,15 @@ from cdslab.framework import (
     transcript_block_checks,
     transcript_form,
 )
+from cdslab.lowerbound import quantized_product_gap
 from cdslab.qcore import (
     DensityMatrix,
     QuantumChannel,
+    StateVector,
     apply_channel,
     maximally_entangled,
     partial_trace,
+    tensor,
     trace_norm,
 )
 from cdslab.quantum import neq_promise_cdqs
@@ -57,11 +61,6 @@ def test_promise_function_range_check():
     f = PromiseFunction(1, lambda x, y: 0, "zero")
     with pytest.raises(ValueError):
         f.value(2, 0)
-
-def test_promise_function_ones_zeros_listing():
-    f = PromiseFunction(1, lambda x, y: 1 if x != y else None, "strict_neq")
-    assert f.ones() == [(0, 1), (1, 0)]
-    assert f.zeros() == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +271,16 @@ def test_describe_and_serialize():
 # default registers of a Bob-less protocol
 # ---------------------------------------------------------------------------
 
-def _random_qubit_kraus(seed: int, count: int) -> list:
-    """Kraus operators of a random qubit channel: blocks of a random isometry."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(2 * count, 2)) + 1j * rng.normal(size=(2 * count, 2))
-    iso, _ = np.linalg.qr(g)
-    return [iso[2 * i : 2 * i + 2] for i in range(count)]
+def _random_kraus(rng, count: int, dim_in: int = 2, dim_out: int = 2) -> list:
+    """Kraus operators of a random channel: blocks of a random isometry."""
+    shape = (dim_out * count, dim_in)
+    iso, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return [iso[dim_out * i : dim_out * (i + 1)] for i in range(count)]
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4))
 def test_bobless_protocol_matches_direct_choi_computation(seed, count):
-    kraus = _random_qubit_kraus(seed, count)
+    kraus = _random_kraus(np.random.default_rng(seed), count)
     p = CdqsProtocol(
         n=1,
         d_q=2,
@@ -301,3 +299,49 @@ def test_bobless_protocol_matches_direct_choi_computation(seed, count):
     product = trace_norm(j - np.kron(np.eye(2) / 2, rho_m))
     assert abs(p.decoding_distance(0, 0) - decoding) <= 1e-12
     assert abs(p.product_distance(0, 0) - product) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# run order: Bob's side first
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    alice_count=st.integers(2, 4),
+    bob_count=st.integers(1, 4),
+)
+def test_bob_side_first_matches_the_full_register_run(seed, alice_count, bob_count):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+    resource = StateVector(amps / np.linalg.norm(amps), (("L", 2), ("R", 2)))
+    bob = QuantumChannel(_random_kraus(rng, bob_count), (("R", 2),), (("MB", 2),))
+    alice = QuantumChannel(
+        _random_kraus(rng, alice_count, dim_in=4), (("Q", 2), ("L", 2)), (("MA", 2),)
+    )
+    p = CdqsProtocol(
+        n=1,
+        d_q=2,
+        alice_channel=lambda x: alice,
+        decoder=lambda x, y: None,
+        bob_channel=lambda y: bob,
+        resource=resource,
+    )
+    # reference: every register at once, Alice first, then Bob
+    full = tensor(maximally_entangled("Qbar", "Q", 2).density_matrix(), resource.density_matrix())
+    reference = apply_channel(bob, apply_channel(alice, full))
+    mid = mid_protocol_state(p, 0, 0)
+    assert mid.layout == reference.layout == (("Qbar", 2), ("MA", 2), ("MB", 2))
+    assert np.max(np.abs(mid.entries - reference.entries)) <= 1e-12
+
+    side = bob_side_state(p, 0)
+    side_reference = partial_trace(apply_channel(bob, full), keep=["L", "MB"])
+    assert side.layout == side_reference.layout == (("L", 2), ("MB", 2))
+    assert np.max(np.abs(side.entries - side_reference.entries)) <= 1e-12
+
+    # Alice's channel contracts the trace norm, and the product gap moves by
+    # at most twice the distance of its input
+    exact = p.product_distance(0, 0)
+    for k in (6, 12, 30):
+        gap, record = quantized_product_gap(p, 0, 0, k)
+        assert abs(gap - exact) <= 2 * record.l1_error + 1e-12

@@ -223,6 +223,19 @@ def test_out_of_promise_input_rejected():
         cdqs_verify(gated_forwarding(), gated_function(), inputs=[(0, 1)])
 
 
+def test_size_mismatch_rejected():
+    # each pair would otherwise verify a sub-domain, or reach a verdict, in silence
+    with pytest.raises(ValueError, match=r"n=4 .* n=2"):
+        cds_verify(neq_cds(4), neq_function(2))
+    with pytest.raises(ValueError, match=r"n=3 .* n=1"):
+        psm_verify(ip_psm(3), ip_function(1))
+    with pytest.raises(ValueError, match=r"n=8 .* n=4"):
+        cdqs_verify(neq_promise_cdqs(8), hybrid_promise_function(4))
+    report = cdqs_verify(gated_forwarding(), gated_function())
+    with pytest.raises(ValueError, match=r"n=1 .* n=2"):
+        productness_check(gated_forwarding(), neq_function(2), report=report)
+
+
 def test_depolarized_epsilon_grows_continuously():
     values = []
     for strength in (0.1, 0.2, 0.4):
