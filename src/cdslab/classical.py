@@ -10,7 +10,7 @@ polynomial coefficients (bit i = coefficient of X^i).
 
 from __future__ import annotations
 
-from .framework import CdsProtocol, PromiseFunction, PsmProtocol
+from .framework import ENUMERATION_BUDGET_BITS, CdsProtocol, PromiseFunction, PsmProtocol
 
 # Irreducible moduli for GF(2^n), one per supported degree, written with the
 # leading coefficient included (degree-n polynomial as an (n+1)-bit integer).
@@ -288,8 +288,9 @@ def table_psm(h, x_bits: int, y_bits: int) -> PsmProtocol:
         raise ValueError("empty input domain")
     domain = 1 << x_bits
     randomness_bits = x_bits + domain
-    if randomness_bits > 24:
-        raise ValueError(f"table_psm randomness {randomness_bits} bits exceeds the 24-bit budget")
+    if randomness_bits > ENUMERATION_BUDGET_BITS:
+        raise ValueError(f"table_psm randomness {randomness_bits} bits exceeds the "
+                         f"{ENUMERATION_BUDGET_BITS}-bit budget")
 
     def split(r):
         return r & (domain - 1), r >> x_bits  # (shift, pad table)

@@ -12,14 +12,13 @@ report row; suites that need multiple streams derive them through
 ``SeedSequence((seed, 1))`` (vote decisions), so no stream is reused.
 
 Exit codes: 0 all assertions hold, 1 an assertion failed, 2 usage or
-configuration error (in which case no files are written).
+configuration error or a size the suite refuses (no files are written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -36,13 +35,7 @@ from .forrelation import (
     vote_error_bound,
 )
 from .framework import CostReport
-from .lowerbound import (
-    build_two_prover_proof,
-    cheat_optimize,
-    honest_acceptance,
-    message_orthogonality_check,
-    soundness_bound,
-)
+from .lowerbound import build_two_prover_proof, soundness_bound, two_prover_checks
 from .quantum import hybrid_promise_function, neq_promise_cdqs
 from .toys import (
     gated_forwarding,
@@ -195,33 +188,23 @@ def _suite_two_prover(cfg: ExperimentConfig):
         p, f = gated_forwarding(), gated_function()
     rep = cdqs_verify(p, f, seed=cfg.seed)
     tp = build_two_prover_proof(p, k)
+    checks = two_prover_checks(tp, f, f.promise_pairs(), rep.epsilon_hat, rep.delta_hat)
     failures = []
-    honest_values = []
-    cheat_values = []
-    ortho_values = []
-    bound = soundness_bound(k, rep.delta_hat)
-    floor = 1 - 2 * math.sqrt(rep.epsilon_hat)
-    for x, y in f.promise_pairs():
-        if f.value(x, y) == 1:
-            acc = honest_acceptance(tp, f, x, y)
-            honest_values.append(acc)
-            if acc < floor - 1e-9:
-                failures.append(f"honest acceptance {acc} below {floor} at ({x}, {y})")
-        else:
-            cheat = cheat_optimize(tp, f, x, y)
-            cheat_values.append(cheat.estimate)
-            if cheat.estimate > bound + 1e-6:
-                failures.append(f"cheat estimate {cheat.estimate} above {bound} at ({x}, {y})")
-            ortho = message_orthogonality_check(tp, f, x, y)
-            ortho_values.append(ortho)
-            if ortho > 4 * math.sqrt(rep.delta_hat) + 1e-9:
-                failures.append(f"orthogonality {ortho} too high at ({x}, {y})")
+    for c in checks:
+        at = f"at ({c['x']}, {c['y']})"
+        if not c.get("honest_ok", True):
+            failures.append(f"honest acceptance {c['honest']} below {c['floor']} {at}")
+        if not c.get("cheat_ok", True):
+            failures.append(f"cheat estimate {c['cheat'].estimate} above {c['bound']} {at}")
+        if not c.get("orthogonality_ok", True):
+            failures.append(f"orthogonality {c['orthogonality']} too high {at}")
+    hiding = [c for c in checks if c["value"] == 0]
     extras = {
         "k": k,
-        "honest_min": min(honest_values) if honest_values else "",
-        "cheat_max": max(cheat_values) if cheat_values else "",
-        "cheat_bound": bound,
-        "orthogonality_max": max(ortho_values) if ortho_values else "",
+        "honest_min": min((c["honest"] for c in checks if c["value"] == 1), default=""),
+        "cheat_max": max((c["cheat"].estimate for c in hiding), default=""),
+        "cheat_bound": soundness_bound(k, rep.delta_hat),
+        "orthogonality_max": max((c["orthogonality"] for c in hiding), default=""),
     }
     return [(rep, extras)], failures
 
@@ -400,6 +383,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         code, _ = run_suite(config)
+    except ValueError as err:  # raised while building rows, before any file
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -2,7 +2,8 @@
 
 Classical :class:`CdsProtocol` / :class:`PsmProtocol` are message functions
 over integer-encoded inputs plus dyadic shared randomness, executed by
-exhaustive enumeration with exact rational probabilities.
+one exhaustive enumeration, :func:`transcript_counts`, whose integer
+counts become exact rational probabilities.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -44,6 +45,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -231,44 +233,45 @@ def _randomness_count(protocol) -> int:
         )
     return 1 << protocol.randomness_bits
 
+def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
+    """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
+    of the shared randomness, in order of first appearance: the one
+    enumeration every exact classical quantity is derived from.  For CDS
+    protocols the secret ``s`` is required; PSM protocols take none.
+    """
+    total = _randomness_count(protocol)
+    if isinstance(protocol, CdsProtocol):
+        if s is None:
+            raise ValueError("CDS enumeration requires the secret value")
+        message_a = partial(protocol.message_a, x, s)
+    else:
+        message_a = partial(protocol.message_a, x)
+    message_b = partial(protocol.message_b, y)
+    counts: dict = {}
+    for r in range(total):
+        key = (message_a(r), message_b(r))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
 def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = None):
     """Exact transcript distribution of a classical protocol at one input.
 
     Returns a mapping ``(m_a, m_b) -> Fraction`` whose values sum to 1.
-    For CDS protocols the secret ``s`` is required; PSM protocols take none.
     """
-    total = _randomness_count(protocol)
-    counts: dict = {}
-    if isinstance(protocol, CdsProtocol):
-        if s is None:
-            raise ValueError("CDS enumeration requires the secret value")
-        for r in range(total):
-            key = (protocol.message_a(x, s, r), protocol.message_b(y, r))
-            counts[key] = counts.get(key, 0) + 1
-    else:
-        for r in range(total):
-            key = (protocol.message_a(x, r), protocol.message_b(y, r))
-            counts[key] = counts.get(key, 0) + 1
-    return {key: Fraction(c, total) for key, c in counts.items()}
+    total = 1 << protocol.randomness_bits
+    return {key: Fraction(c, total) for key, c in transcript_counts(protocol, x, y, s).items()}
 
 def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     """Exact probability that the referee fails to output ``s``."""
-    total = _randomness_count(p)
-    bad = 0
-    for r in range(total):
-        got = p.decoder(p.message_a(x, s, r), x, p.message_b(y, r), y)
-        if got != s:
-            bad += 1
-    return Fraction(bad, total)
+    counts = transcript_counts(p, x, y, s)
+    bad = sum(c for (ma, mb), c in counts.items() if p.decoder(ma, x, mb, y) != s)
+    return Fraction(bad, 1 << p.randomness_bits)
 
 def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
     """Exact probability that the referee's output differs from ``value``."""
-    total = _randomness_count(p)
-    bad = 0
-    for r in range(total):
-        if p.referee(p.message_a(x, r), p.message_b(y, r)) != value:
-            bad += 1
-    return Fraction(bad, total)
+    counts = transcript_counts(p, x, y)
+    bad = sum(c for (ma, mb), c in counts.items() if p.referee(ma, mb) != value)
+    return Fraction(bad, 1 << p.randomness_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -669,22 +672,21 @@ def transcript_form(key_cds: CdsProtocol) -> TranscriptCdqsProtocol:
     """The same pad construction as :func:`classical_to_quantum_lift`, but
     kept in exact transcript form instead of dense channels.
 
-    Each block is one (pad key, randomness) draw: probability
-    ``1/(4 * 2^randomness_bits)``, transcript ``(m_A, m_B)``, and the key the
-    pad used; the key is recovered by the classical decoder.  Agreement of
-    the resulting fidelity/distance with the dense lift is a cross-check,
+    Each block is one pad key and one distinct transcript ``(m_A, m_B)``
+    under it, with probability ``count / (4 * 2^randomness_bits)``; the
+    key is recovered by the classical decoder.  Agreement of the
+    resulting fidelity/distance with the dense lift is a cross-check,
     and the rational form stays usable when the dense one would not fit.
     """
     cost = _pad_lift_cost(key_cds)
-    r_count = 1 << key_cds.randomness_bits
-    weight = Fraction(1, 4 * r_count)
 
     def blocks(x, y, _p=key_cds):
-        out = []
-        for key in range(4):
-            for r in range(r_count):
-                out.append((weight, (_p.message_a(x, key, r), _p.message_b(y, r)), key))
-        return out
+        total = 4 << _p.randomness_bits
+        return [
+            (Fraction(c, total), t, key)
+            for key in range(4)
+            for t, c in transcript_counts(_p, x, y, key).items()
+        ]
 
     def decode_key(t, x, y, _p=key_cds):
         ma, mb = t

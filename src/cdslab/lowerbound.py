@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -515,8 +515,33 @@ def complementary_decode_check(p: CdqsProtocol, f: PromiseFunction, x: int, y: i
 
 
 # ---------------------------------------------------------------------------
-# proof-lab report
+# two-prover judgement and proof-lab report
 # ---------------------------------------------------------------------------
+
+def two_prover_checks(tp: TwoProverProof, f: PromiseFunction, inputs: Iterable[tuple],
+                      epsilon_hat: float, delta_hat: float) -> list[dict]:
+    """One record per input: value 1 checks ``honest`` acceptance against
+    ``floor = 1 - 2 sqrt(epsilon_hat)`` (tolerance 1e-9); value 0 checks the
+    see-saw ``cheat`` result against ``bound = soundness_bound(k, delta_hat)``
+    (1e-6) and ``orthogonality`` against ``cap = 4 sqrt(delta_hat)`` (1e-9).
+    Each check has an ``<name>_ok`` flag."""
+    floor = 1 - 2 * math.sqrt(max(epsilon_hat, 0.0))
+    bound = soundness_bound(tp.k, delta_hat)
+    cap = 4 * math.sqrt(max(delta_hat, 0.0))
+    records = []
+    for x, y in inputs:
+        if f.value(x, y) == 1:
+            accept = honest_acceptance(tp, f, x, y)
+            records.append({"x": x, "y": y, "value": 1, "honest": accept, "floor": floor,
+                            "honest_ok": accept >= floor - 1e-9})
+        else:
+            cheat = cheat_optimize(tp, f, x, y)
+            ortho = message_orthogonality_check(tp, f, x, y)
+            records.append({"x": x, "y": y, "value": 0, "cheat": cheat, "bound": bound,
+                            "cheat_ok": cheat.estimate <= bound + 1e-6, "orthogonality": ortho,
+                            "cap": cap, "orthogonality_ok": ortho <= cap + 1e-9})
+    return records
+
 
 def proof_lab_report(
     p: CdqsProtocol,
@@ -535,25 +560,15 @@ def proof_lab_report(
         f"k={k} d_Q={tp.d_q}",
         f"budgets: epsilon_hat={epsilon_hat:.6g} delta_hat={delta_hat:.6g}",
     ]
-    for x, y in sorted(inputs):
-        value = f.value(x, y)
-        if value == 1:
-            accept = honest_acceptance(tp, f, x, y)
-            floor = 1 - 2 * math.sqrt(max(epsilon_hat, 0.0))
-            flag = "PASS" if accept >= floor - 1e-9 else "FAIL"
-            lines.append(
-                f"input ({x}, {y}) value=1: honest={accept:.9f} floor={floor:.9f} {flag}"
-            )
+    flag = {True: "PASS", False: "FAIL"}
+    for c in two_prover_checks(tp, f, sorted(inputs), epsilon_hat, delta_hat):
+        head = f"input ({c['x']}, {c['y']}) value={c['value']}:"
+        if c["value"] == 1:
+            lines.append(f"{head} honest={c['honest']:.9f} floor={c['floor']:.9f} "
+                         f"{flag[c['honest_ok']]}")
         else:
-            cheat = cheat_optimize(tp, f, x, y)
-            ceiling = soundness_bound(k, delta_hat)
-            ortho = message_orthogonality_check(tp, f, x, y)
-            ortho_cap = 4 * math.sqrt(max(delta_hat, 0.0))
-            c_flag = "PASS" if cheat.estimate <= ceiling + 1e-6 else "FAIL"
-            o_flag = "PASS" if ortho <= ortho_cap + 1e-9 else "FAIL"
-            lines.append(
-                f"input ({x}, {y}) value=0: cheat={cheat.estimate:.9f} "
-                f"bound={ceiling:.9f} {c_flag}; orthogonality={ortho:.9f} "
-                f"cap={ortho_cap:.9f} {o_flag}; unconstrained={cheat.unconstrained:.6f}"
-            )
+            lines.append(f"{head} cheat={c['cheat'].estimate:.9f} bound={c['bound']:.9f} "
+                         f"{flag[c['cheat_ok']]}; orthogonality={c['orthogonality']:.9f} "
+                         f"cap={c['cap']:.9f} {flag[c['orthogonality_ok']]}; "
+                         f"unconstrained={c['cheat'].unconstrained:.6f}")
     return "\n".join(lines)

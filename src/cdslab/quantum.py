@@ -21,7 +21,7 @@ import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, enumerate_message_distribution
+from .framework import CostReport, transcript_counts
 
 _QUARTER = Fraction(1, 4)
 
@@ -112,7 +112,7 @@ class HybridNeqCdqs:
         self.key_cds = double_secret(self._copy)
         self.construction = f"neq_promise_cdqs({n})"
         self.params = (("shortened_bits", self.m),)
-        r_count = 1 << self._copy.randomness_bits
+        total = 2 << self._copy.randomness_bits  # both secrets, every r
         # Per shortened pair (a, b): the per-copy posterior classes
         # {(P[key=0|t], P[key=1|t]) -> transcript mass} and the exact
         # probability that the copy's decoder returns the right key bit.
@@ -120,22 +120,16 @@ class HybridNeqCdqs:
         self._correct: dict = {}
         for a in range(n):
             for b in range(n):
-                counts: dict = {}
-                good = 0
-                for s in (0, 1):
-                    for r in range(r_count):
-                        t = (self._copy.message_a(a, s, r), self._copy.message_b(b, r))
-                        bucket = counts.setdefault(t, [0, 0])
-                        bucket[s] += 1
-                        if self._copy.decoder(t[0], a, t[1], b) == s:
-                            good += 1
-                classes: dict = {}
-                for c0, c1 in counts.values():
-                    tot = c0 + c1
-                    key = (Fraction(c0, tot), Fraction(c1, tot))
-                    classes[key] = classes.get(key, Fraction(0)) + Fraction(tot, 2 * r_count)
-                self._classes[(a, b)] = classes
-                self._correct[(a, b)] = Fraction(good, 2 * r_count)
+                counts = [transcript_counts(self._copy, a, b, s) for s in (0, 1)]
+                good = sum(c for s in (0, 1) for (ma, mb), c in counts[s].items()
+                           if self._copy.decoder(ma, a, mb, b) == s)
+                masses: dict = {}
+                for t in {**counts[0], **counts[1]}:
+                    c0, c1 = counts[0].get(t, 0), counts[1].get(t, 0)
+                    key = (Fraction(c0, c0 + c1), Fraction(c1, c0 + c1))
+                    masses[key] = masses.get(key, 0) + c0 + c1
+                self._classes[(a, b)] = {k: Fraction(m, total) for k, m in masses.items()}
+                self._correct[(a, b)] = Fraction(good, total)
         self._block_cache: dict = {}
 
     @property
@@ -421,7 +415,7 @@ class BhmPsqm:
             u, v = self.psm_inputs(inst, e, k, l)
             support = self._inner_support(u, v)
             if support is None:  # non-uniform: compare exact distributions
-                support = tuple(sorted(self._inner_distribution(u, v).items()))
+                support = tuple(sorted(self._inner_counts(u, v).items()))
             if vote in reference:
                 if reference[vote] != support:
                     return False
@@ -430,32 +424,33 @@ class BhmPsqm:
         return True
 
     def message_distribution(self, inst: BhmInstance) -> dict:
-        """Exact referee view: mixture of inner PSM transcripts."""
-        out: dict = {}
+        """Exact referee view: mixture of inner PSM transcripts, weighting
+        each distinct ``(u, v)``'s transcript counts by its total outcome
+        probability and dividing by the randomness count once at the end."""
+        weights: dict = {}
         for prob, e, k, l, _vote in self.outcome_distribution(inst):
-            u, v = self.psm_inputs(inst, e, k, l)
-            for t, q in self._inner_distribution(u, v).items():
-                out[t] = out.get(t, Fraction(0)) + prob * q
-        return out
+            uv = self.psm_inputs(inst, e, k, l)
+            weights[uv] = weights.get(uv, 0) + prob
+        out: dict = {}
+        for (u, v), w in weights.items():
+            for t, c in self._inner_counts(u, v).items():
+                out[t] = out.get(t, 0) + w * c
+        total = 1 << self.inner.randomness_bits
+        return {t: q / total for t, q in out.items()}
 
     @lru_cache(maxsize=4096)
-    def _inner_distribution(self, u: int, v: int):
-        return enumerate_message_distribution(self.inner, u, v)
-
-    def _pack_transcript(self, t) -> int:
-        (ua, aa), (vb, bb) = t
-        m = self.inner.n
-        return ua | (aa << m) | (vb << (m + 1)) | (bb << (2 * m + 1))
+    def _inner_counts(self, u: int, v: int) -> dict:
+        return transcript_counts(self.inner, u, v)
 
     @lru_cache(maxsize=8192)
     def _inner_support(self, u: int, v: int):
         """Canonical transcript support when every transcript is equally likely.
 
         Vectorized replay of the inner-product messages over all shared
-        randomness; a deterministic subsample of pairs is re-derived
-        through the protocol's own message functions to guard the fast
-        path.  Returns None when the support is smaller than the
-        randomness space (non-uniform distribution).
+        randomness; a deterministic subsample of pairs is compared with
+        :func:`transcript_counts` of the protocol's own message functions
+        to guard the fast path.  Returns None when the support is smaller
+        than the randomness space (non-uniform distribution).
         """
         m = self.inner.n
         mask = np.uint32((1 << m) - 1)
@@ -479,11 +474,10 @@ class BhmPsqm:
         )
         unique = np.unique(packed)
         if (u * 31 + v) % 17 == 0:
+            # uncached: keeping these tables doubles the memory of long sweeps
             reference = {
-                self._pack_transcript(
-                    (self.inner.message_a(u, rr), self.inner.message_b(v, rr))
-                )
-                for rr in range(len(r))
+                ua | (aa << m) | (vb << (m + 1)) | (bb << (2 * m + 1))
+                for (ua, aa), (vb, bb) in transcript_counts(self.inner, u, v)
             }
             if reference != {int(t) for t in unique}:
                 raise AssertionError("vectorized transcript replay diverged")

@@ -181,6 +181,18 @@ def test_main_rejects_unknown_config_fields(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--suite", "ip-psm", "--n", "4"],
+    ["--suite", "hybrid", "--n", "6"],
+    ["--suite", "forrelation", "--n", "3"],
+    ["--suite", "two-prover", "--k", "7"],  # over the dense budget
+])
+def test_main_refused_sizes_exit_2_without_files(tmp_path, capsys, args):
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
 def test_main_requires_a_suite(capsys):
     assert main([]) == 2
     assert "suite is required" in capsys.readouterr().err

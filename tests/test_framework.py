@@ -1,6 +1,7 @@
 """Protocol containers, exact message enumeration, execution of quantum
 protocols, lifting, parallel repetition, and cost accounting."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from cdslab.framework import (
     run_cdqs,
     serialize_protocol,
     transcript_block_checks,
+    transcript_counts,
     transcript_form,
 )
 from cdslab.lowerbound import quantized_product_gap
@@ -115,6 +117,78 @@ def test_decode_failure_counts_mass():
     )
     assert cds_decode_failure(flaky, 0, 0, 1) == 0
     assert cds_decode_failure(flaky, 1, 0, 1) == Fraction(1, 2)
+
+
+@st.composite
+def _table_protocol(draw):
+    """A small CDS or PSM protocol whose messages and decoder are lookup
+    tables; a 3-letter message alphabet makes transcripts collide."""
+    n = draw(st.integers(1, 2))
+    rb = draw(st.integers(0, 3))
+    size, r_count = 1 << n, 1 << rb
+    letters = st.integers(0, 2)
+    table_b = draw(st.lists(letters, min_size=size * r_count, max_size=size * r_count))
+    outputs = draw(st.lists(st.sampled_from([0, 1, None]), min_size=9 * size * size,
+                            max_size=9 * size * size))
+
+    def message_b(y, r):
+        return table_b[y * r_count + r]
+
+    if draw(st.booleans()):
+        table_a = draw(st.lists(letters, min_size=2 * size * r_count, max_size=2 * size * r_count))
+        return CdsProtocol(
+            n=n, randomness_bits=rb, secret_alphabet=2,
+            message_a=lambda x, s, r: table_a[(2 * x + s) * r_count + r],
+            message_b=message_b,
+            decoder=lambda ma, x, mb, y: outputs[((ma * 3 + mb) * size + x) * size + y],
+            message_bits_a=2, message_bits_b=2,
+        )
+    table_a = draw(st.lists(letters, min_size=size * r_count, max_size=size * r_count))
+    return PsmProtocol(
+        n=n, randomness_bits=rb, value_alphabet=2,
+        message_a=lambda x, r: table_a[x * r_count + r],
+        message_b=message_b,
+        referee=lambda ma, mb: outputs[ma * 3 + mb] or 0,
+        message_bits_a=2, message_bits_b=2,
+    )
+
+@settings(max_examples=60, deadline=None)
+@given(p=_table_protocol())
+def test_counting_path_matches_a_per_r_reference(p):
+    r_count = 1 << p.randomness_bits
+    secrets = (0, 1) if isinstance(p, CdsProtocol) else (None,)
+    for x in range(1 << p.n):
+        for y in range(1 << p.n):
+            for s in secrets:
+                counts, dist, bad = {}, {}, Fraction(0)
+                for r in range(r_count):
+                    if s is None:
+                        ma, mb = p.message_a(x, r), p.message_b(y, r)
+                        wrong = p.referee(ma, mb) != 1
+                    else:
+                        ma, mb = p.message_a(x, s, r), p.message_b(y, r)
+                        wrong = p.decoder(ma, x, mb, y) != s
+                    counts[(ma, mb)] = counts.get((ma, mb), 0) + 1
+                    dist[(ma, mb)] = dist.get((ma, mb), Fraction(0)) + Fraction(1, r_count)
+                    bad += Fraction(int(wrong), r_count)
+                got = transcript_counts(p, x, y, s)
+                assert got == counts and list(got) == list(counts)
+                assert enumerate_message_distribution(p, x, y, s) == dist
+                if s is None:
+                    assert psm_decode_failure(p, x, y, 1) == bad
+                else:
+                    assert cds_decode_failure(p, x, y, s) == bad
+
+def test_transcript_counts_needs_the_cds_secret():
+    with pytest.raises(ValueError, match="secret"):
+        transcript_counts(neq_cds(1), 0, 1)
+
+def test_budget_reaches_transcript_form_and_hybrid():
+    # 52 and 26 randomness bits: refused before any enumeration starts
+    with pytest.raises(ValueError, match="budget"):
+        transcript_form(double_secret(neq_cds(13))).blocks(0, 1)
+    with pytest.raises(ValueError, match="budget"):
+        neq_promise_cdqs(8192)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +295,32 @@ def test_transcript_form_agrees_with_dense_lift():
             fid = dense.entanglement_fidelity(x, y) if x != y else None
             if fid is not None:
                 assert abs(float(exact.entanglement_fidelity(x, y)) - fid) < 1e-10
+
+def _per_r_blocks(key_cds):
+    """One block per (pad key, randomness) draw, without merging transcripts."""
+    r_count = 1 << key_cds.randomness_bits
+
+    def blocks(x, y):
+        return [
+            (Fraction(1, 4 * r_count), (key_cds.message_a(x, key, r), key_cds.message_b(y, r)), key)
+            for key in range(4)
+            for r in range(r_count)
+        ]
+
+    return blocks
+
+@pytest.mark.parametrize(
+    "key_cds", [double_secret(neq_cds(1)), double_secret(neq_cds(2)), double_secret(and_cds())]
+)
+def test_merged_transcript_blocks_measure_like_per_r_blocks(key_cds):
+    merged = transcript_form(key_cds)
+    per_r = dataclasses.replace(merged, blocks=_per_r_blocks(key_cds))
+    for x in range(1 << key_cds.n):
+        for y in range(1 << key_cds.n):
+            transcript_block_checks(merged, x, y)
+            assert len(merged.blocks(x, y)) <= len(per_r.blocks(x, y))
+            assert merged.entanglement_fidelity(x, y) == per_r.entanglement_fidelity(x, y)
+            assert merged.product_distance(x, y) == per_r.product_distance(x, y)
 
 def test_hybrid_exposes_the_same_exact_interface():
     p = neq_promise_cdqs(2)

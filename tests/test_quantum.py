@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from cdslab.framework import enumerate_message_distribution
 from cdslab.quantum import (
     BhmInstance,
+    HybridNeqCdqs,
     bhm_from_text,
     bhm_instance,
     bhm_psqm,
@@ -89,6 +91,23 @@ def test_hybrid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         neq_promise_cdqs(3)
 
+def test_hybrid_tables_match_the_enumerated_distributions():
+    p = HybridNeqCdqs(4)
+    copy = p._copy
+    for a in range(4):
+        for b in range(4):
+            dists = [enumerate_message_distribution(copy, a, b, s) for s in (0, 1)]
+            classes: dict = {}
+            correct = Fraction(0)
+            for t in set(dists[0]) | set(dists[1]):
+                p0, p1 = (d.get(t, Fraction(0)) for d in dists)
+                key = (p0 / (p0 + p1), p1 / (p0 + p1))
+                classes[key] = classes.get(key, Fraction(0)) + (p0 + p1) / 2
+                decoded = copy.decoder(t[0], a, t[1], b)
+                correct += sum(q / 2 for s, q in enumerate((p0, p1)) if decoded == s)
+            assert p._classes[(a, b)] == classes
+            assert p._correct[(a, b)] == correct
+
 
 # ---------------------------------------------------------------------------
 # hidden-matching instances
@@ -149,6 +168,17 @@ def test_bhm_inner_layer_secure():
     proto = bhm_psqm(2)
     inst = bhm_instance(2, 0, seed=2)
     assert proto.inner_layer_secure(inst)
+
+def test_bhm_message_distribution_matches_the_per_outcome_mixture():
+    for n, seed in ((2, 2), (3, 5)):
+        proto = bhm_psqm(n)
+        inst = bhm_instance(n, seed & 1, seed)
+        expected: dict = {}
+        for prob, e, k, l, _vote in proto.outcome_distribution(inst):
+            u, v = proto.psm_inputs(inst, e, k, l)
+            for t, q in enumerate_message_distribution(proto.inner, u, v).items():
+                expected[t] = expected.get(t, Fraction(0)) + prob * q
+        assert proto.message_distribution(inst) == expected
 
 def test_bhm_cost_scales_logarithmically():
     proto = bhm_psqm(8)  # 2n = 16 vertices -> 4 index bits
