@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -193,43 +193,6 @@ def instance_suite(
     return out
 
 
-def instances_to_csv(instances: Iterable[ForrelationInstance]) -> str:
-    """Serialise instances as +/-1 CSV rows: row ``2i`` is ``x``, row
-    ``2i+1`` is ``y`` of instance ``i``."""
-    lines = []
-    for inst in instances:
-        lines.append(",".join(f"{v:+d}" for v in inst.x))
-        lines.append(",".join(f"{v:+d}" for v in inst.y))
-    return "\n".join(lines) + "\n"
-
-
-def instances_from_csv(text: str) -> List[ForrelationInstance]:
-    """Parse +/-1 CSV rows back into instances.
-
-    The side is recomputed from the forrelation value; rows whose value
-    falls strictly inside the (BETA, ALPHA) gap are rejected.
-    """
-    rows = [
-        [int(tok) for tok in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    if len(rows) % 2:
-        raise ValueError("odd number of CSV rows; expected x,y row pairs")
-    out = []
-    for i in range(0, len(rows), 2):
-        x, y = rows[i], rows[i + 1]
-        value = forr_value([a * b for a, b in zip(x, y)])
-        if value >= ALPHA:
-            side = "high"
-        elif value <= BETA:
-            side = "low"
-        else:
-            raise ValueError(f"row pair {i // 2}: forr={value:.6f} violates the promise")
-        out.append(ForrelationInstance(tuple(x), tuple(y), side))
-    return out
-
-
 # --------------------------------------------------------------------------
 # circuits
 
@@ -290,27 +253,6 @@ class Circuit:
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)
-
-
-def circuit_to_text(c: Circuit) -> str:
-    """Line format: a ``wires`` header then one ``KIND wire [wire...]`` line
-    per gate, in order."""
-    lines = [f"wires {c.wire_count}"]
-    for g in c.gates:
-        lines.append(" ".join([g.kind] + [str(w) for w in g.wires]))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("wires "):
-        raise ValueError("missing 'wires N' header")
-    wire_count = int(lines[0].split()[1])
-    gates = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        gates.append(Gate(parts[0], tuple(int(t) for t in parts[1:])))
-    return Circuit(wire_count, tuple(gates))
 
 
 def forrelation_circuit(n: int) -> Circuit:
@@ -486,48 +428,3 @@ def vote_error_bound(inst: ForrelationInstance, reps: int) -> float:
     p0 = acceptance_probability(forrelation_circuit(inst.n), inst.x, inst.y)
     tail = _binomial_tail(reps, p0, math.ceil(TAU * reps))
     return 1.0 - tail if inst.side == "high" else tail
-
-
-def calibration_artifact(seed=20260825, ns=(4, 8, 16, 32), per_side=25, reps=15) -> str:
-    """Structured-text calibration report for the shipped constants.
-
-    Per size: the fitted affine relation between the acceptance probability
-    and the forrelation value (with its maximum residual over the suite),
-    the thresholds, and the worst exact single-shot error on each side.
-    Ends with the empirical majority-vote error of the full seeded suite.
-    """
-    suite = instance_suite(seed, ns=ns, per_side=per_side)
-    lines = [
-        "forrelation calibration",
-        f"seed={seed} sizes={list(ns)} per-side={per_side} reps={reps} tau={TAU}",
-        "",
-    ]
-    threshold = math.ceil(TAU * reps)
-    for n in ns:
-        at_n = [inst for inst in suite if inst.n == n]
-        circuit = forrelation_circuit(n)
-        probs = np.array([acceptance_probability(circuit, i.x, i.y) for i in at_n])
-        values = np.array([i.forr for i in at_n])
-        coeff = np.polynomial.polynomial.polyfit(values, probs, 1)
-        residual = float(np.max(np.abs(coeff[0] + coeff[1] * values - probs)))
-        high_err = 1 - min(float(p) for p, i in zip(probs, at_n) if i.side == "high")
-        low_err = max(float(p) for p, i in zip(probs, at_n) if i.side == "low")
-        lines.append(
-            f"n={n}: accept = {coeff[0]:.6f} + {coeff[1]:.6f}*forr"
-            f" (max residual {residual:.3e});"
-            f" alpha={ALPHA} beta={BETA};"
-            f" single-shot-error high<={high_err:.4f} low<={low_err:.4f}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    wrong = 0
-    for inst in suite:
-        p0 = acceptance_probability(forrelation_circuit(inst.n), inst.x, inst.y)
-        zeros = int(np.count_nonzero(rng.random(reps) < p0))
-        decision = -1 if zeros >= threshold else +1
-        wrong += decision != inst.answer
-    lines.append("")
-    lines.append(
-        f"majority vote at reps={reps}, threshold={threshold}:"
-        f" {wrong}/{len(suite)} wrong (error {wrong / len(suite):.4f})"
-    )
-    return "\n".join(lines) + "\n"

@@ -41,7 +41,6 @@ bob_side_state(p, y)`` (no state holds ``Q``, ``L`` and ``R`` at once).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,10 +146,6 @@ class CostReport:
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
-    @property
-    def total_communication(self) -> int:
-        return self.comm_bits + self.comm_qubits
-
     def scaled(self, k: int) -> "CostReport":
         return CostReport(
             self.comm_bits * k,
@@ -199,10 +194,6 @@ class CdsProtocol:
     construction: str = ""
     params: tuple = ()
 
-    @property
-    def kind(self) -> str:
-        return "cds"
-
 
 @dataclass(frozen=True)
 class PsmProtocol:
@@ -218,10 +209,6 @@ class PsmProtocol:
     message_bits_b: int
     construction: str = ""
     params: tuple = ()
-
-    @property
-    def kind(self) -> str:
-        return "psm"
 
 
 def _randomness_count(protocol) -> int:
@@ -253,13 +240,15 @@ def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict
         counts[key] = counts.get(key, 0) + 1
     return counts
 
-def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = None):
-    """Exact transcript distribution of a classical protocol at one input.
-
-    Returns a mapping ``(m_a, m_b) -> Fraction`` whose values sum to 1.
-    """
+def transcript_distribution(protocol, counts: dict) -> dict:
+    """The counts of :func:`transcript_counts` as the exact distribution
+    ``(m_a, m_b) -> Fraction``, whose values sum to 1."""
     total = 1 << protocol.randomness_bits
-    return {key: Fraction(c, total) for key, c in transcript_counts(protocol, x, y, s).items()}
+    return {key: Fraction(c, total) for key, c in counts.items()}
+
+def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = None):
+    """Exact transcript distribution of a classical protocol at one input."""
+    return transcript_distribution(protocol, transcript_counts(protocol, x, y, s))
 
 def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     """Exact probability that the referee fails to output ``s``."""
@@ -267,11 +256,15 @@ def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     bad = sum(c for (ma, mb), c in counts.items() if p.decoder(ma, x, mb, y) != s)
     return Fraction(bad, 1 << p.randomness_bits)
 
-def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
-    """Exact probability that the referee's output differs from ``value``."""
-    counts = transcript_counts(p, x, y)
+def referee_failure(p: PsmProtocol, counts: dict, value: int) -> Fraction:
+    """Exact probability, over the counts of :func:`transcript_counts`, that
+    the referee's output differs from ``value``."""
     bad = sum(c for (ma, mb), c in counts.items() if p.referee(ma, mb) != value)
     return Fraction(bad, 1 << p.randomness_bits)
+
+def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
+    """Exact probability that the referee's output differs from ``value``."""
+    return referee_failure(p, transcript_counts(p, x, y), value)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +301,6 @@ class CdqsProtocol:
     cost: Optional[CostReport] = None
     construction: str = ""
     params: tuple = ()
-
-    @property
-    def kind(self) -> str:
-        return "cdqs"
 
     def message_dims(self) -> tuple[int, int]:
         """(dim of Alice's message, dim of Bob's message), probed at x=y=0."""
@@ -519,10 +508,6 @@ class TranscriptCdqsProtocol:
     cost: CostReport
     construction: str = ""
     params: tuple = ()
-
-    @property
-    def kind(self) -> str:
-        return "cdqs-transcript"
 
     def decoding_distance(self, x: int, y: int) -> Fraction:
         """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
@@ -736,7 +721,7 @@ def psm_to_cds(psm_family: Callable[..., PsmProtocol], f: PromiseFunction) -> Cd
 
 
 # ---------------------------------------------------------------------------
-# costs and descriptors
+# costs
 # ---------------------------------------------------------------------------
 
 def protocol_cost(p) -> CostReport:
@@ -763,26 +748,3 @@ def protocol_cost(p) -> CostReport:
     if isinstance(cost, CostReport):
         return cost
     raise TypeError(f"not a protocol object: {type(p).__name__}")
-
-def describe(p) -> dict:
-    """Structured descriptor: kind, size, construction, parameters, cost."""
-    out = {
-        "kind": p.kind,
-        "n": p.n,
-        "construction": p.construction or "anonymous",
-        "params": {k: v for k, v in p.params},
-        "cost": protocol_cost(p).as_dict(),
-    }
-    if isinstance(p, (CdqsProtocol, TranscriptCdqsProtocol)):
-        out["d_q"] = p.d_q
-    if isinstance(p, CdsProtocol):
-        out["secret_alphabet"] = p.secret_alphabet
-        out["randomness_bits"] = p.randomness_bits
-    if isinstance(p, PsmProtocol):
-        out["value_alphabet"] = p.value_alphabet
-        out["randomness_bits"] = p.randomness_bits
-    return out
-
-def serialize_protocol(p) -> str:
-    """Canonical JSON form of :func:`describe` (sorted keys, stable)."""
-    return json.dumps(describe(p), sort_keys=True, indent=2)

@@ -128,62 +128,6 @@ def identity_channel(layout) -> QuantumChannel:
     lt = as_layout(layout)
     return QuantumChannel([np.eye(layout_dim(lt))], lt, lt, validate=False)
 
-def unitary_channel(u, input_layout, output_layout=None) -> QuantumChannel:
-    """Channel ``rho -> U rho U^+``; layouts must have equal total dimension."""
-    in_lt = as_layout(input_layout)
-    out_lt = in_lt if output_layout is None else as_layout(output_layout)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (layout_dim(out_lt), layout_dim(in_lt)) or u.shape[0] != u.shape[1]:
-        raise ValueError(f"unitary shape {u.shape} does not match layouts")
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) > ATOL_INVARIANT:
-        raise ValueError("matrix is not unitary within 1e-9")
-    return QuantumChannel([u], in_lt, out_lt, validate=False)
-
-def constant_channel(sigma: DensityMatrix, input_layout) -> QuantumChannel:
-    """Channel ``rho -> sigma * tr(rho)``, discarding its input."""
-    in_lt = as_layout(input_layout)
-    din = layout_dim(in_lt)
-    vals, vecs = np.linalg.eigh(sigma.entries)
-    vals = np.clip(vals, 0.0, None)
-    kraus = []
-    for j in range(len(vals)):
-        if vals[j] <= 1e-15:
-            continue
-        col = np.sqrt(vals[j]) * vecs[:, j]
-        for i in range(din):
-            k = np.zeros((sigma.dim, din), dtype=complex)
-            k[:, i] = col
-            kraus.append(k)
-    return QuantumChannel(kraus, in_lt, sigma.layout, validate=False)
-
-def depolarizing_channel(name: str, dim: int, p: float) -> QuantumChannel:
-    """``rho -> (1-p) rho + p I/dim`` via the discrete Weyl twirl."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing strength {p} outside [0, 1]")
-    lt = as_layout([(name, dim)])
-    omega = np.exp(2j * np.pi / dim)
-    shift = np.roll(np.eye(dim), 1, axis=0)
-    clock = np.diag(omega ** np.arange(dim))
-    kraus = [np.sqrt((1 - p) + p / dim**2) * np.eye(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            if a == 0 and b == 0:
-                continue
-            kraus.append(np.sqrt(p / dim**2) * (np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)))
-    return QuantumChannel(kraus, lt, lt, validate=False)
-
-def dephasing_channel(name: str, dim: int, p: float) -> QuantumChannel:
-    """``rho -> (1-p) rho + p diag(rho)``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"dephasing strength {p} outside [0, 1]")
-    lt = as_layout([(name, dim)])
-    kraus = [np.sqrt(1 - p) * np.eye(dim)] if p < 1.0 else []
-    for i in range(dim):
-        k = np.zeros((dim, dim))
-        k[i, i] = np.sqrt(p)
-        kraus.append(k)
-    return QuantumChannel(kraus, lt, lt, validate=False)
-
 
 # ---------------------------------------------------------------------------
 # application with identity padding
@@ -276,36 +220,6 @@ def apply_isometry(iso: Isometry, psi: StateVector) -> StateVector:
     order = list(range(n_out + len(rest_dims)))
     spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
     return StateVector(full.transpose(spliced).reshape(-1), new_layout, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-def compose_channels(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """The channel ``second o first`` (apply ``first``, then ``second``).
-
-    ``second`` must consume exactly the output layout of ``first`` (matching
-    dimensions; names are taken from ``first``'s output).  The Kraus family
-    is the canonicalised set of products.
-    """
-    if layout_dims(second.input_layout) != layout_dims(first.output_layout):
-        raise ValueError(
-            f"cannot compose: intermediate dims {layout_dims(first.output_layout)} "
-            f"vs {layout_dims(second.input_layout)}"
-        )
-    products = [s @ f for s in second.kraus_operators for f in first.kraus_operators]
-    raw = QuantumChannel(products, first.input_layout, second.output_layout, validate=False)
-    if len(products) > raw.dim_in * raw.dim_out:
-        return canonical_kraus(raw)
-    return raw
-
-def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
-    """The product channel ``a (x) b`` with concatenated layouts."""
-    kraus = [np.kron(ka, kb) for ka in a.kraus_operators for kb in b.kraus_operators]
-    return QuantumChannel(
-        kraus, a.input_layout + b.input_layout, a.output_layout + b.output_layout, validate=False
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -195,15 +195,13 @@ def find_best_decoder(
     decoder = canonical_kraus(
         QuantumChannel(ops, channel.output_layout, target.output_layout)
     )
-    # Choi of D o channel assembled from vec(D_j K_p) directly, which avoids
-    # materialising the full product Kraus family
-    d_target = dq_out * dq_in
-    j_composed = np.zeros((d_target, d_target), dtype=complex)
-    for dj in decoder.kraus_operators:
-        for kp in kraus:
-            u = (dj @ kp).reshape(-1) / np.sqrt(dq_in)
-            j_composed += np.outer(u, u.conj())
-    err = trace_norm(j_composed - choi_state(target).entries)
+    composed = QuantumChannel(
+        [dj @ kp for dj in decoder.kraus_operators for kp in kraus],
+        channel.input_layout,
+        target.output_layout,
+        validate=False,
+    )
+    err = trace_norm(choi_state(composed).entries - choi_state(target).entries)
     return DecoderResult(
         decoder=decoder,
         achieved_error=float(err),

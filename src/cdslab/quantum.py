@@ -12,7 +12,6 @@ parities.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -100,7 +99,6 @@ class HybridNeqCdqs:
     ``(a, b)``.
     """
 
-    kind = "cdqs-transcript"
     d_q = 2
 
     def __init__(self, n: int):
@@ -298,26 +296,6 @@ def bhm_to_text(inst: BhmInstance) -> str:
     )
 
 
-def bhm_from_text(text: str) -> BhmInstance:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines or lines[0] != "bhm-instance":
-        raise ValueError("missing bhm-instance header")
-    fields = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition(":")
-        fields[key.strip()] = value.strip()
-    matching = tuple(
-        (int(i), int(j)) for i, j in re.findall(r"\((\d+),(\d+)\)", fields["matching"])
-    )
-    return BhmInstance(
-        n=int(fields["n"]),
-        x=int(fields["x"], 16),
-        matching=matching,
-        w=int(fields["w"], 16),
-        promised_value=int(fields["promised_value"]),
-    )
-
-
 class BhmPsqm:
     """The PSQM for Boolean Hidden Matching, simulated exactly.
 
@@ -330,8 +308,6 @@ class BhmPsqm:
     ``u = (k, 1, 1)`` and ``v = (i xor j, <l, i xor j>, w_ij)``, whose
     value is the vote ``x_i xor x_j xor w_ij`` for the measured edge.
     """
-
-    kind = "psqm"
 
     def __init__(self, n: int):
         if n <= 0:

@@ -16,14 +16,13 @@ rho_M``; ``d_Q`` times either upper-bounds it, giving honest two-sided
 intervals without an SDP.
 
 Reports carry one diagnostic entry per promise input, merged in
-lexicographic input order, and serialise to a fixed JSON schema
+lexicographic input order; ``as_dict`` gives them a fixed JSON schema
 (protocol, n, epsilon_hat, delta_hat_lower, delta_hat_upper, inputs,
 cost, seed, wall_time_ms).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -40,7 +39,9 @@ from .framework import (
     cds_decode_failure,
     enumerate_message_distribution,
     protocol_cost,
-    psm_decode_failure,
+    referee_failure,
+    transcript_counts,
+    transcript_distribution,
 )
 
 #: Default error budgets for pass/fail verdicts.
@@ -92,9 +93,6 @@ class VerificationReport:
             "seed": self.seed,
             "wall_time_ms": self.wall_time_ms,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +228,18 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     _check_sizes(p, f)
     eps = Fraction(0)
     diagnostics = {}
+    dists = {}
     classes: dict = {}
     for x, y in f.promise_pairs():
         value = f.value(x, y)
-        eps = max(eps, psm_decode_failure(p, x, y, value))
+        counts = transcript_counts(p, x, y)
+        eps = max(eps, referee_failure(p, counts, value))
+        dists[(x, y)] = transcript_distribution(p, counts)
         diagnostics[(x, y)] = {"x": x, "y": y, "value": value}
         classes.setdefault(value, []).append((x, y))
     delta = 0.0
     for value, pairs in sorted(classes.items()):
-        dists = {pair: enumerate_message_distribution(p, *pair) for pair in pairs}
-        radius, center = chebyshev_radius(list(dists.values()))
+        radius, center = chebyshev_radius([dists[pair] for pair in pairs])
         exact_center = all(isinstance(v, Fraction) for v in center.values())
         for pair in pairs:
             if exact_center:

@@ -14,9 +14,6 @@ from cdslab.forrelation import (
     ForrelationInstance,
     Gate,
     acceptance_probability,
-    calibration_artifact,
-    circuit_from_text,
-    circuit_to_text,
     circuit_unitary,
     compile_clifford_t,
     forr_value,
@@ -24,8 +21,6 @@ from cdslab.forrelation import (
     forrelation_decision,
     forrelation_instance,
     instance_suite,
-    instances_from_csv,
-    instances_to_csv,
     t_depth,
     vote_error_bound,
 )
@@ -113,12 +108,6 @@ def test_instance_validation():
     with pytest.raises(ValueError):
         forrelation_instance(6, "high", 0)
 
-def test_instance_csv_round_trip():
-    suite = [forrelation_instance(8, "high", 2), forrelation_instance(8, "low", 4)]
-    text = instances_to_csv(suite)
-    back = instances_from_csv(text)
-    assert [(b.x, b.y, b.side) for b in back] == [(i.x, i.y, i.side) for i in suite]
-
 def test_suite_is_seed_stable():
     a = instance_suite(99, ns=(4, 8), per_side=3)
     b = instance_suite(99, ns=(4, 8), per_side=3)
@@ -167,10 +156,6 @@ def test_all_ones_instance_accepts_at_frozen_value():
     n = 4
     p = acceptance_probability(forrelation_circuit(n), [1] * n, [1] * n)
     assert abs(p - (0.5 + 0.35355339059327373)) < 1e-12
-
-def test_circuit_text_round_trip():
-    c = forrelation_circuit(8)
-    assert circuit_from_text(circuit_to_text(c)) == c
 
 def test_circuit_rejects_gate_after_measurement():
     with pytest.raises(ValueError):
@@ -255,13 +240,6 @@ def test_majority_vote_error_over_suite():
         zeros = int(np.count_nonzero(rng.random(15) < p0))
         wrong += (-1 if zeros >= threshold else +1) != inst.answer
     assert wrong / len(suite) <= 0.09
-
-def test_calibration_artifact_contents():
-    art = calibration_artifact(seed=7, ns=(4, 8), per_side=5, reps=15)
-    assert "n=4: accept = 0.500000 + 1.000000*forr" in art
-    assert "alpha=0.3 beta=0.05" in art
-    assert "majority vote" in art
-
 
 def test_vote_error_bound_is_exact_and_small():
     inst = forrelation_instance(8, "high", seed=5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdslab.qcore import (
+    PAULI,
     DensityMatrix,
     Isometry,
     QuantumChannel,
@@ -14,20 +15,13 @@ from cdslab.qcore import (
     channel_from_choi,
     choi_state,
     complementary_channel,
-    compose_channels,
-    constant_channel,
-    dephasing_channel,
-    depolarizing_channel,
     diamond_distance_bounds,
     identity_channel,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
     purify_channel,
-    tensor,
-    tensor_channels,
     trace_norm,
-    unitary_channel,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -42,6 +36,20 @@ def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+def pauli_channel(wx, wy, wz):
+    """Qubit channel applying X, Y or Z with the given probabilities."""
+    weights = (1 - wx - wy - wz, wx, wy, wz)
+    kraus = [np.sqrt(w) * PAULI[k] for w, k in zip(weights, "IXYZ")]
+    return QuantumChannel(kraus, [("Q", 2)], [("Q", 2)])
+
+def depolarizing(p):
+    """``rho -> (1-p) rho + p I/2``."""
+    return pauli_channel(p / 4, p / 4, p / 4)
+
+def dephasing(p):
+    """``rho -> (1-p) rho + p diag(rho)``."""
+    return pauli_channel(0, 0, p / 2)
 
 def random_channel(rng, din, dout, denv, in_name="Q", out_name="Q"):
     """Random channel from a Haar-ish random Stinespring isometry."""
@@ -60,22 +68,11 @@ def test_kraus_trace_preservation_enforced():
     with pytest.raises(ValueError):
         QuantumChannel([0.5 * np.eye(2)], [("Q", 2)], [("Q", 2)])
 
-def test_unitary_channel_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        unitary_channel(np.array([[1, 1], [0, 1]]), [("Q", 2)])
-
 def test_isometry_validates_columns():
     with pytest.raises(ValueError):
         Isometry(np.ones((4, 2)), [("Q", 2)], [("R", 4)])
     with pytest.raises(ValueError):
         Isometry(np.eye(2, 4), [("Q", 4)], [("R", 2)])  # dout < din
-
-def test_noise_strength_ranges():
-    with pytest.raises(ValueError):
-        depolarizing_channel("Q", 2, 1.5)
-    with pytest.raises(ValueError):
-        dephasing_channel("Q", 2, -0.1)
-
 
 # ---------------------------------------------------------------------------
 # application
@@ -91,7 +88,7 @@ def test_identity_channel_preserves_state_and_layout():
 def test_fully_depolarizing_gives_maximally_mixed():
     rng = np.random.default_rng(32)
     rho = DensityMatrix(random_density(rng, 2), [("Q", 2)])
-    out = apply_channel(depolarizing_channel("Q", 2, 1.0), rho)
+    out = apply_channel(depolarizing(1.0), rho)
     assert np.max(np.abs(out.entries - np.eye(2) / 2)) < 1e-12
 
 def test_apply_channel_matches_superoperator_oracle():
@@ -158,41 +155,6 @@ def test_apply_isometry_matches_matrix_action():
 
 
 # ---------------------------------------------------------------------------
-# composition
-# ---------------------------------------------------------------------------
-
-def test_compose_unitary_with_inverse_is_identity():
-    rng = np.random.default_rng(37)
-    u = random_unitary(rng, 3)
-    fwd = unitary_channel(u, [("Q", 3)])
-    back = unitary_channel(u.conj().T, [("Q", 3)])
-    comp = compose_channels(back, fwd)
-    j = choi_state(comp).entries
-    j_id = choi_state(identity_channel([("Q", 3)])).entries
-    assert np.max(np.abs(j - j_id)) < 1e-12
-
-def test_compose_dimension_mismatch():
-    with pytest.raises(ValueError):
-        compose_channels(identity_channel([("Q", 3)]), identity_channel([("Q", 2)]))
-
-def test_compose_canonicalizes_large_families():
-    ch = depolarizing_channel("Q", 2, 0.5)
-    comp = compose_channels(ch, ch)
-    assert len(comp.kraus_operators) <= 4
-
-def test_tensor_channels_acts_factorwise():
-    rng = np.random.default_rng(38)
-    dep = depolarizing_channel("A", 2, 0.3)
-    idb = identity_channel([("B", 2)])
-    joint_ch = tensor_channels(dep, idb)
-    a, b = random_density(rng, 2), random_density(rng, 2)
-    rho = DensityMatrix(np.kron(a, b), [("A", 2), ("B", 2)])
-    out = apply_channel(joint_ch, rho)
-    a_out = 0.7 * a + 0.3 * np.eye(2) / 2
-    assert np.max(np.abs(out.entries - np.kron(a_out, b))) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # Choi calculus
 # ---------------------------------------------------------------------------
 
@@ -205,7 +167,10 @@ def test_choi_of_identity_is_maximally_entangled():
 def test_choi_of_constant_channel_is_product():
     rng = np.random.default_rng(39)
     sigma = DensityMatrix(random_density(rng, 2), [("S", 2)])
-    ch = constant_channel(sigma, [("Q", 3)])
+    # Kraus |l_a><i| over the columns l_a of a factor L L^+ = sigma
+    chol = np.linalg.cholesky(sigma.entries)
+    kraus = [np.outer(chol[:, a], np.eye(3)[i]) for a in range(2) for i in range(3)]
+    ch = QuantumChannel(kraus, [("Q", 3)], sigma.layout)
     j = choi_state(ch)
     assert np.max(np.abs(j.entries - np.kron(sigma.entries, np.eye(3) / 3))) < 1e-12
 
@@ -248,7 +213,7 @@ def test_purify_identity_has_trivial_environment():
 
 def test_purify_single_kraus_channel_is_itself():
     u = H
-    v = purify_channel(unitary_channel(u, [("Q", 2)]))
+    v = purify_channel(QuantumChannel([u], [("Q", 2)], [("Q", 2)]))
     cube = v.matrix.reshape(2, 1, 2)
     # unique up to global phase
     inner = abs(np.trace(cube[:, 0, :].conj().T @ u)) / 2
@@ -256,7 +221,7 @@ def test_purify_single_kraus_channel_is_itself():
 
 def test_purification_reproduces_channel():
     rng = np.random.default_rng(42)
-    ch = depolarizing_channel("Q", 2, 0.35)
+    ch = depolarizing(0.35)
     v = purify_channel(ch)
     env_name = v.output_layout[-1][0]
     for _ in range(20):
@@ -284,7 +249,7 @@ def test_complement_of_identity_is_constant():
     assert np.max(np.abs(out.entries - np.ones((1, 1)))) < 1e-12
 
 def test_complement_of_full_dephasing_carries_the_bit():
-    comp = complementary_channel(dephasing_channel("Q", 2, 1.0))
+    comp = complementary_channel(dephasing(1.0))
     out0 = apply_channel(comp, DensityMatrix(np.diag([1.0, 0.0]), [("Q", 2)]))
     out1 = apply_channel(comp, DensityMatrix(np.diag([0.0, 1.0]), [("Q", 2)]))
     # the two environment states are perfectly distinguishable
@@ -292,7 +257,7 @@ def test_complement_of_full_dephasing_carries_the_bit():
 
 def test_complement_of_complement_matches_choi_spectrum():
     rng = np.random.default_rng(44)
-    for ch in [dephasing_channel("Q", 2, 0.7), random_channel(rng, 2, 3, 2)]:
+    for ch in [dephasing(0.7), random_channel(rng, 2, 3, 2)]:
         comp2 = complementary_channel(complementary_channel(ch))
         s1 = np.sort(np.linalg.eigvalsh(choi_state(ch).entries))
         s2 = np.sort(np.linalg.eigvalsh(choi_state(comp2).entries))
@@ -309,19 +274,19 @@ def test_complement_of_complement_matches_choi_spectrum():
 # ---------------------------------------------------------------------------
 
 def test_diamond_bounds_identical_channels():
-    ch = depolarizing_channel("Q", 2, 0.4)
+    ch = depolarizing(0.4)
     assert diamond_distance_bounds(ch, ch) == (0.0, 0.0)
 
 def test_diamond_bounds_identity_vs_bitflip():
     lo, hi = diamond_distance_bounds(
-        identity_channel([("Q", 2)]), unitary_channel(X, [("Q", 2)])
+        identity_channel([("Q", 2)]), QuantumChannel([X], [("Q", 2)], [("Q", 2)])
     )
     assert abs(lo - 2.0) < 1e-9
     assert abs(hi - 2.0) < 1e-9  # 2 * lower clamped to the diamond max 2
 
 def test_diamond_bounds_identity_vs_full_dephasing():
     lo, hi = diamond_distance_bounds(
-        identity_channel([("Q", 2)]), dephasing_channel("Q", 2, 1.0)
+        identity_channel([("Q", 2)]), dephasing(1.0)
     )
     assert abs(lo - 1.0) < 1e-9
     assert lo <= hi

@@ -3,13 +3,11 @@
 import numpy as np
 
 from cdslab.qcore import (
+    PAULI,
     DensityMatrix,
     QuantumChannel,
     apply_channel,
     choi_state,
-    compose_channels,
-    constant_channel,
-    depolarizing_channel,
     find_best_decoder,
     identity_channel,
     petz_recovery,
@@ -54,22 +52,25 @@ def test_decoder_inverts_isometric_embedding():
 def test_decoder_for_depolarizing_at_least_matches_identity_decoder():
     # the identity decoder leaves the Choi gap || J_dep - J_id ||_1 = 3p/2
     p = 0.3
-    ch = depolarizing_channel("Q", 2, p)
+    kraus = [np.sqrt(1 - 0.75 * p) * PAULI["I"]] + [np.sqrt(p / 4) * PAULI[k] for k in "XYZ"]
+    ch = QuantumChannel(kraus, [("Q", 2)], [("Q", 2)])
     res = find_best_decoder(ch, identity_channel([("Q", 2)]))
     assert res.achieved_error <= 1.5 * p + 1e-6
     # identity decoding achieves entanglement fidelity 1 - 3p/4
     assert res.entanglement_fidelity >= 1 - 0.75 * p - 1e-9
 
 def test_decoder_handles_constant_channel():
-    sigma = DensityMatrix(np.diag([0.5, 0.5]), [("Q", 2)])
-    ch = constant_channel(sigma, [("Q", 2)])
+    # rho -> tr(rho) I/2, with Kraus operators sqrt(1/2) |a><i|
+    basis = np.eye(2)
+    kraus = [np.sqrt(0.5) * np.outer(basis[a], basis[i]) for a in range(2) for i in range(2)]
+    ch = QuantumChannel(kraus, [("Q", 2)], [("Q", 2)])
     res = find_best_decoder(ch, identity_channel([("Q", 2)]))
     # nothing can be recovered: every decoder yields a constant channel, so
     # the entanglement fidelity is pinned at 1/4 and the reported error is
-    # the composed channel's true Choi gap
+    # the composed channel's true Choi gap, J(D o N) = (D (x) id)(J(N))
     assert abs(res.entanglement_fidelity - 0.25) < 1e-9
     lo = trace_norm(
-        choi_state(compose_channels(res.decoder, ch)).entries
+        apply_channel(res.decoder, choi_state(ch)).entries
         - choi_state(identity_channel([("Q", 2)])).entries
     )
     assert abs(res.achieved_error - lo) < 1e-9
@@ -80,9 +81,11 @@ def test_petz_recovery_inverts_isometry_exactly():
     v = random_isometry(rng, 3, 7)
     ch = QuantumChannel([v], [("Q", 3)], [("M", 7)])
     petz = petz_recovery(ch)
-    comp = compose_channels(petz, ch)
+    # J(P o N) = (P (x) id)(J(N)); P's output is renamed off the reference Q
+    petz = QuantumChannel(petz.kraus_operators, petz.input_layout, [("R", 3)])
     j_gap = trace_norm(
-        choi_state(comp).entries - choi_state(identity_channel([("Q", 3)])).entries
+        apply_channel(petz, choi_state(ch)).entries
+        - choi_state(identity_channel([("Q", 3)])).entries
     )
     assert j_gap < 1e-9
 

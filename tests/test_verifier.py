@@ -320,7 +320,7 @@ def test_transcript_and_dense_pad_lifts_verify_alike():
 
 def test_report_json_schema_and_determinism():
     report = cds_verify(neq_cds(1), neq_function(1), seed=7)
-    doc = json.loads(report.to_json())
+    doc = json.loads(json.dumps(report.as_dict()))
     assert sorted(doc) == [
         "cost", "delta_hat_lower", "delta_hat_upper", "epsilon_hat",
         "inputs", "n", "protocol", "seed", "wall_time_ms",
@@ -329,7 +329,7 @@ def test_report_json_schema_and_determinism():
     assert doc["wall_time_ms"] is None
     assert doc["protocol"] == "neq_cds(1)"
     again = cds_verify(neq_cds(1), neq_function(1), seed=7)
-    assert report.to_json() == again.to_json()
+    assert report.as_dict() == again.as_dict()
 
 
 def test_report_rejects_out_of_range_estimates():
