@@ -97,10 +97,8 @@ def ip_function(n: int) -> PromiseFunction:
     return PromiseFunction(n, lambda x, y: _parity(x & y), f"ip_{n}")
 
 
-def constant_function(n: int, value: int, x_size=None, y_size=None) -> PromiseFunction:
-    return PromiseFunction(
-        n, lambda x, y, _v=int(value): _v, f"const_{value}", x_size=x_size, y_size=y_size
-    )
+def constant_function(n: int, value: int) -> PromiseFunction:
+    return PromiseFunction(n, lambda x, y, _v=int(value): _v, f"const_{value}")
 
 
 def promise_neq_function(n: int) -> PromiseFunction:

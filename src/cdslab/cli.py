@@ -134,12 +134,13 @@ def _suite_ip_psm(cfg: ExperimentConfig):
     return rows, failures
 
 
-def hybrid_input_sample(n: int, seed: int, count: int = 128) -> list:
+def hybrid_input_sample(n: int, seed: int) -> list:
     """Deterministic promise inputs for the hybrid protocol at size ``n``:
-    alternating equal pairs and pairs at Hamming distance ``n/2``."""
+    64 equal pairs alternating with 64 pairs at Hamming distance ``n/2``
+    (fewer once duplicates go)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     inputs = []
-    for _ in range(count // 2):
+    for _ in range(64):
         x = int(rng.integers(0, 1 << n))
         inputs.append((x, x))
         mask = 0

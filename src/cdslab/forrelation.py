@@ -83,15 +83,13 @@ def forr_value(z: Sequence[float]) -> float:
 class ForrelationInstance:
     """A promise instance: local strings plus which side of the gap it sits on.
 
-    ``side`` is ``"high"`` (``forr(x*y) >= alpha``, answer -1) or ``"low"``
-    (``forr(x*y) <= beta``, answer +1).
+    ``side`` is ``"high"`` (``forr(x*y) >= ALPHA``, answer -1) or ``"low"``
+    (``forr(x*y) <= BETA``, answer +1).
     """
 
     x: Tuple[int, ...]
     y: Tuple[int, ...]
     side: str
-    alpha: float = ALPHA
-    beta: float = BETA
 
     def __post_init__(self):
         x = _as_sign_vector(self.x, "x")
@@ -101,17 +99,15 @@ class ForrelationInstance:
         n = x.size
         if n < 4 or n & (n - 1):
             raise ValueError(f"instance length {n} is not a power of two >= 4")
-        if not self.alpha > self.beta > 0:
-            raise ValueError("thresholds must satisfy alpha > beta > 0")
         object.__setattr__(self, "x", tuple(int(v) for v in self.x))
         object.__setattr__(self, "y", tuple(int(v) for v in self.y))
         value = self.forr
         if self.side == "high":
-            if value < self.alpha:
-                raise ValueError(f"forr={value:.6f} below high threshold {self.alpha}")
+            if value < ALPHA:
+                raise ValueError(f"forr={value:.6f} below high threshold {ALPHA}")
         elif self.side == "low":
-            if value > self.beta:
-                raise ValueError(f"forr={value:.6f} above low threshold {self.beta}")
+            if value > BETA:
+                raise ValueError(f"forr={value:.6f} above low threshold {BETA}")
         else:
             raise ValueError(f"side must be 'high' or 'low', got {self.side!r}")
 
@@ -250,9 +246,6 @@ class Circuit:
                     raise ValueError(f"gate {g.kind} touches wire {w} after measurement")
             if g.kind == "MEASURE":
                 measured.add(g.wires[0])
-
-    def count(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)
 
 
 def forrelation_circuit(n: int) -> Circuit:

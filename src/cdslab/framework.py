@@ -85,37 +85,32 @@ class PromiseFunction:
     Parameters
     ----------
     n : int
-        Input bit-length (both sides), so inputs range over ``[0, 2^n)``
-        unless explicit domain sizes are given.
+        Input bit-length (both sides), so inputs range over ``[0, 2^n)``.
     value_fn : callable
         ``(x, y) -> 0 | 1 | None`` with None meaning "outside the promise".
     name : str
-    x_size, y_size : int, optional
-        Domain sizes when they are not ``2^n``.
     """
 
-    __slots__ = ("n", "name", "x_size", "y_size", "_value_fn")
+    __slots__ = ("n", "name", "_value_fn")
 
-    def __init__(self, n, value_fn, name, x_size=None, y_size=None):
+    def __init__(self, n, value_fn, name):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "x_size", int(x_size) if x_size else 1 << int(n))
-        object.__setattr__(self, "y_size", int(y_size) if y_size else 1 << int(n))
         object.__setattr__(self, "_value_fn", value_fn)
 
     def __setattr__(self, *_):
         raise AttributeError("PromiseFunction is immutable")
 
     def value(self, x: int, y: int) -> Optional[int]:
-        if not (0 <= x < self.x_size and 0 <= y < self.y_size):
+        if not (0 <= x < 1 << self.n and 0 <= y < 1 << self.n):
             raise ValueError(f"input ({x}, {y}) outside domain of {self.name}")
         v = self._value_fn(x, y)
         return None if v is None else int(v)
 
     def promise_pairs(self):
         """All in-promise input pairs, in lexicographic order."""
-        for x in range(self.x_size):
-            for y in range(self.y_size):
+        for x in range(1 << self.n):
+            for y in range(1 << self.n):
                 if self.value(x, y) is not None:
                     yield x, y
 
@@ -423,6 +418,14 @@ def _kron_repeat(channel: QuantumChannel, k: int, in_dims, in_layout, out_layout
         ch = canonical_kraus(ch)
     return ch
 
+def _check_dense_dimension(what: str, dim: int) -> None:
+    """Refuse a dense object of dimension ``dim`` over the budget."""
+    if dim > DENSE_DIMENSION_BUDGET:
+        raise ValueError(
+            f"{what} dimension {dim} exceeds the dense budget "
+            f"DENSE_DIMENSION_BUDGET={DENSE_DIMENSION_BUDGET}"
+        )
+
 def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     """Independent k-fold parallel composition (secret dimension ``d_q^k``).
 
@@ -436,12 +439,7 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     da, db = p.message_dims()
     dl = layout_dim(p.resource.layout[:1])
     dr = layout_dim(p.resource.layout[1:])
-    mid_dim = (p.d_q * da * db) ** k
-    if mid_dim > DENSE_DIMENSION_BUDGET:
-        raise ValueError(
-            f"parallel_repeat({k}) mid-state dimension {mid_dim} exceeds the "
-            f"dense budget {DENSE_DIMENSION_BUDGET}"
-        )
+    _check_dense_dimension(f"parallel_repeat({k}) mid-state", (p.d_q * da * db) ** k)
 
     amps = _kron_power([p.resource.amplitudes], k)[0].reshape(-1)
     regroup = _regroup_matrix([dl, dr] * k, [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)])
@@ -583,10 +581,13 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     to the secret qubit, and runs the classical CDS with secret ``k``; the
     referee recovers the key exactly when the CDS discloses it and unpads.
     Message subsystems: ``MAc`` (Alice's classical message), ``Qs`` (the
-    padded qubit), ``MBc`` (Bob's classical message).
+    padded qubit), ``MBc`` (Bob's classical message).  The resource
+    ``(L, R)`` and the mid state ``(Qbar, MAc, Qs, MBc)`` must fit the dense
+    budget.
     """
     cost = _pad_lift_cost(key_cds)
     r_count = 1 << key_cds.randomness_bits
+    _check_dense_dimension("pad-lift resource", r_count * r_count)
     inputs = range(1 << key_cds.n)
     ma_space = sorted(
         {key_cds.message_a(x, s, r) for x in inputs for s in range(4) for r in range(r_count)}
@@ -595,6 +596,7 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     ma_index = {m: i for i, m in enumerate(ma_space)}
     mb_index = {m: i for i, m in enumerate(mb_space)}
     dim_a, dim_b = len(ma_space), len(mb_space)
+    _check_dense_dimension("pad-lift mid-state", 4 * dim_a * dim_b)
 
     resource = StateVector(
         np.eye(r_count, dtype=complex).reshape(-1) / math.sqrt(r_count),

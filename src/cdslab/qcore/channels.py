@@ -95,17 +95,16 @@ class Isometry:
 
     __slots__ = ("matrix", "input_layout", "output_layout")
 
-    def __init__(self, matrix, input_layout, output_layout, validate: bool = True):
+    def __init__(self, matrix, input_layout, output_layout):
         in_lt = as_layout(input_layout)
         out_lt = as_layout(output_layout)
         din, dout = layout_dim(in_lt), layout_dim(out_lt)
         mat = _frozen(np.asarray(matrix, dtype=complex).reshape(dout, din))
         if dout < din:
             raise ValueError(f"isometry output dimension {dout} smaller than input {din}")
-        if validate:
-            gap = float(np.max(np.abs(mat.conj().T @ mat - np.eye(din))))
-            if gap > ATOL_INVARIANT:
-                raise ValueError(f"columns not orthonormal (gap {gap:.3e})")
+        gap = float(np.max(np.abs(mat.conj().T @ mat - np.eye(din))))
+        if gap > ATOL_INVARIANT:
+            raise ValueError(f"columns not orthonormal (gap {gap:.3e})")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "input_layout", in_lt)
         object.__setattr__(self, "output_layout", out_lt)
@@ -229,7 +228,9 @@ def apply_isometry(iso: Isometry, psi: StateVector) -> StateVector:
 def choi_state(channel: QuantumChannel) -> DensityMatrix:
     """Normalised Choi state ``(n (x) id)(phi+)`` on ``output + reference``.
 
-    Reference subsystems copy the input layout with fresh primed names.
+    Reference subsystems copy the input layout with primed names, fresh
+    against both the output and the input names, so a decoder back to the
+    input names applies to the Choi state as is.
     """
     din = channel.dim_in
     dout = channel.dim_out
@@ -238,7 +239,7 @@ def choi_state(channel: QuantumChannel) -> DensityMatrix:
         w = k.reshape(-1)
         j += np.outer(w, w.conj())
     j /= din
-    taken = list(layout_names(channel.output_layout))
+    taken = list(layout_names(channel.output_layout)) + list(layout_names(channel.input_layout))
     ref = []
     for name, dim in channel.input_layout:
         rn = fresh_name(name, taken)
@@ -285,14 +286,14 @@ def purify_channel(channel: QuantumChannel, env_name: str = "E") -> Isometry:
     out_lt = channel.output_layout + ((env, denv),)
     return Isometry(v.reshape(dout * denv, din), channel.input_layout, out_lt)
 
-def complementary_channel(channel: QuantumChannel, env_name: str = "E") -> QuantumChannel:
+def complementary_channel(channel: QuantumChannel) -> QuantumChannel:
     """The channel to the environment of ``purify_channel(channel)``.
 
     Sharing the isometry with ``purify_channel`` means that for any input,
     tracing the joint pure output over the environment gives ``channel`` and
     tracing over the original output gives this complement.
     """
-    v = purify_channel(channel, env_name=env_name)
+    v = purify_channel(channel)
     dout = channel.dim_out
     denv = layout_dim(v.output_layout) // dout
     cube = v.matrix.reshape(dout, denv, channel.dim_in)

@@ -92,14 +92,7 @@ def _overlap_vectors(w_mat, s_tensor, target_vecs, dq, denv, d_ref, d_p):
         out.append(t.reshape(-1))  # env * purifier
     return out
 
-def find_best_decoder(
-    channel: QuantumChannel,
-    target: QuantumChannel,
-    max_rounds: int = 500,
-    tol: float = 1e-10,
-    restarts: int = 2,
-    seed: int = 7,
-) -> DecoderResult:
+def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> DecoderResult:
     """Search for a decoder ``D`` minimising the gap between ``D o channel``
     and ``target``.
 
@@ -109,8 +102,9 @@ def find_best_decoder(
         The map to invert; its input layout must match the target's.
     target : QuantumChannel
         Usually the identity on the secret system.
-    max_rounds, tol : iteration cap (500) and improvement cutoff (1e-10).
-    restarts : number of random initialisations tried beside the Petz seed.
+
+    Beside the Petz seed, two random isometries (seed 7) start the ascent;
+    each runs at most 500 rounds, stopping once a round gains at most 1e-10.
 
     Returns
     -------
@@ -146,9 +140,8 @@ def find_best_decoder(
 
     def ascend(w_mat):
         best, ts = objective(w_mat)
-        rounds = 0
         converged = False
-        for rounds in range(1, max_rounds + 1):
+        for rounds in range(1, 501):
             norm = np.sqrt(sum(float(np.vdot(t, t).real) for t in ts))
             if norm < 1e-15:
                 break
@@ -168,7 +161,7 @@ def find_best_decoder(
             u, _, vh = np.linalg.svd(a, full_matrices=False)
             w_mat = (vh.conj().T @ u.conj().T)
             val, ts = objective(w_mat)
-            if val <= best + tol:
+            if val <= best + 1e-10:
                 best = val
                 converged = True
                 break
@@ -176,8 +169,8 @@ def find_best_decoder(
         return best, w_mat, rounds, converged
 
     candidates = [_stinespring_matrix(petz, denv)]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
+    rng = np.random.default_rng(7)
+    for _ in range(2):
         g = rng.normal(size=(dq_out * denv, m)) + 1j * rng.normal(size=(dq_out * denv, m))
         q, _ = np.linalg.qr(g)
         candidates.append(q[:, :m])

@@ -25,23 +25,11 @@ from .framework import CostReport, transcript_counts
 _QUARTER = Fraction(1, 4)
 
 
-def _as_bits_int(x, n: int) -> int:
-    """Accept an integer or a bit sequence ('0011', [0,0,1,1], ...)."""
-    if isinstance(x, int):
-        if not 0 <= x < (1 << n):
-            raise ValueError(f"input {x} does not fit in {n} bits")
-        return x
-    bits = [int(b) for b in x]
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"expected {n} bits, got {x!r}")
-    return sum(b << i for i, b in enumerate(bits))
-
-
 # ---------------------------------------------------------------------------
 # Deutsch-Jozsa input shortening
 # ---------------------------------------------------------------------------
 
-def dj_shorten(x, y, n: int | None = None) -> dict[tuple[int, int], Fraction]:
+def dj_shorten(x: int, y: int, n: int) -> dict[tuple[int, int], Fraction]:
     """Exact outcome distribution of the input-shortening measurement.
 
     Alice and Bob share ``(1/sqrt n) sum_i |i,i>``, inject the phases
@@ -49,15 +37,15 @@ def dj_shorten(x, y, n: int | None = None) -> dict[tuple[int, int], Fraction]:
     measure, obtaining ``(a, b)`` of ``log n`` bits each.  The amplitude
     of ``(a, b)`` is ``S_{a xor b} / (n sqrt n)`` where ``S`` is the
     Walsh-Hadamard transform of the joint phase signs, so the distribution
-    is an exact rational function of ``z = x xor y``.
+    is an exact rational function of ``z = x xor y``.  Inputs are ``n``-bit
+    integers.
     """
-    if n is None:
-        if isinstance(x, int):
-            raise ValueError("pass n explicitly when inputs are integers")
-        n = len(x)
     if n < 2 or n & (n - 1):
-        raise ValueError("string length must be a power of two >= 2")
-    z = _as_bits_int(x, n) ^ _as_bits_int(y, n)
+        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    for v in (x, y):
+        if not 0 <= v < (1 << n):
+            raise ValueError(f"input {v} does not fit in {n} bits")
+    z = x ^ y
     phases = np.array([1 - 2 * ((z >> i) & 1) for i in range(n)])
     signs = [int(s) for s in _walsh_hadamard(phases)]
     cube = n**3
@@ -70,7 +58,7 @@ def dj_shorten(x, y, n: int | None = None) -> dict[tuple[int, int], Fraction]:
     return out
 
 
-def dj_equal_probability(x, y, n: int | None = None) -> Fraction:
+def dj_equal_probability(x: int, y: int, n: int) -> Fraction:
     """Exact probability that the two shortened outcomes coincide."""
     dist = dj_shorten(x, y, n)
     return sum((p for (a, b), p in dist.items() if a == b), Fraction(0))

@@ -77,9 +77,10 @@ class VerificationReport:
         """Point value when the interval is degenerate (classical verifiers)."""
         return self.delta_hat_upper
 
-    def passes(self, epsilon: float = EPSILON_BUDGET, delta: float = DELTA_BUDGET) -> bool:
-        """Budget verdict, taken on the certified side of the interval."""
-        return self.epsilon_hat <= epsilon and self.delta_hat_upper <= delta
+    def passes(self) -> bool:
+        """Verdict against ``EPSILON_BUDGET`` and ``DELTA_BUDGET``; delta is
+        judged on the certified (upper) side of its interval."""
+        return self.epsilon_hat <= EPSILON_BUDGET and self.delta_hat_upper <= DELTA_BUDGET
 
     def as_dict(self) -> dict:
         return {
@@ -240,17 +241,8 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     delta = 0.0
     for value, pairs in sorted(classes.items()):
         radius, center = chebyshev_radius([dists[pair] for pair in pairs])
-        exact_center = all(isinstance(v, Fraction) for v in center.values())
         for pair in pairs:
-            if exact_center:
-                dist = float(_l1(dists[pair], center))
-            else:
-                dist = float(
-                    sum(
-                        abs(float(dists[pair].get(k, 0.0)) - center.get(k, 0.0))
-                        for k in set(dists[pair]) | set(center)
-                    )
-                )
+            dist = float(_l1(dists[pair], center))
             diagnostics[pair]["simulator_distance"] = dist
             delta = max(delta, dist)
         delta = max(delta, float(radius))
@@ -289,7 +281,7 @@ def cdqs_verify(
     """
     _check_sizes(p, f)
     if inputs is None:
-        if f.x_size * f.y_size > _ENUMERABLE_PAIRS:
+        if 1 << (2 * f.n) > _ENUMERABLE_PAIRS:
             raise ValueError(
                 "promise domain too large to enumerate; pass inputs explicitly"
             )
@@ -323,26 +315,19 @@ def cdqs_verify(
     )
 
 
-def productness_check(
-    p,
-    f: PromiseFunction,
-    inputs: Optional[Sequence[tuple]] = None,
-    report: Optional[VerificationReport] = None,
-) -> list:
+def productness_check(p, f: PromiseFunction) -> list:
     """Mid-protocol witness of the hiding/disclosing separation, per input.
 
     Hiding inputs must leave the secret side of the entangled pair in
     product with the messages (distance at most the verified delta upper
     bound); disclosing inputs must decode with entanglement fidelity at
-    least ``1 - epsilon_hat``.
+    least ``1 - epsilon_hat``.  The bounds come from ``cdqs_verify(p, f)``
+    over every promise input.
     """
     _check_sizes(p, f)
-    if report is None:
-        report = cdqs_verify(p, f, inputs=inputs)
-    if inputs is None:
-        inputs = [(e["x"], e["y"]) for e in report.inputs]
+    report = cdqs_verify(p, f)
     out = []
-    for x, y in sorted(inputs):
+    for x, y in ((e["x"], e["y"]) for e in report.inputs):
         if f.value(x, y) == 1:
             fid = float(p.entanglement_fidelity(x, y))
             bound = 1.0 - report.epsilon_hat - 1e-9

@@ -121,8 +121,9 @@ def test_suite_is_seed_stable():
 def test_circuit_shape():
     c = forrelation_circuit(8)
     assert c.wire_count == 6
-    assert c.count("CH") == 2
-    assert c.count("MEASURE") == 1
+    kinds = [g.kind for g in c.gates]
+    assert kinds.count("CH") == 2
+    assert kinds.count("MEASURE") == 1
     assert c.gates[-1].kind == "MEASURE"
 
 def test_acceptance_probability_is_half_plus_forr():

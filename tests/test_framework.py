@@ -266,6 +266,11 @@ def test_parallel_repeat_budget_guard():
     with pytest.raises(ValueError, match="dense budget"):
         parallel_repeat(lifted_neq(), 2)
 
+def test_pad_lift_budget_guard():
+    # randomness 8 bits: the resource alone would be L(256) (x) R(256)
+    with pytest.raises(ValueError, match="DENSE_DIMENSION_BUDGET"):
+        classical_to_quantum_lift(double_secret(neq_cds(2)))
+
 
 # ---------------------------------------------------------------------------
 # transcript-form protocols

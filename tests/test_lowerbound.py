@@ -11,7 +11,6 @@ from cdslab import lowerbound as lb
 from cdslab.qcore import DensityMatrix, fidelity, maximally_mixed, partial_trace
 from cdslab.toys import (
     always_one_function,
-    always_zero_function,
     depolarized,
     gated_forwarding,
     gated_function,
@@ -21,7 +20,6 @@ from cdslab.toys import (
     lifted_neq,
     lifted_neq_function,
     trivial_forwarding,
-    unencrypted,
 )
 from cdslab.verifier import cdqs_verify
 
@@ -225,18 +223,6 @@ def test_cheat_stays_under_bound_with_real_security_slack():
     assert cheat.estimate <= lb.soundness_bound(4, delta) + 1e-6
     ortho = lb.message_orthogonality_check(tp, f, 0, 0)
     assert ortho <= 4 * math.sqrt(delta) + 1e-9
-
-
-def test_padded_proof_reaches_the_communication_identity():
-    p, f = gated_forwarding(), gated_function()
-    for k in (1, 2):
-        tp = lb.build_two_prover_proof(p, k, pad_environments=True)
-        cost = tp.communication_cost(1, 1)
-        assert cost["total"] == pytest.approx(2 * k + k)  # one qubit per repetition
-        assert cost["total"] == pytest.approx(cost["budget"])
-        assert tp.system_bounds_ok(1, 1)
-        # padding is physically inert
-        assert lb.honest_acceptance(tp, f, 1, 1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_unpadded_proof_keeps_minimal_environments():

@@ -164,6 +164,17 @@ def test_choi_of_identity_is_maximally_entangled():
     assert j.layout == (("Q", 2), ("Q'", 2))
     assert np.max(np.abs(j.entries - phi.entries)) < 1e-12
 
+def test_choi_reference_is_primed_even_when_input_and_output_names_differ():
+    ch = QuantumChannel([X], [("Q", 2)], [("M", 2)])
+    assert choi_state(ch).layout == (("M", 2), ("Q'", 2))
+    # a decoder M -> Q applies to the Choi state without a name collision,
+    # giving J(D o N) = (D (x) id)(J(N)) = J(id) here
+    decoder = QuantumChannel([X], [("M", 2)], [("Q", 2)])
+    decoded = apply_channel(decoder, choi_state(ch))
+    j_id = choi_state(identity_channel([("Q", 2)]))
+    assert decoded.layout == j_id.layout == (("Q", 2), ("Q'", 2))
+    assert np.max(np.abs(decoded.entries - j_id.entries)) < 1e-12
+
 def test_choi_of_constant_channel_is_product():
     rng = np.random.default_rng(39)
     sigma = DensityMatrix(random_density(rng, 2), [("S", 2)])

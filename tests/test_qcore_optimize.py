@@ -81,8 +81,7 @@ def test_petz_recovery_inverts_isometry_exactly():
     v = random_isometry(rng, 3, 7)
     ch = QuantumChannel([v], [("Q", 3)], [("M", 7)])
     petz = petz_recovery(ch)
-    # J(P o N) = (P (x) id)(J(N)); P's output is renamed off the reference Q
-    petz = QuantumChannel(petz.kraus_operators, petz.input_layout, [("R", 3)])
+    # J(P o N) = (P (x) id)(J(N))
     j_gap = trace_norm(
         apply_channel(petz, choi_state(ch)).entries
         - choi_state(identity_channel([("Q", 3)])).entries

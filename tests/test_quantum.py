@@ -24,12 +24,12 @@ from cdslab.quantum import (
 # ---------------------------------------------------------------------------
 
 def test_dj_equal_strings_collide():
-    dist = dj_shorten("0110", "0110")
+    dist = dj_shorten(0b0110, 0b0110, 4)
     assert dist == {(a, a): Fraction(1, 4) for a in range(4)}
 
 def test_dj_half_distance_never_collides():
     # z = x ^ y has weight exactly n/2 = 2
-    dist = dj_shorten("1100", "0000")
+    dist = dj_shorten(0b0011, 0, 4)
     assert all(a != b for a, b in dist)
     assert sum(dist.values()) == 1
 
@@ -37,23 +37,24 @@ def test_dj_small_worked_example():
     # n=2, z = 01: signs (+1, -1), S_0 = 0, S_1 = 2
     # P(a, b) = S_{a^b}^2 / n^3 -> mass 4/8 on each a^b = 1 pair? no:
     # P(a,b) = S_{a xor b}^2 / 8 = 1/2 for a^b=1, summed over the two pairs.
-    dist = dj_shorten("01", "00")
+    dist = dj_shorten(0b10, 0, 2)
     assert dist == {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 2)}
 
 def test_dj_equal_probability_extremes():
     for n in (2, 4, 8, 16):
-        x = "1" * n
-        assert dj_equal_probability(x, x) == 1
-        flipped = "0" * (n // 2) + "1" * (n // 2)
-        assert dj_equal_probability(x, flipped) == 0
+        x = (1 << n) - 1
+        assert dj_equal_probability(x, x, n) == 1
+        flipped = ((1 << (n // 2)) - 1) << (n // 2)
+        assert dj_equal_probability(x, flipped, n) == 0
 
 def test_dj_intermediate_overlap():
     # weight-1 difference at n=4: S_0 = 2, Pr[a=b] = sum_a S_0^2/n^3 = 4*4/64
-    assert dj_equal_probability("1000", "0000") == Fraction(1, 4)
+    assert dj_equal_probability(0b0001, 0, 4) == Fraction(1, 4)
 
 def test_dj_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        dj_shorten("01", "011")
+    # a 3-bit input to the 2-bit measurement is out of range
+    with pytest.raises(ValueError, match="does not fit in 2 bits"):
+        dj_shorten(0b01, 0b110, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,18 @@ Definitions, imports and ``__all__`` entries are not references.  Method
 references match by attribute name alone, so the guard can miss a dead
 method that shares its name with a live attribute, but it never flags a
 live one.
+
+The options guard does the same for parameters: every defaulted
+parameter of a ``def`` in ``src/cdslab`` whose name does not start with
+``_`` is set by some call in ``src/`` or ``cdsbench/``, or it goes on
+``KEEP_OPTIONS`` with the reason it stays.  A call sets a parameter by
+keyword, by position, or through ``*``/``**`` unpacking; it matches by
+callee name, by class name for ``__init__`` and by attribute name for
+methods.  Dataclass fields are not ``def`` parameters, so the guard does
+not see them.
+
+The import guard fails on any name a module in ``src/``, ``tests/`` or
+``cdsbench/`` imports and never uses.
 """
 
 import ast
@@ -19,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cdslab"
 CALLER_TREES = (ROOT / "src", ROOT / "cdsbench")
+IMPORT_TREES = (ROOT / "src", ROOT / "tests", ROOT / "cdsbench")
 
 #: names with no caller outside the tests, and why each stays
 KEEP = {
@@ -100,3 +113,136 @@ def test_keep_list_is_current():
     referenced = _references()
     stale = sorted(name for name in KEEP if name not in defined or name in referenced)
     assert not stale, f"KEEP entries that are gone or now have a caller: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# options guard: every defaulted parameter is set by some caller
+# ---------------------------------------------------------------------------
+
+#: defaulted parameters that no call in ``src/`` or ``cdsbench/`` sets, and why each stays
+KEEP_OPTIONS = {
+    "one_way_decide.epsilon": "the correctness budget of the one-way reduction (Theorem 1)",
+    "one_way_decide.delta": "the security budget of the one-way reduction (Theorem 1)",
+    "proof_lab_report.epsilon_hat": "the correctness budget the two-prover proof is judged on",
+    "proof_lab_report.delta_hat": "the security budget the two-prover proof is judged on",
+    "circuit_unitary.x": "oracle data, so the dense unitary can stand in for a test oracle",
+    "circuit_unitary.y": "oracle data, so the dense unitary can stand in for a test oracle",
+}
+
+
+def _options() -> dict:
+    """Defaulted public parameters of every ``def`` in the package.
+
+    Keys are ``"<callee>.<parameter>"``, where the callee is the function
+    name, or the class name for ``__init__``.  Values are ``(path,
+    position)``: ``position`` counts positional arguments at the call site
+    (``self`` or ``cls`` excluded) and is None for keyword-only parameters.
+    """
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods[id(item)] = node.name
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            owner = methods.get(id(node))
+            skip = 1 if owner else 0
+            callee = owner if node.name == "__init__" else node.name
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(a, i - skip) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for arg, position in defaulted:
+                if not arg.arg.startswith("_"):
+                    out[f"{callee}.{arg.arg}"] = (path.relative_to(ROOT), position)
+    return out
+
+
+def _settings() -> dict:
+    """Per callee name, what its calls in ``src/`` and ``cdsbench/`` set:
+    keyword names, the largest positional count, and whether any call
+    unpacks ``*`` or ``**`` (which may set anything)."""
+    seen = {}
+    for tree_root in CALLER_TREES:
+        for path in sorted(tree_root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    name = node.func.id
+                elif isinstance(node.func, ast.Attribute):
+                    name = node.func.attr
+                else:
+                    continue
+                entry = seen.setdefault(name, {"keywords": set(), "positional": 0, "any": False})
+                entry["keywords"].update(k.arg for k in node.keywords if k.arg is not None)
+                entry["positional"] = max(entry["positional"], len(node.args))
+                if any(k.arg is None for k in node.keywords) or any(
+                    isinstance(a, ast.Starred) for a in node.args
+                ):
+                    entry["any"] = True
+    return seen
+
+
+def _unset_options() -> dict:
+    settings = _settings()
+    unset = {}
+    for key, (path, position) in _options().items():
+        callee, name = key.rsplit(".", 1)
+        entry = settings.get(callee)
+        if entry and (
+            entry["any"]
+            or name in entry["keywords"]
+            or (position is not None and position < entry["positional"])
+        ):
+            continue
+        unset[key] = path
+    return unset
+
+
+def test_every_option_is_set_by_a_caller_or_has_a_reason():
+    unset = sorted(f"{path}: {key}" for key, path in _unset_options().items()
+                   if key not in KEEP_OPTIONS)
+    assert not unset, (
+        "defaulted parameters no caller sets (write the default into the body, "
+        "or add to KEEP_OPTIONS):\n" + "\n".join(unset)
+    )
+
+
+def test_keep_options_is_current():
+    unset = _unset_options()
+    stale = sorted(key for key in KEEP_OPTIONS if key not in unset)
+    assert not stale, f"KEEP_OPTIONS entries that are gone or now have a caller: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# unused imports
+# ---------------------------------------------------------------------------
+
+def test_every_imported_name_is_used():
+    """Each name a module imports is used in it.  ``__init__.py`` files
+    re-export and ``__future__`` imports switch features, so neither counts."""
+    unused = []
+    for tree_root in IMPORT_TREES:
+        for path in sorted(tree_root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".")[0]
+                        if bound not in used:
+                            unused.append(f"{path.relative_to(ROOT)}: {bound}")
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

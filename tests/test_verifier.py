@@ -231,9 +231,8 @@ def test_size_mismatch_rejected():
         psm_verify(ip_psm(3), ip_function(1))
     with pytest.raises(ValueError, match=r"n=8 .* n=4"):
         cdqs_verify(neq_promise_cdqs(8), hybrid_promise_function(4))
-    report = cdqs_verify(gated_forwarding(), gated_function())
     with pytest.raises(ValueError, match=r"n=1 .* n=2"):
-        productness_check(gated_forwarding(), neq_function(2), report=report)
+        productness_check(gated_forwarding(), neq_function(2))
 
 
 def test_depolarized_epsilon_grows_continuously():
@@ -287,13 +286,6 @@ def test_productness_hybrid_transcript_path():
     assert ones and all(c["fidelity"] == 1.0 for c in ones)
 
 
-def test_productness_accepts_precomputed_report():
-    p, f = leaky(0.5), gated_function()
-    report = cdqs_verify(p, f)
-    checks = productness_check(p, f, report=report)
-    assert all(c["ok"] for c in checks)
-
-
 def test_transcript_and_dense_pad_lifts_verify_alike():
     cases = [
         (double_secret(neq_cds(1)), neq_function(1)),
@@ -309,8 +301,8 @@ def test_transcript_and_dense_pad_lifts_verify_alike():
             assert a.keys() == b.keys()
             for key in a:
                 assert abs(a[key] - b[key]) <= 1e-12, (a, b, key)
-        for p, report in ((exact, exact_report), (dense, dense_report)):
-            checks = productness_check(p, function, report=report)
+        for p in (exact, dense):
+            checks = productness_check(p, function)
             assert checks and all(c["ok"] for c in checks)
 
 
