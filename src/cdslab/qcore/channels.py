@@ -5,11 +5,19 @@ A channel maps states over ``input_layout`` to states over
 Channels may be applied to a larger state, acting as the identity on the
 subsystems they do not name.
 
+Every dense operation is computed from one stacked Kraus array: a channel
+keeps its ``r`` operators as ``kraus_stack`` of shape ``(r, dim_out,
+dim_in)``, whose rows flatten to the columns ``vec(K_k)`` of
+``A = [vec(K_1) ... vec(K_r)]``, of shape ``(dim_out * dim_in, r)``.
+Trace preservation is one product ``sum_k K_k^+ K_k``, application runs in
+blocks of stacked operators, and the minimal Kraus family comes from the
+thin SVD of ``A``, so no Choi matrix is formed for it.
+
 Choi convention: ``choi_state(n)`` is the normalised state
 ``(n (x) id)(|phi+><phi+|)`` with layout ``output_layout + reference``,
 where the reference subsystems are fresh-named copies of the inputs and the
 maximally entangled pairing follows the row-major vec ordering, so that
-``J = (1/d_in) sum_k vec(K_k) vec(K_k)^+``.
+``J = (1/d_in) sum_k vec(K_k) vec(K_k)^+ = A A^+ / d_in``.
 """
 
 from __future__ import annotations
@@ -32,6 +40,12 @@ from .states import (
     _frozen,
 )
 
+#: Choi eigenvalues at or below this count as zero, both when a Kraus family
+#: is read off a Choi matrix and when one is compressed by SVD (there the
+#: eigenvalue of a singular value ``s`` of the stacked Kraus vectors is
+#: ``s^2 / d_in``)
+KRAUS_RANK_TOL = 1e-12
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -50,25 +64,33 @@ class QuantumChannel:
     input_layout, output_layout : iterable of (name, dim)
     validate : bool
         When True (default) enforce ``sum_k K_k^+ K_k = I`` within 1e-9.
+
+    Attributes
+    ----------
+    kraus_stack : ndarray
+        The operators stacked, shape ``(r, dim_out, dim_in)``, read-only.
+    kraus_operators : tuple of ndarray
+        Read-only views of the rows of ``kraus_stack``.
     """
 
-    __slots__ = ("kraus_operators", "input_layout", "output_layout")
+    __slots__ = ("kraus_stack", "kraus_operators", "input_layout", "output_layout")
 
     def __init__(self, kraus_operators, input_layout, output_layout, validate: bool = True):
         in_lt = as_layout(input_layout)
         out_lt = as_layout(output_layout)
         din, dout = layout_dim(in_lt), layout_dim(out_lt)
-        ops = tuple(_frozen(np.asarray(k, dtype=complex).reshape(dout, din)) for k in kraus_operators)
+        ops = [np.asarray(k, dtype=complex).reshape(dout, din) for k in kraus_operators]
         if not ops:
             raise ValueError("channel needs at least one Kraus operator")
+        stack = np.stack(ops)
+        stack.flags.writeable = False
         if validate:
-            acc = np.zeros((din, din), dtype=complex)
-            for k in ops:
-                acc += k.conj().T @ k
-            gap = float(np.max(np.abs(acc - np.eye(din))))
+            rows = stack.reshape(-1, din)                    # (k, out) x in
+            gap = float(np.max(np.abs(rows.conj().T @ rows - np.eye(din))))
             if gap > ATOL_INVARIANT:
                 raise ValueError(f"Kraus operators not trace preserving (gap {gap:.3e})")
-        object.__setattr__(self, "kraus_operators", ops)
+        object.__setattr__(self, "kraus_stack", stack)
+        object.__setattr__(self, "kraus_operators", tuple(stack))
         object.__setattr__(self, "input_layout", in_lt)
         object.__setattr__(self, "output_layout", out_lt)
 
@@ -168,30 +190,45 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
 
     Returns ``(new_matrix, new_layout)``.  Used internally where inputs may
     fail DensityMatrix validation (quantized states, differences).
+
+    The Kraus operators act in blocks of ``b = max(d_in, d_out) //
+    min(d_in, d_out)``, two matrix products per block: the stacked block
+    times the matrix, then the result times the stacked adjoints, summed
+    over the block.  So a block's first product is no larger than the
+    bigger of the input and output matrices.
     """
     perm, untouched, insert_at, new_layout = _application_plan(layout, channel)
     dims = layout_dims(layout)
     k = len(dims)
-    tens = mat.reshape(dims + dims).transpose(list(perm) + [p + k for p in perm])
-    din = channel.dim_in
-    drest = math.prod(dims[p] for p in untouched) if untouched else 1
-    work = tens.reshape(din, drest, din, drest)
-    dout = channel.dim_out
-    out = np.zeros((dout, drest, dout, drest), dtype=complex)
-    for kr in channel.kraus_operators:
-        tmp = np.tensordot(kr, work, axes=(1, 0))          # a, r, i', s
-        out += np.tensordot(tmp, kr.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)
-    # currently ordered (outputs, untouched); splice outputs to insert_at
-    n_out = len(channel.output_layout)
-    out_dims = layout_dims(channel.output_layout)
+    din, dout = channel.dim_in, channel.dim_out
+    consumed = perm[: len(channel.input_layout)]
     rest_dims = [dims[p] for p in untouched]
-    full = out.reshape(tuple(out_dims) + tuple(rest_dims) + tuple(out_dims) + tuple(rest_dims))
-    order = list(range(n_out + len(rest_dims)))
-    spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
-    m = n_out + len(rest_dims)
-    full = full.transpose(spliced + [p + m for p in spliced])
+    drest = math.prod(rest_dims)
+    # rows: consumed input i; columns: (untouched r, untouched s, consumed input i')
+    axes = consumed + untouched + [p + k for p in untouched] + [p + k for p in consumed]
+    work = mat.reshape(dims + dims).transpose(axes).reshape(din, -1)
+    stack = channel.kraus_stack
+    block = max(din, dout) // min(din, dout)
+    acc = np.zeros((dout * drest * drest, dout), dtype=complex)
+    for lo in range(0, len(stack), block):
+        ks = stack[lo : lo + block]
+        b = len(ks)
+        left = (ks.reshape(b * dout, din) @ work).reshape(b, -1, din)   # k, (a, r, s), i'
+        left = left.transpose(1, 0, 2).reshape(-1, b * din)             # (a, r, s), (k, i')
+        acc += left @ ks.conj().transpose(0, 2, 1).reshape(b * din, dout)
+    # acc is ordered (outputs a, r, s, outputs a'); splice outputs to insert_at
+    n_out = len(channel.output_layout)
+    n_rest = len(rest_dims)
+    out_dims = layout_dims(channel.output_layout)
+    full = acc.reshape(tuple(out_dims) + tuple(rest_dims) * 2 + tuple(out_dims))
+    a_ax = list(range(n_out))
+    r_ax = list(range(n_out, n_out + n_rest))
+    s_ax = list(range(n_out + n_rest, n_out + 2 * n_rest))
+    b_ax = list(range(n_out + 2 * n_rest, 2 * n_out + 2 * n_rest))
+    rows = r_ax[:insert_at] + a_ax + r_ax[insert_at:]
+    cols = s_ax[:insert_at] + b_ax + s_ax[insert_at:]
     d_new = layout_dim(new_layout)
-    return full.reshape(d_new, d_new), new_layout
+    return full.transpose(rows + cols).reshape(d_new, d_new), new_layout
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply ``channel`` to the subsystems it names, identity on the rest.
@@ -232,13 +269,8 @@ def choi_state(channel: QuantumChannel) -> DensityMatrix:
     against both the output and the input names, so a decoder back to the
     input names applies to the Choi state as is.
     """
-    din = channel.dim_in
-    dout = channel.dim_out
-    j = np.zeros((dout * din, dout * din), dtype=complex)
-    for k in channel.kraus_operators:
-        w = k.reshape(-1)
-        j += np.outer(w, w.conj())
-    j /= din
+    vecs = channel.kraus_stack.reshape(len(channel.kraus_stack), -1)   # row k: vec(K_k)
+    j = (vecs.T @ vecs.conj()) / channel.dim_in
     taken = list(layout_names(channel.output_layout)) + list(layout_names(channel.input_layout))
     ref = []
     for name, dim in channel.input_layout:
@@ -256,7 +288,7 @@ def channel_from_choi(j: np.ndarray, input_layout, output_layout) -> QuantumChan
     kraus = []
     for idx in np.argsort(vals)[::-1]:
         lam = float(vals[idx])
-        if lam <= 1e-12:
+        if lam <= KRAUS_RANK_TOL:
             break
         kraus.append(np.sqrt(din * lam) * vecs[:, idx].reshape(dout, din))
     if not kraus:
@@ -264,24 +296,36 @@ def channel_from_choi(j: np.ndarray, input_layout, output_layout) -> QuantumChan
     return QuantumChannel(kraus, in_lt, out_lt)
 
 def canonical_kraus(channel: QuantumChannel) -> QuantumChannel:
-    """Minimal Kraus family (Choi rank many operators) for the same map."""
-    j = choi_state(channel)
-    return channel_from_choi(j.entries, channel.input_layout, channel.output_layout)
+    """Minimal Kraus family (Choi rank many operators) for the same map.
+
+    From the thin SVD ``A = W S V^+`` of the stacked Kraus vectors
+    ``A = [vec(K_1) ... vec(K_r)]`` the operators are ``s_a W[:, a]``, in
+    descending order of ``s_a``, kept while the Choi eigenvalue
+    ``s_a^2 / d_in`` exceeds ``KRAUS_RANK_TOL``.  These are the eigenvectors
+    of ``J = A A^+ / d_in`` scaled by ``sqrt(d_in * lambda)``, up to a phase
+    each, without forming the ``(d_out d_in)``-dimensional Choi matrix.
+    """
+    din, dout = channel.dim_in, channel.dim_out
+    stacked = channel.kraus_stack.reshape(len(channel.kraus_stack), -1).T
+    w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.count_nonzero(sv**2 / din > KRAUS_RANK_TOL))
+    if rank == 0:
+        raise ValueError("Choi matrix has no positive spectrum")
+    kraus = (w[:, :rank] * sv[:rank]).T.reshape(rank, dout, din)
+    return QuantumChannel(kraus, channel.input_layout, channel.output_layout)
 
 def purify_channel(channel: QuantumChannel, env_name: str = "E") -> Isometry:
     """Stinespring isometry ``V`` with ``tr_env V rho V^+ = channel(rho)``.
 
     The environment is appended after the output subsystems (so it varies
     fastest) and its dimension equals the Choi rank, hence never exceeds
-    ``dim_in * dim_out``.
+    ``dim_in * dim_out``.  The minimal family comes from ``canonical_kraus``,
+    the SVD of the stacked Kraus vectors; no Choi matrix is formed.
     """
-    minimal = canonical_kraus(channel)
-    ops = minimal.kraus_operators
-    denv = len(ops)
+    stack = canonical_kraus(channel).kraus_stack            # e, out, in
+    denv = len(stack)
     dout, din = channel.dim_out, channel.dim_in
-    v = np.zeros((dout, denv, din), dtype=complex)
-    for k, op in enumerate(ops):
-        v[:, k, :] = op
+    v = stack.transpose(1, 0, 2)                             # out, e, in
     env = fresh_name(env_name, layout_names(channel.output_layout))
     out_lt = channel.output_layout + ((env, denv),)
     return Isometry(v.reshape(dout * denv, din), channel.input_layout, out_lt)
@@ -297,8 +341,7 @@ def complementary_channel(channel: QuantumChannel) -> QuantumChannel:
     dout = channel.dim_out
     denv = layout_dim(v.output_layout) // dout
     cube = v.matrix.reshape(dout, denv, channel.dim_in)
-    kraus = [cube[o, :, :] for o in range(dout)]
-    return QuantumChannel(kraus, channel.input_layout, (v.output_layout[-1],), validate=False)
+    return QuantumChannel(cube, channel.input_layout, (v.output_layout[-1],), validate=False)
 
 def diamond_distance_bounds(a: QuantumChannel, b: QuantumChannel) -> tuple[float, float]:
     """Two-sided bounds on the diamond distance from the Choi difference.

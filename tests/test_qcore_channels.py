@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cdslab.qcore.channels as channels_module
+from cdslab.framework import parallel_repeat
 from cdslab.qcore import (
+    ATOL_INVARIANT,
     PAULI,
     DensityMatrix,
     Isometry,
     QuantumChannel,
     StateVector,
     apply_channel,
+    apply_channel_matrix,
     apply_isometry,
     canonical_kraus,
     channel_from_choi,
@@ -23,6 +29,7 @@ from cdslab.qcore import (
     purify_channel,
     trace_norm,
 )
+from cdslab.toys import gated_forwarding, lifted_neq
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -67,6 +74,25 @@ def random_channel(rng, din, dout, denv, in_name="Q", out_name="Q"):
 def test_kraus_trace_preservation_enforced():
     with pytest.raises(ValueError):
         QuantumChannel([0.5 * np.eye(2)], [("Q", 2)], [("Q", 2)])
+
+def test_trace_preservation_gate_sits_at_atol_invariant():
+    # sum_k K_k^+ K_k = (1 + t) I for two copies of sqrt((1 + t) / 2) I
+    def scaled(t):
+        op = np.sqrt((1 + t) / 2) * np.eye(3)
+        return QuantumChannel([op, op], [("Q", 3)], [("Q", 3)])
+
+    scaled(0.5 * ATOL_INVARIANT)
+    with pytest.raises(ValueError, match="trace preserving"):
+        scaled(2 * ATOL_INVARIANT)
+
+def test_kraus_operators_are_read_only_rows_of_the_stack():
+    ch = depolarizing(0.3)
+    assert ch.kraus_stack.shape == (4, 2, 2)
+    assert not ch.kraus_stack.flags.writeable
+    for k, op in enumerate(ch.kraus_operators):
+        assert not op.flags.writeable
+        assert np.shares_memory(op, ch.kraus_stack)
+        assert np.array_equal(op, ch.kraus_stack[k])
 
 def test_isometry_validates_columns():
     with pytest.raises(ValueError):
@@ -313,3 +339,183 @@ def test_diamond_bounds_ordering_random():
 def test_diamond_bounds_layout_mismatch():
     with pytest.raises(ValueError):
         diamond_distance_bounds(identity_channel([("Q", 2)]), identity_channel([("Q", 3)]))
+
+
+# ---------------------------------------------------------------------------
+# the stacked Kraus array against the per-operator routes it replaced
+# ---------------------------------------------------------------------------
+
+def _choi_by_outer_products(ch):
+    """Reference Choi matrix: one outer product per Kraus operator."""
+    j = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ch.kraus_operators)
+    return j / ch.dim_in
+
+def _canonical_by_choi(ch):
+    """Reference minimal family: eigendecomposition of the full Choi matrix."""
+    return channel_from_choi(choi_state(ch).entries, ch.input_layout, ch.output_layout)
+
+def _assert_canonical_matches_choi_route(ch):
+    want = _canonical_by_choi(ch)
+    got = canonical_kraus(ch)
+    assert len(got.kraus_operators) == len(want.kraus_operators)
+    assert np.max(np.abs(choi_state(got).entries - choi_state(want).entries)) < 1e-12
+    assert np.max(np.abs(choi_state(got).entries - choi_state(ch).entries)) < 1e-12
+
+def _mixed_family(rng, ch, m):
+    """``m`` operators ``sum_i U[j, i] K_i`` for an isometry ``U``: the same
+    channel, with Kraus rank unchanged but ``m`` operators."""
+    r = len(ch.kraus_operators)
+    g = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+    u, _ = np.linalg.qr(g)
+    ops = np.tensordot(u, ch.kraus_stack, axes=(1, 0))
+    return QuantumChannel(ops, ch.input_layout, ch.output_layout)
+
+def _kron_square(ch):
+    """Two parallel copies of ``ch`` as one channel, ``r^2`` Kraus operators."""
+    ops = [np.kron(a, b) for a in ch.kraus_operators for b in ch.kraus_operators]
+    return QuantumChannel(ops, [("Q", ch.dim_in**2)], [("M", ch.dim_out**2)])
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    din=st.integers(1, 4),
+    dout=st.integers(1, 4),
+    denv=st.integers(1, 9),
+)
+def test_choi_state_matches_outer_products(seed, din, dout, denv):
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, din, max(dout, -(-din // denv)), denv)
+    assert np.max(np.abs(choi_state(ch).entries - _choi_by_outer_products(ch))) < 1e-12
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    din=st.integers(1, 4),
+    dout=st.integers(1, 4),
+    denv=st.integers(1, 20),
+)
+def test_canonical_kraus_matches_choi_route_on_random_channels(seed, din, dout, denv):
+    # denv > din * dout covers a family longer than the Choi matrix is wide
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, din, max(dout, -(-din // denv)), denv)
+    _assert_canonical_matches_choi_route(ch)
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    din=st.integers(1, 3),
+    dout=st.integers(1, 3),
+    rank=st.integers(1, 3),
+    extra=st.integers(1, 12),
+)
+def test_canonical_kraus_matches_choi_route_on_rank_deficient_families(seed, din, dout, rank, extra):
+    rng = np.random.default_rng(seed)
+    ch = random_channel(rng, din, max(dout, -(-din // rank)), rank)
+    redundant = _mixed_family(rng, ch, rank + extra)
+    assert len(canonical_kraus(redundant).kraus_operators) <= rank
+    _assert_canonical_matches_choi_route(redundant)
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.75, 1.0])
+def test_canonical_kraus_matches_choi_route_on_degenerate_spectra(p):
+    # the depolarizer's Choi spectrum is (1 - 3p/4, p/4, p/4, p/4)
+    _assert_canonical_matches_choi_route(depolarizing(p))
+    _assert_canonical_matches_choi_route(pauli_channel(0.25, 0.25, 0.25))
+
+@pytest.mark.parametrize("weight", [1e-13, 1e-11])
+def test_canonical_kraus_cut_matches_choi_route_at_the_rank_tolerance(weight):
+    # a bit flip of probability ``weight`` has Choi spectrum (1 - weight, weight, 0, 0),
+    # with ``weight`` just below or just above KRAUS_RANK_TOL
+    _assert_canonical_matches_choi_route(pauli_channel(weight, 0, 0))
+
+def test_canonical_kraus_matches_choi_route_on_longer_than_wide_families():
+    rng = np.random.default_rng(46)
+    sq = _kron_square(random_channel(rng, 2, 2, 5))
+    assert len(sq.kraus_operators) > sq.dim_in * sq.dim_out
+    _assert_canonical_matches_choi_route(sq)
+    sq = _kron_square(depolarizing(1.0))
+    _assert_canonical_matches_choi_route(_mixed_family(rng, sq, 20))
+
+def test_canonical_kraus_matches_choi_route_on_repeated_gated_forwarding():
+    p = parallel_repeat(gated_forwarding(), 2)
+    for ch in (p.alice_channel(0), p.alice_channel(1), p.decoder(1, 1)):
+        _assert_canonical_matches_choi_route(ch)
+        _assert_canonical_matches_choi_route(_kron_square(ch))
+
+def test_purify_forms_no_choi_matrix(monkeypatch):
+    # the minimal family comes from the stacked Kraus vectors, never from
+    # the (d_out d_in)-dimensional Choi matrix (1024 here)
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("purification formed a Choi matrix")
+
+    monkeypatch.setattr(channels_module, "choi_state", refuse)
+    monkeypatch.setattr(channels_module, "channel_from_choi", refuse)
+    ch = lifted_neq().alice_channel(0)
+    v = purify_channel(ch)
+    assert v.output_layout[-1][1] == 64
+    rng = np.random.default_rng(47)
+    rho = DensityMatrix(random_density(rng, ch.dim_in), ch.input_layout)
+    full = DensityMatrix(v.matrix @ rho.entries @ v.matrix.conj().T, v.output_layout, validate=False)
+    got = partial_trace(full, [nm for nm, _ in ch.output_layout])
+    assert np.max(np.abs(got.entries - apply_channel(ch, rho).entries)) < 1e-12
+
+def _apply_per_kraus(channel, mat, layout):
+    """Reference application: one pair of tensordots per Kraus operator."""
+    perm, untouched, insert_at, new_layout = channels_module._application_plan(layout, channel)
+    dims = [d for _, d in layout]
+    k = len(dims)
+    tens = mat.reshape(dims + dims).transpose(list(perm) + [p + k for p in perm])
+    din, dout = channel.dim_in, channel.dim_out
+    rest_dims = [dims[p] for p in untouched]
+    drest = int(np.prod(rest_dims))
+    work = tens.reshape(din, drest, din, drest)
+    out = np.zeros((dout, drest, dout, drest), dtype=complex)
+    for kr in channel.kraus_operators:
+        tmp = np.tensordot(kr, work, axes=(1, 0))
+        out += np.tensordot(tmp, kr.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)
+    n_out = len(channel.output_layout)
+    out_dims = [d for _, d in channel.output_layout]
+    full = out.reshape(tuple(out_dims) + tuple(rest_dims) + tuple(out_dims) + tuple(rest_dims))
+    order = list(range(n_out + len(rest_dims)))
+    spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
+    m = n_out + len(rest_dims)
+    d_new = int(np.prod([d for _, d in new_layout]))
+    return full.transpose(spliced + [p + m for p in spliced]).reshape(d_new, d_new), new_layout
+
+def _random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3)),
+    consumed=st.sampled_from([("B",), ("C", "A"), ("A", "B", "C"), ("B", "C")]),
+    out_dims=st.sampled_from([(1,), (2,), (5,), (8,), (2, 3)]),
+    r=st.integers(1, 9),
+)
+def test_apply_channel_matrix_matches_per_kraus_loop(seed, dims, consumed, out_dims, r):
+    # raw non-Hermitian matrices, channels on middle and non-adjacent
+    # subsystems, Kraus counts that are not a multiple of the block size
+    rng = np.random.default_rng(seed)
+    layout = tuple(zip("ABC", dims))
+    dim_of = dict(layout)
+    in_layout = [(nm, dim_of[nm]) for nm in consumed]
+    out_layout = list(zip(("M", "N"), out_dims))
+    din, dout = int(np.prod([d for _, d in in_layout])), int(np.prod(out_dims))
+    ch = QuantumChannel(_random_complex(rng, r, dout, din), in_layout, out_layout, validate=False)
+    d = int(np.prod(dims))
+    mat = _random_complex(rng, d, d)
+    got, got_layout = apply_channel_matrix(ch, mat, layout)
+    want, want_layout = _apply_per_kraus(ch, mat, layout)
+    assert got_layout == want_layout
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+def test_apply_channel_matrix_runs_partial_blocks():
+    # d_in 2, d_out 8: blocks of 4 operators, so 7 operators leave a block of 3
+    rng = np.random.default_rng(48)
+    ch = QuantumChannel(_random_complex(rng, 7, 8, 2), [("B", 2)], [("M", 8)], validate=False)
+    layout = (("A", 3), ("B", 2), ("C", 2))
+    mat = _random_complex(rng, 12, 12)
+    got, got_layout = apply_channel_matrix(ch, mat, layout)
+    want, want_layout = _apply_per_kraus(ch, mat, layout)
+    assert got_layout == want_layout == (("A", 3), ("M", 8), ("C", 2))
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
