@@ -5,10 +5,15 @@ the test suite re-derives both facts by exhaustive enumeration rather than
 trusting the algebra.
 
 Field elements of GF(2^n) are integers in ``[0, 2^n)`` whose bits are the
-polynomial coefficients (bit i = coefficient of X^i).
+polynomial coefficients (bit i = coefficient of X^i).  Products and
+inverses read log/antilog tables over a primitive element, one pair per
+degree, built on that degree's first use and kept for the process; GF(2)
+needs none.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .framework import ENUMERATION_BUDGET_BITS, CdsProtocol, PromiseFunction, PsmProtocol
 
@@ -44,35 +49,66 @@ def _clmul(a: int, b: int) -> int:
     return out
 
 
+def _reduce(a: int, n: int) -> int:
+    mod = IRREDUCIBLE[n]
+    for shift in range(a.bit_length() - (n + 1), -1, -1):
+        if a >> (shift + n) & 1:
+            a ^= mod << shift
+    return a
+
+
+@cache
+def _field_tables(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(exp, log)`` for GF(2^n), n >= 2, built on the degree's first use.
+
+    ``exp[i] = g^i`` for a primitive element ``g``, stored twice over so
+    that ``exp[log[a] + log[b]]`` needs no reduction; ``log[0]`` is unused.
+    ``g`` is searched for: ``X`` need not be primitive (under 0x11B it has
+    order 51, not 255).
+    """
+    order = (1 << n) - 1
+    for g in range(2, 1 << n):
+        powers = [1]
+        while len(powers) <= order:
+            nxt = _reduce(_clmul(powers[-1], g), n)
+            if nxt == 1:
+                break
+            powers.append(nxt)
+        if len(powers) == order:
+            log = [0] * (1 << n)
+            for i, v in enumerate(powers):
+                log[v] = i
+            return tuple(powers + powers), tuple(log)
+    raise ValueError(f"GF(2^{n}) has no primitive element: its modulus is not irreducible")
+
+
 def gf_mul(a: int, b: int, n: int) -> int:
-    """Product in GF(2^n)."""
+    """Product in GF(2^n), by the degree's log/antilog tables."""
     if n not in IRREDUCIBLE:
         raise ValueError(f"no modulus tabulated for GF(2^{n})")
     if not (0 <= a < 1 << n and 0 <= b < 1 << n):
         raise ValueError(f"operands {a}, {b} outside GF(2^{n})")
     if n == 1:
         return a & b
-    mod = IRREDUCIBLE[n]
-    prod = _clmul(a, b)
-    for shift in range(prod.bit_length() - (n + 1), -1, -1):
-        if prod >> (shift + n) & 1:
-            prod ^= mod << shift
-    return prod
+    if not (a and b):
+        return 0
+    exp, log = _field_tables(n)
+    return exp[log[a] + log[b]]
 
 
 def gf_inv(a: int, n: int) -> int:
-    """Multiplicative inverse in GF(2^n), by Fermat (a^(2^n - 2))."""
+    """Multiplicative inverse in GF(2^n): ``g^(-log a)`` from the degree's
+    log/antilog tables."""
+    if n not in IRREDUCIBLE:
+        raise ValueError(f"no modulus tabulated for GF(2^{n})")
+    if not 0 <= a < 1 << n:
+        raise ValueError(f"operand {a} outside GF(2^{n})")
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(2^n)")
-    result = 1
-    exponent = (1 << n) - 2
-    base = a
-    while exponent:
-        if exponent & 1:
-            result = gf_mul(result, base, n)
-        base = gf_mul(base, base, n)
-        exponent >>= 1
-    return result
+    if n == 1:
+        return 1
+    exp, log = _field_tables(n)
+    return exp[(1 << n) - 1 - log[a]]
 
 
 def _parity(v: int) -> int:

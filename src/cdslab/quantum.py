@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -109,12 +110,18 @@ class HybridNeqCdqs:
                 counts = [transcript_counts(self._copy, a, b, s) for s in (0, 1)]
                 good = sum(c for s in (0, 1) for (ma, mb), c in counts[s].items()
                            if self._copy.decoder(ma, a, mb, b) == s)
+                # A posterior class is keyed by its gcd-reduced count pair,
+                # which fixes the Fraction pair, built once per class.
                 masses: dict = {}
                 for t in {**counts[0], **counts[1]}:
                     c0, c1 = counts[0].get(t, 0), counts[1].get(t, 0)
-                    key = (Fraction(c0, c0 + c1), Fraction(c1, c0 + c1))
+                    g = gcd(c0, c1)
+                    key = (c0 // g, c1 // g)
                     masses[key] = masses.get(key, 0) + c0 + c1
-                self._classes[(a, b)] = {k: Fraction(m, total) for k, m in masses.items()}
+                self._classes[(a, b)] = {
+                    (Fraction(k0, k0 + k1), Fraction(k1, k0 + k1)): Fraction(m, total)
+                    for (k0, k1), m in masses.items()
+                }
                 self._correct[(a, b)] = Fraction(good, total)
         self._block_cache: dict = {}
 
@@ -388,19 +395,26 @@ class BhmPsqm:
         return True
 
     def message_distribution(self, inst: BhmInstance) -> dict:
-        """Exact referee view: mixture of inner PSM transcripts, weighting
-        each distinct ``(u, v)``'s transcript counts by its total outcome
-        probability and dividing by the randomness count once at the end."""
-        weights: dict = {}
-        for prob, e, k, l, _vote in self.outcome_distribution(inst):
+        """Exact referee view: mixture of inner PSM transcripts.
+
+        Every outcome carries the same probability (checked), so each
+        distinct ``(u, v)``'s transcript counts are weighted by its integer
+        outcome multiplicity, and the outcome probability and the
+        randomness count are applied once per final transcript."""
+        outcomes = self.outcome_distribution(inst)
+        prob = outcomes[0][0]
+        multiplicity: dict = {}
+        for p, e, k, l, _vote in outcomes:
+            if p != prob:
+                raise ValueError(f"BHM outcomes are not equiprobable: {p} != {prob}")
             uv = self.psm_inputs(inst, e, k, l)
-            weights[uv] = weights.get(uv, 0) + prob
+            multiplicity[uv] = multiplicity.get(uv, 0) + 1
         out: dict = {}
-        for (u, v), w in weights.items():
+        for (u, v), w in multiplicity.items():
             for t, c in self._inner_counts(u, v).items():
                 out[t] = out.get(t, 0) + w * c
-        total = 1 << self.inner.randomness_bits
-        return {t: q / total for t, q in out.items()}
+        scale = prob / (1 << self.inner.randomness_bits)
+        return {t: q * scale for t, q in out.items()}
 
     @lru_cache(maxsize=4096)
     def _inner_counts(self, u: int, v: int) -> dict:

@@ -4,6 +4,8 @@ exhaustive correctness/security checks at small sizes."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdslab.classical import (
     IRREDUCIBLE,
@@ -77,24 +79,41 @@ def test_moduli_are_irreducible():
                 break
             assert _poly_mod(m, d) != 0 or d == m, (n, d)
 
+def _order_of_x(m: int) -> int:
+    power, k = _poly_mod(0b10, m), 1
+    while power != 1:
+        power, k = _poly_mod(power << 1, m), k + 1
+    return k
+
 def test_gf_mul_matches_polynomial_reduction():
-    for n in (2, 3, 5, 8):
+    # Every pair, for every degree up to 8.  Degree 8 (modulus 0x11B) is the
+    # one where X is not primitive, so its tables hang on a searched element.
+    assert _order_of_x(IRREDUCIBLE[8]) == 51
+    for n in range(1, 9):
         m = IRREDUCIBLE[n]
         for a in range(1 << n):
-            for b in (1, 3, (1 << n) - 1, a):
-                assert gf_mul(a, b, n) == _poly_mod(_poly_mul(a, b), m)
+            for b in range(1 << n):
+                assert gf_mul(a, b, n) == _poly_mod(_poly_mul(a, b), m), (n, a, b)
 
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.sampled_from([n for n in IRREDUCIBLE if n > 8]))
+def test_gf_mul_matches_polynomial_reduction_sampled(data, n):
+    a = data.draw(st.integers(0, (1 << n) - 1))
+    b = data.draw(st.integers(0, (1 << n) - 1))
+    assert gf_mul(a, b, n) == _poly_mod(_poly_mul(a, b), IRREDUCIBLE[n])
+
+# Inverses are judged by the reference product, so that one wrong table
+# shared by gf_mul and gf_inv cannot pass both checks.
 def test_gf_inverses_exhaustive_small():
     for n in range(1, 9):
         for a in range(1, 1 << n):
-            inv = gf_inv(a, n)
-            assert gf_mul(a, inv, n) == 1
+            assert _poly_mod(_poly_mul(a, gf_inv(a, n)), IRREDUCIBLE[n]) == 1, (n, a)
 
 def test_gf_inverses_sampled_large():
-    for n in (9, 11, 13, 16):
+    for n in range(9, 17):
         step = ((1 << n) - 3) // 17 or 1
-        for a in range(1, 1 << n, step):
-            assert gf_mul(a, gf_inv(a, n), n) == 1
+        for a in [*range(1, 1 << n, step), (1 << n) - 1]:
+            assert _poly_mod(_poly_mul(a, gf_inv(a, n)), IRREDUCIBLE[n]) == 1, (n, a)
 
 def test_gf_distributes():
     n = 6
@@ -107,6 +126,12 @@ def test_gf_distributes():
 def test_gf_rejects_out_of_range():
     with pytest.raises(ValueError):
         gf_mul(4, 1, 2)
+    with pytest.raises(ValueError):
+        gf_mul(1, 1, 17)
+    with pytest.raises(ValueError):
+        gf_inv(5, 2)
+    with pytest.raises(ValueError):
+        gf_inv(1, 17)
     with pytest.raises(ZeroDivisionError):
         gf_inv(0, 3)
 

@@ -92,10 +92,14 @@ def test_hybrid_rejects_bad_sizes():
         neq_promise_cdqs(3)
 
 def test_hybrid_tables_match_the_enumerated_distributions():
-    p = HybridNeqCdqs(4)
+    # n = 16 is the size the benchmark and the CLI build (a neq_cds(4) copy).
+    for n in (4, 16):
+        _check_hybrid_tables(HybridNeqCdqs(n))
+
+def _check_hybrid_tables(p):
     copy = p._copy
-    for a in range(4):
-        for b in range(4):
+    for a in range(p.n):
+        for b in range(p.n):
             dists = [enumerate_message_distribution(copy, a, b, s) for s in (0, 1)]
             classes: dict = {}
             correct = Fraction(0)
@@ -181,6 +185,16 @@ def test_bhm_message_distribution_matches_the_per_outcome_mixture():
             for t, q in enumerate_message_distribution(proto.inner, u, v).items():
                 expected[t] = expected.get(t, Fraction(0)) + prob * q
         assert proto.message_distribution(inst) == expected
+
+def test_bhm_message_distribution_refuses_unequal_outcome_probabilities(monkeypatch):
+    proto = bhm_psqm(2)
+    inst = bhm_instance(2, 0, seed=2)
+    outcomes = proto.outcome_distribution(inst)
+    prob, *rest = outcomes[-1]
+    skewed = outcomes[:-1] + [(prob * 2, *rest)]
+    monkeypatch.setattr(proto, "outcome_distribution", lambda _inst: skewed)
+    with pytest.raises(ValueError, match="equiprobable"):
+        proto.message_distribution(inst)
 
 def test_bhm_cost_scales_logarithmically():
     proto = bhm_psqm(8)  # 2n = 16 vertices -> 4 index bits
