@@ -17,10 +17,13 @@ the verifier asks of it:
 
 A dense :class:`CdqsProtocol` (named-subsystem channels for Alice and Bob
 plus a pure resource state, each one-dimensional when unused) answers them
-at its Choi state, so it stays small; a :class:`TranscriptCdqsProtocol`
-("classical transcript + one Pauli-padded qubit", stored as exact
-probability blocks) answers them exactly in rationals, so large classical
-registers stay cheap.
+at its Choi state, so it stays small.  The "classical transcript + one
+Pauli-padded qubit" shape answers them exactly in rationals, so large
+classical registers stay cheap: :func:`pad_counts` tabulates, per
+transcript, the integer counts of each pad key, and :class:`PadCounts`
+turns them into all three measures.  A decoder that returns None leaves
+the pad on, which decodes key 0 only.  :class:`TranscriptCdqsProtocol`
+and the hybrid protocol of :mod:`cdslab.quantum` both measure this way.
 
 Integer encodings: an ``n``-bit input is an integer in ``[0, 2^n)``; bit
 ``i`` of ``x`` is ``(x >> i) & 1``.  Shared randomness is an integer
@@ -42,6 +45,7 @@ bob_side_state(p, y)`` (no state holds ``Q``, ``L`` and ``R`` at once).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -485,27 +489,90 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TranscriptCdqsProtocol:
-    """CDQS protocols of the shape "classical transcript + padded qubit".
+class PadCounts:
+    """Integer counts of a secret padded by a classically disclosed key.
 
-    ``blocks(x, y)`` returns the exact joint distribution of the classical
-    transcript and the Pauli pad key as a list of
-    ``(probability: Fraction, transcript: hashable, pad_key: 0..3)``;
-    the message consists of the transcript plus the secret qubit padded by
-    ``X^{k1} Z^{k2}`` with ``k = 2*k1 + k2``.  ``decode_key(t, x, y)``
-    recovers the pad key from the transcript (None when it cannot).
+    The secret's half of a maximally entangled pair is padded by one of
+    ``K`` keys drawn uniformly, and a classical transcript goes with it.
+    ``vectors`` maps each key-count vector ``(c_0, ..., c_{K-1})``, the
+    draws of every key under one transcript, to the number of transcripts
+    that have it.  ``decoded`` counts the draws whose key the decoder
+    recovers, and ``total`` counts all draws.  For Pauli pads, where every
+    key sends the pair to its own Bell state, both measures are exact:
 
-    This exact block form keeps verification rational-arithmetic cheap even
-    when the classical registers are far too large for dense simulation.
+    * the entanglement fidelity is ``decoded / total``;
+    * ``|| rho_{QbarM} - pi (x) rho_M ||_1`` sums, per transcript, the l1
+      distance of the key posterior from uniform:
+      ``sum_v mult(v) sum_k |K c_k - sum(v)| / (K total)``.
     """
 
-    n: int
-    d_q: int
-    blocks: Callable[[int, int], Sequence[tuple]]
-    decode_key: Callable[[Hashable, int, int], Optional[int]]
+    vectors: Counter
+    decoded: int
+    total: int
+
+    def fidelity(self) -> Fraction:
+        return Fraction(self.decoded, self.total)
+
+    def distance(self) -> Fraction:
+        keys = len(next(iter(self.vectors)))
+        gap = sum(
+            mult * sum(abs(keys * c - sum(vec)) for c in vec)
+            for vec, mult in self.vectors.items()
+        )
+        return Fraction(gap, keys * self.total)
+
+    def square(self) -> "PadCounts":
+        """Two independent copies, keyed by pairs of this one's keys.
+
+        The tensor square of the count vectors; the pair decodes copy by
+        copy, as ``double_secret`` does when its copies return None
+        together (None still meaning key 0 in each).
+        """
+        vectors: Counter = Counter()
+        for v, m in self.vectors.items():
+            for w, n in self.vectors.items():
+                vectors[tuple(a * b for a in v for b in w)] += m * n
+        return PadCounts(vectors, self.decoded**2, self.total**2)
+
+
+def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
+    """The counts of :class:`PadCounts` for ``key_cds`` disclosing the pad
+    key, one :func:`transcript_counts` per key.  A decoder returning None
+    leaves the pad on (the identity unpad), which is right for key 0."""
+    keys = key_cds.secret_alphabet
+    per_transcript: dict = {}
+    for key in range(keys):
+        for t, c in transcript_counts(key_cds, x, y, key).items():
+            per_transcript.setdefault(t, [0] * keys)[key] += c
+    decoded = 0
+    for (ma, mb), vec in per_transcript.items():
+        key = key_cds.decoder(ma, x, mb, y)
+        decoded += vec[0 if key is None else key]
+    vectors = Counter(tuple(vec) for vec in per_transcript.values())
+    return PadCounts(vectors, decoded, keys << key_cds.randomness_bits)
+
+
+@dataclass(frozen=True)
+class TranscriptCdqsProtocol:
+    """The pad lift of a classical CDS hiding 2-bit keys, in transcript form.
+
+    The message is the classical transcript of ``key_cds`` plus the secret
+    qubit padded by ``X^{k1} Z^{k2}`` with ``k = 2*k1 + k2`` the disclosed
+    key; every measure is exact through :func:`pad_counts`, so
+    verification stays rational even when the classical registers are far
+    too large for dense simulation.
+    """
+
+    key_cds: CdsProtocol
     cost: CostReport
     construction: str = ""
     params: tuple = ()
+
+    d_q = 2
+
+    @property
+    def n(self) -> int:
+        return self.key_cds.n
 
     def decoding_distance(self, x: int, y: int) -> Fraction:
         """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
@@ -513,50 +580,12 @@ class TranscriptCdqsProtocol:
         return 2 * (1 - self.entanglement_fidelity(x, y))
 
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
-        """Exact decoded entanglement fidelity at one input.
-
-        Unpadding with the decoded key either restores the maximally entangled
-        state (key correct) or maps it to an orthogonal Bell state, so the
-        fidelity is the probability mass whose key is decoded correctly.
-        """
-        good = Fraction(0)
-        for prob, t, key in self.blocks(x, y):
-            if self.decode_key(t, x, y) == key:
-                good += prob
-        return good
+        """Exact decoded entanglement fidelity at one input."""
+        return pad_counts(self.key_cds, x, y).fidelity()
 
     def product_distance(self, x: int, y: int) -> Fraction:
-        """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1`` at one input.
-
-        Within each transcript block the padded half of the entangled pair
-        is a Bell-diagonal state with weights given by the pad-key
-        distribution; the product comparison state is the uniform Bell
-        mixture, so the block contributes an exact l1 distance between key
-        distributions.
-        """
-        per_transcript: dict = {}
-        for prob, t, key in self.blocks(x, y):
-            bucket = per_transcript.setdefault(t, [Fraction(0)] * 4)
-            bucket[key] += prob
-        dist = Fraction(0)
-        for weights in per_transcript.values():
-            block_total = sum(weights)
-            for w in weights:
-                dist += abs(w - block_total / 4)
-        return dist
-
-
-def transcript_block_checks(p: TranscriptCdqsProtocol, x: int, y: int) -> None:
-    """Validate that the block list at one input is a distribution."""
-    total = Fraction(0)
-    for prob, _t, key in p.blocks(x, y):
-        if prob < 0:
-            raise ValueError("negative block probability")
-        if not 0 <= int(key) < 4:
-            raise ValueError(f"pad key {key} outside 0..3")
-        total += prob
-    if total != 1:
-        raise ValueError(f"block probabilities sum to {total}, not 1")
+        """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1`` at one input."""
+        return pad_counts(self.key_cds, x, y).distance()
 
 
 # ---------------------------------------------------------------------------
@@ -659,33 +688,13 @@ def transcript_form(key_cds: CdsProtocol) -> TranscriptCdqsProtocol:
     """The same pad construction as :func:`classical_to_quantum_lift`, but
     kept in exact transcript form instead of dense channels.
 
-    Each block is one pad key and one distinct transcript ``(m_A, m_B)``
-    under it, with probability ``count / (4 * 2^randomness_bits)``; the
-    key is recovered by the classical decoder.  Agreement of the
-    resulting fidelity/distance with the dense lift is a cross-check,
-    and the rational form stays usable when the dense one would not fit.
+    Agreement of its fidelity and distances with the dense lift on every
+    input is a cross-check, and the rational form stays usable when the
+    dense one would not fit.
     """
-    cost = _pad_lift_cost(key_cds)
-
-    def blocks(x, y, _p=key_cds):
-        total = 4 << _p.randomness_bits
-        return [
-            (Fraction(c, total), t, key)
-            for key in range(4)
-            for t, c in transcript_counts(_p, x, y, key).items()
-        ]
-
-    def decode_key(t, x, y, _p=key_cds):
-        ma, mb = t
-        key = _p.decoder(ma, x, mb, y)
-        return None if key is None else int(key)
-
     return TranscriptCdqsProtocol(
-        n=key_cds.n,
-        d_q=2,
-        blocks=blocks,
-        decode_key=decode_key,
-        cost=cost,
+        key_cds=key_cds,
+        cost=_pad_lift_cost(key_cds),
         construction=f"pad_lift_transcript({key_cds.construction or 'anonymous'})",
         params=key_cds.params,
     )

@@ -210,10 +210,14 @@ class TwoProverProof:
         return self.purified_run(basis_state(s, (("Q", self.d_q),)), x, y)
 
     def system_names(self, x: int, y: int):
-        """Message-system and purifying-system names, in layout order."""
-        message = list(layout_names(self.protocol.alice_channel(x).output_layout))
-        message += list(layout_names(self.protocol.bob_channel(y).output_layout))
-        return message, ["EA", "EB"]
+        """Message-system and purifying-system names, in layout order, read
+        from the purifications (each appends its purifying register)."""
+        message, private = [], []
+        for iso in (self.alice_purification(x), self.bob_purification(y)):
+            names = layout_names(iso.output_layout)
+            message += names[:-1]
+            private.append(names[-1])
+        return message, private
 
     def communication_cost(self, x: int, y: int) -> dict:
         """Log-dimensions of everything the provers and Bob send, with the
@@ -372,7 +376,6 @@ class CheatResult:
     """Best cheating strategy found by the see-saw."""
 
     estimate: float
-    sigma: np.ndarray
     rounds: int
     converged: bool
     unconstrained: float
@@ -430,7 +433,6 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
         starts.append(guess / np.linalg.norm(guess))
 
     best = -1.0
-    best_sigma = None
     best_rounds = 0
     best_converged = False
     for w in starts:
@@ -446,12 +448,10 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
             current = nxt
         if current > best:
             best = current
-            best_sigma = w.T @ w.conj()
             best_rounds = rounds
             best_converged = converged
     return CheatResult(
         estimate=best,
-        sigma=best_sigma,
         rounds=best_rounds,
         converged=best_converged,
         unconstrained=unconstrained,

@@ -3,7 +3,8 @@
 Everything in this module reduces to counting: measurement outcome
 distributions come out of integer Walsh-Hadamard transforms, so all
 probabilities are exact rationals and the verification layer never sees
-floating-point noise.
+floating-point noise.  The hybrid protocol's padded qubit is measured by
+the framework's one padded-qubit rule, :func:`cdslab.framework.pad_counts`.
 
 Bit conventions match the classical module: an n-bit string is an integer
 with bit i equal to ``(x >> i) & 1``; inner products are ``(u & v)``
@@ -15,15 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, transcript_counts
-
-_QUARTER = Fraction(1, 4)
+from .framework import CostReport, pad_counts, transcript_counts
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +79,11 @@ class HybridNeqCdqs:
     qubit)``; Bob's is ``(b, CDS messages)`` — the outcomes travel with
     the messages because the referee needs the CDS input pair to decode.
 
-    Verification quantities are exact: per-(a, b) transcript statistics of
-    a single CDS copy are tabulated once, and both the decoded
-    entanglement fidelity and the distance from product factorize through
-    them because the two copies are conditionally independent given
-    ``(a, b)``.
+    Verification quantities are exact: both copies run on the same
+    ``(a, b)`` and are independent given it, so each pair's measures are
+    those of the tensor square of one copy's :func:`pad_counts`, tabulated
+    once.  On ``a = b`` nothing is disclosed and the referee's identity
+    unpad is right only for the zero key.
     """
 
     d_q = 2
@@ -95,35 +93,18 @@ class HybridNeqCdqs:
             raise ValueError("hybrid protocol needs a power-of-two string length >= 2")
         self.n = n
         self.m = n.bit_length() - 1
-        self._copy = neq_cds(self.m)
-        self.key_cds = double_secret(self._copy)
+        copy = neq_cds(self.m)
+        self.key_cds = double_secret(copy)
         self.construction = f"neq_promise_cdqs({n})"
         self.params = (("shortened_bits", self.m),)
-        total = 2 << self._copy.randomness_bits  # both secrets, every r
-        # Per shortened pair (a, b): the per-copy posterior classes
-        # {(P[key=0|t], P[key=1|t]) -> transcript mass} and the exact
-        # probability that the copy's decoder returns the right key bit.
-        self._classes: dict = {}
-        self._correct: dict = {}
+        # (a, b) -> the key pair's fidelity and distance from product
+        self._fidelity: dict = {}
+        self._distance: dict = {}
         for a in range(n):
             for b in range(n):
-                counts = [transcript_counts(self._copy, a, b, s) for s in (0, 1)]
-                good = sum(c for s in (0, 1) for (ma, mb), c in counts[s].items()
-                           if self._copy.decoder(ma, a, mb, b) == s)
-                # A posterior class is keyed by its gcd-reduced count pair,
-                # which fixes the Fraction pair, built once per class.
-                masses: dict = {}
-                for t in {**counts[0], **counts[1]}:
-                    c0, c1 = counts[0].get(t, 0), counts[1].get(t, 0)
-                    g = gcd(c0, c1)
-                    key = (c0 // g, c1 // g)
-                    masses[key] = masses.get(key, 0) + c0 + c1
-                self._classes[(a, b)] = {
-                    (Fraction(k0, k0 + k1), Fraction(k1, k0 + k1)): Fraction(m, total)
-                    for (k0, k1), m in masses.items()
-                }
-                self._correct[(a, b)] = Fraction(good, total)
-        self._block_cache: dict = {}
+                pair = pad_counts(copy, a, b).square()
+                self._fidelity[(a, b)] = pair.fidelity()
+                self._distance[(a, b)] = pair.distance()
 
     @property
     def cost(self) -> CostReport:
@@ -142,47 +123,18 @@ class HybridNeqCdqs:
         return 2 * (1 - self.entanglement_fidelity(x, y))
 
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
-        """Exact post-decoding entanglement fidelity with the reference.
-
-        Whenever ``a != b`` both CDS copies disclose their key bit with the
-        tabulated probability and the referee unpads; a wrongly decoded key
-        sends the entangled pair to an orthogonal Bell state.  On ``a = b``
-        outcomes nothing is disclosed and the referee's identity unpad is
-        right only for the zero key (probability 1/4).
-        """
-        fid = Fraction(0)
-        for (a, b), p in dj_shorten(x, y, self.n).items():
-            if a == b:
-                fid += p * _QUARTER
-            else:
-                c = self._correct[(a, b)]
-                fid += p * c * c
-        return fid
+        """Exact post-decoding entanglement fidelity with the reference."""
+        return self._averaged(self._fidelity, x, y)
 
     def product_distance(self, x: int, y: int) -> Fraction:
-        """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1``.
+        """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1``."""
+        return self._averaged(self._distance, x, y)
 
-        Within one transcript the padded qubit half of the entangled pair
-        is Bell-diagonal with weights equal to the key posterior, so each
-        transcript contributes the l1 distance between that posterior and
-        uniform; posteriors factorize across the two CDS copies.
-        """
-        dist = Fraction(0)
-        for (a, b), p in dj_shorten(x, y, self.n).items():
-            dist += p * self._block_distance(a, b)
-        return dist
-
-    def _block_distance(self, a: int, b: int) -> Fraction:
-        if (a, b) in self._block_cache:
-            return self._block_cache[(a, b)]
-        classes = self._classes[(a, b)]
-        total = Fraction(0)
-        for qs, w1 in classes.items():
-            for ps, w2 in classes.items():
-                gap = sum(abs(qa * qb - _QUARTER) for qa in qs for qb in ps)
-                total += w1 * w2 * gap
-        self._block_cache[(a, b)] = total
-        return total
+    def _averaged(self, table: dict, x: int, y: int) -> Fraction:
+        """A per-(a, b) measure averaged over the shortening outcomes."""
+        return sum(
+            (p * table[ab] for ab, p in dj_shorten(x, y, self.n).items()), Fraction(0)
+        )
 
 
 def neq_promise_cdqs(n: int) -> HybridNeqCdqs:
@@ -377,16 +329,14 @@ class BhmPsqm:
 
         Exact comparison across every (u, v) pair the instance can
         produce, grouped by the vote value.  The randomness-to-transcript
-        map is checked to be injective, in which case two transcript
-        distributions are equal exactly when their supports coincide;
-        otherwise the full distributions are compared.
+        map is injective (checked), so every transcript is equally likely
+        and two distributions are equal exactly when their supports
+        coincide.
         """
         reference: dict = {}
         for _, e, k, l, vote in self.outcome_distribution(inst):
             u, v = self.psm_inputs(inst, e, k, l)
             support = self._inner_support(u, v)
-            if support is None:  # non-uniform: compare exact distributions
-                support = tuple(sorted(self._inner_counts(u, v).items()))
             if vote in reference:
                 if reference[vote] != support:
                     return False
@@ -422,13 +372,15 @@ class BhmPsqm:
 
     @lru_cache(maxsize=8192)
     def _inner_support(self, u: int, v: int):
-        """Canonical transcript support when every transcript is equally likely.
+        """Canonical transcript support, every transcript equally likely.
 
         Vectorized replay of the inner-product messages over all shared
         randomness; a deterministic subsample of pairs is compared with
         :func:`transcript_counts` of the protocol's own message functions
-        to guard the fast path.  Returns None when the support is smaller
-        than the randomness space (non-uniform distribution).
+        to guard the fast path.  The map from ``r`` to the transcript is
+        injective (``r1 = ua ^ u``, ``r2 = vb ^ v``, ``r3 = aa ^ <u, r2>``),
+        and a replay with fewer transcripts than randomness values is
+        refused.
         """
         m = self.inner.n
         mask = np.uint32((1 << m) - 1)
@@ -460,7 +412,10 @@ class BhmPsqm:
             if reference != {int(t) for t in unique}:
                 raise AssertionError("vectorized transcript replay diverged")
         if len(unique) != len(r):
-            return None
+            raise AssertionError(
+                f"inner PSM at ({u}, {v}): {len(unique)} transcripts for {len(r)} "
+                "randomness values, so the replay is not injective"
+            )
         return unique.tobytes()
 
 

@@ -1,9 +1,11 @@
-"""Test-suite settings shared by every module."""
+"""Test-suite settings, and the reference oracle, shared by every module."""
 
 import atexit
 import shutil
 import tempfile
+from fractions import Fraction
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -18,3 +20,29 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 # database, so the suite stays deterministic.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+def _per_r_pad_measures(key_cds, x, y):
+    """Fidelity and product distance of the pad lift of a CDS hiding 2-bit
+    keys, one (pad key, randomness) draw at a time, with a Fraction key
+    posterior per transcript: the reference the padded-qubit rule of
+    ``framework.pad_counts`` is checked against."""
+    total = 4 << key_cds.randomness_bits
+    correct = 0
+    draws: dict = {}
+    for key in range(4):
+        for r in range(1 << key_cds.randomness_bits):
+            ma, mb = key_cds.message_a(x, key, r), key_cds.message_b(y, r)
+            decoded = key_cds.decoder(ma, x, mb, y)
+            correct += (0 if decoded is None else decoded) == key
+            draws.setdefault((ma, mb), [0] * 4)[key] += 1
+    distance = Fraction(0)
+    for counts in draws.values():
+        mass = Fraction(sum(counts), total)
+        distance += mass * sum(abs(Fraction(c, sum(counts)) - Fraction(1, 4)) for c in counts)
+    return Fraction(correct, total), distance
+
+
+@pytest.fixture
+def per_r_pad_measures():
+    return _per_r_pad_measures

@@ -1,7 +1,6 @@
 """Protocol containers, exact message enumeration, execution of quantum
 protocols, lifting, parallel repetition, and cost accounting."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -22,12 +21,12 @@ from cdslab.framework import (
     enumerate_message_distribution,
     joint_channel,
     mid_protocol_state,
+    pad_counts,
     parallel_repeat,
     protocol_cost,
     psm_decode_failure,
     psm_to_cds,
     run_cdqs,
-    transcript_block_checks,
     transcript_counts,
     transcript_form,
 )
@@ -182,7 +181,7 @@ def test_transcript_counts_needs_the_cds_secret():
 def test_budget_reaches_transcript_form_and_hybrid():
     # 52 and 26 randomness bits: refused before any enumeration starts
     with pytest.raises(ValueError, match="budget"):
-        transcript_form(double_secret(neq_cds(13))).blocks(0, 1)
+        transcript_form(double_secret(neq_cds(13))).entanglement_fidelity(0, 1)
     with pytest.raises(ValueError, match="budget"):
         neq_promise_cdqs(8192)
 
@@ -276,52 +275,73 @@ def test_pad_lift_budget_guard():
 # transcript-form protocols
 # ---------------------------------------------------------------------------
 
-def test_transcript_blocks_are_distributions():
-    p = transcript_form(double_secret(neq_cds(1)))
+def test_pad_counts_account_for_every_draw():
+    # per input: 4 keys times 16 randomness values, each in one transcript
+    key_cds = double_secret(neq_cds(1))
     for x in range(2):
         for y in range(2):
-            transcript_block_checks(p, x, y)
+            table = pad_counts(key_cds, x, y)
+            assert table.total == 4 << key_cds.randomness_bits
+            assert sum(m * sum(v) for v, m in table.vectors.items()) == table.total
+            assert all(len(v) == 4 and min(v) >= 0 for v in table.vectors)
+            assert 0 <= table.decoded <= table.total
 
 def test_transcript_methods_delegate():
     p = transcript_form(double_secret(neq_cds(1)))
     assert p.entanglement_fidelity(0, 1) == Fraction(1)
     assert p.product_distance(0, 0) == Fraction(0)
+    # nothing is disclosed at x = y: the identity unpad is right for key 0 only
+    assert p.entanglement_fidelity(1, 1) == Fraction(1, 4)
+    assert p.decoding_distance(1, 1) == Fraction(3, 2)
+
+def _assert_transcript_matches_dense(key_cds, tol):
+    exact = transcript_form(key_cds)
+    dense = classical_to_quantum_lift(key_cds)
+    for x in range(1 << key_cds.n):
+        for y in range(1 << key_cds.n):
+            for measure in ("entanglement_fidelity", "decoding_distance", "product_distance"):
+                want = getattr(dense, measure)(x, y)
+                got = getattr(exact, measure)(x, y)
+                assert abs(float(got) - want) < tol, (measure, x, y, got, want)
 
 def test_transcript_form_agrees_with_dense_lift():
-    key = double_secret(neq_cds(1))
-    exact = transcript_form(key)
-    dense = classical_to_quantum_lift(key)
-    for x in range(2):
-        for y in range(2):
-            fid = dense.entanglement_fidelity(x, y) if x != y else None
-            if fid is not None:
-                assert abs(float(exact.entanglement_fidelity(x, y)) - fid) < 1e-10
+    # every input, the hiding ones included, and all three measures
+    for key_cds in (double_secret(neq_cds(1)), double_secret(and_cds())):
+        _assert_transcript_matches_dense(key_cds, 1e-10)
 
-def _per_r_blocks(key_cds):
-    """One block per (pad key, randomness) draw, without merging transcripts."""
-    r_count = 1 << key_cds.randomness_bits
+@st.composite
+def _table_key_cds(draw):
+    """A one-bit-input CDS hiding 2-bit keys whose messages and decoder are
+    lookup tables; the decoder may return None (nothing disclosed)."""
+    rb = draw(st.integers(0, 2))
+    r_count = 1 << rb
+    letters = st.integers(0, 2)
+    table_a = draw(st.lists(letters, min_size=8 * r_count, max_size=8 * r_count))
+    table_b = draw(st.lists(letters, min_size=2 * r_count, max_size=2 * r_count))
+    keys = draw(st.lists(st.sampled_from([0, 1, 2, 3, None]), min_size=36, max_size=36))
+    return CdsProtocol(
+        n=1, randomness_bits=rb, secret_alphabet=4,
+        message_a=lambda x, s, r: table_a[(4 * x + s) * r_count + r],
+        message_b=lambda y, r: table_b[y * r_count + r],
+        decoder=lambda ma, x, mb, y: keys[((ma * 3 + mb) * 2 + x) * 2 + y],
+        message_bits_a=2, message_bits_b=2,
+    )
 
-    def blocks(x, y):
-        return [
-            (Fraction(1, 4 * r_count), (key_cds.message_a(x, key, r), key_cds.message_b(y, r)), key)
-            for key in range(4)
-            for r in range(r_count)
-        ]
-
-    return blocks
+@settings(max_examples=40, deadline=None)
+@given(key_cds=_table_key_cds())
+def test_transcript_form_agrees_with_dense_lift_on_random_key_cds(key_cds):
+    _assert_transcript_matches_dense(key_cds, 1e-12)
 
 @pytest.mark.parametrize(
     "key_cds", [double_secret(neq_cds(1)), double_secret(neq_cds(2)), double_secret(and_cds())]
 )
-def test_merged_transcript_blocks_measure_like_per_r_blocks(key_cds):
-    merged = transcript_form(key_cds)
-    per_r = dataclasses.replace(merged, blocks=_per_r_blocks(key_cds))
+def test_merged_transcript_blocks_measure_like_per_r_blocks(key_cds, per_r_pad_measures):
+    exact = transcript_form(key_cds)
     for x in range(1 << key_cds.n):
         for y in range(1 << key_cds.n):
-            transcript_block_checks(merged, x, y)
-            assert len(merged.blocks(x, y)) <= len(per_r.blocks(x, y))
-            assert merged.entanglement_fidelity(x, y) == per_r.entanglement_fidelity(x, y)
-            assert merged.product_distance(x, y) == per_r.product_distance(x, y)
+            fidelity, distance = per_r_pad_measures(key_cds, x, y)
+            assert exact.entanglement_fidelity(x, y) == fidelity
+            assert exact.product_distance(x, y) == distance
 
 def test_hybrid_exposes_the_same_exact_interface():
     p = neq_promise_cdqs(2)

@@ -2,13 +2,14 @@
 descriptions, two-prover proofs with honest and cheating strategies, and
 complementary decoding of hidden secrets."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cdslab import lowerbound as lb
-from cdslab.qcore import DensityMatrix, fidelity, maximally_mixed, partial_trace
+from cdslab.qcore import DensityMatrix, fidelity, layout_names, maximally_mixed, partial_trace
 from cdslab.toys import (
     always_one_function,
     depolarized,
@@ -238,6 +239,23 @@ def test_lifted_proof_respects_system_bounds():
     cost = tp.communication_cost(0, 0)
     assert cost["total"] <= cost["budget"] + 1e-9
     assert tp.system_bounds_ok(0, 0)
+
+
+def test_system_names_come_from_the_cached_purifications():
+    base = lifted_neq()
+    calls = []
+
+    def alice(x):
+        calls.append(x)
+        return base.alice_channel(x)
+
+    tp = lb.build_two_prover_proof(dataclasses.replace(base, alice_channel=alice), 1)
+    first = tp.system_names(0, 1)
+    assert tp.system_names(0, 1) == first and tp.system_names(0, 0) == first
+    assert calls == [0]  # the purification's own build, then only its cache
+    message = layout_names(base.alice_channel(0).output_layout)
+    message += layout_names(base.bob_channel(1).output_layout)
+    assert first == (list(message), ["EA", "EB"])
 
 
 def test_complementary_decode_perfect_hiding():

@@ -1,11 +1,16 @@
 """Deutsch-Jozsa shortening, the hybrid promise-NEQ protocol, and the
 hidden-matching PSQM with its inner product layer."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdslab.framework import enumerate_message_distribution
+from cdslab.classical import double_secret, ip_psm, neq_cds
+from cdslab.framework import enumerate_message_distribution, transcript_counts
 from cdslab.quantum import (
     BhmInstance,
     HybridNeqCdqs,
@@ -91,26 +96,52 @@ def test_hybrid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         neq_promise_cdqs(3)
 
-def test_hybrid_tables_match_the_enumerated_distributions():
-    # n = 16 is the size the benchmark and the CLI build (a neq_cds(4) copy).
-    for n in (4, 16):
-        _check_hybrid_tables(HybridNeqCdqs(n))
+def _per_r_copy_measures(copy, a, b):
+    """Fidelity and product distance of the pad lift of two independent
+    copies of a one-bit CDS, from one copy's per-r enumeration: the copy's
+    decoded mass squared, and the product of the copies' Fraction key
+    posteriors, grouped by posterior."""
+    total = 2 << copy.randomness_bits
+    correct = 0
+    draws: dict = {}
+    for s in (0, 1):
+        for r in range(1 << copy.randomness_bits):
+            ma, mb = copy.message_a(a, s, r), copy.message_b(b, r)
+            decoded = copy.decoder(ma, a, mb, b)
+            correct += (0 if decoded is None else decoded) == s
+            draws.setdefault((ma, mb), [0, 0])[s] += 1
+    classes: dict = {}
+    for c0, c1 in draws.values():
+        key = (Fraction(c0, c0 + c1), Fraction(c1, c0 + c1))
+        classes[key] = classes.get(key, 0) + c0 + c1
+    distance = Fraction(0)
+    for q, wq in classes.items():
+        for p, wp in classes.items():
+            gap = sum(abs(qa * pb - Fraction(1, 4)) for qa in q for pb in p)
+            distance += Fraction(wq * wp, total * total) * gap
+    return Fraction(correct, total) ** 2, distance
 
-def _check_hybrid_tables(p):
-    copy = p._copy
-    for a in range(p.n):
-        for b in range(p.n):
-            dists = [enumerate_message_distribution(copy, a, b, s) for s in (0, 1)]
-            classes: dict = {}
-            correct = Fraction(0)
-            for t in set(dists[0]) | set(dists[1]):
-                p0, p1 = (d.get(t, Fraction(0)) for d in dists)
-                key = (p0 / (p0 + p1), p1 / (p0 + p1))
-                classes[key] = classes.get(key, Fraction(0)) + (p0 + p1) / 2
-                decoded = copy.decoder(t[0], a, t[1], b)
-                correct += sum(q / 2 for s, q in enumerate((p0, p1)) if decoded == s)
-            assert p._classes[(a, b)] == classes
-            assert p._correct[(a, b)] == correct
+def _check_hybrid_against(p, pair_measures, inputs):
+    for x, y in inputs:
+        shortened = dj_shorten(x, y, p.n)
+        fidelity = sum((q * pair_measures[ab][0] for ab, q in shortened.items()), Fraction(0))
+        distance = sum((q * pair_measures[ab][1] for ab, q in shortened.items()), Fraction(0))
+        assert p.entanglement_fidelity(x, y) == fidelity, (x, y)
+        assert p.product_distance(x, y) == distance, (x, y)
+
+def test_hybrid_tables_match_the_enumerated_distributions(per_r_pad_measures):
+    # n = 4: every input pair, against the doubled CDS enumerated per r
+    key_cds = double_secret(neq_cds(2))
+    pairs = {(a, b): per_r_pad_measures(key_cds, a, b) for a in range(4) for b in range(4)}
+    _check_hybrid_against(HybridNeqCdqs(4), pairs, [(x, y) for x in range(16) for y in range(16)])
+    # n = 16, the size the benchmark and the CLI build: one neq_cds(4) copy
+    # enumerated per r, on equal, promise and unpromised pairs
+    copy = neq_cds(4)
+    pairs = {(a, b): _per_r_copy_measures(copy, a, b) for a in range(16) for b in range(16)}
+    rng = random.Random(16)
+    inputs = [(x, x) for x in (0, 0xBEEF)] + [(0xAAAA, 0xAAAA ^ 0xFF00)]
+    inputs += [(rng.getrandbits(16), rng.getrandbits(16)) for _ in range(12)]
+    _check_hybrid_against(HybridNeqCdqs(16), pairs, inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +205,21 @@ def test_bhm_inner_layer_secure():
     proto = bhm_psqm(2)
     inst = bhm_instance(2, 0, seed=2)
     assert proto.inner_layer_secure(inst)
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ip_psm_randomness_to_transcript_map_is_injective(data):
+    # what BhmPsqm's support comparison rests on: every transcript has one r
+    m = data.draw(st.integers(1, 4))
+    u = data.draw(st.integers(0, (1 << m) - 1))
+    v = data.draw(st.integers(0, (1 << m) - 1))
+    assert set(transcript_counts(ip_psm(m), u, v).values()) == {1}
+
+def test_bhm_inner_support_refuses_a_collapsed_replay(monkeypatch):
+    proto = bhm_psqm(2)
+    monkeypatch.setattr(np, "unique", lambda arr: arr[:1])
+    with pytest.raises(AssertionError, match="not injective"):
+        proto._inner_support(1, 2)
 
 def test_bhm_message_distribution_matches_the_per_outcome_mixture():
     for n, seed in ((2, 2), (3, 5)):

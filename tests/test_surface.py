@@ -51,7 +51,6 @@ KEEP = {
     "run_cdqs": "executes a protocol on an explicit secret; oracle for mid_protocol_state",
     "system_bounds_ok": "purification-dimension bounds of the two-prover proof",
     "table_psm": "generic PSM for any small function, input of psm_to_cds",
-    "transcript_block_checks": "validates transcript blocks independently of their consumers",
     "transcript_form": "exact rational twin of the dense pad lift, its cross-check",
 }
 
