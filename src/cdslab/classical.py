@@ -181,11 +181,15 @@ def neq_cds(n: int) -> CdsProtocol:
         a, b = split(r)
         return gf_mul(a, y, n) ^ b
 
+    @cache
+    def inverse(d):  # at most 2^n - 1 distinct x ^ y per protocol
+        return gf_inv(d, n)
+
     def decoder(m_a, x, m_b, y):
         if x == y:
             return None
         u, c = m_a
-        a = gf_mul(u ^ m_b, gf_inv(x ^ y, n), n)
+        a = gf_mul(u ^ m_b, inverse(x ^ y), n)
         return c ^ (a & 1)
 
     return CdsProtocol(

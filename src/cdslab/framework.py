@@ -49,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
@@ -76,7 +76,8 @@ ENUMERATION_BUDGET_BITS = 24
 DENSE_DIMENSION_BUDGET = 4096
 
 #: qubit pad operators X^{k1} Z^{k2} indexed by k = 2*k1 + k2
-PAD_OPERATORS = (PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["X"] @ PAULI["Z"])
+PAD_OPERATORS = np.array((PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["X"] @ PAULI["Z"]))
+_UNPADS = PAD_OPERATORS.conj().transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,44 +382,34 @@ def joint_channel(p: CdqsProtocol, x: int, y: int) -> QuantumChannel:
     return channel_from_choi(j.entries, (("Q", p.d_q),), msg_layout)
 
 
-def _regroup_matrix(dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Permutation matrix sending basis order ``dims`` to ``dims[perm]``."""
-    dims = tuple(dims)
-    d = math.prod(dims)
-    src = np.arange(d)
-    digits = np.array(np.unravel_index(src, dims))
-    new_dims = [dims[p] for p in perm]
-    dst = np.ravel_multi_index([digits[p] for p in perm], new_dims)
-    mat = np.zeros((d, d))
-    mat[dst, src] = 1.0
-    return mat
-
-def _interleave(k: int) -> list[int]:
-    # (a1..ak, b1..bk) -> (a1, b1, a2, b2, ...)
-    out = []
-    for i in range(k):
-        out.extend([i, k + i])
-    return out
-
-def _kron_power(ops, k: int) -> list:
-    """All ``k``-fold Kronecker products of ``ops``, the first factor slowest."""
-    out = [np.eye(1)]
-    for _ in range(k):
-        out = [np.kron(a, b) for a in out for b in ops]
+def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
+    """The ``k``-fold Kronecker products of a stack of shape ``(r, d_out,
+    d_in)``, as one stack of shape ``(r^k, d_out^k, d_in^k)`` with the first
+    factor slowest in every index: one broadcast product per factor, the
+    elementwise products ``np.kron`` takes."""
+    out = stack
+    for _ in range(k - 1):
+        (a, ao, ai), (b, bo, bi) = out.shape, stack.shape
+        out = (out[:, None, :, None, :, None] * stack[None, :, None, :, None, :]).reshape(
+            a * b, ao * bo, ai * bi
+        )
     return out
 
 def _kron_repeat(channel: QuantumChannel, k: int, in_dims, in_layout, out_layout):
     """k-fold product of a channel whose input has two registers.
 
-    Input registers group as (first^k, second^k); the single output
-    register groups as out^k.
+    The Kraus operators are the ``k``-fold Kronecker products of the
+    channel's, the first factor slowest, with their input axes regrouped
+    from ``(a1, b1, ..., ak, bk)`` to ``(a1..ak, b1..bk)`` by one reshape
+    and transpose; the single output register groups as out^k.
     """
     da, db = in_dims
-    perm = _interleave(k)
-    p_in = _regroup_matrix([da] * k + [db] * k, perm)
-    kraus = [op @ p_in for op in _kron_power(channel.kraus_operators, k)]
-    ch = QuantumChannel(kraus, in_layout, out_layout, validate=False)
-    if len(kraus) > ch.dim_in * ch.dim_out:
+    power = _kron_power(channel.kraus_stack, k)
+    count, dout, din = power.shape
+    grouped = list(range(2, 2 * k + 2, 2)) + list(range(3, 2 * k + 3, 2))
+    kraus = power.reshape((count, dout) + (da, db) * k).transpose([0, 1] + grouped)
+    ch = QuantumChannel(kraus.reshape(count, dout, din), in_layout, out_layout, validate=False)
+    if count > ch.dim_in * ch.dim_out:
         ch = canonical_kraus(ch)
     return ch
 
@@ -433,8 +424,12 @@ def _check_dense_dimension(what: str, dim: int) -> None:
 def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     """Independent k-fold parallel composition (secret dimension ``d_q^k``).
 
-    Costs scale exactly by ``k``; correctness and security of the result
-    are measured, not assumed.
+    Every Kraus family of the result is the ``k``-fold Kronecker power of
+    the original's stack, the first copy slowest, built as one stack; the
+    two-register inputs of Alice and the decoder, and the resource's
+    ``(L, R)`` pairs, are regrouped copy-major by one reshape and
+    transpose.  Costs scale exactly by ``k``; correctness and security of
+    the result are measured, not assumed.
     """
     if k < 1:
         raise ValueError("repetition count must be >= 1")
@@ -445,9 +440,11 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     dr = layout_dim(p.resource.layout[1:])
     _check_dense_dimension(f"parallel_repeat({k}) mid-state", (p.d_q * da * db) ** k)
 
-    amps = _kron_power([p.resource.amplitudes], k)[0].reshape(-1)
-    regroup = _regroup_matrix([dl, dr] * k, [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)])
-    resource = StateVector(regroup @ amps, (("L", dl**k), ("R", dr**k)), validate=False)
+    amps = _kron_power(p.resource.amplitudes.reshape(1, 1, -1), k).reshape((dl, dr) * k)
+    grouped = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
+    resource = StateVector(
+        amps.transpose(grouped).reshape(-1), (("L", dl**k), ("R", dr**k)), validate=False
+    )
 
     def alice(x, _p=p, _k=k, _dl=dl):
         base = _p.alice_channel(x)
@@ -458,9 +455,11 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
 
     def bob(y, _p=p, _k=k):
         base = _p.bob_channel(y)
-        ops = _kron_power(base.kraus_operators, _k)
         return QuantumChannel(
-            ops, (("R", base.dim_in**_k),), (("MB", base.dim_out**_k),), validate=False
+            _kron_power(base.kraus_stack, _k),
+            (("R", base.dim_in**_k),),
+            (("MB", base.dim_out**_k),),
+            validate=False,
         )
 
     def decoder(x, y, _p=p, _k=k, _da=da, _db=db):
@@ -633,43 +632,39 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
         validate=False,
     )
 
+    rs = np.arange(r_count)
+
     def alice(x, _p=key_cds):
-        kraus = []
-        for r in range(r_count):
-            sel = np.zeros((1, r_count))
-            sel[0, r] = 1.0
-            for key in range(4):
-                col = np.zeros((dim_a, 1))
-                col[ma_index[_p.message_a(x, key, r)], 0] = 1.0
-                op = np.kron(np.kron(col, PAD_OPERATORS[key]), sel) / 2.0
-                kraus.append(op)
+        # Kraus (r, key), r slowest: pad / 2 from Q to Qs, |message_a><r| from L to MAc
+        msg = [[ma_index[_p.message_a(x, key, r)] for key in range(4)] for r in range(r_count)]
+        kraus = np.zeros((r_count, 4, dim_a, 2, 2, r_count), dtype=complex)
+        kraus[rs[:, None], np.arange(4), msg, :, :, rs[:, None]] = PAD_OPERATORS / 2.0
         return QuantumChannel(
-            kraus, (("Q", 2), ("L", r_count)), (("MAc", dim_a), ("Qs", 2)), validate=False
+            kraus.reshape(4 * r_count, 2 * dim_a, 2 * r_count),
+            (("Q", 2), ("L", r_count)),
+            (("MAc", dim_a), ("Qs", 2)),
+            validate=False,
         )
 
     def bob(y, _p=key_cds):
-        kraus = []
-        for r in range(r_count):
-            sel = np.zeros((1, r_count))
-            sel[0, r] = 1.0
-            col = np.zeros((dim_b, 1))
-            col[mb_index[_p.message_b(y, r)], 0] = 1.0
-            kraus.append(col @ sel)
+        # Kraus r: |message_b><r| from R to MBc
+        kraus = np.zeros((r_count, dim_b, r_count), dtype=complex)
+        kraus[rs, [mb_index[_p.message_b(y, r)] for r in range(r_count)], rs] = 1.0
         return QuantumChannel(kraus, (("R", r_count),), (("MBc", dim_b),), validate=False)
 
     def decoder(x, y, _p=key_cds):
-        kraus = []
-        for i, ma in enumerate(ma_space):
-            row_a = np.zeros((1, dim_a))
-            row_a[0, i] = 1.0
-            for j, mb in enumerate(mb_space):
-                row_b = np.zeros((1, dim_b))
-                row_b[0, j] = 1.0
-                key = _p.decoder(ma, x, mb, y)
-                unpad = PAULI["I"] if key is None else PAD_OPERATORS[int(key)].conj().T
-                kraus.append(np.kron(np.kron(row_a, unpad), row_b))
+        # Kraus (m_a, m_b), m_a slowest: <m_a| (x) unpad (x) <m_b|, the identity
+        # unpad when nothing is disclosed
+        keys = [_p.decoder(ma, x, mb, y) for ma in ma_space for mb in mb_space]
+        unpads = _UNPADS[[0 if key is None else int(key) for key in keys]]
+        ia, ib = np.arange(dim_a)[:, None], np.arange(dim_b)
+        kraus = np.zeros((dim_a, dim_b, 2, dim_a, 2, dim_b), dtype=complex)
+        kraus[ia, ib, :, ia, :, ib] = unpads.reshape(dim_a, dim_b, 2, 2)
         return QuantumChannel(
-            kraus, (("MAc", dim_a), ("Qs", 2), ("MBc", dim_b)), (("Q", 2),), validate=False
+            kraus.reshape(dim_a * dim_b, 2, 2 * dim_a * dim_b),
+            (("MAc", dim_a), ("Qs", 2), ("MBc", dim_b)),
+            (("Q", 2),),
+            validate=False,
         )
 
     return CdqsProtocol(

@@ -13,6 +13,13 @@ Trace preservation is one product ``sum_k K_k^+ K_k``, application runs in
 blocks of stacked operators, and the minimal Kraus family comes from the
 thin SVD of ``A``, so no Choi matrix is formed for it.
 
+Kraus families are built the same way: every dense builder (the pad lift
+and parallel repetition in :mod:`cdslab.framework`, the Petz map and the
+decoder search in :mod:`cdslab.qcore.optimize`, the noisy toys) writes one
+``(r, dim_out, dim_in)`` array by indexing, broadcasting or batched
+products, in a fixed Kraus order stated where it is built, and hands it to
+:class:`QuantumChannel` whole.  ``kraus_operators`` are views of its rows.
+
 Choi convention: ``choi_state(n)`` is the normalised state
 ``(n (x) id)(|phi+><phi+|)`` with layout ``output_layout + reference``,
 where the reference subsystems are fresh-named copies of the inputs and the
@@ -59,8 +66,9 @@ class QuantumChannel:
 
     Parameters
     ----------
-    kraus_operators : sequence of array_like
-        Each of shape ``(dim_out, dim_in)``.
+    kraus_operators : array_like
+        A stack of shape ``(r, dim_out, dim_in)``, or a sequence of ``r``
+        operators of that shape; copied.
     input_layout, output_layout : iterable of (name, dim)
     validate : bool
         When True (default) enforce ``sum_k K_k^+ K_k = I`` within 1e-9.
@@ -79,10 +87,10 @@ class QuantumChannel:
         in_lt = as_layout(input_layout)
         out_lt = as_layout(output_layout)
         din, dout = layout_dim(in_lt), layout_dim(out_lt)
-        ops = [np.asarray(k, dtype=complex).reshape(dout, din) for k in kraus_operators]
-        if not ops:
+        stack = np.array(kraus_operators, dtype=complex)
+        if not len(stack):
             raise ValueError("channel needs at least one Kraus operator")
-        stack = np.stack(ops)
+        stack = stack.reshape(len(stack), dout, din)
         stack.flags.writeable = False
         if validate:
             rows = stack.reshape(-1, din)                    # (k, out) x in
@@ -107,7 +115,7 @@ class QuantumChannel:
 
     def __repr__(self):
         return (
-            f"QuantumChannel({len(self.kraus_operators)} Kraus, "
+            f"QuantumChannel({len(self.kraus_stack)} Kraus, "
             f"in={self.input_layout}, out={self.output_layout})"
         )
 
@@ -134,9 +142,6 @@ class Isometry:
     def __setattr__(self, *_):
         raise AttributeError("Isometry is immutable")
 
-    def as_channel(self) -> QuantumChannel:
-        return QuantumChannel([self.matrix], self.input_layout, self.output_layout, validate=False)
-
     def __repr__(self):
         return f"Isometry(in={self.input_layout}, out={self.output_layout})"
 
@@ -154,13 +159,14 @@ def identity_channel(layout) -> QuantumChannel:
 # application with identity padding
 # ---------------------------------------------------------------------------
 
-def _application_plan(state_layout: Layout, channel: QuantumChannel):
-    """Shared layout bookkeeping for applying a channel/isometry to a subset.
+def _application_plan(state_layout: Layout, channel):
+    """Shared layout bookkeeping for applying a channel or an isometry (any
+    object with an ``input_layout`` and an ``output_layout``) to a subset.
 
-    Returns ``(perm, untouched, new_layout)`` where ``perm`` reorders the
-    state so consumed subsystems come first in channel-input order, and
-    ``new_layout`` splices the channel outputs where the first consumed
-    subsystem used to sit.
+    Returns ``(perm, untouched, insert_at, new_layout)`` where ``perm``
+    reorders the state so consumed subsystems come first in channel-input
+    order, and ``new_layout`` splices the channel outputs in at position
+    ``insert_at``, where the first consumed subsystem used to sit.
     """
     in_names = layout_names(channel.input_layout)
     positions = layout_positions(state_layout, in_names)
@@ -242,7 +248,7 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
 
 def apply_isometry(iso: Isometry, psi: StateVector) -> StateVector:
     """Apply an isometry to the named subsystems of a pure state."""
-    perm, untouched, insert_at, new_layout = _application_plan(psi.layout, iso.as_channel())
+    perm, untouched, insert_at, new_layout = _application_plan(psi.layout, iso)
     dims = layout_dims(psi.layout)
     amps = psi.amplitudes.reshape(dims).transpose(perm)
     din = layout_dim(iso.input_layout)

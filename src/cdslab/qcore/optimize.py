@@ -36,24 +36,16 @@ def petz_recovery(channel: QuantumChannel) -> QuantumChannel:
     achievable one, hence 1 when the best is 1).
     """
     din = channel.dim_in
-    dout = channel.dim_out
-    s = np.zeros((dout, dout), dtype=complex)
-    for k in channel.kraus_operators:
-        s += k @ k.conj().T / din
+    stack = channel.kraus_stack
+    side_by_side = stack.transpose(1, 0, 2).reshape(channel.dim_out, -1)    # [K_1 ... K_r]
+    s = side_by_side @ side_by_side.conj().T / din
     vals, vecs = np.linalg.eigh((s + s.conj().T) / 2)
-    inv_root = np.zeros_like(s)
-    kernel = []
-    for j, lam in enumerate(vals):
-        if lam > 1e-12:
-            inv_root += (1.0 / np.sqrt(lam)) * np.outer(vecs[:, j], vecs[:, j].conj())
-        else:
-            kernel.append(vecs[:, j])
-    kraus = [(k.conj().T @ inv_root) / np.sqrt(din) for k in channel.kraus_operators]
-    for b in kernel:
-        # complete trace preservation on the unreachable part of the output space
-        k = np.zeros((din, dout), dtype=complex)
-        k[0, :] = b.conj()
-        kraus.append(k)
+    live = vals > 1e-12
+    inv_root = (vecs[:, live] / np.sqrt(vals[live])) @ vecs[:, live].conj().T
+    # complete trace preservation on the unreachable part of the output space
+    kernel = np.zeros((np.count_nonzero(~live), din, channel.dim_out), dtype=complex)
+    kernel[:, 0, :] = vecs[:, ~live].T.conj()
+    kraus = np.concatenate([stack.conj().transpose(0, 2, 1) @ inv_root / np.sqrt(din), kernel])
     return QuantumChannel(kraus, channel.output_layout, channel.input_layout)
 
 
@@ -70,13 +62,11 @@ class DecoderResult:
 
 def _stinespring_matrix(decoder: QuantumChannel, denv: int) -> np.ndarray:
     """Embed a channel's Kraus family into a (dq*denv, m) isometry matrix."""
-    dq = decoder.dim_out
-    m = decoder.dim_in
+    count, dq, m = decoder.kraus_stack.shape
+    if count > denv:
+        raise ValueError("environment too small for the Kraus family")
     w = np.zeros((dq, denv, m), dtype=complex)
-    for e, k in enumerate(decoder.kraus_operators):
-        if e >= denv:
-            raise ValueError("environment too small for the Kraus family")
-        w[:, e, :] = k
+    w[:, :count, :] = decoder.kraus_stack.transpose(1, 0, 2)
     return w.reshape(dq * denv, m)
 
 def _overlap_vectors(w_mat, s_tensor, target_vecs, dq, denv, d_ref, d_p):
@@ -116,23 +106,18 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
     if layout_dim(channel.input_layout) != layout_dim(target.input_layout):
         raise ValueError("channel and target must share the input dimension")
     minimal = canonical_kraus(channel)
-    kraus = minimal.kraus_operators
-    m = channel.dim_out
-    dq_in = channel.dim_in
+    kraus = minimal.kraus_stack
+    d_p, m, dq_in = kraus.shape
     dq_out = target.dim_out
-    d_p = len(kraus)
     petz = petz_recovery(minimal)
     # extreme CPTP maps have Kraus rank <= input dimension, so an environment
     # of size m loses nothing; the Petz seed may carry a few more operators
-    denv = max(1, m, len(petz.kraus_operators))
+    denv = max(1, m, len(petz.kraus_stack))
 
     # purification of (channel (x) id)(phi+): s[mu, r, p]
-    s_tensor = np.zeros((m, dq_in, d_p), dtype=complex)
-    for p, k in enumerate(kraus):
-        s_tensor[:, :, p] = k / np.sqrt(dq_in)
-    s_tensor = s_tensor.reshape(m, dq_in * d_p)
+    s_tensor = (kraus.transpose(1, 2, 0) / np.sqrt(dq_in)).reshape(m, dq_in * d_p)
 
-    target_vecs = [t.reshape(-1) / np.sqrt(dq_in) for t in target.kraus_operators]
+    target_vecs = target.kraus_stack.reshape(len(target.kraus_stack), -1) / np.sqrt(dq_in)
 
     def objective(w_mat):
         ts = _overlap_vectors(w_mat, s_tensor, target_vecs, dq_out, denv, dq_in, d_p)
@@ -181,15 +166,13 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
         if val > best_val:
             best_val, best_w, best_rounds, best_conv = val, w, rounds, conv
 
-    cube = best_w.reshape(dq_out, denv, m)
-    ops = [cube[:, e, :] for e in range(denv) if float(np.abs(cube[:, e, :]).max()) > 1e-14]
-    if not ops:
-        ops = [cube[:, 0, :]]
-    decoder = canonical_kraus(
-        QuantumChannel(ops, channel.output_layout, target.output_layout)
-    )
+    ops = best_w.reshape(dq_out, denv, m).transpose(1, 0, 2)
+    live = np.abs(ops).max(axis=(1, 2)) > 1e-14
+    ops = ops[live] if live.any() else ops[:1]
+    decoder = canonical_kraus(QuantumChannel(ops, channel.output_layout, target.output_layout))
+    # Kraus (j, p), j slowest: D_j K_p
     composed = QuantumChannel(
-        [dj @ kp for dj in decoder.kraus_operators for kp in kraus],
+        (decoder.kraus_stack[:, None] @ kraus[None]).reshape(-1, dq_out, dq_in),
         channel.input_layout,
         target.output_layout,
         validate=False,

@@ -185,14 +185,15 @@ class BhmInstance:
             raise ValueError("promised_value must be 0 or 1")
 
     def mx(self) -> int:
-        out = 0
-        for k, (i, j) in enumerate(self.matching):
-            out |= (((self.x >> i) ^ (self.x >> j)) & 1) << k
-        return out
+        return _matching_parities(self.x, self.matching)
 
-    def edge_bit(self, k: int) -> int:
-        """The target bit (Mx xor w)_k of edge k."""
-        return ((self.mx() ^ self.w) >> k) & 1
+
+def _matching_parities(x: int, matching) -> int:
+    """``Mx``: bit ``k`` is ``x_i xor x_j`` for the k-th matching edge ``(i, j)``."""
+    out = 0
+    for k, (i, j) in enumerate(matching):
+        out |= (((x >> i) ^ (x >> j)) & 1) << k
+    return out
 
 
 def bhm_instance(n: int, target_value: int, seed: int) -> BhmInstance:
@@ -221,11 +222,9 @@ def bhm_instance(n: int, target_value: int, seed: int) -> BhmInstance:
     noise = 0
     for p in positions:
         noise |= 1 << int(p)
-    mx = 0
-    for k, (i, j) in enumerate(matching):
-        mx |= (((x >> i) ^ (x >> j)) & 1) << k
     return BhmInstance(
-        n=n, x=x, matching=matching, w=mx ^ noise, promised_value=target_value
+        n=n, x=x, matching=matching, w=_matching_parities(x, matching) ^ noise,
+        promised_value=target_value,
     )
 
 
@@ -298,9 +297,10 @@ class BhmPsqm:
             raise ValueError("instance size does not match the protocol")
         per_edge = Fraction(1, self.n)
         per_outcome = per_edge * Fraction(2, self.padded * self.padded)
+        mx = inst.mx()
         out = []
         for e, (i, j) in enumerate(inst.matching):
-            d = ((inst.x >> i) ^ (inst.x >> j)) & 1
+            d = (mx >> e) & 1
             c = i ^ j
             for k in range(self.padded):
                 for l in range(self.padded):
@@ -313,15 +313,15 @@ class BhmPsqm:
 
     def vote_identity_holds(self, inst: BhmInstance) -> bool:
         """Decoded vote == (Mx xor w)_edge for every nonzero outcome."""
+        target = inst.mx() ^ inst.w
         return all(
-            vote == inst.edge_bit(e) for _, e, _k, _l, vote in self.outcome_distribution(inst)
+            vote == ((target >> e) & 1) for _, e, _k, _l, vote in self.outcome_distribution(inst)
         )
 
     def correctness_probability(self, inst: BhmInstance) -> Fraction:
         """Exact single-shot probability that the vote equals the value."""
-        agree = sum(
-            1 for e in range(self.n) if inst.edge_bit(e) == inst.promised_value
-        )
+        target = inst.mx() ^ inst.w
+        agree = sum(1 for e in range(self.n) if ((target >> e) & 1) == inst.promised_value)
         return Fraction(agree, self.n)
 
     def inner_layer_secure(self, inst: BhmInstance) -> bool:

@@ -127,14 +127,18 @@ def depolarized(base: CdqsProtocol, strength: float) -> CdqsProtocol:
     """
     if not 0 <= strength <= 1:
         raise ValueError("depolarizing strength must lie in [0, 1]")
-    noise = _partial_depolarize_channel(strength).kraus_operators
+    noise = _partial_depolarize_channel(strength).kraus_stack
 
     def alice(x, _base=base):
         ch = _base.alice_channel(x)
-        d_rest = ch.dim_in // 2
-        pre = [np.kron(d, np.eye(d_rest)) for d in noise]
-        kraus = [k @ p for k in ch.kraus_operators for p in pre]
-        return QuantumChannel(kraus, ch.input_layout, ch.output_layout, validate=False)
+        # Kraus (k, p), k slowest: K_k (N_p (x) I), the noise on the leading Q
+        count, dout, din = ch.kraus_stack.shape
+        kraus = np.einsum(
+            "koqt,pqa->kpoat", ch.kraus_stack.reshape(count, dout, 2, din // 2), noise
+        )
+        return QuantumChannel(
+            kraus.reshape(-1, dout, din), ch.input_layout, ch.output_layout, validate=False
+        )
 
     return CdqsProtocol(
         n=base.n,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdslab import classical
 from cdslab.classical import (
     IRREDUCIBLE,
     and_cds,
@@ -27,6 +28,7 @@ from cdslab.framework import (
     protocol_cost,
     psm_decode_failure,
 )
+from cdslab.verifier import cds_verify
 
 # hand-computed multiplication table of GF(4) with modulus x^2+x+1
 # (elements 0..3, 2 = x, 3 = x+1)
@@ -188,6 +190,19 @@ def test_neq_cds_exhaustive_correct_and_secure():
                     d0 = enumerate_message_distribution(p, x, y, 0)
                     d1 = enumerate_message_distribution(p, x, y, 1)
                     assert d0 == d1
+
+def test_neq_cds_inverts_each_difference_once(monkeypatch):
+    calls = []
+
+    def counted(a, n):
+        calls.append(a)
+        return gf_inv(a, n)
+
+    monkeypatch.setattr(classical, "gf_inv", counted)
+    report = cds_verify(neq_cds(3), neq_function(3))
+    assert report.epsilon_hat == 0
+    # one inverse per distinct nonzero x ^ y in GF(8), each computed once
+    assert sorted(calls) == list(range(1, 8))
 
 def test_neq_cds_cost():
     cost = protocol_cost(neq_cds(4))

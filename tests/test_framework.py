@@ -1,6 +1,7 @@
 """Protocol containers, exact message enumeration, execution of quantum
 protocols, lifting, parallel repetition, and cost accounting."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -32,17 +33,26 @@ from cdslab.framework import (
 )
 from cdslab.lowerbound import quantized_product_gap
 from cdslab.qcore import (
+    PAULI,
     DensityMatrix,
     QuantumChannel,
     StateVector,
     apply_channel,
+    canonical_kraus,
     maximally_entangled,
     partial_trace,
     tensor,
     trace_norm,
 )
 from cdslab.quantum import neq_promise_cdqs
-from cdslab.toys import gated_forwarding, lifted_neq, trivial_forwarding
+from cdslab.toys import (
+    depolarized,
+    gated_forwarding,
+    leaky,
+    lifted_and,
+    lifted_neq,
+    trivial_forwarding,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -458,3 +468,170 @@ def test_bob_side_first_matches_the_full_register_run(seed, alice_count, bob_cou
     for k in (6, 12, 30):
         gap, record = quantized_product_gap(p, 0, 0, k)
         assert abs(gap - exact) <= 2 * record.l1_error + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked Kraus builders against the per-operator oracles
+# ---------------------------------------------------------------------------
+# The earlier builders, one operator at a time: the pad lift as lists of
+# np.kron products of one-hot vectors, parallel repetition as Kronecker
+# lists regrouped by a dense permutation matrix.  The stacked builders must
+# equal them exactly, Kraus order included, so every output downstream
+# stays bit-for-bit the same.
+
+PADS = (PAULI["I"], PAULI["Z"], PAULI["X"], PAULI["X"] @ PAULI["Z"])
+
+def _lift_reference(key_cds):
+    """``(alice(x), bob(y), decoder(x, y))`` Kraus lists of the pad lift of
+    ``key_cds``, each operator a Kronecker product of one-hot vectors."""
+    r_count = 1 << key_cds.randomness_bits
+    inputs = range(1 << key_cds.n)
+    ma_space = sorted(
+        {key_cds.message_a(x, s, r) for x in inputs for s in range(4) for r in range(r_count)}
+    )
+    mb_space = sorted({key_cds.message_b(y, r) for y in inputs for r in range(r_count)})
+    ma_index = {m: i for i, m in enumerate(ma_space)}
+    mb_index = {m: i for i, m in enumerate(mb_space)}
+    dim_a, dim_b = len(ma_space), len(mb_space)
+
+    def alice(x):
+        kraus = []
+        for r in range(r_count):
+            sel = np.zeros((1, r_count))
+            sel[0, r] = 1.0
+            for key in range(4):
+                col = np.zeros((dim_a, 1))
+                col[ma_index[key_cds.message_a(x, key, r)], 0] = 1.0
+                kraus.append(np.kron(np.kron(col, PADS[key]), sel) / 2.0)
+        return kraus
+
+    def bob(y):
+        kraus = []
+        for r in range(r_count):
+            sel = np.zeros((1, r_count))
+            sel[0, r] = 1.0
+            col = np.zeros((dim_b, 1))
+            col[mb_index[key_cds.message_b(y, r)], 0] = 1.0
+            kraus.append(col @ sel)
+        return kraus
+
+    def decoder(x, y):
+        kraus = []
+        for i, ma in enumerate(ma_space):
+            row_a = np.zeros((1, dim_a))
+            row_a[0, i] = 1.0
+            for j, mb in enumerate(mb_space):
+                row_b = np.zeros((1, dim_b))
+                row_b[0, j] = 1.0
+                key = key_cds.decoder(ma, x, mb, y)
+                unpad = PAULI["I"] if key is None else PADS[int(key)].conj().T
+                kraus.append(np.kron(np.kron(row_a, unpad), row_b))
+        return kraus
+
+    return alice, bob, decoder
+
+def _regroup_matrix(dims, perm):
+    """Permutation matrix sending basis order ``dims`` to ``dims[perm]``."""
+    d = math.prod(dims)
+    src = np.arange(d)
+    digits = np.array(np.unravel_index(src, dims))
+    dst = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
+    mat = np.zeros((d, d))
+    mat[dst, src] = 1.0
+    return mat
+
+def _interleave(k):
+    # (a1..ak, b1..bk) -> (a1, b1, a2, b2, ...)
+    return [i + half for i in range(k) for half in (0, k)]
+
+def _kron_power_list(ops, k):
+    out = [np.eye(1)]
+    for _ in range(k):
+        out = [np.kron(a, b) for a in out for b in ops]
+    return out
+
+def _kron_repeat_reference(channel, k, in_dims, in_layout, out_layout):
+    da, db = in_dims
+    p_in = _regroup_matrix([da] * k + [db] * k, _interleave(k))
+    kraus = [op @ p_in for op in _kron_power_list(channel.kraus_operators, k)]
+    ch = QuantumChannel(kraus, in_layout, out_layout, validate=False)
+    if len(kraus) > ch.dim_in * ch.dim_out:
+        ch = canonical_kraus(ch)
+    return ch
+
+def _repeated_resource_reference(p, k):
+    dl = p.resource.layout[0][1]
+    dr = p.resource.layout[1][1]
+    amps = _kron_power_list([p.resource.amplitudes], k)[0].reshape(-1)
+    perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
+    return _regroup_matrix([dl, dr] * k, perm) @ amps
+
+def _assert_lift_matches_reference(key_cds):
+    dense = classical_to_quantum_lift(key_cds)
+    alice, bob, decoder = _lift_reference(key_cds)
+    inputs = range(1 << key_cds.n)
+    for x in inputs:
+        assert np.array_equal(dense.alice_channel(x).kraus_stack, np.stack(alice(x)))
+    for y in inputs:
+        assert np.array_equal(dense.bob_channel(y).kraus_stack, np.stack(bob(y)))
+    for x in inputs:
+        for y in inputs:
+            assert np.array_equal(dense.decoder(x, y).kraus_stack, np.stack(decoder(x, y)))
+
+@pytest.mark.parametrize("key_cds", [double_secret(neq_cds(1)), double_secret(and_cds())])
+def test_lift_stacks_equal_the_kron_lists(key_cds):
+    _assert_lift_matches_reference(key_cds)
+
+@settings(max_examples=40, deadline=None)
+@given(key_cds=_table_key_cds())
+def test_lift_stacks_equal_the_kron_lists_on_random_key_cds(key_cds):
+    _assert_lift_matches_reference(key_cds)
+
+def _depolarized_gate():
+    return depolarized(gated_forwarding(), 0.05)
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (gated_forwarding, 2),
+        (gated_forwarding, 3),
+        (trivial_forwarding, 2),
+        (trivial_forwarding, 3),
+        (lambda: leaky(0.1), 2),
+        (lambda: leaky(0.1), 3),
+        (lifted_and, 2),
+        (_depolarized_gate, 2),
+    ],
+)
+def test_parallel_repeat_stacks_equal_the_regrouped_kron_lists(make, k):
+    p = make()
+    rep = parallel_repeat(p, k)
+    da, db = p.message_dims()
+    dl = p.resource.layout[0][1]
+    assert np.array_equal(rep.resource.amplitudes, _repeated_resource_reference(p, k))
+    inputs = range(1 << p.n)
+    for x in inputs:
+        got = rep.alice_channel(x)
+        want = _kron_repeat_reference(
+            p.alice_channel(x), k, (p.d_q, dl), got.input_layout, got.output_layout
+        )
+        assert np.array_equal(got.kraus_stack, want.kraus_stack)
+    for y in inputs:
+        want = np.stack(_kron_power_list(p.bob_channel(y).kraus_operators, k))
+        assert np.array_equal(rep.bob_channel(y).kraus_stack, want)
+    for x in inputs:
+        for y in inputs:
+            base = p.decoder(x, y)
+            got = rep.decoder(x, y)
+            if base is None:
+                assert got is None
+                continue
+            want = _kron_repeat_reference(base, k, (da, db), got.input_layout, got.output_layout)
+            assert np.array_equal(got.kraus_stack, want.kraus_stack)
+
+def test_depolarized_repetition_reaches_the_canonical_branch():
+    p = _depolarized_gate()
+    base = p.alice_channel(0)
+    rep = parallel_repeat(p, 2).alice_channel(0)
+    assert len(base.kraus_operators) ** 2 > rep.dim_in * rep.dim_out
+    assert len(rep.kraus_operators) <= rep.dim_in * rep.dim_out

@@ -23,10 +23,18 @@ not see them.
 
 The import guard fails on any name a module in ``src/``, ``tests/`` or
 ``cdsbench/`` imports and never uses.
+
+The tracing guard resolves every name the benchmark's traced pass looks
+up (``COUNTED`` and ``SPANNED`` in ``cdsbench/tracing.py``), so a rename
+fails here and not only in a traced benchmark run.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
+
+from cdslab.qcore import identity_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cdslab"
@@ -245,3 +253,36 @@ def test_every_imported_name_is_used():
                         if bound not in used:
                             unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# ---------------------------------------------------------------------------
+# names the traced benchmark pass looks up
+# ---------------------------------------------------------------------------
+
+def _traced_names() -> list:
+    """``(module, attribute or Class.method)`` of every ``COUNTED`` and
+    ``SPANNED`` entry, read from ``cdsbench/tracing.py`` by import."""
+    spec = importlib.util.spec_from_file_location(
+        "cdsbench_tracing", ROOT / "cdsbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return list(tracing.COUNTED.values()) + [(m, t) for m, t, _ in tracing.SPANNED]
+
+
+def test_every_traced_name_resolves():
+    missing = []
+    for mod_name, target in _traced_names():
+        module = importlib.import_module(mod_name)
+        if "." in target:
+            cls_name, method = target.split(".")
+            cls = getattr(module, cls_name, None)
+            # the tracer replaces the class's own attribute, not an inherited one
+            if cls is None or method not in cls.__dict__:
+                missing.append(f"{mod_name}.{target}")
+        elif not hasattr(module, target):
+            missing.append(f"{mod_name}.{target}")
+    assert not missing, f"traced names that no longer resolve: {missing}"
+    # the tracer sizes channel applications by the Kraus operator count
+    channel = identity_channel((("Q", 2),))
+    assert len(channel.kraus_operators) == len(channel.kraus_stack)

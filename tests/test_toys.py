@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdslab.framework import (
+    CdqsProtocol,
     mid_protocol_state,
     protocol_cost,
 )
-from cdslab.qcore import partial_trace, trace_norm
+from cdslab.qcore import PAULI, QuantumChannel, partial_trace, trace_norm
 from cdslab.toys import (
     depolarized,
     gated_forwarding,
@@ -92,3 +95,27 @@ def test_toy_suite_contents():
 def test_leaky_rejects_bad_strength():
     with pytest.raises(ValueError):
         leaky(1.5)
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dl=st.integers(1, 3),
+    dout=st.integers(1, 4),
+    count=st.integers(1, 4),
+    strength=st.floats(0, 1),
+)
+def test_depolarized_matches_the_per_operator_kron_loop(seed, dl, dout, count, strength):
+    assume(dout * count >= 2 * dl)
+    rng = np.random.default_rng(seed)
+    shape = (dout * count, 2 * dl)
+    iso, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    alice = QuantumChannel(
+        iso.reshape(count, dout, 2 * dl), (("Q", 2), ("L", dl)), (("MA", dout),)
+    )
+    base = CdqsProtocol(n=1, d_q=2, alice_channel=lambda x: alice, decoder=lambda x, y: None)
+    w = [np.sqrt(1 - 3 * strength / 4)] + [np.sqrt(strength / 4)] * 3
+    noise = [wi * PAULI[p] for wi, p in zip(w, "IXYZ")]
+    want = [k @ np.kron(d, np.eye(dl)) for k in alice.kraus_operators for d in noise]
+    got = depolarized(base, strength).alice_channel(0).kraus_stack
+    assert got.shape == (4 * count, dout, 2 * dl)
+    assert np.max(np.abs(got - np.stack(want))) <= 1e-12
