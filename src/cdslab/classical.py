@@ -9,13 +9,26 @@ polynomial coefficients (bit i = coefficient of X^i).  Products and
 inverses read log/antilog tables over a primitive element, one pair per
 degree, built on that degree's first use and kept for the process; GF(2)
 needs none.
+
+``neq_cds`` and ``ip_psm`` also carry an :class:`~cdslab.framework.ArrayForm`:
+the same messages and decoder over an int64 array of draws, whose field
+products read numpy copies of the same tables.  The scalar functions stay
+the reference the array forms are tested against.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .framework import ENUMERATION_BUDGET_BITS, CdsProtocol, PromiseFunction, PsmProtocol
+import numpy as np
+
+from .framework import (
+    ENUMERATION_BUDGET_BITS,
+    ArrayForm,
+    CdsProtocol,
+    PromiseFunction,
+    PsmProtocol,
+)
 
 # Irreducible moduli for GF(2^n), one per supported degree, written with the
 # leading coefficient included (degree-n polynomial as an (n+1)-bit integer).
@@ -111,8 +124,28 @@ def gf_inv(a: int, n: int) -> int:
     return exp[(1 << n) - 1 - log[a]]
 
 
+@cache
+def _array_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_field_tables(n)`` as int64 arrays."""
+    exp, log = _field_tables(n)
+    return np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
+
+
+def _gf_mul_array(a: np.ndarray, b, n: int) -> np.ndarray:
+    """``gf_mul`` elementwise over int64 arrays (or an array and a scalar);
+    products with a zero factor are masked, since ``log[0]`` means nothing."""
+    if n == 1:
+        return a & b
+    exp, log = _array_tables(n)
+    return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
+
+
 def _parity(v: int) -> int:
     return v.bit_count() & 1
+
+
+def _parity_array(v: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(v).astype(np.int64) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +225,20 @@ def neq_cds(n: int) -> CdsProtocol:
         a = gf_mul(u ^ m_b, inverse(x ^ y), n)
         return c ^ (a & 1)
 
+    # the same over an array of draws; Alice's code is u << 1 | c
+    def message_a_array(x, s, r):
+        a = r >> n
+        return (_gf_mul_array(a, x, n) ^ (r & mask)) << 1 | (s ^ (a & 1))
+
+    def message_b_array(y, r):
+        return _gf_mul_array(r >> n, y, n) ^ (r & mask)
+
+    def decoder_array(code_a, x, code_b, y):
+        if x == y:
+            return np.full_like(code_a, -1)
+        a = _gf_mul_array((code_a >> 1) ^ code_b, inverse(x ^ y), n)
+        return (code_a ^ a) & 1
+
     return CdsProtocol(
         n=n,
         randomness_bits=2 * n,
@@ -203,6 +250,7 @@ def neq_cds(n: int) -> CdsProtocol:
         message_bits_b=n,
         construction=f"neq_cds({n})",
         params=(("field", f"GF(2^{n})"),),
+        arrays=ArrayForm(message_a_array, message_b_array, decoder_array),
     )
 
 
@@ -300,6 +348,18 @@ def ip_psm(n: int) -> PsmProtocol:
         v, beta = m_b
         return _parity(u & v) ^ alpha ^ beta
 
+    # the same over an array of draws; each code is (pad-masked input) << 1 | bit
+    def message_a_array(x, r):
+        r1, r2, r3 = split(r)
+        return (x ^ r1) << 1 | (_parity_array(x & r2) ^ r3)
+
+    def message_b_array(y, r):
+        r1, r2, r3 = split(r)
+        return (y ^ r2) << 1 | (_parity_array(y & r1) ^ _parity_array(r1 & r2) ^ r3)
+
+    def referee_array(code_a, code_b):
+        return _parity_array((code_a >> 1) & (code_b >> 1)) ^ ((code_a ^ code_b) & 1)
+
     return PsmProtocol(
         n=n,
         randomness_bits=2 * n + 1,
@@ -311,6 +371,7 @@ def ip_psm(n: int) -> PsmProtocol:
         message_bits_b=n + 1,
         construction=f"ip_psm({n})",
         params=(),
+        arrays=ArrayForm(message_a_array, message_b_array, referee_array),
     )
 
 

@@ -3,7 +3,15 @@
 Classical :class:`CdsProtocol` / :class:`PsmProtocol` are message functions
 over integer-encoded inputs plus dyadic shared randomness, executed by
 one exhaustive enumeration, :func:`transcript_counts`, whose integer
-counts become exact rational probabilities.
+counts become exact rational probabilities.  A protocol with an
+:class:`ArrayForm` (``neq_cds`` and ``ip_psm``) is enumerated in one numpy
+pass per input: its messages are int64 codes with the fields packed first
+field high, so integer order is tuple order, and a transcript is ``code_a
+<< message_bits_b | code_b``.  Counts, decode failures and pad-key counts
+are tallies over those codes and the decoded outputs, and each distinct
+transcript is keyed by the scalar messages at its first draw.  The scalar
+functions stay the reference path, and the only one for protocols without
+an array form.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -175,12 +183,40 @@ def _exact_log2(d: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class ArrayForm:
+    """Whole-array twins of a classical protocol's message and output
+    functions.
+
+    Each takes its scalar twin's arguments with ``r`` an int64 array of
+    draws of the shared randomness, and returns one int64 entry per draw:
+
+    * ``message_a`` and ``message_b`` return message codes: the message's
+      fields packed first field high, each in a fixed width, so integer
+      order is the scalar messages' tuple order (a one-field message is its
+      value);
+    * ``output`` is ``decoder(code_a, x, code_b, y)`` for a CDS, with -1
+      where the scalar decoder returns None, and ``referee(code_a, code_b)``
+      for a PSM.
+
+    Codes are never unpacked: a distinct transcript is reported as the
+    scalar message functions at its first draw.
+    """
+
+    message_a: Callable
+    message_b: Callable
+    output: Callable
+
+
+@dataclass(frozen=True)
 class CdsProtocol:
     """A classical conditional-disclosure-of-secrets protocol.
 
     ``message_a(x, s, r)`` and ``message_b(y, r)`` return hashable message
     values; ``decoder(m_a, x, m_b, y)`` returns the recovered secret, or
-    None when the transcript announces "nothing disclosed".
+    None when the transcript announces "nothing disclosed".  ``arrays``,
+    when set, is the same protocol over whole arrays of draws; the exact
+    enumeration then runs as one numpy pass per input, and the scalar
+    functions stay its reference.
     """
 
     n: int
@@ -193,11 +229,13 @@ class CdsProtocol:
     message_bits_b: int
     construction: str = ""
     params: tuple = ()
+    arrays: Optional[ArrayForm] = None
 
 
 @dataclass(frozen=True)
 class PsmProtocol:
-    """A private-simultaneous-messages protocol (referee sees only messages)."""
+    """A private-simultaneous-messages protocol (referee sees only messages);
+    ``arrays`` as for :class:`CdsProtocol`."""
 
     n: int
     randomness_bits: int
@@ -209,6 +247,7 @@ class PsmProtocol:
     message_bits_b: int
     construction: str = ""
     params: tuple = ()
+    arrays: Optional[ArrayForm] = None
 
 
 def _randomness_count(protocol) -> int:
@@ -220,23 +259,59 @@ def _randomness_count(protocol) -> int:
         )
     return 1 << protocol.randomness_bits
 
-def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
-    """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
-    of the shared randomness, in order of first appearance: the one
-    enumeration every exact classical quantity is derived from.  For CDS
-    protocols the secret ``s`` is required; PSM protocols take none.
-    """
+def _draws(protocol, x: int, y: int, s: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Every draw of the shared randomness at one input, in one numpy pass
+    over the protocol's :class:`ArrayForm`: the transcript code
+    ``code_a << message_bits_b | code_b`` and the decoder's (or referee's)
+    output of each ``r``.  The budget and the code width are checked before
+    ``r`` is allocated."""
     total = _randomness_count(protocol)
+    width = protocol.message_bits_a + protocol.message_bits_b
+    if width > 63:
+        raise ValueError(f"a {width}-bit transcript code overflows int64")
+    form = protocol.arrays
+    r = np.arange(total, dtype=np.int64)
+    code_b = form.message_b(y, r)
     if isinstance(protocol, CdsProtocol):
-        if s is None:
-            raise ValueError("CDS enumeration requires the secret value")
+        code_a = form.message_a(x, s, r)
+        outputs = form.output(code_a, x, code_b, y)
+    else:
+        code_a = form.message_a(x, r)
+        outputs = form.output(code_a, code_b)
+    return (code_a << protocol.message_bits_b) | code_b, outputs
+
+def _transcripts(protocol, x: int, y: int, s: Optional[int], draws):
+    """``(m_a, m_b)`` of the scalar message functions at each of ``draws``."""
+    if isinstance(protocol, CdsProtocol):
         message_a = partial(protocol.message_a, x, s)
     else:
         message_a = partial(protocol.message_a, x)
     message_b = partial(protocol.message_b, y)
+    return ((message_a(r), message_b(r)) for r in draws)
+
+def _counts_of(protocol, x: int, y: int, s: Optional[int], codes: np.ndarray) -> dict:
+    """The transcript codes of :func:`_draws` tallied as
+    :func:`transcript_counts` reports them, each distinct transcript keyed
+    by the scalar messages at its first draw."""
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    keys = _transcripts(protocol, x, y, s, first[order].tolist())
+    return dict(zip(keys, counts[order].tolist()))
+
+def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
+    """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
+    of the shared randomness, in order of first appearance: the one
+    enumeration every exact classical quantity is derived from.  For CDS
+    protocols the secret ``s`` is required; PSM protocols take none.  A
+    protocol with an :class:`ArrayForm` is enumerated in one numpy pass;
+    the others, one scalar message pair per ``r``.
+    """
+    if isinstance(protocol, CdsProtocol) and s is None:
+        raise ValueError("CDS enumeration requires the secret value")
+    if protocol.arrays is not None:
+        return _counts_of(protocol, x, y, s, _draws(protocol, x, y, s)[0])
     counts: dict = {}
-    for r in range(total):
-        key = (message_a(r), message_b(r))
+    for key in _transcripts(protocol, x, y, s, range(_randomness_count(protocol))):
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -252,19 +327,29 @@ def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = 
 
 def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     """Exact probability that the referee fails to output ``s``."""
-    counts = transcript_counts(p, x, y, s)
-    bad = sum(c for (ma, mb), c in counts.items() if p.decoder(ma, x, mb, y) != s)
+    if p.arrays is not None:
+        bad = int(np.count_nonzero(_draws(p, x, y, s)[1] != s))
+    else:
+        counts = transcript_counts(p, x, y, s)
+        bad = sum(c for (ma, mb), c in counts.items() if p.decoder(ma, x, mb, y) != s)
     return Fraction(bad, 1 << p.randomness_bits)
 
-def referee_failure(p: PsmProtocol, counts: dict, value: int) -> Fraction:
-    """Exact probability, over the counts of :func:`transcript_counts`, that
-    the referee's output differs from ``value``."""
-    bad = sum(c for (ma, mb), c in counts.items() if p.referee(ma, mb) != value)
-    return Fraction(bad, 1 << p.randomness_bits)
+def psm_tally(p: PsmProtocol, x: int, y: int, value: int) -> tuple[dict, Fraction]:
+    """:func:`transcript_counts` at one input, and the exact probability
+    that the referee's output differs from ``value``, from one
+    enumeration."""
+    if p.arrays is not None:
+        codes, outputs = _draws(p, x, y)
+        counts = _counts_of(p, x, y, None, codes)
+        bad = int(np.count_nonzero(outputs != value))
+    else:
+        counts = transcript_counts(p, x, y)
+        bad = sum(c for (ma, mb), c in counts.items() if p.referee(ma, mb) != value)
+    return counts, Fraction(bad, 1 << p.randomness_bits)
 
 def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
     """Exact probability that the referee's output differs from ``value``."""
-    return referee_failure(p, transcript_counts(p, x, y), value)
+    return psm_tally(p, x, y, value)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +594,23 @@ class PadCounts:
     decoded: int
     total: int
 
+    @property
+    def keys(self) -> int:
+        return len(next(iter(self.vectors)))
+
     def fidelity(self) -> Fraction:
         return Fraction(self.decoded, self.total)
 
-    def distance(self) -> Fraction:
-        keys = len(next(iter(self.vectors)))
-        gap = sum(
+    def gap(self) -> int:
+        """``K total`` times :meth:`distance`: the integer sum behind it."""
+        keys = self.keys
+        return sum(
             mult * sum(abs(keys * c - sum(vec)) for c in vec)
             for vec, mult in self.vectors.items()
         )
-        return Fraction(gap, keys * self.total)
+
+    def distance(self) -> Fraction:
+        return Fraction(self.gap(), self.keys * self.total)
 
     def square(self) -> "PadCounts":
         """Two independent copies, keyed by pairs of this one's keys.
@@ -536,9 +628,31 @@ class PadCounts:
 
 def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     """The counts of :class:`PadCounts` for ``key_cds`` disclosing the pad
-    key, one :func:`transcript_counts` per key.  A decoder returning None
-    leaves the pad on (the identity unpad), which is right for key 0."""
+    key, one enumeration per key.  A decoder returning None leaves the pad
+    on (the identity unpad), which is right for key 0.  With an
+    :class:`ArrayForm`, the key-count vectors are one ``bincount`` over the
+    transcript index of every (key, draw)."""
     keys = key_cds.secret_alphabet
+    if key_cds.arrays is not None:
+        draws = [_draws(key_cds, x, y, key) for key in range(keys)]
+        unique, inverse = np.unique(
+            np.concatenate([codes for codes, _ in draws]), return_inverse=True
+        )
+        key_of_draw = np.repeat(np.arange(keys), 1 << key_cds.randomness_bits)
+        table = np.bincount(inverse * keys + key_of_draw, minlength=len(unique) * keys)
+        # a decoder's -1 (None) decodes key 0
+        decoded = sum(
+            int(np.count_nonzero(np.maximum(outputs, 0) == key))
+            for key, (_, outputs) in enumerate(draws)
+        )
+        # equal key-count vectors made adjacent, then counted per run
+        rows = table.reshape(-1, keys)
+        rows = rows[np.lexsort(rows.T)]
+        starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+        vectors = Counter(dict(zip(
+            map(tuple, rows[starts].tolist()), np.diff(starts, append=len(rows)).tolist()
+        )))
+        return PadCounts(vectors, decoded, keys << key_cds.randomness_bits)
     per_transcript: dict = {}
     for key in range(keys):
         for t, c in transcript_counts(key_cds, x, y, key).items():

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, pad_counts, transcript_counts
+from .framework import CostReport, _draws, pad_counts
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +38,13 @@ def dj_shorten(x: int, y: int, n: int) -> dict[tuple[int, int], Fraction]:
     is an exact rational function of ``z = x xor y``.  Inputs are ``n``-bit
     integers.
     """
+    cube = n**3
+    return {ab: Fraction(w, cube) for ab, w in _dj_weights(x, y, n).items()}
+
+
+def _dj_weights(x: int, y: int, n: int) -> dict[tuple[int, int], int]:
+    """``n^3`` times :func:`dj_shorten`: the squared Walsh-Hadamard signs of
+    the nonzero outcomes."""
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     for v in (x, y):
@@ -47,13 +53,12 @@ def dj_shorten(x: int, y: int, n: int) -> dict[tuple[int, int], Fraction]:
     z = x ^ y
     phases = np.array([1 - 2 * ((z >> i) & 1) for i in range(n)])
     signs = [int(s) for s in _walsh_hadamard(phases)]
-    cube = n**3
     out = {}
     for a in range(n):
         for b in range(n):
             s = signs[a ^ b]
             if s:
-                out[(a, b)] = Fraction(s * s, cube)
+                out[(a, b)] = s * s
     return out
 
 
@@ -97,14 +102,17 @@ class HybridNeqCdqs:
         self.key_cds = double_secret(copy)
         self.construction = f"neq_promise_cdqs({n})"
         self.params = (("shortened_bits", self.m),)
-        # (a, b) -> the key pair's fidelity and distance from product
-        self._fidelity: dict = {}
-        self._distance: dict = {}
+        # (a, b) -> the key pair's decoded draws and posterior gap, integer
+        # numerators over denominators shared by every pair
+        self._decoded: dict = {}
+        self._gap: dict = {}
         for a in range(n):
             for b in range(n):
                 pair = pad_counts(copy, a, b).square()
-                self._fidelity[(a, b)] = pair.fidelity()
-                self._distance[(a, b)] = pair.distance()
+                self._decoded[(a, b)] = pair.decoded
+                self._gap[(a, b)] = pair.gap()
+        self._fidelity_scale = pair.total
+        self._distance_scale = pair.keys * pair.total
 
     @property
     def cost(self) -> CostReport:
@@ -124,17 +132,19 @@ class HybridNeqCdqs:
 
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
         """Exact post-decoding entanglement fidelity with the reference."""
-        return self._averaged(self._fidelity, x, y)
+        return self._averaged(self._decoded, self._fidelity_scale, x, y)
 
     def product_distance(self, x: int, y: int) -> Fraction:
         """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1``."""
-        return self._averaged(self._distance, x, y)
+        return self._averaged(self._gap, self._distance_scale, x, y)
 
-    def _averaged(self, table: dict, x: int, y: int) -> Fraction:
-        """A per-(a, b) measure averaged over the shortening outcomes."""
-        return sum(
-            (p * table[ab] for ab, p in dj_shorten(x, y, self.n).items()), Fraction(0)
-        )
+    def _averaged(self, numerators: dict, scale: int, x: int, y: int) -> Fraction:
+        """A per-(a, b) measure ``numerators[ab] / scale`` averaged over the
+        shortening outcomes: one integer sum over the common denominator
+        ``n^3 scale``."""
+        weights = _dj_weights(x, y, self.n)
+        total = sum(w * numerators[ab] for ab, w in weights.items())
+        return Fraction(total, self.n**3 * scale)
 
 
 def neq_promise_cdqs(n: int) -> HybridNeqCdqs:
@@ -328,29 +338,44 @@ class BhmPsqm:
         """Inner PSM transcript distribution depends only on the vote.
 
         Exact comparison across every (u, v) pair the instance can
-        produce, grouped by the vote value.  The randomness-to-transcript
-        map is injective (checked), so every transcript is equally likely
-        and two distributions are equal exactly when their supports
-        coincide.
+        produce, grouped by the vote value.  The map from ``r`` to the
+        transcript is injective (``r1 = ua ^ u``, ``r2 = vb ^ v``,
+        ``r3 = aa ^ <u, r2>``; checked, and a pair with fewer transcripts
+        than randomness values is refused), so every transcript is equally
+        likely and two distributions are equal exactly when their sorted
+        transcript codes coincide.
         """
+        total = 1 << self.inner.randomness_bits
         reference: dict = {}
+        seen = set()
         for _, e, k, l, vote in self.outcome_distribution(inst):
             u, v = self.psm_inputs(inst, e, k, l)
-            support = self._inner_support(u, v)
-            if vote in reference:
-                if reference[vote] != support:
-                    return False
-            else:
+            if (u, v) in seen:  # the vote is <u, v>, so it repeats too
+                continue
+            seen.add((u, v))
+            support = np.sort(_draws(self.inner, u, v)[0])
+            distinct = 1 + int(np.count_nonzero(support[1:] != support[:-1]))
+            if distinct != total:
+                raise AssertionError(
+                    f"inner PSM at ({u}, {v}): {distinct} transcripts for {total} "
+                    "randomness values, so the map from r is not injective"
+                )
+            if vote not in reference:
                 reference[vote] = support
+            elif not np.array_equal(reference[vote], support):
+                return False
         return True
 
     def message_distribution(self, inst: BhmInstance) -> dict:
         """Exact referee view: mixture of inner PSM transcripts.
 
         Every outcome carries the same probability (checked), so each
-        distinct ``(u, v)``'s transcript counts are weighted by its integer
-        outcome multiplicity, and the outcome probability and the
-        randomness count are applied once per final transcript."""
+        distinct ``(u, v)``'s transcript codes are weighted by its integer
+        outcome multiplicity and tallied together.  Only the final distinct
+        codes become ``((ua, aa), (vb, bb))`` transcripts, in code order,
+        each the scalar messages at its first draw, and the outcome
+        probability and the randomness count are applied once per
+        transcript."""
         outcomes = self.outcome_distribution(inst)
         prob = outcomes[0][0]
         multiplicity: dict = {}
@@ -359,64 +384,18 @@ class BhmPsqm:
                 raise ValueError(f"BHM outcomes are not equiprobable: {p} != {prob}")
             uv = self.psm_inputs(inst, e, k, l)
             multiplicity[uv] = multiplicity.get(uv, 0) + 1
-        out: dict = {}
-        for (u, v), w in multiplicity.items():
-            for t, c in self._inner_counts(u, v).items():
-                out[t] = out.get(t, 0) + w * c
-        scale = prob / (1 << self.inner.randomness_bits)
-        return {t: q * scale for t, q in out.items()}
-
-    @lru_cache(maxsize=4096)
-    def _inner_counts(self, u: int, v: int) -> dict:
-        return transcript_counts(self.inner, u, v)
-
-    @lru_cache(maxsize=8192)
-    def _inner_support(self, u: int, v: int):
-        """Canonical transcript support, every transcript equally likely.
-
-        Vectorized replay of the inner-product messages over all shared
-        randomness; a deterministic subsample of pairs is compared with
-        :func:`transcript_counts` of the protocol's own message functions
-        to guard the fast path.  The map from ``r`` to the transcript is
-        injective (``r1 = ua ^ u``, ``r2 = vb ^ v``, ``r3 = aa ^ <u, r2>``),
-        and a replay with fewer transcripts than randomness values is
-        refused.
-        """
-        m = self.inner.n
-        mask = np.uint32((1 << m) - 1)
-        r = np.arange(1 << self.inner.randomness_bits, dtype=np.uint32)
-        r1 = r & mask
-        r2 = (r >> np.uint32(m)) & mask
-        r3 = r >> np.uint32(2 * m)
-
-        def par(arr):
-            return np.bitwise_count(arr).astype(np.uint32) & np.uint32(1)
-
-        ua = np.uint32(u) ^ r1
-        aa = par(np.uint32(u) & r2) ^ r3
-        vb = np.uint32(v) ^ r2
-        bb = par(np.uint32(v) & r1) ^ par(r1 & r2) ^ r3
-        packed = (
-            ua
-            | (aa << np.uint32(m))
-            | (vb << np.uint32(m + 1))
-            | (bb << np.uint32(2 * m + 1))
-        )
-        unique = np.unique(packed)
-        if (u * 31 + v) % 17 == 0:
-            # uncached: keeping these tables doubles the memory of long sweeps
-            reference = {
-                ua | (aa << m) | (vb << (m + 1)) | (bb << (2 * m + 1))
-                for (ua, aa), (vb, bb) in transcript_counts(self.inner, u, v)
-            }
-            if reference != {int(t) for t in unique}:
-                raise AssertionError("vectorized transcript replay diverged")
-        if len(unique) != len(r):
-            raise AssertionError(
-                f"inner PSM at ({u}, {v}): {len(unique)} transcripts for {len(r)} "
-                "randomness values, so the replay is not injective"
-            )
-        return unique.tobytes()
+        pairs = list(multiplicity)
+        total = 1 << self.inner.randomness_bits
+        codes = np.concatenate([_draws(self.inner, u, v)[0] for u, v in pairs])
+        unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        counts = np.zeros(len(unique), dtype=np.int64)
+        np.add.at(counts, inverse, np.repeat([multiplicity[uv] for uv in pairs], total))
+        scale = prob / total
+        out = {}
+        for i, c in zip(first.tolist(), counts.tolist()):
+            (u, v), r = pairs[i // total], i % total
+            out[(self.inner.message_a(u, r), self.inner.message_b(v, r))] = c * scale
+        return out
 
 
 def bhm_psqm(n: int) -> BhmPsqm:

@@ -28,8 +28,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .framework import (
     CdsProtocol,
@@ -39,8 +37,7 @@ from .framework import (
     cds_decode_failure,
     enumerate_message_distribution,
     protocol_cost,
-    referee_failure,
-    transcript_counts,
+    psm_tally,
     transcript_distribution,
 )
 
@@ -49,6 +46,19 @@ EPSILON_BUDGET = 0.09
 DELTA_BUDGET = 0.09
 
 _ENUMERABLE_PAIRS = 1 << 20
+
+
+def __getattr__(name):
+    """``linprog`` is scipy's, imported on first use: only the simulator LP
+    needs ``scipy.optimize``, and importing it costs most of an import of
+    this package.  The function is then kept in this module's globals, where
+    the LP branch looks it up on every call."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+
+    globals()["linprog"] = linprog
+    return linprog
 
 
 @dataclass(frozen=True)
@@ -129,6 +139,8 @@ def chebyshev_radius(dists: Sequence[dict]):
         }
         return _l1(p0, p1) / 2, center
 
+    from scipy.sparse import coo_matrix
+
     support = sorted(set().union(*distinct))
     t_count = len(support)
     m = len(distinct)
@@ -159,7 +171,8 @@ def chebyshev_radius(dists: Sequence[dict]):
     )
     c = np.zeros(n_vars)
     c[-1] = 1.0
-    res = linprog(
+    solve = globals().get("linprog") or __getattr__("linprog")
+    res = solve(
         c, A_ub=a_ub, b_ub=rhs, A_eq=a_eq, b_eq=[1.0],
         bounds=[(0, None)] * n_vars, method="highs",
     )
@@ -229,20 +242,36 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     _check_sizes(p, f)
     eps = Fraction(0)
     diagnostics = {}
-    dists = {}
+    counts = {}
     classes: dict = {}
     for x, y in f.promise_pairs():
         value = f.value(x, y)
-        counts = transcript_counts(p, x, y)
-        eps = max(eps, referee_failure(p, counts, value))
-        dists[(x, y)] = transcript_distribution(p, counts)
+        counts[(x, y)], failure = psm_tally(p, x, y, value)
+        eps = max(eps, failure)
         diagnostics[(x, y)] = {"x": x, "y": y, "value": value}
         classes.setdefault(value, []).append((x, y))
+    # an exact center lies on the grid 1 / (2 total): one distribution over
+    # the total draws, or the midpoint of two
+    scale = 2 << p.randomness_bits
     delta = 0.0
     for value, pairs in sorted(classes.items()):
-        radius, center = chebyshev_radius([dists[pair] for pair in pairs])
+        # Fractions only for the distinct count tables, in first-seen order
+        distinct = []
         for pair in pairs:
-            dist = float(_l1(dists[pair], center))
+            if counts[pair] not in distinct:
+                distinct.append(counts[pair])
+        radius, center = chebyshev_radius([transcript_distribution(p, c) for c in distinct])
+        grid = {k: v * scale for k, v in center.items()}
+        exact = all(isinstance(v, Fraction) and v.denominator == 1 for v in grid.values())
+        if exact:
+            grid = {k: v.numerator for k, v in grid.items()}
+        for pair in pairs:
+            c = counts[pair]
+            if exact:
+                gap = sum(abs(2 * c.get(k, 0) - grid.get(k, 0)) for k in c.keys() | grid.keys())
+                dist = float(Fraction(gap, scale))
+            else:
+                dist = float(_l1(transcript_distribution(p, c), center))
             diagnostics[pair]["simulator_distance"] = dist
             delta = max(delta, dist)
         delta = max(delta, float(radius))

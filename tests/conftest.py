@@ -23,26 +23,29 @@ settings.load_profile("deterministic")
 
 
 def _per_r_pad_measures(key_cds, x, y):
-    """Fidelity and product distance of the pad lift of a CDS hiding 2-bit
-    keys, one (pad key, randomness) draw at a time, with a Fraction key
-    posterior per transcript: the reference the padded-qubit rule of
+    """Fidelity and product distance of the pad lift of a CDS hiding
+    ``K = secret_alphabet`` keys (2-bit keys for a qubit pad), one (pad key,
+    randomness) draw at a time, with a Fraction key posterior per
+    transcript: the reference the padded-qubit rule of
     ``framework.pad_counts`` is checked against."""
-    total = 4 << key_cds.randomness_bits
+    keys = key_cds.secret_alphabet
+    total = keys << key_cds.randomness_bits
     correct = 0
     draws: dict = {}
-    for key in range(4):
+    for key in range(keys):
         for r in range(1 << key_cds.randomness_bits):
             ma, mb = key_cds.message_a(x, key, r), key_cds.message_b(y, r)
             decoded = key_cds.decoder(ma, x, mb, y)
             correct += (0 if decoded is None else decoded) == key
-            draws.setdefault((ma, mb), [0] * 4)[key] += 1
+            draws.setdefault((ma, mb), [0] * keys)[key] += 1
     distance = Fraction(0)
     for counts in draws.values():
         mass = Fraction(sum(counts), total)
-        distance += mass * sum(abs(Fraction(c, sum(counts)) - Fraction(1, 4)) for c in counts)
+        distance += mass * sum(abs(Fraction(c, sum(counts)) - Fraction(1, keys)) for c in counts)
     return Fraction(correct, total), distance
 
 
-@pytest.fixture
+# session-scoped: a stateless function, so property tests may take it too
+@pytest.fixture(scope="session")
 def per_r_pad_measures():
     return _per_r_pad_measures

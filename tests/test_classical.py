@@ -1,6 +1,7 @@
 """Field arithmetic, the perfectly secure CDS/PSM constructions, and their
 exhaustive correctness/security checks at small sizes."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,14 @@ from cdslab.classical import (
     table_psm,
 )
 from cdslab.framework import (
+    _draws,
     cds_decode_failure,
     enumerate_message_distribution,
+    pad_counts,
     protocol_cost,
     psm_decode_failure,
+    psm_tally,
+    transcript_counts,
 )
 from cdslab.verifier import cds_verify
 
@@ -310,3 +315,56 @@ def test_message_distribution_is_a_distribution():
     p = and_cds()
     dist = enumerate_message_distribution(p, 1, 1, 0)
     assert sum(dist.values()) == Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# array forms against the scalar reference
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _array_case(draw):
+    """``neq_cds(1..5)`` with a secret or ``ip_psm(1..4)`` without one, at a
+    random input pair, half the CDS pairs equal (hiding)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        p, s = neq_cds(n), draw(st.integers(0, 1))
+    else:
+        n = draw(st.integers(1, 4))
+        p, s = ip_psm(n), None
+    x = draw(st.integers(0, (1 << n) - 1))
+    y = draw(st.one_of(st.just(x), st.integers(0, (1 << n) - 1)))
+    return p, x, y, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_array_case())
+def test_array_path_equals_the_scalar_reference(case, per_r_pad_measures):
+    p, x, y, s = case
+    reference = dataclasses.replace(p, arrays=None)
+    draws = range(1 << p.randomness_bits)
+    if s is None:
+        per_r = [(p.message_a(x, r), p.message_b(y, r)) for r in draws]
+    else:
+        per_r = [(p.message_a(x, s, r), p.message_b(y, r)) for r in draws]
+
+    got, want = transcript_counts(p, x, y, s), transcript_counts(reference, x, y, s)
+    assert got == want and list(got) == list(want)
+
+    # the packing: codes and scalar transcripts are in one-to-one
+    # correspondence, and sorting the codes sorts the transcripts
+    transcript_of = {}
+    for code, transcript in zip(_draws(p, x, y, s)[0].tolist(), per_r):
+        assert transcript_of.setdefault(code, transcript) == transcript
+    assert len(transcript_of) == len(set(per_r))
+    assert [transcript_of[c] for c in sorted(transcript_of)] == sorted(set(per_r))
+
+    if s is None:
+        for value in (0, 1):
+            assert psm_decode_failure(p, x, y, value) == psm_decode_failure(reference, x, y, value)
+            assert psm_tally(p, x, y, value) == psm_tally(reference, x, y, value)
+    else:
+        for secret in (0, 1):
+            assert cds_decode_failure(p, x, y, secret) == cds_decode_failure(reference, x, y, secret)
+        table = pad_counts(p, x, y)
+        assert table == pad_counts(reference, x, y)
+        assert (table.fidelity(), table.distance()) == per_r_pad_measures(p, x, y)

@@ -1,6 +1,7 @@
 """Protocol containers, exact message enumeration, execution of quantum
 protocols, lifting, parallel repetition, and cost accounting."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab.classical import and_cds, and_function, double_secret, neq_cds, table_psm
+from cdslab.classical import and_cds, and_function, double_secret, ip_psm, neq_cds, table_psm
 from cdslab.framework import (
+    ENUMERATION_BUDGET_BITS,
     CdsProtocol,
     CdqsProtocol,
     CostReport,
@@ -187,6 +189,31 @@ def test_counting_path_matches_a_per_r_reference(p):
 def test_transcript_counts_needs_the_cds_secret():
     with pytest.raises(ValueError, match="secret"):
         transcript_counts(neq_cds(1), 0, 1)
+
+def test_array_path_checks_the_budget_before_it_allocates(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the draws were allocated before the budget check")
+
+    big_cds = dataclasses.replace(neq_cds(4), randomness_bits=ENUMERATION_BUDGET_BITS + 1)
+    big_psm = dataclasses.replace(ip_psm(4), randomness_bits=ENUMERATION_BUDGET_BITS + 1)
+    monkeypatch.setattr(np, "arange", allocate)
+    for call in (
+        lambda: transcript_counts(big_cds, 0, 1, 0),
+        lambda: cds_decode_failure(big_cds, 0, 1, 0),
+        lambda: pad_counts(big_cds, 0, 1),
+        lambda: transcript_counts(big_psm, 0, 1),
+        lambda: psm_decode_failure(big_psm, 0, 1, 0),
+    ):
+        with pytest.raises(ValueError, match="budget"):
+            call()
+
+def test_array_path_refuses_a_transcript_code_wider_than_int64():
+    wide_cds = dataclasses.replace(neq_cds(4), message_bits_a=40, message_bits_b=24)
+    wide_psm = dataclasses.replace(ip_psm(4), message_bits_a=32, message_bits_b=32)
+    with pytest.raises(ValueError, match="64-bit transcript code overflows int64"):
+        transcript_counts(wide_cds, 0, 1, 0)
+    with pytest.raises(ValueError, match="64-bit transcript code overflows int64"):
+        psm_decode_failure(wide_psm, 0, 1, 0)
 
 def test_budget_reaches_transcript_form_and_hybrid():
     # 52 and 26 randomness bits: refused before any enumeration starts

@@ -1,6 +1,7 @@
 """Deutsch-Jozsa shortening, the hybrid promise-NEQ protocol, and the
 hidden-matching PSQM with its inner product layer."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab.classical import double_secret, ip_psm, neq_cds
-from cdslab.framework import enumerate_message_distribution, transcript_counts
+from cdslab.framework import (
+    ArrayForm,
+    _draws,
+    enumerate_message_distribution,
+    transcript_counts,
+)
 from cdslab.quantum import (
     BhmInstance,
     HybridNeqCdqs,
@@ -216,10 +222,26 @@ def test_ip_psm_randomness_to_transcript_map_is_injective(data):
     assert set(transcript_counts(ip_psm(m), u, v).values()) == {1}
 
 def test_bhm_inner_support_refuses_a_collapsed_replay(monkeypatch):
-    proto = bhm_psqm(2)
-    monkeypatch.setattr(np, "unique", lambda arr: arr[:1])
+    proto, inst = bhm_psqm(2), bhm_instance(2, 0, seed=2)
+    # an array form whose every draw gives the same transcript
+    zeros = ArrayForm(lambda x, r: 0 * r, lambda y, r: 0 * r, lambda a, b: 0 * a)
+    monkeypatch.setattr(proto, "inner", dataclasses.replace(proto.inner, arrays=zeros))
     with pytest.raises(AssertionError, match="not injective"):
-        proto._inner_support(1, 2)
+        proto.inner_layer_secure(inst)
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bhm_inner_supports_are_the_scalar_transcripts(data):
+    # the codes inner_layer_secure compares, against the scalar reference loop
+    n = data.draw(st.integers(1, 4))
+    proto = bhm_psqm(n)
+    inst = bhm_instance(n, data.draw(st.integers(0, 1)), data.draw(st.integers(0, 99)))
+    _, e, k, l, _vote = data.draw(st.sampled_from(proto.outcome_distribution(inst)))
+    u, v = proto.psm_inputs(inst, e, k, l)
+    _, first = np.unique(_draws(proto.inner, u, v)[0], return_index=True)
+    in_code_order = [(proto.inner.message_a(u, r), proto.inner.message_b(v, r)) for r in first]
+    reference = transcript_counts(dataclasses.replace(proto.inner, arrays=None), u, v)
+    assert in_code_order == sorted(reference)
 
 def test_bhm_message_distribution_matches_the_per_outcome_mixture():
     for n, seed in ((2, 2), (3, 5)):

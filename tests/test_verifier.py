@@ -1,7 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cdslab
+from cdslab import verifier
 
 from cdslab.classical import (
     and_cds,
@@ -15,8 +24,10 @@ from cdslab.classical import (
 )
 from cdslab.framework import (
     CdsProtocol,
+    PromiseFunction,
     PsmProtocol,
     classical_to_quantum_lift,
+    enumerate_message_distribution,
     transcript_form,
 )
 from cdslab.quantum import hybrid_promise_function, neq_promise_cdqs
@@ -102,6 +113,30 @@ def test_radius_three_point_masses_runs_lp():
         assert abs(center[k] - 1 / 3) < 1e-9
 
 
+def test_importing_the_cli_leaves_the_lp_modules_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(cdslab.__file__).resolve().parents[1]))
+    code = (
+        "import sys, cdslab.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+def test_lp_branch_calls_the_module_linprog(monkeypatch):
+    real, calls = verifier.linprog, []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "linprog", spy)
+    radius, _ = chebyshev_radius([{"u": Fraction(1)}, {"v": Fraction(1)}, {"w": Fraction(1)}])
+    assert calls == ["highs"]
+    assert abs(radius - Fraction(4, 3)) < 1e-9
+
+
 def test_lp_agrees_with_midpoint_when_midpoint_is_covered():
     p0 = {0: Fraction(1, 2), 1: Fraction(1, 2)}
     p1 = {1: Fraction(1, 8), 2: Fraction(7, 8)}
@@ -160,6 +195,44 @@ def test_echo_psm_radius_is_four_thirds():
     assert by_pair[(1, 1)] == 0.0  # value-1 class has a single distribution
     for pair in ((0, 0), (0, 1), (1, 0)):
         assert abs(by_pair[pair] - 4 / 3) < 1e-9
+
+
+@st.composite
+def _table_psm_and_function(draw):
+    """A one-bit PSM with lookup-table messages over a 3-letter alphabet and
+    a random total function, so a value class may hold one, two or more
+    distinct transcript distributions."""
+    rb = draw(st.integers(0, 2))
+    r_count = 1 << rb
+    letters = st.lists(st.integers(0, 2), min_size=2 * r_count, max_size=2 * r_count)
+    table_a, table_b = draw(letters), draw(letters)
+    values = draw(st.lists(st.integers(0, 1), min_size=4, max_size=4))
+    p = PsmProtocol(
+        n=1, randomness_bits=rb, value_alphabet=2,
+        message_a=lambda x, r: table_a[x * r_count + r],
+        message_b=lambda y, r: table_b[y * r_count + r],
+        referee=lambda ma, mb: (ma + mb) & 1,
+        message_bits_a=2, message_bits_b=2,
+    )
+    return p, PromiseFunction(1, lambda x, y: values[2 * x + y], "table")
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_table_psm_and_function())
+def test_psm_distances_equal_the_fraction_l1_to_the_center(case):
+    # the integer sums over the center's grid against the Fraction reference
+    p, f = case
+    classes: dict = {}
+    for x, y in f.promise_pairs():
+        classes.setdefault(f.value(x, y), []).append((x, y))
+    expected = {}
+    for pairs in classes.values():
+        dists = [enumerate_message_distribution(p, x, y) for x, y in pairs]
+        _, center = chebyshev_radius(dists)
+        for pair, dist in zip(pairs, dists):
+            expected[pair] = float(verifier._l1(dist, center))
+    report = psm_verify(p, f)
+    assert {(e["x"], e["y"]): e["simulator_distance"] for e in report.inputs} == expected
 
 
 def test_psm_inputs_cover_promise_once_in_order():
