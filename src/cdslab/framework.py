@@ -9,9 +9,10 @@ pass per input: its messages are int64 codes with the fields packed first
 field high, so integer order is tuple order, and a transcript is ``code_a
 << message_bits_b | code_b``.  Counts, decode failures and pad-key counts
 are tallies over those codes and the decoded outputs, and each distinct
-transcript is keyed by the scalar messages at its first draw.  The scalar
-functions stay the reference path, and the only one for protocols without
-an array form.
+transcript is keyed by the scalar messages at its first draw.
+:func:`transcript_tally` is that tally before naming, for callers outside
+this module.  The scalar functions stay the reference path, and the only
+one for protocols without an array form.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -289,27 +290,44 @@ def _transcripts(protocol, x: int, y: int, s: Optional[int], draws):
     message_b = partial(protocol.message_b, y)
     return ((message_a(r), message_b(r)) for r in draws)
 
-def _counts_of(protocol, x: int, y: int, s: Optional[int], codes: np.ndarray) -> dict:
-    """The transcript codes of :func:`_draws` tallied as
-    :func:`transcript_counts` reports them, each distinct transcript keyed
-    by the scalar messages at its first draw."""
-    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    keys = _transcripts(protocol, x, y, s, first[order].tolist())
-    return dict(zip(keys, counts[order].tolist()))
+def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
+    """Every distinct transcript at one input, sorted, as three arrays:
+    the transcripts, the first ``r`` of each and its number of ``r``.
+
+    With an :class:`ArrayForm` the transcripts are int64 codes from one
+    numpy pass, and code order is the scalar transcripts' tuple order;
+    otherwise they are the scalar ``(m_a, m_b)`` in an object array, which
+    must be orderable.  Either way the scalar messages at the first ``r``
+    are the transcript.  For CDS protocols the secret ``s`` is required.
+    """
+    if isinstance(protocol, CdsProtocol) and s is None:
+        raise ValueError("CDS enumeration requires the secret value")
+    if protocol.arrays is not None:
+        transcripts = _draws(protocol, x, y, s)[0]
+    else:
+        total = _randomness_count(protocol)
+        transcripts = np.fromiter(
+            _transcripts(protocol, x, y, s, range(total)), dtype=object, count=total
+        )
+    return np.unique(transcripts, return_index=True, return_counts=True)
 
 def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
     """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
     of the shared randomness, in order of first appearance: the one
     enumeration every exact classical quantity is derived from.  For CDS
     protocols the secret ``s`` is required; PSM protocols take none.  A
-    protocol with an :class:`ArrayForm` is enumerated in one numpy pass;
-    the others, one scalar message pair per ``r``.
+    protocol with an :class:`ArrayForm` is tallied by
+    :func:`transcript_tally` and each distinct transcript named by the
+    scalar messages at its first draw; the others run one scalar message
+    pair per ``r``.
     """
     if isinstance(protocol, CdsProtocol) and s is None:
         raise ValueError("CDS enumeration requires the secret value")
     if protocol.arrays is not None:
-        return _counts_of(protocol, x, y, s, _draws(protocol, x, y, s)[0])
+        _, first, counts = transcript_tally(protocol, x, y, s)
+        order = np.argsort(first)
+        keys = _transcripts(protocol, x, y, s, first[order].tolist())
+        return dict(zip(keys, counts[order].tolist()))
     counts: dict = {}
     for key in _transcripts(protocol, x, y, s, range(_randomness_count(protocol))):
         counts[key] = counts.get(key, 0) + 1
@@ -335,12 +353,15 @@ def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     return Fraction(bad, 1 << p.randomness_bits)
 
 def psm_tally(p: PsmProtocol, x: int, y: int, value: int) -> tuple[dict, Fraction]:
-    """:func:`transcript_counts` at one input, and the exact probability
-    that the referee's output differs from ``value``, from one
-    enumeration."""
+    """The transcript counts at one input, and the exact probability that
+    the referee's output differs from ``value``, from one enumeration.
+    With an :class:`ArrayForm` the counts are keyed by transcript code, as
+    in :func:`transcript_tally`; otherwise they are
+    :func:`transcript_counts`."""
     if p.arrays is not None:
         codes, outputs = _draws(p, x, y)
-        counts = _counts_of(p, x, y, None, codes)
+        keys, per_key = np.unique(codes, return_counts=True)
+        counts = dict(zip(keys.tolist(), per_key.tolist()))
         bad = int(np.count_nonzero(outputs != value))
     else:
         counts = transcript_counts(p, x, y)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, _draws, pad_counts
+from .framework import CostReport, pad_counts, transcript_tally
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ class BhmPsqm:
         ``r3 = aa ^ <u, r2>``; checked, and a pair with fewer transcripts
         than randomness values is refused), so every transcript is equally
         likely and two distributions are equal exactly when their sorted
-        transcript codes coincide.
+        transcripts coincide.
         """
         total = 1 << self.inner.randomness_bits
         reference: dict = {}
@@ -353,11 +353,10 @@ class BhmPsqm:
             if (u, v) in seen:  # the vote is <u, v>, so it repeats too
                 continue
             seen.add((u, v))
-            support = np.sort(_draws(self.inner, u, v)[0])
-            distinct = 1 + int(np.count_nonzero(support[1:] != support[:-1]))
-            if distinct != total:
+            support = transcript_tally(self.inner, u, v)[0]
+            if len(support) != total:
                 raise AssertionError(
-                    f"inner PSM at ({u}, {v}): {distinct} transcripts for {total} "
+                    f"inner PSM at ({u}, {v}): {len(support)} transcripts for {total} "
                     "randomness values, so the map from r is not injective"
                 )
             if vote not in reference:
@@ -370,12 +369,11 @@ class BhmPsqm:
         """Exact referee view: mixture of inner PSM transcripts.
 
         Every outcome carries the same probability (checked), so each
-        distinct ``(u, v)``'s transcript codes are weighted by its integer
-        outcome multiplicity and tallied together.  Only the final distinct
-        codes become ``((ua, aa), (vb, bb))`` transcripts, in code order,
-        each the scalar messages at its first draw, and the outcome
-        probability and the randomness count are applied once per
-        transcript."""
+        distinct ``(u, v)``'s transcript tally is weighted by its integer
+        outcome multiplicity and summed.  Only the final distinct
+        transcripts are named, in sorted order, each by the scalar messages
+        at its first draw, and the outcome probability and the randomness
+        count are applied once per transcript."""
         outcomes = self.outcome_distribution(inst)
         prob = outcomes[0][0]
         multiplicity: dict = {}
@@ -385,15 +383,19 @@ class BhmPsqm:
             uv = self.psm_inputs(inst, e, k, l)
             multiplicity[uv] = multiplicity.get(uv, 0) + 1
         pairs = list(multiplicity)
-        total = 1 << self.inner.randomness_bits
-        codes = np.concatenate([_draws(self.inner, u, v)[0] for u, v in pairs])
-        unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        counts = np.zeros(len(unique), dtype=np.int64)
-        np.add.at(counts, inverse, np.repeat([multiplicity[uv] for uv in pairs], total))
-        scale = prob / total
+        tallies = [transcript_tally(self.inner, u, v) for u, v in pairs]
+        transcripts, index, inverse = np.unique(
+            np.concatenate([t for t, _, _ in tallies]), return_index=True, return_inverse=True
+        )
+        counts = np.zeros(len(transcripts), dtype=np.int64)
+        weighted = [multiplicity[uv] * c for uv, (_, _, c) in zip(pairs, tallies)]
+        np.add.at(counts, inverse, np.concatenate(weighted))
+        owner = np.repeat(np.arange(len(pairs)), [len(t) for t, _, _ in tallies])[index]
+        first = np.concatenate([f for _, f, _ in tallies])[index]
+        scale = prob / (1 << self.inner.randomness_bits)
         out = {}
-        for i, c in zip(first.tolist(), counts.tolist()):
-            (u, v), r = pairs[i // total], i % total
+        for i, r, c in zip(owner.tolist(), first.tolist(), counts.tolist()):
+            u, v = pairs[i]
             out[(self.inner.message_a(u, r), self.inner.message_b(v, r))] = c * scale
         return out
 

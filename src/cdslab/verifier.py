@@ -250,28 +250,19 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
         eps = max(eps, failure)
         diagnostics[(x, y)] = {"x": x, "y": y, "value": value}
         classes.setdefault(value, []).append((x, y))
-    # an exact center lies on the grid 1 / (2 total): one distribution over
-    # the total draws, or the midpoint of two
-    scale = 2 << p.randomness_bits
     delta = 0.0
     for value, pairs in sorted(classes.items()):
-        # Fractions only for the distinct count tables, in first-seen order
-        distinct = []
+        # a pair's distance depends only on its count table: one Fraction
+        # distribution and one distance per distinct table
+        distinct: list = []
         for pair in pairs:
             if counts[pair] not in distinct:
                 distinct.append(counts[pair])
-        radius, center = chebyshev_radius([transcript_distribution(p, c) for c in distinct])
-        grid = {k: v * scale for k, v in center.items()}
-        exact = all(isinstance(v, Fraction) and v.denominator == 1 for v in grid.values())
-        if exact:
-            grid = {k: v.numerator for k, v in grid.items()}
+        dists = [transcript_distribution(p, c) for c in distinct]
+        radius, center = chebyshev_radius(dists)
+        to_center = [float(_l1(d, center)) for d in dists]
         for pair in pairs:
-            c = counts[pair]
-            if exact:
-                gap = sum(abs(2 * c.get(k, 0) - grid.get(k, 0)) for k in c.keys() | grid.keys())
-                dist = float(Fraction(gap, scale))
-            else:
-                dist = float(_l1(transcript_distribution(p, c), center))
+            dist = to_center[distinct.index(counts[pair])]
             diagnostics[pair]["simulator_distance"] = dist
             delta = max(delta, dist)
         delta = max(delta, float(radius))

@@ -24,7 +24,6 @@ from cdslab.classical import (
     table_psm,
 )
 from cdslab.framework import (
-    _draws,
     cds_decode_failure,
     enumerate_message_distribution,
     pad_counts,
@@ -32,6 +31,7 @@ from cdslab.framework import (
     psm_decode_failure,
     psm_tally,
     transcript_counts,
+    transcript_tally,
 )
 from cdslab.verifier import cds_verify
 
@@ -350,18 +350,22 @@ def test_array_path_equals_the_scalar_reference(case, per_r_pad_measures):
     got, want = transcript_counts(p, x, y, s), transcript_counts(reference, x, y, s)
     assert got == want and list(got) == list(want)
 
-    # the packing: codes and scalar transcripts are in one-to-one
-    # correspondence, and sorting the codes sorts the transcripts
-    transcript_of = {}
-    for code, transcript in zip(_draws(p, x, y, s)[0].tolist(), per_r):
-        assert transcript_of.setdefault(code, transcript) == transcript
-    assert len(transcript_of) == len(set(per_r))
-    assert [transcript_of[c] for c in sorted(transcript_of)] == sorted(set(per_r))
+    # the packing: each code names one transcript, by the scalar messages
+    # at its first draw, and sorting the codes sorts the transcripts
+    codes, first, per_code = transcript_tally(p, x, y, s)
+    named = [per_r[r] for r in first.tolist()]
+    assert named == sorted(want)
+    assert dict(zip(named, per_code.tolist())) == want
+    transcripts, first, counts = transcript_tally(reference, x, y, s)
+    assert [per_r[r] for r in first.tolist()] == transcripts.tolist() == sorted(want)
+    assert dict(zip(transcripts.tolist(), counts.tolist())) == want
 
     if s is None:
         for value in (0, 1):
             assert psm_decode_failure(p, x, y, value) == psm_decode_failure(reference, x, y, value)
-            assert psm_tally(p, x, y, value) == psm_tally(reference, x, y, value)
+            counts, failure = psm_tally(p, x, y, value)
+            assert counts == dict(zip(codes.tolist(), per_code.tolist()))
+            assert psm_tally(reference, x, y, value) == (want, failure)
     else:
         for secret in (0, 1):
             assert cds_decode_failure(p, x, y, secret) == cds_decode_failure(reference, x, y, secret)

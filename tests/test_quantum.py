@@ -5,7 +5,6 @@ import dataclasses
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,9 +12,9 @@ from hypothesis import strategies as st
 from cdslab.classical import double_secret, ip_psm, neq_cds
 from cdslab.framework import (
     ArrayForm,
-    _draws,
     enumerate_message_distribution,
     transcript_counts,
+    transcript_tally,
 )
 from cdslab.quantum import (
     BhmInstance,
@@ -238,7 +237,7 @@ def test_bhm_inner_supports_are_the_scalar_transcripts(data):
     inst = bhm_instance(n, data.draw(st.integers(0, 1)), data.draw(st.integers(0, 99)))
     _, e, k, l, _vote = data.draw(st.sampled_from(proto.outcome_distribution(inst)))
     u, v = proto.psm_inputs(inst, e, k, l)
-    _, first = np.unique(_draws(proto.inner, u, v)[0], return_index=True)
+    _, first, _ = transcript_tally(proto.inner, u, v)
     in_code_order = [(proto.inner.message_a(u, r), proto.inner.message_b(v, r)) for r in first]
     reference = transcript_counts(dataclasses.replace(proto.inner, arrays=None), u, v)
     assert in_code_order == sorted(reference)

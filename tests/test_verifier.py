@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -220,7 +221,7 @@ def _table_psm_and_function(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_table_psm_and_function())
 def test_psm_distances_equal_the_fraction_l1_to_the_center(case):
-    # the integer sums over the center's grid against the Fraction reference
+    # one distance per distinct count table against one per pair
     p, f = case
     classes: dict = {}
     for x, y in f.promise_pairs():
@@ -233,6 +234,14 @@ def test_psm_distances_equal_the_fraction_l1_to_the_center(case):
             expected[pair] = float(verifier._l1(dist, center))
     report = psm_verify(p, f)
     assert {(e["x"], e["y"]): e["simulator_distance"] for e in report.inputs} == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_psm_verify_on_transcript_codes_equals_the_scalar_reference(n):
+    # ip_psm's counts are keyed by transcript codes, the reference's by tuples
+    p, f = ip_psm(n), ip_function(n)
+    reference = dataclasses.replace(p, arrays=None)
+    assert psm_verify(p, f).as_dict() == psm_verify(reference, f).as_dict()
 
 
 def test_psm_inputs_cover_promise_once_in_order():
