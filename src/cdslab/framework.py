@@ -309,7 +309,13 @@ def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
         transcripts = np.fromiter(
             _transcripts(protocol, x, y, s, range(total)), dtype=object, count=total
         )
-    return np.unique(transcripts, return_index=True, return_counts=True)
+    # runs of equal transcripts in sorted order; the sort need not be
+    # stable, since each run's first r is the least draw in it
+    order = np.argsort(transcripts)
+    ordered = transcripts[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(starts, len(ordered)))
+    return ordered[starts], np.minimum.reduceat(order, starts), counts
 
 def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
     """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values

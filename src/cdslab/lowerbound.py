@@ -336,13 +336,11 @@ def honest_acceptance(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) ->
 def _marginal_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """``F(tr_M |a><a|, tr_M |b><b|)`` from (M, M') amplitude matrices.
 
-    Works in the singular bases, so the cost scales with the message
-    dimension even when the purifying systems are much larger.
+    Uhlmann's form: ``|a>`` and ``|b>`` purify the two marginals on ``M'``
+    with ``M`` as the purifying system, so ``sqrt(F) = ||a b^+||_1``, the
+    trace norm of one ``M x M`` matrix, whatever the size of ``M'``.
     """
-    ua, sa, vha = np.linalg.svd(a, full_matrices=False)
-    ub, sb, vhb = np.linalg.svd(b, full_matrices=False)
-    core = (sa[:, None] * (vha.conj() @ vhb.conj().T)) * sb[None, :]
-    root = float(np.linalg.svd(core, compute_uv=False).sum())
+    root = float(np.linalg.svd(a @ b.conj().T, compute_uv=False).sum())
     return float(np.clip(root ** 2, 0.0, 1.0))
 
 

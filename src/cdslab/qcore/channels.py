@@ -10,8 +10,10 @@ keeps its ``r`` operators as ``kraus_stack`` of shape ``(r, dim_out,
 dim_in)``, whose rows flatten to the columns ``vec(K_k)`` of
 ``A = [vec(K_1) ... vec(K_r)]``, of shape ``(dim_out * dim_in, r)``.
 Trace preservation is one product ``sum_k K_k^+ K_k``, application runs in
-blocks of stacked operators, and the minimal Kraus family comes from the
-thin SVD of ``A``, so no Choi matrix is formed for it.
+blocks of stacked operators, each on the rows and columns its operators'
+exact nonzeros touch (a whole-range support takes the plain dense
+product), and the minimal Kraus family comes from the thin SVD of ``A``,
+so no Choi matrix is formed for it.
 
 Kraus families are built the same way: every dense builder (the pad lift
 and parallel repetition in :mod:`cdslab.framework`, the Petz map and the
@@ -202,6 +204,15 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     times the matrix, then the result times the stacked adjoints, summed
     over the block.  So a block's first product is no larger than the
     bigger of the input and output matrices.
+
+    Each block acts on its support, read off the exact zeros of its
+    operators: the input columns some operator in the block reads and the
+    output rows some operator writes.  Only those rows and columns of the
+    consumed input are read, the operators are cut down to them, and the
+    product is added into only those output rows and columns.  A support
+    that is the whole range uses the stack and the matrix as they are and
+    adds the product whole, with no gathered copy; a block of all-zero
+    operators is skipped.
     """
     perm, untouched, insert_at, new_layout = _application_plan(layout, channel)
     dims = layout_dims(layout)
@@ -215,13 +226,37 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     work = mat.reshape(dims + dims).transpose(axes).reshape(din, -1)
     stack = channel.kraus_stack
     block = max(din, dout) // min(din, dout)
+    starts = np.arange(0, len(stack), block)
+    # per block, the input columns i and output rows a its operators touch
+    nonzero = stack != 0
+    reads = np.logical_or.reduceat(nonzero.any(axis=1), starts)         # block, i
+    writes = np.logical_or.reduceat(nonzero.any(axis=2), starts)        # block, a
+    work3 = work.reshape(din, drest * drest, din)
     acc = np.zeros((dout * drest * drest, dout), dtype=complex)
-    for lo in range(0, len(stack), block):
+    acc3 = acc.reshape(dout, drest * drest, dout)
+    mid = np.arange(drest * drest)[:, None]                             # (r, s) of acc3
+    for lo, read, write in zip(starts.tolist(), reads, writes):
+        if not read.any():                                              # all-zero operators
+            continue
         ks = stack[lo : lo + block]
         b = len(ks)
-        left = (ks.reshape(b * dout, din) @ work).reshape(b, -1, din)   # k, (a, r, s), i'
-        left = left.transpose(1, 0, 2).reshape(-1, b * din)             # (a, r, s), (k, i')
-        acc += left @ ks.conj().transpose(0, 2, 1).reshape(b * din, dout)
+        w = work
+        if not read.all():
+            ins = np.flatnonzero(read)
+            ks = ks.take(ins, axis=2)
+            w = work3.take(ins, axis=0).take(ins, axis=2).reshape(len(ins), -1)
+        if not write.all():
+            outs = np.flatnonzero(write)
+            ks = ks.take(outs, axis=1)
+        m, c = ks.shape[1:]
+        left = (ks.reshape(b * m, c) @ w).reshape(b, -1, c)             # k, (a, r, s), i'
+        left = left.transpose(1, 0, 2).reshape(-1, b * c)               # (a, r, s), (k, i')
+        adjoints = ks.conj().transpose(0, 2, 1).reshape(b * c, m)
+        # no name holds the product, so its buffer is free for the next block
+        if m == dout:
+            acc += left @ adjoints
+        else:
+            acc3[outs[:, None, None], mid, outs] += (left @ adjoints).reshape(m, -1, m)
     # acc is ordered (outputs a, r, s, outputs a'); splice outputs to insert_at
     n_out = len(channel.output_layout)
     n_rest = len(rest_dims)

@@ -355,9 +355,11 @@ def test_array_path_equals_the_scalar_reference(case, per_r_pad_measures):
     codes, first, per_code = transcript_tally(p, x, y, s)
     named = [per_r[r] for r in first.tolist()]
     assert named == sorted(want)
+    assert first.tolist() == [per_r.index(t) for t in named]
     assert dict(zip(named, per_code.tolist())) == want
     transcripts, first, counts = transcript_tally(reference, x, y, s)
     assert [per_r[r] for r in first.tolist()] == transcripts.tolist() == sorted(want)
+    assert first.tolist() == [per_r.index(t) for t in transcripts.tolist()]
     assert dict(zip(transcripts.tolist(), counts.tolist())) == want
 
     if s is None:

@@ -32,6 +32,7 @@ from cdslab.framework import (
     run_cdqs,
     transcript_counts,
     transcript_form,
+    transcript_tally,
 )
 from cdslab.lowerbound import quantized_product_gap
 from cdslab.qcore import (
@@ -167,7 +168,7 @@ def test_counting_path_matches_a_per_r_reference(p):
     for x in range(1 << p.n):
         for y in range(1 << p.n):
             for s in secrets:
-                counts, dist, bad = {}, {}, Fraction(0)
+                counts, dist, bad, per_r = {}, {}, Fraction(0), []
                 for r in range(r_count):
                     if s is None:
                         ma, mb = p.message_a(x, r), p.message_b(y, r)
@@ -175,11 +176,16 @@ def test_counting_path_matches_a_per_r_reference(p):
                     else:
                         ma, mb = p.message_a(x, s, r), p.message_b(y, r)
                         wrong = p.decoder(ma, x, mb, y) != s
+                    per_r.append((ma, mb))
                     counts[(ma, mb)] = counts.get((ma, mb), 0) + 1
                     dist[(ma, mb)] = dist.get((ma, mb), Fraction(0)) + Fraction(1, r_count)
                     bad += Fraction(int(wrong), r_count)
                 got = transcript_counts(p, x, y, s)
                 assert got == counts and list(got) == list(counts)
+                transcripts, first, per_key = transcript_tally(p, x, y, s)
+                assert transcripts.tolist() == sorted(counts)
+                assert first.tolist() == [per_r.index(t) for t in sorted(counts)]
+                assert per_key.tolist() == [counts[t] for t in sorted(counts)]
                 assert enumerate_message_distribution(p, x, y, s) == dist
                 if s is None:
                     assert psm_decode_failure(p, x, y, 1) == bad

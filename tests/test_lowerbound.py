@@ -7,9 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdslab import lowerbound as lb
-from cdslab.qcore import DensityMatrix, fidelity, layout_names, maximally_mixed, partial_trace
+from cdslab.qcore import (
+    DensityMatrix,
+    StateVector,
+    fidelity,
+    layout_names,
+    maximally_mixed,
+    partial_trace,
+)
 from cdslab.toys import (
     always_one_function,
     depolarized,
@@ -202,6 +211,28 @@ def test_marginal_fidelity_matches_dense_computation():
         partial_trace(states[1].density_matrix(), keep=private),
     )
     assert lb.message_orthogonality_check(tp, f, 0, 0) == pytest.approx(dense, abs=1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dm=st.integers(1, 4),
+    dp=st.integers(1, 6),
+)
+def test_marginal_fidelity_of_complex_vectors_matches_dense_computation(seed, dm, dp):
+    # complex amplitudes, so the singular vectors are complex too: the
+    # fidelity of the M' marginals of two vectors on (M, M')
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(2):
+        m = rng.normal(size=(dm, dp)) + 1j * rng.normal(size=(dm, dp))
+        mats.append(m / np.linalg.norm(m))
+    marginals = [
+        partial_trace(StateVector(m.reshape(-1), (("M", dm), ("P", dp))).density_matrix(), keep=["P"])
+        for m in mats
+    ]
+    dense = fidelity(*marginals)
+    assert lb._marginal_fidelity(*mats) == pytest.approx(dense, abs=1e-9)
 
 
 def test_soundness_bound_values_and_monotonicity():

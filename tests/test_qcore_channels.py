@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdslab.qcore.channels as channels_module
-from cdslab.framework import parallel_repeat
+from cdslab.framework import bob_side_state, parallel_repeat
 from cdslab.qcore import (
     ATOL_INVARIANT,
     PAULI,
@@ -27,6 +27,7 @@ from cdslab.qcore import (
     maximally_mixed,
     partial_trace,
     purify_channel,
+    tensor,
     trace_norm,
 )
 from cdslab.toys import gated_forwarding, lifted_neq
@@ -484,6 +485,19 @@ def _apply_per_kraus(channel, mat, layout):
 def _random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
+def _zero_mask(rng, r, dout, din, keep):
+    """Whole rows and columns of each operator zeroed with probability
+    ``1 - keep``; then one operator left fully dense and, when there is a
+    second, one operator all zero."""
+    rows = rng.random((r, dout, 1)) < keep
+    cols = rng.random((r, 1, din)) < keep
+    mask = rows & cols
+    order = rng.permutation(r)
+    mask[order[0]] = True
+    if r > 1:
+        mask[order[1]] = False
+    return mask
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -491,23 +505,42 @@ def _random_complex(rng, *shape):
     consumed=st.sampled_from([("B",), ("C", "A"), ("A", "B", "C"), ("B", "C")]),
     out_dims=st.sampled_from([(1,), (2,), (5,), (8,), (2, 3)]),
     r=st.integers(1, 9),
+    keep=st.sampled_from([0.3, 0.6, 0.9]),
 )
-def test_apply_channel_matrix_matches_per_kraus_loop(seed, dims, consumed, out_dims, r):
+def test_apply_channel_matrix_matches_per_kraus_loop(seed, dims, consumed, out_dims, r, keep):
     # raw non-Hermitian matrices, channels on middle and non-adjacent
-    # subsystems, Kraus counts that are not a multiple of the block size
+    # subsystems, Kraus counts that are not a multiple of the block size;
+    # operators with zero rows and columns, so blocks whose operators
+    # cover different supports, an all-zero and a fully dense operator
     rng = np.random.default_rng(seed)
     layout = tuple(zip("ABC", dims))
     dim_of = dict(layout)
     in_layout = [(nm, dim_of[nm]) for nm in consumed]
     out_layout = list(zip(("M", "N"), out_dims))
     din, dout = int(np.prod([d for _, d in in_layout])), int(np.prod(out_dims))
-    ch = QuantumChannel(_random_complex(rng, r, dout, din), in_layout, out_layout, validate=False)
+    stack = _random_complex(rng, r, dout, din) * _zero_mask(rng, r, dout, din, keep)
+    ch = QuantumChannel(stack, in_layout, out_layout, validate=False)
     d = int(np.prod(dims))
     mat = _random_complex(rng, d, d)
     got, got_layout = apply_channel_matrix(ch, mat, layout)
     want, want_layout = _apply_per_kraus(ch, mat, layout)
     assert got_layout == want_layout
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+def test_apply_channel_matrix_on_the_lifted_neq_support():
+    # Alice's pad lift: 64 operators of 32 x 32, each with two nonzeros,
+    # applied to the 256-dimensional state it meets in mid_protocol_state
+    p = lifted_neq()
+    ch = p.alice_channel(0)
+    assert np.count_nonzero(ch.kraus_stack) == 128
+    phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
+    state = tensor(phi, bob_side_state(p, 0))
+    rng = np.random.default_rng(49)
+    for mat in (state.entries, _random_complex(rng, 256, 256)):
+        got, got_layout = apply_channel_matrix(ch, mat, state.layout)
+        want, want_layout = _apply_per_kraus(ch, mat, state.layout)
+        assert got_layout == want_layout
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 def test_apply_channel_matrix_runs_partial_blocks():
     # d_in 2, d_out 8: blocks of 4 operators, so 7 operators leave a block of 3
