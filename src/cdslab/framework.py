@@ -290,6 +290,17 @@ def _transcripts(protocol, x: int, y: int, s: Optional[int], draws):
     message_b = partial(protocol.message_b, y)
     return ((message_a(r), message_b(r)) for r in draws)
 
+def _draw_transcripts(protocol, x: int, y: int, s: Optional[int]) -> np.ndarray:
+    """The transcript of every draw at one input, indexed by ``r``: int64
+    codes with an :class:`ArrayForm`, scalar ``(m_a, m_b)`` in an object
+    array otherwise.  For CDS protocols the secret ``s`` is required."""
+    if isinstance(protocol, CdsProtocol) and s is None:
+        raise ValueError("CDS enumeration requires the secret value")
+    if protocol.arrays is not None:
+        return _draws(protocol, x, y, s)[0]
+    total = _randomness_count(protocol)
+    return np.fromiter(_transcripts(protocol, x, y, s, range(total)), dtype=object, count=total)
+
 def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     """Every distinct transcript at one input, sorted, as three arrays:
     the transcripts, the first ``r`` of each and its number of ``r``.
@@ -300,15 +311,7 @@ def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     must be orderable.  Either way the scalar messages at the first ``r``
     are the transcript.  For CDS protocols the secret ``s`` is required.
     """
-    if isinstance(protocol, CdsProtocol) and s is None:
-        raise ValueError("CDS enumeration requires the secret value")
-    if protocol.arrays is not None:
-        transcripts = _draws(protocol, x, y, s)[0]
-    else:
-        total = _randomness_count(protocol)
-        transcripts = np.fromiter(
-            _transcripts(protocol, x, y, s, range(total)), dtype=object, count=total
-        )
+    transcripts = _draw_transcripts(protocol, x, y, s)
     # runs of equal transcripts in sorted order; the sort need not be
     # stable, since each run's first r is the least draw in it
     order = np.argsort(transcripts)

@@ -20,6 +20,12 @@ The cheating-prover optimum is approximated from below by a see-saw
 (alternating polar updates of per-secret rotations with a top-eigenvector
 update of the shared purification), so asserting it under the soundness
 bound checks a necessary condition of the theorem, never a vacuous one.
+The see-saw runs on the accept vectors' joint exact-zero support, the
+message rows and purifying columns that some accept vector touches.  That
+is exact: the updates read the vectors only through products to which
+zero columns add nothing and zero rows add only zero columns, which the
+thin polar factor leaves out.  Its random starts are still drawn and
+normalised at the full shape, then cut.
 """
 
 from __future__ import annotations
@@ -333,6 +339,24 @@ def honest_acceptance(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) ->
     return float(np.mean(honest_acceptance_by_secret(tp, f, x, y)))
 
 
+def _joint_support(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows and of the columns in which some matrix of
+    ``stack`` has an entry that is not exactly zero."""
+    nonzero = stack != 0
+    return np.flatnonzero(nonzero.any(axis=(0, 2))), np.flatnonzero(nonzero.any(axis=(0, 1)))
+
+
+def _accept_matrices(tp: TwoProverProof, x: int, y: int):
+    """The accept vectors ``psi^s`` as (M, M') amplitude matrices, stacked
+    over ``s``, and their :func:`_joint_support`."""
+    message, private = tp.system_names(x, y)
+    stack = np.stack([
+        _vector_as_matrix(tp.accept_vector(x, y, s), message, private)
+        for s in range(tp.d_q)
+    ])
+    return stack, _joint_support(stack)
+
+
 def _marginal_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """``F(tr_M |a><a|, tr_M |b><b|)`` from (M, M') amplitude matrices.
 
@@ -348,11 +372,8 @@ def message_orthogonality_check(tp: TwoProverProof, f: PromiseFunction, x: int, 
     """Max pairwise fidelity of the accept vectors' purifying-side marginals."""
     if f.value(x, y) != 0:
         raise ValueError(f"input ({x}, {y}) is not a hiding input")
-    message, private = tp.system_names(x, y)
-    mats = [
-        _vector_as_matrix(tp.accept_vector(x, y, s), message, private)
-        for s in range(tp.d_q)
-    ]
+    stack, (rows, cols) = _accept_matrices(tp, x, y)
+    mats = stack[:, rows][:, :, cols]
     worst = 0.0
     for s in range(tp.d_q):
         for t in range(s + 1, tp.d_q):
@@ -391,44 +412,64 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
 
     Four starts are tried: the first accept vector, their mean and two
     random draws (seed 11); each runs at most 500 rounds, stopping once a
-    round gains less than 1e-10.
+    round gains less than 1e-10.  The search runs on the accept vectors'
+    joint exact-zero support (see :func:`_seesaw`); the random starts are
+    still drawn and normalised at the full (M, M') shape, so every start,
+    and so the estimate, is the full-space one up to rounding.
     """
     if f.value(x, y) != 0:
         raise ValueError(f"input ({x}, {y}) is not a hiding input")
-    message, private = tp.system_names(x, y)
-    mats = [
-        _vector_as_matrix(tp.accept_vector(x, y, s), message, private)
-        for s in range(tp.d_q)
-    ]
-    d_q = tp.d_q
-    unconstrained = float(np.mean([np.vdot(m, m).real ** 2 for m in mats]))
+    stack, (rows, cols) = _accept_matrices(tp, x, y)
+    unconstrained = float(np.mean([np.vdot(m, m).real ** 2 for m in stack]))
+    estimate, rounds, converged = _seesaw(stack, rows, cols)
+    return CheatResult(
+        estimate=estimate,
+        rounds=rounds,
+        converged=converged,
+        unconstrained=unconstrained,
+    )
+
+
+def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[float, int, bool]:
+    """Best value, its rounds and convergence over :func:`cheat_optimize`'s
+    starts, for the (M, M') matrices ``stack`` whose entries outside
+    ``rows`` x ``cols`` are exactly zero.
+
+    Each round reads the matrices only through the products ``w a^+`` and
+    the rotated ``U a``, so both run on the support.  The shared
+    purification ``w`` keeps all M rows but only the support columns, since
+    the others add nothing to ``w a^+``.  Rows outside the support only give
+    ``w a^+`` zero columns, so each ``U`` is the thin (M, |rows|) polar
+    factor of the cut product: it acts on ``a`` as the full M x M one does
+    wherever the cut product has full column rank, and elsewhere both
+    complete a zero block arbitrarily.
+    """
+    d_q = len(stack)
+    mats = stack[:, rows][:, :, cols]
+    adjoints = mats.conj().transpose(0, 2, 1)
 
     def value_and_rotations(w):
-        total = 0.0
-        rotations = []
-        for a in mats:
-            g = w @ a.conj().T
-            u, sv, vh = np.linalg.svd(g)
-            rotations.append((vh.conj().T @ u.conj().T))
-            total += float(sv.sum()) ** 2
-        return total / d_q, rotations
+        # every secret at once: (d_q, M, |rows|) products, thin polar factors
+        u, sv, vh = np.linalg.svd(w @ adjoints, full_matrices=False)
+        return sum(float(s.sum()) ** 2 for s in sv) / d_q, u @ vh
 
     def refresh(rotations):
         # top eigenvector of mean_s |phi^s><phi^s| via the small Gram matrix
-        phis = [rot.conj().T @ a for rot, a in zip(rotations, mats)]
+        phis = rotations @ mats
         gram = np.array([[np.vdot(pa, pb) for pb in phis] for pa in phis])
         vals, vecs = np.linalg.eigh(gram)
         coeff = vecs[:, -1]
         w = sum(c * ph for c, ph in zip(coeff, phis))
         return w / np.linalg.norm(w)
 
+    # each start is normalised at the full (M, M') shape, then cut
     rng = np.random.default_rng(11)
-    starts = [mats[0] / np.linalg.norm(mats[0])]
-    mean = sum(mats)
-    starts.append(mean / np.linalg.norm(mean))
+    starts = [stack[0][:, cols] / np.linalg.norm(stack[0])]
+    mean = sum(stack)
+    starts.append(mean[:, cols] / np.linalg.norm(mean))
     for _ in range(2):
-        guess = rng.standard_normal(mats[0].shape) + 1j * rng.standard_normal(mats[0].shape)
-        starts.append(guess / np.linalg.norm(guess))
+        guess = rng.standard_normal(stack.shape[1:]) + 1j * rng.standard_normal(stack.shape[1:])
+        starts.append(guess[:, cols] / np.linalg.norm(guess))
 
     best = -1.0
     best_rounds = 0
@@ -448,12 +489,7 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
             best = current
             best_rounds = rounds
             best_converged = converged
-    return CheatResult(
-        estimate=best,
-        rounds=best_rounds,
-        converged=best_converged,
-        unconstrained=unconstrained,
-    )
+    return best, best_rounds, best_converged
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, pad_counts, transcript_tally
+from .framework import CostReport, _draw_transcripts, pad_counts, transcript_tally
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,11 @@ class BhmPsqm:
             if (u, v) in seen:  # the vote is <u, v>, so it repeats too
                 continue
             seen.add((u, v))
-            support = transcript_tally(self.inner, u, v)[0]
-            if len(support) != total:
+            support = np.sort(_draw_transcripts(self.inner, u, v, None))
+            repeats = int(np.count_nonzero(support[1:] == support[:-1]))
+            if repeats:
                 raise AssertionError(
-                    f"inner PSM at ({u}, {v}): {len(support)} transcripts for {total} "
+                    f"inner PSM at ({u}, {v}): {total - repeats} transcripts for {total} "
                     "randomness values, so the map from r is not injective"
                 )
             if vote not in reference:

@@ -246,6 +246,106 @@ def test_soundness_bound_values_and_monotonicity():
         lb.soundness_bound(1, -0.1)
 
 
+def _full_space_seesaw(mats):
+    """The see-saw of ``cheat_optimize`` on the full (M, M') matrices, with
+    full M x M polar factors: the reference for the run on the support."""
+    d_q = len(mats)
+
+    def value_and_rotations(w):
+        total = 0.0
+        rotations = []
+        for a in mats:
+            g = w @ a.conj().T
+            u, sv, vh = np.linalg.svd(g)
+            rotations.append((vh.conj().T @ u.conj().T))
+            total += float(sv.sum()) ** 2
+        return total / d_q, rotations
+
+    def refresh(rotations):
+        # top eigenvector of mean_s |phi^s><phi^s| via the small Gram matrix
+        phis = [rot.conj().T @ a for rot, a in zip(rotations, mats)]
+        gram = np.array([[np.vdot(pa, pb) for pb in phis] for pa in phis])
+        vals, vecs = np.linalg.eigh(gram)
+        coeff = vecs[:, -1]
+        w = sum(c * ph for c, ph in zip(coeff, phis))
+        return w / np.linalg.norm(w)
+
+    rng = np.random.default_rng(11)
+    starts = [mats[0] / np.linalg.norm(mats[0])]
+    mean = sum(mats)
+    starts.append(mean / np.linalg.norm(mean))
+    for _ in range(2):
+        guess = rng.standard_normal(mats[0].shape) + 1j * rng.standard_normal(mats[0].shape)
+        starts.append(guess / np.linalg.norm(guess))
+
+    best = -1.0
+    best_rounds = 0
+    best_converged = False
+    for w in starts:
+        current, rotations = value_and_rotations(w)
+        converged = False
+        for rounds in range(1, 501):
+            w = refresh(rotations)
+            nxt, rotations = value_and_rotations(w)
+            if nxt - current < 1e-10:
+                current = max(current, nxt)
+                converged = True
+                break
+            current = nxt
+        if current > best:
+            best = current
+            best_rounds = rounds
+            best_converged = converged
+    return best, best_rounds, best_converged
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_seesaw_on_the_support_matches_the_full_space_search(data):
+    # generic complex entries on a joint support of r rows and c >= r
+    # columns, spread over a larger (M, M') frame.  The first matrix keeps
+    # only some of the columns, so the joint support is a union.  Every
+    # matrix keeps all r rows and at least r columns: there each polar
+    # factor is unique, while a matrix with fewer rows makes some see-saws
+    # move by up to 4e-7 under a 1e-15 change of their input, on either path
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d_q = data.draw(st.integers(2, 4))
+    r = data.draw(st.integers(1, 4))
+    c = r + data.draw(st.integers(0, 3))
+    m = r + data.draw(st.integers(0, 3))
+    mp = c + data.draw(st.integers(0, 4))
+    rows = rng.permutation(m)[:r]
+    cols = rng.permutation(mp)[:c]
+    stack = np.zeros((d_q, m, mp), dtype=complex)
+    for s in range(d_q):
+        sub = cols[:data.draw(st.integers(r, c))] if s == 0 else cols
+        block = rng.normal(size=(r, len(sub))) + 1j * rng.normal(size=(r, len(sub)))
+        stack[s][np.ix_(rows, sub)] = block / np.linalg.norm(block)
+    estimate, _, converged = lb._seesaw(stack, *lb._joint_support(stack))
+    ref_estimate, _, ref_converged = _full_space_seesaw(list(stack))
+    assert estimate == pytest.approx(ref_estimate, abs=1e-9)
+    assert converged == ref_converged
+
+
+@pytest.mark.parametrize("p, f, k", [
+    (lifted_neq(), lifted_neq_function(), 1),
+    (gated_forwarding(), gated_function(), 1),
+    (gated_forwarding(), gated_function(), 2),
+    (gated_forwarding(), gated_function(), 3),
+])
+def test_cheat_optimize_equals_the_full_space_search_on_shipped_inputs(p, f, k):
+    # leaky(0.06) at k = 4 is checked where its bound is
+    tp = lb.build_two_prover_proof(p, k)
+    for x, y in f.promise_pairs():
+        if f.value(x, y) == 1:
+            continue
+        cheat = lb.cheat_optimize(tp, f, x, y)
+        stack, _ = lb._accept_matrices(tp, x, y)
+        estimate, _, converged = _full_space_seesaw(list(stack))
+        assert abs(cheat.estimate - estimate) <= 1e-12
+        assert cheat.converged == converged
+
+
 def test_cheat_stays_under_bound_with_real_security_slack():
     p, f = leaky(0.06), gated_function()
     delta = cdqs_verify(p, f).delta_hat_lower
@@ -253,6 +353,11 @@ def test_cheat_stays_under_bound_with_real_security_slack():
     tp = lb.build_two_prover_proof(p, 4)
     cheat = lb.cheat_optimize(tp, f, 0, 0)
     assert cheat.estimate <= lb.soundness_bound(4, delta) + 1e-6
+    # the one hiding input, against the full-space search
+    stack, _ = lb._accept_matrices(tp, 0, 0)
+    estimate, _, converged = _full_space_seesaw(list(stack))
+    assert abs(cheat.estimate - estimate) <= 1e-12
+    assert cheat.converged == converged
     ortho = lb.message_orthogonality_check(tp, f, 0, 0)
     assert ortho <= 4 * math.sqrt(delta) + 1e-9
 

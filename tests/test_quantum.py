@@ -228,6 +228,19 @@ def test_bhm_inner_support_refuses_a_collapsed_replay(monkeypatch):
     with pytest.raises(AssertionError, match="not injective"):
         proto.inner_layer_secure(inst)
 
+def test_bhm_inner_layer_without_an_array_form(monkeypatch):
+    # the scalar path sorts (m_a, m_b) tuples in an object array
+    proto, inst = bhm_psqm(2), bhm_instance(2, 1, seed=3)
+    monkeypatch.setattr(proto, "inner", dataclasses.replace(proto.inner, arrays=None))
+    assert proto.inner_layer_secure(inst)
+    # every transcript twice: 2^8 transcripts for 2^9 randomness values
+    collapsed = dataclasses.replace(
+        proto.inner, message_a=lambda x, r: 0, message_b=lambda y, r: r >> 1
+    )
+    monkeypatch.setattr(proto, "inner", collapsed)
+    with pytest.raises(AssertionError, match="256 transcripts for 512"):
+        proto.inner_layer_secure(inst)
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_bhm_inner_supports_are_the_scalar_transcripts(data):
