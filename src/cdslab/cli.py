@@ -137,11 +137,13 @@ def _suite_ip_psm(cfg: ExperimentConfig):
 def hybrid_input_sample(n: int, seed: int) -> list:
     """Deterministic promise inputs for the hybrid protocol at size ``n``:
     64 equal pairs alternating with 64 pairs at Hamming distance ``n/2``
-    (fewer once duplicates go)."""
+    (fewer once duplicates go).  Each string is drawn as ``ceil(n/64)``
+    unsigned 64-bit words, least significant first."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     inputs = []
     for _ in range(64):
-        x = int(rng.integers(0, 1 << n))
+        words = rng.integers(0, 1 << min(n, 64), size=-(-n // 64), dtype=np.uint64)
+        x = sum(int(w) << (64 * i) for i, w in enumerate(words))
         inputs.append((x, x))
         mask = 0
         for pos in rng.permutation(n)[: n // 2]:

@@ -456,10 +456,9 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[floa
     def refresh(rotations):
         # top eigenvector of mean_s |phi^s><phi^s| via the small Gram matrix
         phis = rotations @ mats
-        gram = np.array([[np.vdot(pa, pb) for pb in phis] for pa in phis])
-        vals, vecs = np.linalg.eigh(gram)
-        coeff = vecs[:, -1]
-        w = sum(c * ph for c, ph in zip(coeff, phis))
+        flat = phis.reshape(d_q, -1)
+        _, vecs = np.linalg.eigh(flat.conj() @ flat.T)
+        w = np.tensordot(vecs[:, -1], phis, axes=1)
         return w / np.linalg.norm(w)
 
     # each start is normalised at the full (M, M') shape, then cut

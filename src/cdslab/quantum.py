@@ -38,34 +38,36 @@ def dj_shorten(x: int, y: int, n: int) -> dict[tuple[int, int], Fraction]:
     is an exact rational function of ``z = x xor y``.  Inputs are ``n``-bit
     integers.
     """
+    z = _dj_difference(x, y, n)
+    phases = np.array([1 - 2 * ((z >> i) & 1) for i in range(n)])
+    signs = [int(s) for s in _walsh_hadamard(phases)]
     cube = n**3
-    return {ab: Fraction(w, cube) for ab, w in _dj_weights(x, y, n).items()}
+    return {
+        (a, b): Fraction(signs[a ^ b] ** 2, cube)
+        for a in range(n)
+        for b in range(n)
+        if signs[a ^ b]
+    }
 
 
-def _dj_weights(x: int, y: int, n: int) -> dict[tuple[int, int], int]:
-    """``n^3`` times :func:`dj_shorten`: the squared Walsh-Hadamard signs of
-    the nonzero outcomes."""
+def _dj_difference(x: int, y: int, n: int) -> int:
+    """``x xor y``, once ``n`` and both inputs are checked."""
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     for v in (x, y):
         if not 0 <= v < (1 << n):
             raise ValueError(f"input {v} does not fit in {n} bits")
-    z = x ^ y
-    phases = np.array([1 - 2 * ((z >> i) & 1) for i in range(n)])
-    signs = [int(s) for s in _walsh_hadamard(phases)]
-    out = {}
-    for a in range(n):
-        for b in range(n):
-            s = signs[a ^ b]
-            if s:
-                out[(a, b)] = s * s
-    return out
+    return x ^ y
 
 
 def dj_equal_probability(x: int, y: int, n: int) -> Fraction:
-    """Exact probability that the two shortened outcomes coincide."""
-    dist = dj_shorten(x, y, n)
-    return sum((p for (a, b), p in dist.items() if a == b), Fraction(0))
+    """Exact probability that the two shortened outcomes coincide.
+
+    The ``n`` outcomes ``a = b`` each carry ``S_0^2 / n^3``, and
+    ``S_0 = n - 2 wt(x xor y)``, so the sum is ``S_0^2 / n^2``.
+    """
+    s0 = n - 2 * _dj_difference(x, y, n).bit_count()
+    return Fraction(s0 * s0, n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +88,26 @@ class HybridNeqCdqs:
 
     Verification quantities are exact: both copies run on the same
     ``(a, b)`` and are independent given it, so each pair's measures are
-    those of the tensor square of one copy's :func:`pad_counts`, tabulated
-    once.  On ``a = b`` nothing is disclosed and the referee's identity
-    unpad is right only for the zero key.
+    those of the tensor square of one copy's :func:`pad_counts`.  On
+    ``a = b`` nothing is disclosed and the referee's identity unpad is
+    right only for the zero key.
+
+    The counts depend on ``(a, b)`` only through whether ``a = b``.  One
+    ``neq_cds(m)`` copy draws ``r = (A, B)`` over GF(2^m); Alice sends
+    ``(A a + B, s xor A_0)``, with ``A_0`` the low bit of ``A``, and Bob
+    sends ``A b + B``.
+
+    * If ``a != b``, a transcript ``(u, c, v)`` fixes ``A = (u xor v) /
+      (a xor b)``, then ``B``, then ``s``: each transcript comes from
+      exactly one (key, draw), so every count vector is a unit vector,
+      there are ``2^{2m}`` of them per key, and every draw decodes.
+    * If ``a = b``, each ``(u, c)`` arises, for each key, from exactly the
+      ``2^{m-1}`` slopes with ``A_0 = c xor s``: every vector is
+      ``(2^{m-1}, 2^{m-1})``, and the decoder returns None on every draw.
+
+    So one equal pair and one unequal pair are tabulated, and each input's
+    measure is ``P_eq same + (1 - P_eq) differ`` with ``P_eq`` from
+    :func:`dj_equal_probability`.
     """
 
     d_q = 2
@@ -102,17 +121,13 @@ class HybridNeqCdqs:
         self.key_cds = double_secret(copy)
         self.construction = f"neq_promise_cdqs({n})"
         self.params = (("shortened_bits", self.m),)
-        # (a, b) -> the key pair's decoded draws and posterior gap, integer
-        # numerators over denominators shared by every pair
-        self._decoded: dict = {}
-        self._gap: dict = {}
-        for a in range(n):
-            for b in range(n):
-                pair = pad_counts(copy, a, b).square()
-                self._decoded[(a, b)] = pair.decoded
-                self._gap[(a, b)] = pair.gap()
-        self._fidelity_scale = pair.total
-        self._distance_scale = pair.keys * pair.total
+        # the key pair's decoded draws and posterior gap on a = b and on
+        # a != b, integer numerators over denominators both classes share
+        same, differ = (pad_counts(copy, 0, b).square() for b in (0, 1))
+        self._decoded = (same.decoded, differ.decoded)
+        self._gap = (same.gap(), differ.gap())
+        self._fidelity_scale = differ.total
+        self._distance_scale = differ.keys * differ.total
 
     @property
     def cost(self) -> CostReport:
@@ -138,13 +153,12 @@ class HybridNeqCdqs:
         """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1``."""
         return self._averaged(self._gap, self._distance_scale, x, y)
 
-    def _averaged(self, numerators: dict, scale: int, x: int, y: int) -> Fraction:
-        """A per-(a, b) measure ``numerators[ab] / scale`` averaged over the
-        shortening outcomes: one integer sum over the common denominator
-        ``n^3 scale``."""
-        weights = _dj_weights(x, y, self.n)
-        total = sum(w * numerators[ab] for ab, w in weights.items())
-        return Fraction(total, self.n**3 * scale)
+    def _averaged(self, numerators: tuple, scale: int, x: int, y: int) -> Fraction:
+        """The equal-class and unequal-class measures ``numerators / scale``
+        mixed by the shortening's collision probability."""
+        same, differ = numerators
+        equal = dj_equal_probability(x, y, self.n)
+        return (equal * same + (1 - equal) * differ) / scale
 
 
 def neq_promise_cdqs(n: int) -> HybridNeqCdqs:

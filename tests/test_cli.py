@@ -1,5 +1,6 @@
 """Command-line runner: config handling, suite execution, report files."""
 
+import hashlib
 import json
 
 import pytest
@@ -122,10 +123,17 @@ def test_forrelation_suite_has_constant_t_depth(tmp_path):
     assert again.read_text() == out.read_text()
 
 
-def test_hybrid_suite_runs_clean():
+def test_hybrid_suite_runs_clean(tmp_path):
     cfg = ExperimentConfig(suite="hybrid", n=8, seed=11)
     code, paths = run_suite(cfg)
     assert code == 0 and paths == []
+    # n = 64, where log n and n differ widely, from the command line
+    out = tmp_path / "hybrid.json"
+    assert main(["--suite", "hybrid", "--n", "64", "--out", str(out)]) == 0
+    (entry,) = json.loads(out.read_text())
+    assert entry["protocol"] == "neq_promise_cdqs(64)"
+    assert entry["epsilon_hat"] == 0
+    assert [entry["delta_hat_lower"], entry["delta_hat_upper"]] == [0, 0]
 
 
 def test_hybrid_input_sample_is_deterministic_and_on_promise():
@@ -135,6 +143,27 @@ def test_hybrid_input_sample_is_deterministic_and_on_promise():
     for x, y in sample:
         diff = bin(x ^ y).count("1")
         assert diff in (0, 4)
+    # past one int64: 64-bit words, every one of them drawn
+    for n in (64, 128):
+        sample = hybrid_input_sample(n, seed=2026)
+        assert len(sample) == 128
+        for x, y in sample:
+            assert 0 <= x < (1 << n) and 0 <= y < (1 << n)
+            assert (x ^ y).bit_count() in (0, n // 2)
+        assert max(x for x, _ in sample).bit_length() > n - 4
+
+
+@pytest.mark.parametrize("n, size, head, digest", [
+    (8, 119, [(0, 0), (0, 29), (0, 30)],
+     "52d3afb114685ee9cccee07ba6032ecffdf666bd96c434c1409ba9caf5daa25f"),
+    (16, 128, [(3111, 3111), (3111, 22436), (4435, 4435)],
+     "8e3b310e49eabb3fb8c72433cf4417f48611d3eaf44af6f35ca9d0b0dd0554e1"),
+])
+def test_hybrid_input_sample_is_pinned_at_the_default_seed(n, size, head, digest):
+    # the inputs the n = 8 and n = 16 hybrid reports are verified on
+    sample = hybrid_input_sample(n, seed=2026)
+    assert len(sample) == size and sample[:3] == head
+    assert hashlib.sha256(repr(sample).encode()).hexdigest() == digest
 
 
 def test_two_prover_suite_meets_the_thresholds(tmp_path):

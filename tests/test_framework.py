@@ -221,8 +221,12 @@ def test_array_path_refuses_a_transcript_code_wider_than_int64():
     with pytest.raises(ValueError, match="64-bit transcript code overflows int64"):
         psm_decode_failure(wide_psm, 0, 1, 0)
 
-def test_budget_reaches_transcript_form_and_hybrid():
+def test_budget_reaches_transcript_form_and_hybrid(monkeypatch):
     # 52 and 26 randomness bits: refused before any enumeration starts
+    def allocate(*args, **kwargs):
+        raise AssertionError("the draws were allocated before the budget check")
+
+    monkeypatch.setattr(np, "arange", allocate)
     with pytest.raises(ValueError, match="budget"):
         transcript_form(double_secret(neq_cds(13))).entanglement_fidelity(0, 1)
     with pytest.raises(ValueError, match="budget"):

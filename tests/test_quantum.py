@@ -3,6 +3,7 @@ hidden-matching PSQM with its inner product layer."""
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab.classical import double_secret, ip_psm, neq_cds
+from cdslab.cli import hybrid_input_sample
 from cdslab.framework import (
     ArrayForm,
+    PadCounts,
     enumerate_message_distribution,
+    pad_counts,
     transcript_counts,
     transcript_tally,
 )
@@ -65,6 +69,33 @@ def test_dj_rejects_mismatched_lengths():
     # a 3-bit input to the 2-bit measurement is out of range
     with pytest.raises(ValueError, match="does not fit in 2 bits"):
         dj_shorten(0b01, 0b110, 2)
+    with pytest.raises(ValueError, match="does not fit in 2 bits"):
+        dj_equal_probability(0b01, 0b110, 2)
+    with pytest.raises(ValueError, match="power of two"):
+        dj_equal_probability(0, 0, 6)
+
+def _diagonal(dist):
+    return sum((p for (a, b), p in dist.items() if a == b), Fraction(0))
+
+def test_dj_equal_probability_is_the_diagonal_of_the_shortening():
+    for n in (2, 4, 8):
+        # the distribution is a function of x xor y: checked pair by pair
+        # up to n = 4, and read from one call per difference at n = 8
+        by_difference = {z: dj_shorten(z, 0, n) for z in range(1 << n)}
+        for x in range(1 << n):
+            for y in range(1 << n):
+                if n <= 4:
+                    assert dj_shorten(x, y, n) == by_difference[x ^ y]
+                assert dj_equal_probability(x, y, n) == _diagonal(by_difference[x ^ y]), (x, y)
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_dj_equal_probability_matches_the_diagonal_at_larger_sizes(data):
+    n = data.draw(st.sampled_from((16, 32, 64)))
+    x = data.draw(st.integers(0, (1 << n) - 1))
+    flips = data.draw(st.sets(st.integers(0, n - 1)))
+    y = x ^ sum(1 << i for i in flips)
+    assert dj_equal_probability(x, y, n) == _diagonal(dj_shorten(x, y, n))
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +131,48 @@ def test_hybrid_cost_table():
 def test_hybrid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         neq_promise_cdqs(3)
+
+def _documented_counts(m, equal):
+    """One ``neq_cds(m)`` copy's counts on a shortened pair, as the
+    ``HybridNeqCdqs`` docstring derives them: on a != b every transcript
+    comes from one (key, draw) and every draw decodes; on a = b each of the
+    2^(m+1) transcripts comes from 2^(m-1) draws of each key, and None
+    decodes key 0."""
+    draws = 1 << (2 * m)
+    if equal:
+        half = 1 << (m - 1)
+        return PadCounts(Counter({(half, half): 2 << m}), draws, 2 * draws)
+    return PadCounts(Counter({(1, 0): draws, (0, 1): draws}), 2 * draws, 2 * draws)
+
+def _check_pair_counts(m, a, b):
+    copy = neq_cds(m)
+    counts = pad_counts(copy, a, b)
+    assert counts == _documented_counts(m, a == b), (a, b)
+    representative = pad_counts(copy, 0, 0 if a == b else 1)
+    assert counts.square() == representative.square(), (a, b)
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pad_counts_depend_on_the_pair_only_through_equality(m):
+    for a in range(1 << m):
+        for b in range(1 << m):
+            _check_pair_counts(m, a, b)
+
+@settings(max_examples=12)
+@given(data=st.data())
+def test_pad_counts_depend_on_the_pair_only_through_equality_sampled(data):
+    m = data.draw(st.sampled_from((5, 6)))
+    a = data.draw(st.integers(0, (1 << m) - 1))
+    _check_pair_counts(m, a, data.draw(st.one_of(st.just(a), st.integers(0, (1 << m) - 1))))
+
+def test_hybrid_equality_classes_match_the_tabulated_average(tabulated_hybrid_measures):
+    # every promise pair at n = 4 and 8, and the CLI's sample at n = 16
+    cases = [(n, hybrid_promise_function(n).promise_pairs()) for n in (4, 8)]
+    cases.append((16, hybrid_input_sample(16, seed=2026)))
+    for n, inputs in cases:
+        p = HybridNeqCdqs(n)
+        for x, y in inputs:
+            measures = (p.entanglement_fidelity(x, y), p.product_distance(x, y))
+            assert measures == tabulated_hybrid_measures(n, x, y), (n, x, y)
 
 def _per_r_copy_measures(copy, a, b):
     """Fidelity and product distance of the pad lift of two independent

@@ -48,7 +48,7 @@ KEEP = {
     "correctness_probability": "BHM single-shot correctness, checked by criterion 5",
     "depolarized": "noisy toy behind the open epsilon-interval evidence",
     "diamond_distance_bounds": "the two-sided diamond bound the CDQS verifier is to adopt",
-    "dj_equal_probability": "Deutsch-Jozsa collision probability, checked by criterion 2",
+    "dj_shorten": "the full Deutsch-Jozsa outcome distribution, oracle for dj_equal_probability",
     "ensemble_sqrt_fidelity_check": "fidelity inequality checked by criterion 11",
     "fuchs_van_de_graaf_gaps": "trace-distance/fidelity bounds checked by criterion 11",
     "leaky": "insecure toy behind the open delta and cheating-bound evidence",
