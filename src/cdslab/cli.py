@@ -27,6 +27,7 @@ import numpy as np
 
 from .classical import ip_function, ip_psm, neq_cds, neq_function
 from .forrelation import (
+    acceptance_probability,
     compile_clifford_t,
     forrelation_circuit,
     forrelation_decision,
@@ -222,12 +223,15 @@ def _suite_forrelation(cfg: ExperimentConfig):
         depth = t_depth(compile_clifford_t(circuit))
         instances = instance_suite(cfg.seed, ns=(n,), per_side=per_side)
         vote_seeds = np.random.SeedSequence((cfg.seed, 1, n)).spawn(len(instances))
+        p0s = acceptance_probability(
+            circuit, [inst.x for inst in instances], [inst.y for inst in instances]
+        )
         wrong = 0
         bounds = []
-        for inst, vote_seed in zip(instances, vote_seeds):
-            decision = forrelation_decision(inst.x, inst.y, reps, seed=vote_seed)
+        for inst, p0, vote_seed in zip(instances, p0s.tolist(), vote_seeds):
+            decision = forrelation_decision(p0, reps, seed=vote_seed)
             wrong += decision != inst.answer
-            bounds.append(vote_error_bound(inst, reps))
+            bounds.append(vote_error_bound(p0, inst.side, reps))
         rep = VerificationReport(
             protocol=f"forrelation({n})",
             n=n,

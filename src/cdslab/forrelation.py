@@ -291,12 +291,19 @@ _CH[2:, 2:] = _GATE_MATRICES["H"]
 
 
 def _apply_gate(state: np.ndarray, g: Gate, wires: int, x, y) -> np.ndarray:
-    """Apply one gate to a tensor whose first ``wires`` axes are the wires."""
+    """Apply one gate to a tensor whose first ``wires`` axes are the wires.
+
+    Oracle data is a +/-1 vector, or a ``(B, n)`` stack of them whose
+    instances run along the tensor's last axis.
+    """
     if g.kind in _ORACLES:
-        data = x if g.kind == "ORACLE_A" else y
-        phases = _as_sign_vector(data, g.kind).reshape((2,) * len(g.wires))
+        data = np.asarray(x if g.kind == "ORACLE_A" else y, dtype=float)
+        if data.ndim not in (1, 2) or not np.all(np.abs(data) == 1.0):
+            raise ValueError(f"{g.kind} data must be +/-1 vectors, one per row")
+        batch = data.shape[:-1]
+        phases = data.T.reshape((2,) * len(g.wires) + batch)
         shape = [2 if w in g.wires else 1 for w in range(wires)]
-        shape += [1] * (state.ndim - wires)
+        shape += [1] * (state.ndim - wires - len(batch)) + list(batch)
         return state * phases.reshape(shape)
     if g.kind in ("CNOT", "CH"):
         mat = (_CNOT if g.kind == "CNOT" else _CH).reshape(2, 2, 2, 2)
@@ -307,19 +314,28 @@ def _apply_gate(state: np.ndarray, g: Gate, wires: int, x, y) -> np.ndarray:
     return np.moveaxis(moved, 0, g.wires[0])
 
 
-def acceptance_probability(c: Circuit, x: Sequence[float], y: Sequence[float]) -> float:
+def acceptance_probability(c: Circuit, x, y):
     """Exact probability of measuring 0, by statevector simulation.
 
     The circuit must end with its (single) measurement; oracle gates bind to
-    ``x`` and ``y``.
+    ``x`` and ``y``.  Given one instance (``x``, ``y`` of shape ``(n,)``) it
+    returns a float; given a stack of ``B`` instances (shape ``(B, n)``) it
+    simulates them together, instances along the state tensor's last axis,
+    and returns their ``B`` probabilities.
     """
-    state = np.zeros((2,) * c.wire_count, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim not in (1, 2):
+        raise ValueError(f"x and y must share a shape (n,) or (B, n), got {x.shape} and {y.shape}")
+    xs, ys = np.atleast_2d(x), np.atleast_2d(y)
+    state = np.zeros((2,) * c.wire_count + (len(xs),), dtype=complex)
     state[(0,) * c.wire_count] = 1.0
     for g in c.gates:
         if g.kind == "MEASURE":
-            zero = np.take(state, 0, axis=g.wires[0])
-            return float(np.sum(np.abs(zero) ** 2))
-        state = _apply_gate(state, g, c.wire_count, x, y)
+            zero = np.moveaxis(np.take(state, 0, axis=g.wires[0]), -1, 0)
+            p0 = np.sum(np.abs(zero.reshape(len(xs), -1)) ** 2, axis=1)
+            return float(p0[0]) if x.ndim == 1 else p0
+        state = _apply_gate(state, g, c.wire_count, xs, ys)
     raise ValueError("circuit has no measurement")
 
 
@@ -384,20 +400,24 @@ def t_depth(c: Circuit) -> int:
     return max(depth) if depth else 0
 
 
-def forrelation_decision(x: Sequence[float], y: Sequence[float], reps: int, seed=None) -> int:
-    """Majority-vote decision: -1 for the high side, +1 for the low side.
-
-    Runs ``reps`` independent simulated measurements of the decision circuit
-    and outputs -1 exactly when at least ``ceil(TAU * reps)`` of them
-    measured 0.
-    """
+def _check_vote(p0: float, reps: int) -> float:
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    x = _as_sign_vector(x, "x")
-    y = _as_sign_vector(y, "y")
-    if x.size != y.size:
-        raise ValueError("x and y lengths differ")
-    p0 = acceptance_probability(forrelation_circuit(x.size), x, y)
+    p0 = float(p0)
+    if not -1e-9 <= p0 <= 1.0 + 1e-9:
+        raise ValueError(f"acceptance probability {p0} outside [0, 1]")
+    return p0
+
+
+def forrelation_decision(p0: float, reps: int, seed=None) -> int:
+    """Majority-vote decision: -1 for the high side, +1 for the low side.
+
+    Draws ``reps`` independent measurements of a decision circuit whose
+    exact acceptance probability is ``p0`` (see
+    :func:`acceptance_probability`) and outputs -1 exactly when at least
+    ``ceil(TAU * reps)`` of them measured 0.
+    """
+    p0 = _check_vote(p0, reps)
     rng = np.random.default_rng(seed)
     zeros = int(np.count_nonzero(rng.random(reps) < p0))
     return -1 if zeros >= math.ceil(TAU * reps) else +1
@@ -410,14 +430,14 @@ def _binomial_tail(reps: int, p: float, threshold: int) -> float:
     )
 
 
-def vote_error_bound(inst: ForrelationInstance, reps: int) -> float:
-    """Exact probability that the majority vote errs on this instance.
+def vote_error_bound(p0: float, side: str, reps: int) -> float:
+    """Exact probability that the majority vote errs on a ``side`` instance.
 
-    Computed from the instance's true acceptance probability and the
+    Computed from the instance's true acceptance probability ``p0`` and the
     binomial vote distribution, so it needs no sampling.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    p0 = acceptance_probability(forrelation_circuit(inst.n), inst.x, inst.y)
+    p0 = _check_vote(p0, reps)
+    if side not in ("high", "low"):
+        raise ValueError(f"side must be 'high' or 'low', got {side!r}")
     tail = _binomial_tail(reps, p0, math.ceil(TAU * reps))
-    return 1.0 - tail if inst.side == "high" else tail
+    return 1.0 - tail if side == "high" else tail

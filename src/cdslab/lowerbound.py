@@ -364,7 +364,7 @@ def _marginal_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     with ``M`` as the purifying system, so ``sqrt(F) = ||a b^+||_1``, the
     trace norm of one ``M x M`` matrix, whatever the size of ``M'``.
     """
-    root = float(np.linalg.svd(a @ b.conj().T, compute_uv=False).sum())
+    root = trace_norm(a @ b.conj().T)
     return float(np.clip(root ** 2, 0.0, 1.0))
 
 

@@ -35,6 +35,7 @@ import math
 
 import numpy as np
 
+from .distances import trace_norm
 from .states import (
     ATOL_INVARIANT,
     DensityMatrix,
@@ -281,22 +282,44 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     mat, new_layout = apply_channel_matrix(channel, rho.entries, rho.layout)
     return DensityMatrix(mat, new_layout, validate=False)
 
+def _compress(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``index`` (each below ``size``), ascending, and
+    the position of each entry of ``index`` among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[index] = True
+    used = np.flatnonzero(seen)
+    return used, used.searchsorted(index)
+
 def apply_isometry(iso: Isometry, psi: StateVector) -> StateVector:
-    """Apply an isometry to the named subsystems of a pure state."""
+    """Apply an isometry to the named subsystems of a pure state.
+
+    Only the state's nonzero amplitudes are read: their indices split into a
+    consumed part (the isometry's input) and an untouched rest, the columns
+    of ``iso.matrix`` at the used inputs multiply the small (used inputs x
+    used rests) amplitude matrix, and the products are scattered into the
+    output layout.
+    """
     perm, untouched, insert_at, new_layout = _application_plan(psi.layout, iso)
     dims = layout_dims(psi.layout)
-    amps = psi.amplitudes.reshape(dims).transpose(perm)
-    din = layout_dim(iso.input_layout)
-    drest = math.prod(dims[p] for p in untouched) if untouched else 1
-    work = amps.reshape(din, drest)
-    out = iso.matrix @ work                                  # (dout, drest)
-    out_dims = layout_dims(iso.output_layout)
+    dout, din = iso.matrix.shape
     rest_dims = [dims[p] for p in untouched]
-    full = out.reshape(tuple(out_dims) + tuple(rest_dims))
-    n_out = len(out_dims)
-    order = list(range(n_out + len(rest_dims)))
-    spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
-    return StateVector(full.transpose(spliced).reshape(-1), new_layout, validate=False)
+    drest = math.prod(rest_dims)
+    support = np.flatnonzero(psi.amplitudes != 0)
+    digits = np.unravel_index(support, dims)
+    moved = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
+    inputs, rests = np.divmod(moved, drest)
+    used_in, in_at = _compress(inputs, din)
+    used_rest, rest_at = _compress(rests, drest)
+    small = np.zeros((len(used_in), len(used_rest)), dtype=complex)
+    small[in_at, rest_at] = psi.amplitudes[support]
+    out = iso.matrix[:, used_in] @ small                     # (dout, used rests)
+    # output index: rest subsystems before the insertion point, outputs, the rest
+    low = math.prod(rest_dims[insert_at:])
+    high, low_at = np.divmod(used_rest, low)
+    target = np.add.outer(np.arange(0, dout * low, low), high * (dout * low) + low_at)
+    amps = np.zeros(layout_dim(new_layout), dtype=complex)
+    amps[target] = out
+    return StateVector._adopt(amps, new_layout)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +421,7 @@ def diamond_distance_bounds(a: QuantumChannel, b: QuantumChannel) -> tuple[float
         raise ValueError("channels must share input and output dimensions")
     ja = choi_state(a).entries
     jb = choi_state(b).entries
-    lower = float(np.linalg.svd(ja - jb, compute_uv=False).sum())
+    lower = trace_norm(ja - jb)
     if lower < 1e-15:
         lower = 0.0
     return lower, min(2.0, a.dim_in * lower)

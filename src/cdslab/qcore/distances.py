@@ -27,17 +27,75 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
+def _block_labels(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected-component labels of the rows and columns of a boolean pattern.
+
+    Rows and columns are the two vertex sets of a bipartite graph with an
+    edge per ``True`` entry.  Each label is the smallest row index of its
+    component; an all-``False`` row or column gets ``nz.shape[0]``.
+
+    Row labels are parent pointers.  Each round takes the smallest label
+    two edges away from each row by masked min-reductions, hooks the row's
+    root onto it, and jumps pointers until every row points at a root.
+    Hooking whole trees at once keeps the rounds logarithmic even along a
+    long chain of rows.
+    """
+    n_rows = nz.shape[0]
+    labels = np.arange(n_rows)
+    while True:
+        cols = np.minimum.reduce(
+            np.broadcast_to(labels[:, None], nz.shape), axis=0, where=nz, initial=n_rows
+        )
+        reach = np.minimum.reduce(
+            np.broadcast_to(cols, nz.shape), axis=1, where=nz, initial=n_rows
+        )
+        new = labels.copy()
+        np.minimum.at(new, labels, reach)
+        while True:
+            jumped = new[new]
+            if np.array_equal(jumped, new):
+                break
+            new = jumped
+        if np.array_equal(new, labels):
+            return np.where(nz.any(axis=1), labels, n_rows), cols
+        labels = new
+
+
 def trace_norm(mat) -> float:
     """Sum of singular values (Schatten 1-norm).
 
     Accepts a raw matrix or a DensityMatrix; always finite for finite input.
+    The matrix is split into the connected blocks of its exact nonzero
+    pattern: up to row and column permutations it is block diagonal, so its
+    singular values are those of its blocks.  Blocks of one shape share one
+    stacked SVD; an all-zero matrix has norm exactly 0.0.
     """
     m = _as_matrix(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"trace_norm expects a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("trace_norm input contains non-finite entries")
-    return float(np.linalg.svd(m, compute_uv=False).sum())
+    n = m.shape[0]
+    rows, cols = _block_labels(m != 0)
+    # row and column indices grouped by block label, ascending within each
+    # block, and each label's row and column counts
+    row_idx = np.argsort(rows, kind="stable")
+    col_idx = np.argsort(cols, kind="stable")
+    row_count = np.bincount(rows, minlength=n + 1)[:n]
+    col_count = np.bincount(cols, minlength=n + 1)[:n]
+    row_start = np.cumsum(row_count) - row_count
+    col_start = np.cumsum(col_count) - col_count
+    labels = np.flatnonzero(row_count)
+    shapes = row_count[labels] * (n + 1) + col_count[labels]
+    total = 0.0
+    for shape in sorted(set(shapes.tolist())):
+        blocks = labels[shapes == shape]
+        r, c = divmod(shape, n + 1)
+        sub_rows = row_idx[row_start[blocks, None] + np.arange(r)]
+        sub_cols = col_idx[col_start[blocks, None] + np.arange(c)]
+        stack = m[sub_rows[:, :, None], sub_cols[:, None, :]]
+        total += float(np.linalg.svd(stack, compute_uv=False).sum())
+    return total
 
 def trace_distance(rho, sigma) -> float:
     """``||rho - sigma||_1`` (no 1/2 factor; halve for the metric form)."""
@@ -46,13 +104,13 @@ def trace_distance(rho, sigma) -> float:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity ``F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``.
 
-    Computed in the symmetric form ``||sqrt(rho) sqrt(sigma)||_1^2`` via one
-    SVD, which is algebraically identical and numerically stabler.  The
-    result is clipped to [0, 1] to absorb rounding at the endpoints.
+    Computed in the symmetric form ``||sqrt(rho) sqrt(sigma)||_1^2``, which
+    is algebraically identical and numerically stabler.  The result is
+    clipped to [0, 1] to absorb rounding at the endpoints.
     """
     a = psd_sqrt(_as_matrix(rho))
     b = psd_sqrt(_as_matrix(sigma))
-    root_sum = float(np.linalg.svd(a @ b, compute_uv=False).sum())
+    root_sum = trace_norm(a @ b)
     return float(np.clip(root_sum ** 2, 0.0, 1.0))
 
 def sqrt_fidelity(rho, sigma) -> float:

@@ -127,6 +127,16 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "layout", lt)
 
+    @classmethod
+    def _adopt(cls, amps: np.ndarray, layout: Layout) -> "StateVector":
+        """Wrap a freshly built flat complex vector over a normalised layout
+        without copying or validating it; ``amps`` is frozen in place."""
+        amps.flags.writeable = False
+        psi = object.__new__(cls)
+        object.__setattr__(psi, "amplitudes", amps)
+        object.__setattr__(psi, "layout", layout)
+        return psi
+
     def __setattr__(self, *_):
         raise AttributeError("StateVector is immutable")
 

@@ -176,7 +176,9 @@ def test_criterion_06_forrelation():
         assert len(suite) == 200
         seeds = np.random.SeedSequence(20260825).spawn(len(suite))
         wrong = sum(
-            forrelation_decision(inst.x, inst.y, 15, seed=seed) != inst.answer
+            forrelation_decision(
+                acceptance_probability(forrelation_circuit(inst.n), inst.x, inst.y), 15, seed=seed
+            ) != inst.answer
             for inst, seed in zip(suite, seeds)
         )
         assert wrong / len(suite) <= 0.09

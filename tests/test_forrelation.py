@@ -148,6 +148,41 @@ def test_acceptance_matches_dense_matrix_element():
     p_dense = float(np.sum(np.abs(column[: dim // 2]) ** 2))
     assert abs(acceptance_probability(c, x, y) - p_dense) < 1e-12
 
+def _suite_stack(seed, n, per_side=10):
+    """One size of the CLI's forrelation suite, as ``(instances, xs, ys)``."""
+    instances = instance_suite(seed, ns=(n,), per_side=per_side)
+    return instances, [inst.x for inst in instances], [inst.y for inst in instances]
+
+def test_batched_acceptance_matches_single_instance_calls():
+    # every instance of the seed-7 suite: 4 sizes x 2 sides x 10
+    count = 0
+    for n in (4, 8, 16, 32):
+        c = forrelation_circuit(n)
+        instances, xs, ys = _suite_stack(7, n)
+        batched = acceptance_probability(c, xs, ys)
+        assert batched.shape == (len(instances),)
+        for inst, p in zip(instances, batched):
+            assert abs(p - acceptance_probability(c, inst.x, inst.y)) <= 1e-15
+            count += 1
+    assert count == 80
+
+def test_batched_acceptance_matches_dense_unitary():
+    n = 8
+    c = forrelation_circuit(n)
+    _, xs, ys = _suite_stack(7, n)
+    batched = acceptance_probability(c, xs, ys)
+    half = (1 << c.wire_count) // 2
+    for x, y, p in zip(xs, ys, batched):
+        column = circuit_unitary(c, x, y)[:, 0]
+        assert abs(p - float(np.sum(np.abs(column[:half]) ** 2))) < 1e-12
+
+def test_acceptance_rejects_mismatched_or_non_sign_stacks():
+    c = forrelation_circuit(4)
+    with pytest.raises(ValueError):
+        acceptance_probability(c, [[1, 1, 1, 1]], [1, 1, 1, 1])
+    with pytest.raises(ValueError):
+        acceptance_probability(c, [[1, 1, 1, 2]], [[1, 1, 1, 1]])
+
 def test_circuit_unitarity():
     c = forrelation_circuit(4)
     u = circuit_unitary(c, [1, -1, 1, 1], [1, 1, -1, 1])
@@ -214,13 +249,23 @@ def test_t_depth_rejects_uncompiled():
 
 def test_decision_rejects_zero_reps():
     inst = forrelation_instance(4, "high", 0)
+    p0 = acceptance_probability(forrelation_circuit(4), inst.x, inst.y)
     with pytest.raises(ValueError):
-        forrelation_decision(inst.x, inst.y, 0)
+        forrelation_decision(p0, 0)
 
 def test_decision_deterministic_under_seed():
     inst = forrelation_instance(16, "high", 5)
-    assert forrelation_decision(inst.x, inst.y, 15, seed=9) == \
-        forrelation_decision(inst.x, inst.y, 15, seed=9) == -1
+    p0 = acceptance_probability(forrelation_circuit(16), inst.x, inst.y)
+    assert forrelation_decision(p0, 15, seed=9) == \
+        forrelation_decision(p0, 15, seed=9) == -1
+
+def test_vote_rejects_non_probabilities_and_unknown_sides():
+    with pytest.raises(ValueError):
+        forrelation_decision(1.5, 15)
+    with pytest.raises(ValueError):
+        vote_error_bound(-0.5, "high", 15)
+    with pytest.raises(ValueError):
+        vote_error_bound(0.5, "middle", 15)
 
 def test_low_side_single_shot_frozen():
     # seed 0 at n=8 gives forr = -1/4, so a single shot answers "low"
@@ -244,9 +289,9 @@ def test_majority_vote_error_over_suite():
 
 def test_vote_error_bound_is_exact_and_small():
     inst = forrelation_instance(8, "high", seed=5)
-    bound = vote_error_bound(inst, 15)
-    # recompute from the binomial distribution directly
     p0 = acceptance_probability(forrelation_circuit(8), inst.x, inst.y)
+    bound = vote_error_bound(p0, inst.side, 15)
+    # recompute from the binomial distribution directly
     threshold = math.ceil(TAU * 15)
     tail = sum(
         math.comb(15, j) * p0**j * (1 - p0) ** (15 - j) for j in range(threshold, 16)
@@ -254,6 +299,7 @@ def test_vote_error_bound_is_exact_and_small():
     assert bound == pytest.approx(1 - tail, abs=1e-12)
     assert bound <= 0.09
     low = forrelation_instance(8, "low", seed=6)
-    assert vote_error_bound(low, 15) <= 0.09
+    p0_low = acceptance_probability(forrelation_circuit(8), low.x, low.y)
+    assert vote_error_bound(p0_low, low.side, 15) <= 0.09
     with pytest.raises(ValueError):
-        vote_error_bound(inst, 0)
+        vote_error_bound(p0, inst.side, 0)

@@ -180,6 +180,60 @@ def test_apply_isometry_matches_matrix_action():
     assert out.layout == (("A", 2), ("B", 2), ("E", 3))
     assert np.max(np.abs(out.amplitudes - np.kron(psi_a, v @ psi_b))) < 1e-12
 
+def _dense_apply_isometry(iso, psi):
+    """The dense reference: permute the whole state so the consumed
+    subsystems lead, multiply by the isometry, and permute the result back."""
+    perm, untouched, insert_at, new_layout = channels_module._application_plan(psi.layout, iso)
+    dims = [dim for _, dim in psi.layout]
+    amps = psi.amplitudes.reshape(dims).transpose(perm)
+    din = iso.matrix.shape[1]
+    drest = int(np.prod([dims[p] for p in untouched]))
+    out = iso.matrix @ amps.reshape(din, drest)
+    out_dims = [dim for _, dim in iso.output_layout]
+    rest_dims = [dims[p] for p in untouched]
+    full = out.reshape(tuple(out_dims) + tuple(rest_dims))
+    n_out = len(out_dims)
+    order = list(range(n_out + len(rest_dims)))
+    spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
+    return StateVector(full.transpose(spliced).reshape(-1), new_layout, validate=False)
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    growth=st.integers(1, 3),
+    split_output=st.booleans(),
+    sparse=st.booleans(),
+    data=st.data(),
+)
+def test_apply_isometry_matches_dense_oracle(seed, dims, growth, split_output, sparse, data):
+    # random layout, consumed subsystems in a random order (hence a random
+    # insertion point), one or two output subsystems, sparse or dense state
+    rng = np.random.default_rng(seed)
+    layout = [(f"S{k}", d) for k, d in enumerate(dims)]
+    order = data.draw(st.permutations(range(len(dims))))
+    consumed = order[: data.draw(st.integers(1, len(dims)))]
+    in_layout = [layout[k] for k in consumed]
+    din = int(np.prod([d for _, d in in_layout]))
+    out_layout = [("O", din), ("E", growth)] if split_output else [("O", din * growth)]
+    g = rng.normal(size=(din * growth, din)) + 1j * rng.normal(size=(din * growth, din))
+    iso = Isometry(np.linalg.qr(g)[0], in_layout, out_layout)
+    dim = int(np.prod(dims))
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    if sparse:
+        amps[rng.permutation(dim)[: int(rng.integers(0, dim))]] = 0
+    psi = StateVector(amps / np.linalg.norm(amps), layout)
+    got, want = apply_isometry(iso, psi), _dense_apply_isometry(iso, psi)
+    assert got.layout == want.layout
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+
+def test_apply_isometry_output_is_frozen():
+    iso = Isometry(np.eye(2), [("A", 2)], [("B", 2)])
+    out = apply_isometry(iso, StateVector([0, 1], [("A", 2)]))
+    assert np.array_equal(out.amplitudes, [0, 1])
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 1
+
 
 # ---------------------------------------------------------------------------
 # Choi calculus

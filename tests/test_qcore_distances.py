@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdslab.qcore import (
     DensityMatrix,
@@ -53,6 +55,55 @@ def test_trace_norm_is_a_norm():
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
         c = complex(rng.normal(), rng.normal())
         assert abs(trace_norm(c * a) - abs(c) * trace_norm(a)) < 1e-9
+
+def _full_svd_norm(m):
+    """The oracle: singular values of the whole matrix, summed."""
+    return float(np.linalg.svd(m, compute_uv=False).sum())
+
+def _close_to_oracle(m):
+    return abs(trace_norm(m) - _full_svd_norm(m)) <= 1e-12 * max(1.0, np.linalg.norm(m))
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shapes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=6),
+    fill=st.sampled_from([0.3, 0.7, 1.0]),
+)
+def test_trace_norm_matches_full_svd_on_planted_blocks(seed, shapes, fill):
+    # blocks (some not square) down the diagonal, zero padding to a square,
+    # then random row and column permutations; entries inside a block may
+    # vanish too, splitting it further
+    rng = np.random.default_rng(seed)
+    rows = sum(r for r, _ in shapes)
+    cols = sum(c for _, c in shapes)
+    dim = max(rows, cols)
+    m = np.zeros((dim, dim), dtype=complex)
+    r0 = c0 = 0
+    for r, c in shapes:
+        block = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+        m[r0 : r0 + r, c0 : c0 + c] = block * (rng.random((r, c)) < fill)
+        r0, c0 = r0 + r, c0 + c
+    m = m[rng.permutation(dim)][:, rng.permutation(dim)]
+    assert _close_to_oracle(m)
+
+def test_trace_norm_of_zero_matrix_is_exactly_zero():
+    assert trace_norm(np.zeros((7, 7), dtype=complex)) == 0.0
+    assert trace_norm(np.zeros((256, 256))) == 0.0
+
+def test_trace_norm_single_entry_and_dense():
+    m = np.zeros((5, 5), dtype=complex)
+    m[3, 1] = 2 - 1j
+    assert trace_norm(m) == pytest.approx(abs(2 - 1j), abs=1e-15)
+    rng = np.random.default_rng(8)
+    dense = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    assert _close_to_oracle(dense)
+
+def test_trace_norm_on_a_long_chain_of_blocks():
+    # a bidiagonal pattern is one block whose labels cross 300 steps
+    rng = np.random.default_rng(9)
+    m = np.diag(rng.normal(size=300)) + np.diag(rng.normal(size=299), 1)
+    perm = rng.permutation(300)
+    assert _close_to_oracle(m[perm][:, perm])
 
 def test_trace_distance_accepts_density_matrices():
     rho = DensityMatrix(KET0, [("Q", 2)])
