@@ -7,9 +7,10 @@ that measure extra quantities (T-depth, cheating estimates) add columns to
 the CSV only, keeping the JSON schema fixed.
 
 Seed propagation: the configured 64-bit seed is recorded verbatim in every
-report row; suites that need multiple streams derive them through
-``numpy.random.SeedSequence(seed)`` (instances) and
-``SeedSequence((seed, 1))`` (vote decisions), so no stream is reused.
+report row; suites that need several streams derive them from it, so no
+stream is reused: ``numpy.random.SeedSequence(seed)`` for the forrelation
+instances, ``SeedSequence((seed, 1, n))`` for the votes at size ``n`` and
+``SeedSequence((seed, n))`` for the hybrid inputs at size ``n``.
 
 Exit codes: 0 all assertions hold, 1 an assertion failed, 2 usage or
 configuration error or a size the suite refuses (no files are written).

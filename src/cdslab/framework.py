@@ -260,42 +260,44 @@ def _randomness_count(protocol) -> int:
         )
     return 1 << protocol.randomness_bits
 
+def _bind(protocol, x: int, y: int, s: Optional[int], arrays: bool):
+    """Alice's and Bob's message functions of ``r`` at one input, and the
+    output as a function of the two messages, from the scalar functions or
+    the :class:`ArrayForm`: the one place the enumeration tells a CDS (its
+    secret required, its decoder seeing the inputs) from a PSM."""
+    form = protocol.arrays if arrays else protocol
+    message_b = partial(form.message_b, y)
+    if isinstance(protocol, PsmProtocol):
+        return partial(form.message_a, x), message_b, form.output if arrays else form.referee
+    if s is None:
+        raise ValueError("CDS enumeration requires the secret value")
+    decode = form.output if arrays else form.decoder
+    return partial(form.message_a, x, s), message_b, lambda m_a, m_b: decode(m_a, x, m_b, y)
+
 def _draws(protocol, x: int, y: int, s: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Every draw of the shared randomness at one input, in one numpy pass
     over the protocol's :class:`ArrayForm`: the transcript code
     ``code_a << message_bits_b | code_b`` and the decoder's (or referee's)
-    output of each ``r``.  The budget and the code width are checked before
-    ``r`` is allocated."""
+    output of each ``r``.  The budget, the code width and the secret are
+    checked before ``r`` is allocated."""
     total = _randomness_count(protocol)
     width = protocol.message_bits_a + protocol.message_bits_b
     if width > 63:
         raise ValueError(f"a {width}-bit transcript code overflows int64")
-    form = protocol.arrays
+    message_a, message_b, output = _bind(protocol, x, y, s, True)
     r = np.arange(total, dtype=np.int64)
-    code_b = form.message_b(y, r)
-    if isinstance(protocol, CdsProtocol):
-        code_a = form.message_a(x, s, r)
-        outputs = form.output(code_a, x, code_b, y)
-    else:
-        code_a = form.message_a(x, r)
-        outputs = form.output(code_a, code_b)
-    return (code_a << protocol.message_bits_b) | code_b, outputs
+    code_a, code_b = message_a(r), message_b(r)
+    return (code_a << protocol.message_bits_b) | code_b, output(code_a, code_b)
 
 def _transcripts(protocol, x: int, y: int, s: Optional[int], draws):
     """``(m_a, m_b)`` of the scalar message functions at each of ``draws``."""
-    if isinstance(protocol, CdsProtocol):
-        message_a = partial(protocol.message_a, x, s)
-    else:
-        message_a = partial(protocol.message_a, x)
-    message_b = partial(protocol.message_b, y)
+    message_a, message_b, _ = _bind(protocol, x, y, s, False)
     return ((message_a(r), message_b(r)) for r in draws)
 
 def _draw_transcripts(protocol, x: int, y: int, s: Optional[int]) -> np.ndarray:
     """The transcript of every draw at one input, indexed by ``r``: int64
     codes with an :class:`ArrayForm`, scalar ``(m_a, m_b)`` in an object
     array otherwise.  For CDS protocols the secret ``s`` is required."""
-    if isinstance(protocol, CdsProtocol) and s is None:
-        raise ValueError("CDS enumeration requires the secret value")
     if protocol.arrays is not None:
         return _draws(protocol, x, y, s)[0]
     total = _randomness_count(protocol)
@@ -330,8 +332,6 @@ def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict
     scalar messages at its first draw; the others run one scalar message
     pair per ``r``.
     """
-    if isinstance(protocol, CdsProtocol) and s is None:
-        raise ValueError("CDS enumeration requires the secret value")
     if protocol.arrays is not None:
         _, first, counts = transcript_tally(protocol, x, y, s)
         order = np.argsort(first)
@@ -357,8 +357,8 @@ def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     if p.arrays is not None:
         bad = int(np.count_nonzero(_draws(p, x, y, s)[1] != s))
     else:
-        counts = transcript_counts(p, x, y, s)
-        bad = sum(c for (ma, mb), c in counts.items() if p.decoder(ma, x, mb, y) != s)
+        counts, output = transcript_counts(p, x, y, s), _bind(p, x, y, s, False)[2]
+        bad = sum(c for (ma, mb), c in counts.items() if output(ma, mb) != s)
     return Fraction(bad, 1 << p.randomness_bits)
 
 def psm_tally(p: PsmProtocol, x: int, y: int, value: int) -> tuple[dict, Fraction]:
@@ -661,8 +661,15 @@ def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     key, one enumeration per key.  A decoder returning None leaves the pad
     on (the identity unpad), which is right for key 0.  With an
     :class:`ArrayForm`, the key-count vectors are one ``bincount`` over the
-    transcript index of every (key, draw)."""
+    transcript index of every (key, draw).  That path holds every (key,
+    draw) at once, so their number, not only the draws per key, is held to
+    the enumeration budget."""
     keys = key_cds.secret_alphabet
+    if keys << key_cds.randomness_bits > 1 << ENUMERATION_BUDGET_BITS:
+        raise ValueError(
+            f"{keys} keys times 2^{key_cds.randomness_bits} draws exceed the "
+            f"2^{ENUMERATION_BUDGET_BITS}-draw enumeration budget"
+        )
     if key_cds.arrays is not None:
         draws = [_draws(key_cds, x, y, key) for key in range(keys)]
         unique, inverse = np.unique(

@@ -1,11 +1,14 @@
 """Correctness and security estimation for protocol objects.
 
 Classical protocols are verified by exact rational enumeration of their
-message distributions.  Security radii are Chebyshev-center problems: the
-best simulator distribution minimises the worst-case L1 distance to the
-observed per-secret (CDS) or per-input (PSM) distributions.  For binary
-secrets the optimal simulator is the midpoint of the two distributions; for
-anything larger a linear program finds it.
+message distributions.  Security is one fold over simulator cells
+(:func:`simulator_fold`): a cell holds the distributions that must share
+one simulator, those of one hiding input over its secrets for a CDS and
+those of one value class for a PSM.  Its simulator is the Chebyshev centre
+minimising the worst-case L1 distance to them: the one distribution, the
+midpoint of two, or a linear program's solution for more.  A report row's
+``simulator_distance`` is the largest L1 distance from its distributions
+to its cell's centre, and delta the largest distance or radius of any cell.
 
 Quantum protocols are certified per input through the three measurements
 every CDQS shape provides (see :mod:`cdslab.framework`): a dense protocol
@@ -188,6 +191,40 @@ def _check_sizes(p, f: PromiseFunction) -> None:
         raise ValueError(f"protocol has n={p.n} but function {f.name} has n={f.n}")
 
 
+def simulator_fold(cells) -> float:
+    """Set each row's ``simulator_distance`` and return delta, as the module
+    docstring states.  A cell lists the ``(report row, distribution)`` pairs
+    whose inputs must share one simulator.  An exact (Fraction) radius comes
+    with the one distribution or the midpoint of two, each exactly the
+    radius from every member, so only an LP centre has distances measured.
+    """
+    delta = 0.0
+    for cell in cells:
+        radius, center = chebyshev_radius([dist for _, dist in cell])
+        exact = isinstance(radius, Fraction)
+        far: dict = {}  # once per distribution object, which members may share
+        for row, dist in cell:
+            if id(dist) not in far:
+                far[id(dist)] = float(radius if exact else _l1(dist, center))
+            row["simulator_distance"] = max(row.get("simulator_distance", 0.0), far[id(dist)])
+        delta = max(delta, float(radius), *far.values())
+    return delta
+
+
+def _report(p, rows, seed, epsilon, delta_lower, delta_upper) -> VerificationReport:
+    """The report of ``p`` from its rows and its worst-case estimates."""
+    return VerificationReport(
+        protocol=p.construction or "anonymous",
+        n=p.n,
+        epsilon_hat=float(epsilon),
+        delta_hat_lower=float(delta_lower),
+        delta_hat_upper=float(delta_upper),
+        inputs=tuple(rows),
+        cost=protocol_cost(p),
+        seed=seed,
+    )
+
+
 # ---------------------------------------------------------------------------
 # classical verifiers
 # ---------------------------------------------------------------------------
@@ -196,87 +233,46 @@ def cds_verify(p: CdsProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     """Exact correctness and simulator-radius security for a classical CDS.
 
     ``epsilon_hat`` is the worst decode-failure probability over disclosing
-    inputs and secrets; ``delta_hat`` the worst simulator radius over hiding
-    inputs.  Both are exact rationals cast to float at the end.
+    inputs and secrets, an exact rational cast to float at the end.  Each
+    hiding input is one simulator cell over its secrets' distributions.
     """
     _check_sizes(p, f)
+    rows = [{"x": x, "y": y, "value": f.value(x, y)} for x, y in f.promise_pairs()]
+    secrets = range(p.secret_alphabet)
     eps = Fraction(0)
-    delta = 0.0
-    diagnostics = []
-    for x, y in f.promise_pairs():
-        value = f.value(x, y)
-        if value == 1:
-            worst = max(cds_decode_failure(p, x, y, s) for s in range(p.secret_alphabet))
+    for row in rows:
+        if row["value"] == 1:
+            worst = max(cds_decode_failure(p, row["x"], row["y"], s) for s in secrets)
             eps = max(eps, worst)
-            diagnostics.append(
-                {"x": x, "y": y, "value": 1, "decode_failure": float(worst)}
-            )
-        else:
-            dists = [
-                enumerate_message_distribution(p, x, y, s)
-                for s in range(p.secret_alphabet)
-            ]
-            radius, _ = chebyshev_radius(dists)
-            delta = max(delta, float(radius))
-            diagnostics.append(
-                {"x": x, "y": y, "value": 0, "simulator_distance": float(radius)}
-            )
-    return VerificationReport(
-        protocol=p.construction or "anonymous",
-        n=p.n,
-        epsilon_hat=float(eps),
-        delta_hat_lower=float(delta),
-        delta_hat_upper=float(delta),
-        inputs=tuple(diagnostics),
-        cost=protocol_cost(p),
-        seed=seed,
+            row["decode_failure"] = float(worst)
+    delta = simulator_fold(
+        [(row, enumerate_message_distribution(p, row["x"], row["y"], s)) for s in secrets]
+        for row in rows if row["value"] == 0
     )
+    return _report(p, rows, seed, eps, delta, delta)
 
 
 def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -> VerificationReport:
     """Exact verification of a PSM: the simulator may depend only on the value.
 
-    Security solves one Chebyshev-center problem per function value over all
-    inputs in that value class.
+    Each value class is one simulator cell over its inputs' distributions.
+    An input is enumerated once, and a distribution built once per distinct
+    count table, which equal inputs share.
     """
     _check_sizes(p, f)
     eps = Fraction(0)
-    diagnostics = {}
-    counts = {}
-    classes: dict = {}
+    rows, classes, tables, dists = [], {}, [], []
     for x, y in f.promise_pairs():
         value = f.value(x, y)
-        counts[(x, y)], failure = psm_tally(p, x, y, value)
+        counts, failure = psm_tally(p, x, y, value)
         eps = max(eps, failure)
-        diagnostics[(x, y)] = {"x": x, "y": y, "value": value}
-        classes.setdefault(value, []).append((x, y))
-    delta = 0.0
-    for value, pairs in sorted(classes.items()):
-        # a pair's distance depends only on its count table: one Fraction
-        # distribution and one distance per distinct table
-        distinct: list = []
-        for pair in pairs:
-            if counts[pair] not in distinct:
-                distinct.append(counts[pair])
-        dists = [transcript_distribution(p, c) for c in distinct]
-        radius, center = chebyshev_radius(dists)
-        to_center = [float(_l1(d, center)) for d in dists]
-        for pair in pairs:
-            dist = to_center[distinct.index(counts[pair])]
-            diagnostics[pair]["simulator_distance"] = dist
-            delta = max(delta, dist)
-        delta = max(delta, float(radius))
-    ordered = tuple(diagnostics[key] for key in sorted(diagnostics))
-    return VerificationReport(
-        protocol=p.construction or "anonymous",
-        n=p.n,
-        epsilon_hat=float(eps),
-        delta_hat_lower=delta,
-        delta_hat_upper=delta,
-        inputs=ordered,
-        cost=protocol_cost(p),
-        seed=seed,
-    )
+        if counts not in tables:
+            tables.append(counts)
+            dists.append(transcript_distribution(p, counts))
+        rows.append({"x": x, "y": y, "value": value})
+        classes.setdefault(value, []).append((rows[-1], dists[tables.index(counts)]))
+    delta = simulator_fold(cell for _, cell in sorted(classes.items()))
+    return _report(p, rows, seed, eps, delta, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +319,8 @@ def cdqs_verify(
     def worst(key):
         return max([0.0] + [e[key] for e in diagnostics if key in e])
 
-    return VerificationReport(
-        protocol=p.construction or "anonymous",
-        n=p.n,
-        epsilon_hat=worst("epsilon_lower"),
-        delta_hat_lower=worst("delta_lower"),
-        delta_hat_upper=worst("delta_upper"),
-        inputs=tuple(diagnostics),
-        cost=protocol_cost(p),
-        seed=seed,
+    return _report(
+        p, diagnostics, seed, worst("epsilon_lower"), worst("delta_lower"), worst("delta_upper")
     )
 
 

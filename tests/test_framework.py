@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from cdslab.classical import and_cds, and_function, double_secret, ip_psm, neq_cds, table_psm
 from cdslab.framework import (
     ENUMERATION_BUDGET_BITS,
+    ArrayForm,
     CdsProtocol,
     CdqsProtocol,
     CostReport,
@@ -192,9 +193,18 @@ def test_counting_path_matches_a_per_r_reference(p):
                 else:
                     assert cds_decode_failure(p, x, y, s) == bad
 
-def test_transcript_counts_needs_the_cds_secret():
-    with pytest.raises(ValueError, match="secret"):
-        transcript_counts(neq_cds(1), 0, 1)
+def test_transcript_counts_needs_the_cds_secret(monkeypatch):
+    # refused before any draw is allocated or evaluated, on both paths
+    def draw(*args, **kwargs):
+        raise AssertionError("a draw was evaluated before the secret was checked")
+
+    monkeypatch.setattr(np, "arange", draw)
+    for p in (neq_cds(2), dataclasses.replace(neq_cds(2), arrays=None), and_cds()):
+        arrays = None if p.arrays is None else ArrayForm(draw, draw, draw)
+        p = dataclasses.replace(p, message_a=draw, message_b=draw, decoder=draw, arrays=arrays)
+        for enumerate_at in (transcript_tally, transcript_counts, enumerate_message_distribution):
+            with pytest.raises(ValueError, match="CDS enumeration requires the secret value"):
+                enumerate_at(p, 0, 1)
 
 def test_array_path_checks_the_budget_before_it_allocates(monkeypatch):
     def allocate(*args, **kwargs):
@@ -231,6 +241,9 @@ def test_budget_reaches_transcript_form_and_hybrid(monkeypatch):
         transcript_form(double_secret(neq_cds(13))).entanglement_fidelity(0, 1)
     with pytest.raises(ValueError, match="budget"):
         neq_promise_cdqs(8192)
+    # 24 randomness bits fit, but not the 2 x 2^24 (key, draw) pairs held at once
+    with pytest.raises(ValueError, match="budget"):
+        neq_promise_cdqs(4096)
 
 
 # ---------------------------------------------------------------------------

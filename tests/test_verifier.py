@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -150,6 +151,66 @@ def test_lp_agrees_with_midpoint_when_midpoint_is_covered():
 def test_radius_rejects_empty_input():
     with pytest.raises(ValueError):
         chebyshev_radius([])
+
+
+@st.composite
+def _simulator_cells(draw):
+    """Cells of small rational distributions over three transcripts, with
+    one, two, or three or more distinct ones, so the LP runs too.  A cell's
+    rows are its own, one per member (as a PSM's) or one shared by every
+    member (as a CDS input's); repeated distributions are the same object
+    or an equal copy."""
+    weights = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        distinct = [
+            {k: Fraction(w, sum(ws)) for k, w in enumerate(ws) if w}
+            for ws in draw(st.lists(weights, min_size=1, max_size=4))
+        ]
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=5))
+        dists = [
+            dict(distinct[i]) if draw(st.booleans()) else distinct[i] for i in picks
+        ]
+        shared = {"cell": len(cells)}
+        rows = [shared] * len(dists) if draw(st.booleans()) else [{} for _ in dists]
+        cells.append(list(zip(rows, dists)))
+    return cells
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=_simulator_cells())
+def test_simulator_fold_distances_and_delta(cells):
+    delta = verifier.simulator_fold(cells)
+    for cell in cells:
+        dists = [d for _, d in cell]
+        radius, center = chebyshev_radius(dists)
+        exact = len({tuple(sorted(d.items())) for d in dists}) <= 2
+        assert delta >= float(radius)
+        for row, _ in cell:
+            expected = max(float(verifier._l1(d, center)) for r, d in cell if r is row)
+            assert delta >= row["simulator_distance"]
+            if exact:
+                assert row["simulator_distance"] == expected
+            else:
+                assert abs(row["simulator_distance"] - expected) < 1e-12
+        for (row_a, d_a), (row_b, d_b) in itertools.combinations(cell, 2):
+            if d_a == d_b and row_a is not row_b:
+                assert row_a["simulator_distance"] == row_b["simulator_distance"]
+
+
+def test_cds_rows_read_the_largest_distance_to_the_lp_centre():
+    # four point distributions, one per 2-bit secret: the LP centre is
+    # uniform over them, 3/2 from each
+    p, f = double_secret(leak_in_clear()), constant_function(1, 0)
+    report = cds_verify(p, f)
+    assert abs(report.delta_hat - 1.5) < 1e-9
+    for row in report.inputs:
+        dists = [enumerate_message_distribution(p, row["x"], row["y"], s) for s in range(4)]
+        radius, center = chebyshev_radius(dists)
+        assert isinstance(radius, float)
+        farthest = max(float(verifier._l1(d, center)) for d in dists)
+        assert row["simulator_distance"] == farthest
+        assert abs(row["simulator_distance"] - 1.5) < 1e-9
 
 
 # ---------------------------------------------------------------------------
