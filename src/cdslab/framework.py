@@ -2,17 +2,21 @@
 
 Classical :class:`CdsProtocol` / :class:`PsmProtocol` are message functions
 over integer-encoded inputs plus dyadic shared randomness, executed by
-one exhaustive enumeration, :func:`transcript_counts`, whose integer
-counts become exact rational probabilities.  A protocol with an
-:class:`ArrayForm` (``neq_cds`` and ``ip_psm``) is enumerated in one numpy
+one exhaustive enumeration whose integer counts become exact rational
+probabilities.  Only two private functions know a protocol's form:
+:func:`_draws` returns the transcript of every draw at one input and
+:func:`_outputs` the decoder's (or referee's) output on each.  A protocol
+with an :class:`ArrayForm` (``neq_cds`` and ``ip_psm``) runs one numpy
 pass per input: its messages are int64 codes with the fields packed first
 field high, so integer order is tuple order, and a transcript is ``code_a
-<< message_bits_b | code_b``.  Counts, decode failures and pad-key counts
-are tallies over those codes and the decoded outputs, and each distinct
-transcript is keyed by the scalar messages at its first draw.
-:func:`transcript_tally` is that tally before naming, for callers outside
-this module.  The scalar functions stay the reference path, and the only
-one for protocols without an array form.
+<< message_bits_b | code_b``.  Otherwise the transcripts are the scalar
+``(m_a, m_b)`` in an object array, which must be orderable, and the
+decoder runs once per distinct transcript.  Counts, decode failures and
+pad-key counts are one tally over either, and each distinct transcript
+is named by the scalar messages at its first draw
+(:func:`transcript_counts`); :func:`transcript_tally` is that tally before
+naming, for callers outside this module.  The scalar message functions
+stay the reference the array forms are tested against.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -212,12 +216,12 @@ class ArrayForm:
 class CdsProtocol:
     """A classical conditional-disclosure-of-secrets protocol.
 
-    ``message_a(x, s, r)`` and ``message_b(y, r)`` return hashable message
+    ``message_a(x, s, r)`` and ``message_b(y, r)`` return orderable message
     values; ``decoder(m_a, x, m_b, y)`` returns the recovered secret, or
     None when the transcript announces "nothing disclosed".  ``arrays``,
     when set, is the same protocol over whole arrays of draws; the exact
     enumeration then runs as one numpy pass per input, and the scalar
-    functions stay its reference.
+    functions stay its reference and name its transcripts.
     """
 
     n: int
@@ -235,8 +239,9 @@ class CdsProtocol:
 
 @dataclass(frozen=True)
 class PsmProtocol:
-    """A private-simultaneous-messages protocol (referee sees only messages);
-    ``arrays`` as for :class:`CdsProtocol`."""
+    """A private-simultaneous-messages protocol (referee sees only messages):
+    ``message_a(x, r)`` and ``message_b(y, r)`` return orderable message
+    values; ``arrays`` as for :class:`CdsProtocol`."""
 
     n: int
     randomness_bits: int
@@ -274,34 +279,40 @@ def _bind(protocol, x: int, y: int, s: Optional[int], arrays: bool):
     decode = form.output if arrays else form.decoder
     return partial(form.message_a, x, s), message_b, lambda m_a, m_b: decode(m_a, x, m_b, y)
 
-def _draws(protocol, x: int, y: int, s: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Every draw of the shared randomness at one input, in one numpy pass
-    over the protocol's :class:`ArrayForm`: the transcript code
-    ``code_a << message_bits_b | code_b`` and the decoder's (or referee's)
-    output of each ``r``.  The budget, the code width and the secret are
-    checked before ``r`` is allocated."""
+def _draws(protocol, x: int, y: int, s: Optional[int] = None) -> np.ndarray:
+    """The transcript of every draw of the shared randomness at one input,
+    indexed by ``r``.  With an :class:`ArrayForm` these are the int64 codes
+    ``code_a << message_bits_b | code_b`` of one numpy pass; otherwise the
+    scalar ``(m_a, m_b)`` in an object array.  Nothing is decoded here, so
+    a tally never needs a decoder that can read every transcript.  The
+    budget, the code width and the secret are checked before anything is
+    drawn."""
     total = _randomness_count(protocol)
+    arrays = protocol.arrays is not None
     width = protocol.message_bits_a + protocol.message_bits_b
-    if width > 63:
+    if arrays and width > 63:
         raise ValueError(f"a {width}-bit transcript code overflows int64")
-    message_a, message_b, output = _bind(protocol, x, y, s, True)
+    message_a, message_b, _ = _bind(protocol, x, y, s, arrays)
+    if not arrays:
+        return np.fromiter(
+            ((message_a(r), message_b(r)) for r in range(total)), dtype=object, count=total
+        )
     r = np.arange(total, dtype=np.int64)
-    code_a, code_b = message_a(r), message_b(r)
-    return (code_a << protocol.message_bits_b) | code_b, output(code_a, code_b)
+    return (message_a(r) << protocol.message_bits_b) | message_b(r)
 
-def _transcripts(protocol, x: int, y: int, s: Optional[int], draws):
-    """``(m_a, m_b)`` of the scalar message functions at each of ``draws``."""
-    message_a, message_b, _ = _bind(protocol, x, y, s, False)
-    return ((message_a(r), message_b(r)) for r in draws)
-
-def _draw_transcripts(protocol, x: int, y: int, s: Optional[int]) -> np.ndarray:
-    """The transcript of every draw at one input, indexed by ``r``: int64
-    codes with an :class:`ArrayForm`, scalar ``(m_a, m_b)`` in an object
-    array otherwise.  For CDS protocols the secret ``s`` is required."""
-    if protocol.arrays is not None:
-        return _draws(protocol, x, y, s)[0]
-    total = _randomness_count(protocol)
-    return np.fromiter(_transcripts(protocol, x, y, s, range(total)), dtype=object, count=total)
+def _outputs(protocol, x: int, y: int, s: Optional[int], transcripts: np.ndarray) -> np.ndarray:
+    """The decoder's (or referee's) output on each of ``transcripts``, as
+    :func:`_draws` returns them, with -1 where the scalar decoder returns
+    None.  With an :class:`ArrayForm` that is one call on the split codes;
+    otherwise one scalar call per distinct transcript."""
+    arrays = protocol.arrays is not None
+    output = _bind(protocol, x, y, s, arrays)[2]
+    if arrays:
+        low = (1 << protocol.message_bits_b) - 1
+        return output(transcripts >> protocol.message_bits_b, transcripts & low)
+    distinct, inverse = np.unique(transcripts, return_inverse=True)
+    outputs = [output(m_a, m_b) for m_a, m_b in distinct]
+    return np.array([-1 if out is None else out for out in outputs], dtype=np.int64)[inverse]
 
 def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     """Every distinct transcript at one input, sorted, as three arrays:
@@ -313,7 +324,7 @@ def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     must be orderable.  Either way the scalar messages at the first ``r``
     are the transcript.  For CDS protocols the secret ``s`` is required.
     """
-    transcripts = _draw_transcripts(protocol, x, y, s)
+    transcripts = _draws(protocol, x, y, s)
     # runs of equal transcripts in sorted order; the sort need not be
     # stable, since each run's first r is the least draw in it
     order = np.argsort(transcripts)
@@ -324,23 +335,17 @@ def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
 
 def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
     """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
-    of the shared randomness, in order of first appearance: the one
-    enumeration every exact classical quantity is derived from.  For CDS
-    protocols the secret ``s`` is required; PSM protocols take none.  A
-    protocol with an :class:`ArrayForm` is tallied by
-    :func:`transcript_tally` and each distinct transcript named by the
-    scalar messages at its first draw; the others run one scalar message
-    pair per ``r``.
+    of the shared randomness, in order of first appearance: the tally of
+    the one enumeration every exact classical quantity is derived from.
+    For CDS protocols the secret ``s`` is required; PSM protocols take
+    none.  The draws are tallied by :func:`transcript_tally`, and each
+    distinct transcript is named by the scalar messages at its first draw.
     """
-    if protocol.arrays is not None:
-        _, first, counts = transcript_tally(protocol, x, y, s)
-        order = np.argsort(first)
-        keys = _transcripts(protocol, x, y, s, first[order].tolist())
-        return dict(zip(keys, counts[order].tolist()))
-    counts: dict = {}
-    for key in _transcripts(protocol, x, y, s, range(_randomness_count(protocol))):
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    _, first, counts = transcript_tally(protocol, x, y, s)
+    order = np.argsort(first)
+    message_a, message_b, _ = _bind(protocol, x, y, s, False)
+    keys = ((message_a(r), message_b(r)) for r in first[order].tolist())
+    return dict(zip(keys, counts[order].tolist()))
 
 def transcript_distribution(protocol, counts: dict) -> dict:
     """The counts of :func:`transcript_counts` as the exact distribution
@@ -354,28 +359,17 @@ def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = 
 
 def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
     """Exact probability that the referee fails to output ``s``."""
-    if p.arrays is not None:
-        bad = int(np.count_nonzero(_draws(p, x, y, s)[1] != s))
-    else:
-        counts, output = transcript_counts(p, x, y, s), _bind(p, x, y, s, False)[2]
-        bad = sum(c for (ma, mb), c in counts.items() if output(ma, mb) != s)
+    bad = int(np.count_nonzero(_outputs(p, x, y, s, _draws(p, x, y, s)) != s))
     return Fraction(bad, 1 << p.randomness_bits)
 
 def psm_tally(p: PsmProtocol, x: int, y: int, value: int) -> tuple[dict, Fraction]:
-    """The transcript counts at one input, and the exact probability that
-    the referee's output differs from ``value``, from one enumeration.
-    With an :class:`ArrayForm` the counts are keyed by transcript code, as
-    in :func:`transcript_tally`; otherwise they are
-    :func:`transcript_counts`."""
-    if p.arrays is not None:
-        codes, outputs = _draws(p, x, y)
-        keys, per_key = np.unique(codes, return_counts=True)
-        counts = dict(zip(keys.tolist(), per_key.tolist()))
-        bad = int(np.count_nonzero(outputs != value))
-    else:
-        counts = transcript_counts(p, x, y)
-        bad = sum(c for (ma, mb), c in counts.items() if p.referee(ma, mb) != value)
-    return counts, Fraction(bad, 1 << p.randomness_bits)
+    """The transcript counts at one input, keyed by the transcripts of
+    :func:`transcript_tally`, and the exact probability that the referee's
+    output differs from ``value``, from one enumeration."""
+    transcripts = _draws(p, x, y)
+    keys, per_key = np.unique(transcripts, return_counts=True)
+    bad = int(np.count_nonzero(_outputs(p, x, y, None, transcripts) != value))
+    return dict(zip(keys.tolist(), per_key.tolist())), Fraction(bad, 1 << p.randomness_bits)
 
 def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
     """Exact probability that the referee's output differs from ``value``."""
@@ -658,47 +652,33 @@ class PadCounts:
 
 def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     """The counts of :class:`PadCounts` for ``key_cds`` disclosing the pad
-    key, one enumeration per key.  A decoder returning None leaves the pad
-    on (the identity unpad), which is right for key 0.  With an
-    :class:`ArrayForm`, the key-count vectors are one ``bincount`` over the
-    transcript index of every (key, draw).  That path holds every (key,
-    draw) at once, so their number, not only the draws per key, is held to
-    the enumeration budget."""
+    key, one enumeration per key.  The key-count vectors are one
+    ``bincount`` over the transcript index of every (key, draw), and the
+    decoder runs once per distinct transcript; a decoder returning None
+    leaves the pad on (the identity unpad), which is right for key 0.
+    Every (key, draw) is held at once, so their number, not only the
+    draws per key, is held to the enumeration budget."""
     keys = key_cds.secret_alphabet
     if keys << key_cds.randomness_bits > 1 << ENUMERATION_BUDGET_BITS:
         raise ValueError(
             f"{keys} keys times 2^{key_cds.randomness_bits} draws exceed the "
             f"2^{ENUMERATION_BUDGET_BITS}-draw enumeration budget"
         )
-    if key_cds.arrays is not None:
-        draws = [_draws(key_cds, x, y, key) for key in range(keys)]
-        unique, inverse = np.unique(
-            np.concatenate([codes for codes, _ in draws]), return_inverse=True
-        )
-        key_of_draw = np.repeat(np.arange(keys), 1 << key_cds.randomness_bits)
-        table = np.bincount(inverse * keys + key_of_draw, minlength=len(unique) * keys)
-        # a decoder's -1 (None) decodes key 0
-        decoded = sum(
-            int(np.count_nonzero(np.maximum(outputs, 0) == key))
-            for key, (_, outputs) in enumerate(draws)
-        )
-        # equal key-count vectors made adjacent, then counted per run
-        rows = table.reshape(-1, keys)
-        rows = rows[np.lexsort(rows.T)]
-        starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-        vectors = Counter(dict(zip(
-            map(tuple, rows[starts].tolist()), np.diff(starts, append=len(rows)).tolist()
-        )))
-        return PadCounts(vectors, decoded, keys << key_cds.randomness_bits)
-    per_transcript: dict = {}
-    for key in range(keys):
-        for t, c in transcript_counts(key_cds, x, y, key).items():
-            per_transcript.setdefault(t, [0] * keys)[key] += c
-    decoded = 0
-    for (ma, mb), vec in per_transcript.items():
-        key = key_cds.decoder(ma, x, mb, y)
-        decoded += vec[0 if key is None else key]
-    vectors = Counter(tuple(vec) for vec in per_transcript.values())
+    transcripts = np.concatenate([_draws(key_cds, x, y, key) for key in range(keys)])
+    unique, inverse = np.unique(transcripts, return_inverse=True)
+    key_of_draw = np.repeat(np.arange(keys), 1 << key_cds.randomness_bits)
+    table = np.bincount(inverse * keys + key_of_draw, minlength=len(unique) * keys)
+    # the decoder does not read the secret, so key 0 binds it for every draw;
+    # its -1 (None) decodes key 0
+    outputs = _outputs(key_cds, x, y, 0, transcripts)
+    decoded = int(np.count_nonzero(np.maximum(outputs, 0) == key_of_draw))
+    # equal key-count vectors made adjacent, then counted per run
+    rows = table.reshape(-1, keys)
+    rows = rows[np.lexsort(rows.T)]
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    vectors = Counter(dict(zip(
+        map(tuple, rows[starts].tolist()), np.diff(starts, append=len(rows)).tolist()
+    )))
     return PadCounts(vectors, decoded, keys << key_cds.randomness_bits)
 
 
@@ -882,7 +862,9 @@ def psm_to_cds(psm_family: Callable[..., PsmProtocol], f: PromiseFunction) -> Cd
 # ---------------------------------------------------------------------------
 
 def protocol_cost(p) -> CostReport:
-    """Exact resource counts; message sizes are input-independent."""
+    """Exact resource counts; message sizes are input-independent.  A
+    protocol's own ``cost`` report comes first; a dense CDQS without one is
+    charged its message qubits and resource EPR pairs."""
     if isinstance(p, (CdsProtocol, PsmProtocol)):
         return CostReport(
             comm_bits=p.message_bits_a + p.message_bits_b,
@@ -890,18 +872,14 @@ def protocol_cost(p) -> CostReport:
             shared_random_bits=p.randomness_bits,
             shared_epr_pairs=0,
         )
-    if isinstance(p, TranscriptCdqsProtocol):
-        return p.cost
+    cost = getattr(p, "cost", None)
+    if isinstance(cost, CostReport):
+        return cost
     if isinstance(p, CdqsProtocol):
-        if p.cost is not None:
-            return p.cost
         da, db = p.message_dims()
         qubits = _exact_log2(da, "Alice message") + _exact_log2(db, "Bob message")
         pairs = _exact_log2(layout_dim(p.resource.layout[:1]), "resource")
         return CostReport(
             comm_bits=0, comm_qubits=qubits, shared_random_bits=0, shared_epr_pairs=pairs
         )
-    cost = getattr(p, "cost", None)
-    if isinstance(cost, CostReport):
-        return cost
     raise TypeError(f"not a protocol object: {type(p).__name__}")

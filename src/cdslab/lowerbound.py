@@ -30,6 +30,7 @@ normalised at the full shape, then cut.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -269,27 +270,20 @@ def build_two_prover_proof(p: CdqsProtocol, k: int) -> TwoProverProof:
     """
     rep = parallel_repeat(p, k)
 
-    alice_cache: dict = {}
-    bob_cache: dict = {}
-    recovery_cache: dict = {}
-
+    @functools.cache
     def alice_purification(x: int) -> Isometry:
-        if x not in alice_cache:
-            alice_cache[x] = purify_channel(rep.alice_channel(x), env_name="EA")
-        return alice_cache[x]
+        return purify_channel(rep.alice_channel(x), env_name="EA")
 
+    @functools.cache
     def bob_purification(y: int) -> Isometry:
-        if y not in bob_cache:
-            bob_cache[y] = purify_channel(rep.bob_channel(y), env_name="EB")
-        return bob_cache[y]
+        return purify_channel(rep.bob_channel(y), env_name="EB")
 
+    @functools.cache
     def recovery(x: int, y: int) -> Isometry:
-        if (x, y) not in recovery_cache:
-            dec = rep.decoder(x, y)
-            if dec is None:
-                raise ValueError(f"no decoder shipped for input ({x}, {y})")
-            recovery_cache[(x, y)] = purify_channel(dec, env_name="P")
-        return recovery_cache[(x, y)]
+        dec = rep.decoder(x, y)
+        if dec is None:
+            raise ValueError(f"no decoder shipped for input ({x}, {y})")
+        return purify_channel(dec, env_name="P")
 
     return TwoProverProof(
         protocol=rep,

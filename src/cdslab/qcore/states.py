@@ -155,9 +155,9 @@ class StateVector:
         if sorted(perm) != list(range(len(self.layout))):
             raise ValueError("permutation must mention every subsystem exactly once")
         dims = layout_dims(self.layout)
+        # a fresh copy, or a view of the frozen amplitudes when they stay in order
         amps = self.amplitudes.reshape(dims).transpose(perm).reshape(-1)
-        new_layout = tuple(self.layout[p] for p in perm)
-        return StateVector(amps, new_layout, validate=False)
+        return StateVector._adopt(amps, tuple(self.layout[p] for p in perm))
 
     def __repr__(self):
         return f"StateVector(dim={self.dim}, layout={self.layout})"

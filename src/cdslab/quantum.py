@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, _draw_transcripts, pad_counts, transcript_tally
+from .framework import CostReport, _draws, pad_counts, transcript_tally
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ class BhmPsqm:
             if (u, v) in seen:  # the vote is <u, v>, so it repeats too
                 continue
             seen.add((u, v))
-            support = np.sort(_draw_transcripts(self.inner, u, v, None))
+            support = np.sort(_draws(self.inner, u, v))
             repeats = int(np.count_nonzero(support[1:] == support[:-1]))
             if repeats:
                 raise AssertionError(

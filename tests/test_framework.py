@@ -206,6 +206,45 @@ def test_transcript_counts_needs_the_cds_secret(monkeypatch):
             with pytest.raises(ValueError, match="CDS enumeration requires the secret value"):
                 enumerate_at(p, 0, 1)
 
+def _enumerations(p, x, y, s):
+    return (
+        [part.tolist() for part in transcript_tally(p, x, y, s)],
+        transcript_counts(p, x, y, s),
+        enumerate_message_distribution(p, x, y, s),
+    )
+
+def test_transcript_enumeration_never_decodes():
+    # the tally and the counts draw messages only, on both forms
+    def decode(*args):
+        raise AssertionError("a decoder or referee ran during transcript enumeration")
+
+    for p in (neq_cds(2), ip_psm(2), and_cds()):
+        s = 1 if isinstance(p, CdsProtocol) else None
+        output = {"decoder": decode} if s is not None else {"referee": decode}
+        for form in (p, dataclasses.replace(p, arrays=None)):
+            arrays = form.arrays and dataclasses.replace(form.arrays, output=decode)
+            blind = dataclasses.replace(form, arrays=arrays, **output)
+            assert _enumerations(blind, 1, 2, s) == _enumerations(form, 1, 2, s)
+
+def test_scalar_decoder_runs_once_per_distinct_transcript():
+    def counted(decoder, calls):
+        def decode(*args):
+            calls.append(args)
+            return decoder(*args)
+        return decode
+
+    for key_cds in (dataclasses.replace(neq_cds(2), arrays=None), double_secret(neq_cds(1))):
+        for x, y in ((0, 0), (1, 0)):
+            calls = []
+            p = dataclasses.replace(key_cds, decoder=counted(key_cds.decoder, calls))
+            assert cds_decode_failure(p, x, y, 1) == cds_decode_failure(key_cds, x, y, 1)
+            assert len(calls) == len(transcript_counts(key_cds, x, y, 1))
+            calls.clear()
+            table = pad_counts(p, x, y)
+            assert table == pad_counts(key_cds, x, y)
+            assert len(calls) == sum(table.vectors.values())
+            assert len(calls) == len({(ma, mb) for ma, _, mb, _ in calls})
+
 def test_array_path_checks_the_budget_before_it_allocates(monkeypatch):
     def allocate(*args, **kwargs):
         raise AssertionError("the draws were allocated before the budget check")

@@ -187,6 +187,13 @@ def test_permuted_swaps_basis_state():
     swapped = psi.permuted(["B", "A"])
     assert swapped.layout == (("B", 2), ("A", 2))
     assert np.allclose(swapped.amplitudes, [0, 0, 1, 0])  # |1>|0> in new order
+    # the identity order: equal amplitudes, read-only, the input unchanged
+    before = psi.amplitudes.copy()
+    same = psi.permuted(["A", "B"])
+    assert same.layout == psi.layout
+    assert np.array_equal(same.amplitudes, psi.amplitudes)
+    assert not same.amplitudes.flags.writeable and not swapped.amplitudes.flags.writeable
+    assert np.array_equal(psi.amplitudes, before) and not psi.amplitudes.flags.writeable
 
 def test_permuted_round_trip_density():
     rng = np.random.default_rng(8)
