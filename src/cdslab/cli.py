@@ -80,6 +80,13 @@ class ExperimentConfig:
         if self.suite not in SUITES:
             known = ", ".join(sorted(SUITES))
             raise ValueError(f"unknown suite {self.suite!r}; known suites: {known}")
+        for name in ("n", "k", "reps", "seed"):
+            value = getattr(self, name)
+            if (value is not None or name == "seed") and (
+                    not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a file path string, got {self.out!r}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed {self.seed} does not fit in 64 bits")
         if self.format not in ("json", "csv"):

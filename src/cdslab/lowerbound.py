@@ -9,10 +9,14 @@ cost:
   to the reconstruction and thresholds the distance from product at
   ``gamma_threshold``;
 * a two-prover, two-message, public-coin proof: the protocol's channels are
-  purified into isometries, the verifier's accept vector for secret ``s`` is
-  the purified run on ``|s>``, honest provers replay the protocol through the
-  purified decoder, and cheating provers are limited by a shared,
-  secret-independent marginal on the purifying systems;
+  purified into isometries, the verifier's accept vector ``psi^s`` for
+  secret ``s`` is the purified run on ``|s>``, honest provers replay the
+  protocol through the purified decoder, and cheating provers are limited by
+  a shared, secret-independent marginal on the purifying systems.  One run
+  per input serves every secret: isometries are linear, so the run on the
+  unnormalised ``sum_s |s>_Qbar |s>_Q`` holds ``psi^s`` as its slice at
+  ``Qbar = s``, and the honest provers' pre-shared state is that run,
+  recovered, over ``sqrt(d_Q)``;
 * complementary decoding: on hiding inputs the secret is absent from the
   messages, so it must be recoverable from the channel's environment.
 
@@ -51,7 +55,6 @@ from .qcore import (
     StateVector,
     apply_channel,
     apply_isometry,
-    basis_state,
     complementary_channel,
     find_best_decoder,
     identity_channel,
@@ -194,7 +197,8 @@ class TwoProverProof:
     receives the message systems from prover 1 and the purifying systems
     from prover 2, runs the purifications backwards and accepts exactly on
     the state ``|s> (x) resource`` — equivalently, acceptance probability is
-    the overlap with the accept vector ``psi^s``.
+    the overlap with the accept vector ``psi^s``, the slice of
+    :meth:`purified_run` at ``Qbar = s``.
     """
 
     protocol: CdqsProtocol
@@ -204,17 +208,17 @@ class TwoProverProof:
     bob_purification: Callable[[int], Isometry]
     recovery: Callable[[int, int], Isometry]
 
-    def purified_run(self, state: StateVector, x: int, y: int) -> StateVector:
-        """Both purifications applied to ``state (x) resource``."""
-        state = tensor(state, self.protocol.resource)
-        state = apply_isometry(self.alice_purification(x), state)
-        return apply_isometry(self.bob_purification(y), state)
+    def purified_run(self, x: int, y: int) -> StateVector:
+        """Both purifications applied to ``sum_s |s>_Qbar |s>_Q (x) resource``.
 
-    def accept_vector(self, x: int, y: int, s: int) -> StateVector:
-        """``psi^s``: the purified protocol run on the basis secret ``s``."""
-        if not 0 <= s < self.d_q:
-            raise ValueError(f"secret {s} outside [0, {self.d_q})")
-        return self.purified_run(basis_state(s, (("Q", self.d_q),)), x, y)
+        The input is left unnormalised, amplitude exactly 1 at each
+        ``(s, s)``, so the slice at ``Qbar = s`` is the run on ``|s>`` bit
+        for bit: the accept vector ``psi^s``.
+        """
+        pair = StateVector(np.eye(self.d_q).reshape(-1), (("Qbar", self.d_q), ("Q", self.d_q)),
+                           validate=False)
+        state = apply_isometry(self.alice_purification(x), tensor(pair, self.protocol.resource))
+        return apply_isometry(self.bob_purification(y), state)
 
     def system_names(self, x: int, y: int):
         """Message-system and purifying-system names, in layout order, read
@@ -307,25 +311,19 @@ def honest_acceptance_by_secret(tp: TwoProverProof, f: PromiseFunction, x: int, 
 
     Honest provers pre-share the state left after running the protocol on a
     maximally entangled secret and recovering through the purified decoder;
-    prover 1 swaps in ``|s>`` and inverts the recovery.
+    prover 1 swaps in ``|s>`` and inverts the recovery.  Both come from one
+    recovered :meth:`TwoProverProof.purified_run`: over ``sqrt(d_Q)``, its
+    rows over ``(Qbar, Q)`` are the pure components of the pre-shared state
+    on ``(P, private)``, and its row ``(s, s)`` is the recovered ``psi^s``
+    at ``Q = s``.
     """
     if f.value(x, y) != 1:
         raise ValueError(f"input ({x}, {y}) is not a disclosing input")
-    rec = tp.recovery(x, y)
-    message, private = tp.system_names(x, y)
-
-    run = tp.purified_run(maximally_entangled("Qbar", "Q", tp.d_q), x, y)
-    xi = apply_isometry(rec, run)
-    # rows of xi over (Qbar, Q) are the (unnormalised) pure components of the
-    # prover pre-shared state on (P, private); their squared norms sum to 1
-    shares = _vector_as_matrix(xi, ["Qbar", "Q"], ["P"] + private)
-
-    out = []
-    for s in range(tp.d_q):
-        chi = apply_isometry(rec, tp.accept_vector(x, y, s))
-        blocks = _vector_as_matrix(chi, ["Q"], ["P"] + private)
-        out.append(float(sum(abs(np.vdot(blocks[s], row)) ** 2 for row in shares)))
-    return out
+    _, private = tp.system_names(x, y)
+    recovered = apply_isometry(tp.recovery(x, y), tp.purified_run(x, y))
+    rows = _vector_as_matrix(recovered, ["Qbar", "Q"], ["P"] + private)
+    overlaps = rows @ rows[::tp.d_q + 1].conj().T       # column s: row (s, s)
+    return [float(v) for v in np.linalg.norm(overlaps, axis=0) ** 2 / tp.d_q]
 
 
 def honest_acceptance(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> float:
@@ -342,12 +340,11 @@ def _joint_support(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _accept_matrices(tp: TwoProverProof, x: int, y: int):
     """The accept vectors ``psi^s`` as (M, M') amplitude matrices, stacked
-    over ``s``, and their :func:`_joint_support`."""
+    over ``s`` (the purified run's slices at ``Qbar = s``), and their
+    :func:`_joint_support`."""
     message, private = tp.system_names(x, y)
-    stack = np.stack([
-        _vector_as_matrix(tp.accept_vector(x, y, s), message, private)
-        for s in range(tp.d_q)
-    ])
+    rows = _vector_as_matrix(tp.purified_run(x, y), ["Qbar"] + message, private)
+    stack = rows.reshape(tp.d_q, -1, rows.shape[1])
     return stack, _joint_support(stack)
 
 

@@ -228,16 +228,6 @@ def permute_matrix(mat: np.ndarray, layout: Layout, perm: Sequence[int]) -> np.n
 # constructors and composition
 # ---------------------------------------------------------------------------
 
-def basis_state(index: int, layout) -> StateVector:
-    """Computational basis state ``|index>`` over ``layout``."""
-    lt = as_layout(layout)
-    d = layout_dim(lt)
-    if not 0 <= index < d:
-        raise ValueError(f"basis index {index} out of range for dimension {d}")
-    amps = np.zeros(d, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps, lt, validate=False)
-
 def maximally_mixed(name: str, dim: int) -> DensityMatrix:
     """The state ``I/dim`` on a single subsystem."""
     return DensityMatrix(np.eye(dim) / dim, ((name, dim),), validate=False)

@@ -222,6 +222,23 @@ def test_main_refused_sizes_exit_2_without_files(tmp_path, capsys, args):
     assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
+@pytest.mark.parametrize("values", [
+    {"suite": "neq-classical", "n": 2.5},
+    {"suite": "neq-classical", "n": True},
+    {"suite": "toys", "seed": 1.5},
+    {"suite": "toys", "seed": None},
+    {"suite": "two-prover", "k": "1"},
+    {"suite": "forrelation", "reps": 3.0},
+    {"suite": "ip-psm", "n": 1, "out": 2},
+])
+def test_main_rejects_mistyped_config_values_without_files(tmp_path, monkeypatch, capsys, values):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "report.json", **values}))
+    assert main(["--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_main_requires_a_suite(capsys):
     assert main([]) == 2
     assert "suite is required" in capsys.readouterr().err

@@ -11,13 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import lowerbound as lb
+from cdslab.framework import CdqsProtocol
 from cdslab.qcore import (
     DensityMatrix,
+    QuantumChannel,
     StateVector,
+    apply_isometry,
     fidelity,
     layout_names,
+    maximally_entangled,
     maximally_mixed,
     partial_trace,
+    tensor,
 )
 from cdslab.toys import (
     always_one_function,
@@ -192,20 +197,105 @@ def test_value_preconditions_are_enforced():
         lb.cheat_optimize(tp, f, 1, 1)
 
 
+def _run_on(tp, state, x, y):
+    """Both purifications of ``tp`` applied to ``state (x) resource``: the
+    per-state run that the proof's single run replaces, kept as its oracle."""
+    state = apply_isometry(tp.alice_purification(x), tensor(state, tp.protocol.resource))
+    return apply_isometry(tp.bob_purification(y), state)
+
+
+def _secret(s, d_q):
+    return StateVector(np.eye(d_q)[s], (("Q", d_q),))
+
+
+def _honest_by_secret_oracle(tp, x, y):
+    """Honest acceptance per secret from ``d_Q + 1`` runs and recoveries:
+    the pre-shared state from the normalised maximally entangled run, and
+    each accept vector from its own run on ``|s>``."""
+    rec = tp.recovery(x, y)
+    _, private = tp.system_names(x, y)
+    run = _run_on(tp, maximally_entangled("Qbar", "Q", tp.d_q), x, y)
+    shares = lb._vector_as_matrix(apply_isometry(rec, run), ["Qbar", "Q"], ["P"] + private)
+    out = []
+    for s in range(tp.d_q):
+        chi = apply_isometry(rec, _run_on(tp, _secret(s, tp.d_q), x, y))
+        blocks = lb._vector_as_matrix(chi, ["Q"], ["P"] + private)
+        out.append(float(sum(abs(np.vdot(blocks[s], row)) ** 2 for row in shares)))
+    return out
+
+
+def _damped_forwarding(gamma):
+    """Alice forwards the secret through amplitude damping, so the honest
+    acceptance differs between the secrets 0 and 1."""
+    kraus = [
+        np.array([[1, 0], [0, math.sqrt(1 - gamma)]]),
+        np.array([[0, math.sqrt(gamma)], [0, 0]]),
+    ]
+    channel = QuantumChannel(kraus, (("Q", 2), ("L", 1)), (("MA", 2),))
+    decoder = QuantumChannel([np.eye(2)], (("MA", 2), ("MB", 1)), (("Q", 2),))
+    return CdqsProtocol(n=1, d_q=2, alice_channel=lambda x: channel,
+                        decoder=lambda x, y: decoder, construction=f"damped({gamma})")
+
+
+SLICE_CASES = [
+    (gated_forwarding(), gated_function(), 1),
+    (gated_forwarding(), gated_function(), 2),
+    (gated_forwarding(), gated_function(), 3),
+    (lifted_neq(), lifted_neq_function(), 1),
+    (lifted_and(), lifted_and_function(), 1),
+    (leaky(0.3), gated_function(), 1),
+    (depolarized(lifted_neq(), 0.05), lifted_neq_function(), 1),
+]
+
+
+@pytest.mark.parametrize("p, f, k", SLICE_CASES)
+def test_accept_stack_is_the_per_secret_runs_bit_for_bit(p, f, k):
+    tp = lb.build_two_prover_proof(p, k)
+    for x, y in f.promise_pairs():
+        message, private = tp.system_names(x, y)
+        stack, _ = lb._accept_matrices(tp, x, y)
+        assert stack.shape[0] == tp.d_q
+        for s in range(tp.d_q):
+            oracle = _run_on(tp, _secret(s, tp.d_q), x, y).permuted(message + private)
+            assert np.array_equal(stack[s].reshape(-1), oracle.amplitudes)
+
+
+@pytest.mark.parametrize(
+    "p, f, k", SLICE_CASES + [(_damped_forwarding(0.4), always_one_function(), 1)]
+)
+def test_honest_acceptance_matches_the_per_secret_runs(p, f, k):
+    tp = lb.build_two_prover_proof(p, k)
+    for x, y in f.promise_pairs():
+        if f.value(x, y) == 1:
+            got = lb.honest_acceptance_by_secret(tp, f, x, y)
+            assert np.max(np.abs(np.subtract(got, _honest_by_secret_oracle(tp, x, y)))) <= 1e-14
+
+
+def test_honest_acceptance_reads_the_diagonal_rows():
+    # the secrets accept with different probabilities, so reading row s of
+    # the (Qbar, Q) rows instead of row (s, s) would be caught
+    p, f = _damped_forwarding(0.4), always_one_function()
+    per_secret = lb.honest_acceptance_by_secret(lb.build_two_prover_proof(p, 1), f, 0, 0)
+    assert abs(per_secret[0] - per_secret[1]) > 0.05
+
+
 def test_accept_vector_is_normalized():
     tp = lb.build_two_prover_proof(gated_forwarding(), 2)
+    stack, _ = lb._accept_matrices(tp, 1, 1)
+    assert stack.shape[0] == 4
     for s in range(4):
-        v = tp.accept_vector(1, 1, s)
-        assert np.linalg.norm(v.amplitudes) == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        tp.accept_vector(1, 1, 4)
+        assert np.linalg.norm(stack[s]) == pytest.approx(1.0, abs=1e-9)
+    # the run itself is the unnormalised sum over the four secrets
+    assert np.linalg.norm(tp.purified_run(1, 1).amplitudes) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_marginal_fidelity_matches_dense_computation():
     tp = lb.build_two_prover_proof(leaky(0.3), 1)
     f = gated_function()
     message, private = tp.system_names(0, 0)
-    states = [tp.accept_vector(0, 0, s) for s in range(2)]
+    run = tp.purified_run(0, 0).permuted(["Qbar"] + message + private)
+    slices = run.amplitudes.reshape(tp.d_q, -1)
+    states = [StateVector(slices[s], run.layout[1:]) for s in range(2)]
     dense = fidelity(
         partial_trace(states[0].density_matrix(), keep=private),
         partial_trace(states[1].density_matrix(), keep=private),
@@ -418,3 +508,56 @@ def test_proof_lab_report_text():
     assert text.count("PASS") == 3  # honest, cheat, orthogonality
     # deterministic
     assert text == lb.proof_lab_report(gated_forwarding(), gated_function(), 2)
+
+
+def test_proof_lab_text_is_frozen():
+    cases = [
+        (lifted_neq(), lifted_neq_function(), 1, 0, 0),
+        (gated_forwarding(), gated_function(), 3, 0, 0),
+        (depolarized(lifted_neq(), 0.05), lifted_neq_function(), 1, 0.075, 0),
+        (leaky(0.1), gated_function(), 1, 0, 0.15),
+    ]
+    texts = [lb.proof_lab_report(*case) for case in cases]
+    assert texts == [
+        (
+            "two-prover proof lab: protocol=pad_lift(double_secret(neq_cds(1))) k=1 d_Q=2\n"
+            "budgets: epsilon_hat=0 delta_hat=0\n"
+            "input (0, 0) value=0: cheat=0.500000000 bound=0.707106781 PASS; "
+            "orthogonality=0.000000000 cap=0.000000000 PASS; "
+            "unconstrained=1.000000\n"
+            "input (0, 1) value=1: honest=1.000000000 floor=1.000000000 PASS\n"
+            "input (1, 0) value=1: honest=1.000000000 floor=1.000000000 PASS\n"
+            "input (1, 1) value=0: cheat=0.500000000 bound=0.707106781 PASS; "
+            "orthogonality=0.000000000 cap=0.000000000 PASS; "
+            "unconstrained=1.000000"
+        ),
+        (
+            "two-prover proof lab: protocol=gated_forwarding k=3 d_Q=8\n"
+            "budgets: epsilon_hat=0 delta_hat=0\n"
+            "input (0, 0) value=0: cheat=0.125000000 bound=0.353553391 PASS; "
+            "orthogonality=0.000000000 cap=0.000000000 PASS; "
+            "unconstrained=1.000000\n"
+            "input (1, 1) value=1: honest=1.000000000 floor=1.000000000 PASS"
+        ),
+        (
+            "two-prover proof lab: "
+            "protocol=depolarized(pad_lift(double_secret(neq_cds(1))), 0.05) k=1 d_Q=2\n"
+            "budgets: epsilon_hat=0.075 delta_hat=0\n"
+            "input (0, 0) value=0: cheat=0.500000000 bound=0.707106781 PASS; "
+            "orthogonality=0.000000000 cap=0.000000000 PASS; "
+            "unconstrained=1.000000\n"
+            "input (0, 1) value=1: honest=0.926562500 floor=0.452277442 PASS\n"
+            "input (1, 0) value=1: honest=0.926562500 floor=0.452277442 PASS\n"
+            "input (1, 1) value=0: cheat=0.500000000 bound=0.707106781 PASS; "
+            "orthogonality=0.000000000 cap=0.000000000 PASS; "
+            "unconstrained=1.000000"
+        ),
+        (
+            "two-prover proof lab: protocol=leaky(0.1) k=1 d_Q=2\n"
+            "budgets: epsilon_hat=0 delta_hat=0.15\n"
+            "input (0, 0) value=0: cheat=0.550000000 bound=0.791286587 PASS; "
+            "orthogonality=0.010000000 cap=1.549193338 PASS; "
+            "unconstrained=1.000000\n"
+            "input (1, 1) value=1: honest=1.000000000 floor=1.000000000 PASS"
+        ),
+    ]

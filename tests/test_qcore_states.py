@@ -7,7 +7,6 @@ from cdslab.qcore import (
     DensityMatrix,
     StateVector,
     as_layout,
-    basis_state,
     fresh_name,
     layout_dim,
     layout_positions,
@@ -18,6 +17,10 @@ from cdslab.qcore import (
     permute_matrix,
     tensor,
 )
+
+def ket(index, name, dim):
+    """The computational basis state ``|index>`` of one ``dim``-level system."""
+    return StateVector(np.eye(dim)[index], [(name, dim)])
 
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -59,18 +62,12 @@ def test_fresh_name_primes_until_free():
 # state construction and immutability
 # ---------------------------------------------------------------------------
 
-def test_basis_state_and_range_check():
-    psi = basis_state(2, [("Q", 4)])
-    assert psi.amplitudes[2] == 1.0
-    with pytest.raises(ValueError):
-        basis_state(4, [("Q", 4)])
-
 def test_state_vector_norm_enforced():
     with pytest.raises(ValueError):
         StateVector([1.0, 1.0], [("Q", 2)])
 
 def test_states_are_immutable():
-    psi = basis_state(0, [("Q", 2)])
+    psi = ket(0, "Q", 2)
     with pytest.raises(AttributeError):
         psi.amplitudes = np.zeros(2)
     with pytest.raises(ValueError):
@@ -95,8 +92,8 @@ def test_density_matrix_invariants_enforced():
 # ---------------------------------------------------------------------------
 
 def test_tensor_basis_states_last_fastest():
-    ket0 = basis_state(0, [("A", 2)])
-    ket1 = basis_state(1, [("B", 2)])
+    ket0 = ket(0, "A", 2)
+    ket1 = ket(1, "B", 2)
     joint = tensor(ket0, ket1)
     assert np.allclose(joint.amplitudes, [0, 1, 0, 0])
     assert joint.layout == (("A", 2), ("B", 2))
@@ -113,11 +110,11 @@ def test_tensor_plus_states_uniform():
 
 def test_tensor_name_collision():
     with pytest.raises(ValueError):
-        tensor(basis_state(0, [("A", 2)]), basis_state(0, [("A", 2)]))
+        tensor(ket(0, "A", 2), ket(0, "A", 2))
 
 def test_tensor_mixed_kinds_rejected():
     with pytest.raises(ValueError):
-        tensor(basis_state(0, [("A", 2)]), maximally_mixed("B", 2))
+        tensor(ket(0, "A", 2), maximally_mixed("B", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +128,7 @@ def test_partial_trace_maximally_entangled_marginal():
     assert np.allclose(red.entries, np.eye(2) / 2)
 
 def test_partial_trace_product_case():
-    rho = tensor(basis_state(0, [("A", 2)]), basis_state(1, [("B", 2)])).density_matrix()
+    rho = tensor(ket(0, "A", 2), ket(1, "B", 2)).density_matrix()
     red = partial_trace(rho, ["A"])
     assert np.allclose(red.entries, [[1, 0], [0, 0]])
 
@@ -183,7 +180,7 @@ def test_partial_trace_matrix_keep_all_is_identity():
 # ---------------------------------------------------------------------------
 
 def test_permuted_swaps_basis_state():
-    psi = tensor(basis_state(0, [("A", 2)]), basis_state(1, [("B", 2)]))
+    psi = tensor(ket(0, "A", 2), ket(1, "B", 2))
     swapped = psi.permuted(["B", "A"])
     assert swapped.layout == (("B", 2), ("A", 2))
     assert np.allclose(swapped.amplitudes, [0, 0, 1, 0])  # |1>|0> in new order
