@@ -91,10 +91,14 @@ class ExperimentConfig:
             raise ValueError(f"seed {self.seed} does not fit in 64 bits")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be 'json' or 'csv', got {self.format!r}")
+        reads = SUITES[self.suite][1]
         for name in ("n", "k", "reps"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
+            if value is not None and name not in reads:
+                raise ValueError(f"suite {self.suite} does not read {name}; it reads "
+                                 + (", ".join(reads) or "none of n, k, reps"))
 
     @classmethod
     def from_mapping(cls, values: Mapping) -> "ExperimentConfig":
@@ -275,13 +279,15 @@ def _suite_forrelation(cfg: ExperimentConfig):
     return rows, failures
 
 
-SUITES: Dict[str, Callable] = {
-    "neq-classical": _suite_neq_classical,
-    "ip-psm": _suite_ip_psm,
-    "hybrid": _suite_hybrid,
-    "toys": _suite_toys,
-    "two-prover": _suite_two_prover,
-    "forrelation": _suite_forrelation,
+#: each suite's runner and the size fields it reads; setting another is a
+#: configuration error
+SUITES: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
+    "neq-classical": (_suite_neq_classical, ("n",)),
+    "ip-psm": (_suite_ip_psm, ("n",)),
+    "hybrid": (_suite_hybrid, ("n",)),
+    "toys": (_suite_toys, ()),
+    "two-prover": (_suite_two_prover, ("k",)),
+    "forrelation": (_suite_forrelation, ("n", "reps")),
 }
 
 
@@ -332,7 +338,7 @@ def emit_report(rows: Sequence[Row], out: str, fmt: str) -> List[str]:
 
 def run_suite(config: ExperimentConfig):
     """Run the configured suite; return ``(exit_code, written_paths)``."""
-    rows, failures = SUITES[config.suite](config)
+    rows, failures = SUITES[config.suite][0](config)
     paths: List[str] = []
     if config.out is not None:
         paths = emit_report(rows, config.out, config.format)
@@ -356,9 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run a verification suite and emit its report.",
     )
     parser.add_argument("--suite", choices=sorted(SUITES), help="suite to run")
-    parser.add_argument("--n", type=int, help="protocol size parameter")
-    parser.add_argument("--k", type=int, help="repetition / digit parameter")
-    parser.add_argument("--reps", type=int, help="vote repetition count")
+    parser.add_argument("--n", type=int, help="protocol size (all but toys, two-prover)")
+    parser.add_argument("--k", type=int, help="parallel repetitions (two-prover)")
+    parser.add_argument("--reps", type=int, help="vote repetition count (forrelation)")
     parser.add_argument("--seed", type=int, help="64-bit experiment seed")
     parser.add_argument("--out", help="report file path")
     parser.add_argument("--format", choices=("json", "csv"), help="report format")

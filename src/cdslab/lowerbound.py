@@ -22,8 +22,9 @@ cost:
 
 The cheating-prover optimum is approximated from below by a see-saw
 (alternating polar updates of per-secret rotations with a top-eigenvector
-update of the shared purification), so asserting it under the soundness
-bound checks a necessary condition of the theorem, never a vacuous one.
+update of the shared purification, run by :func:`cdslab.qcore.best_ascent`),
+so asserting it under the soundness bound checks a necessary condition of
+the theorem, never a vacuous one.
 The see-saw runs on the accept vectors' joint exact-zero support, the
 message rows and purifying columns that some accept vector touches.  That
 is exact: the updates read the vectors only through products to which
@@ -55,6 +56,7 @@ from .qcore import (
     StateVector,
     apply_channel,
     apply_isometry,
+    best_ascent,
     complementary_channel,
     find_best_decoder,
     identity_channel,
@@ -402,8 +404,8 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
     ablation where both provers see ``s`` and simply replay ``psi^s``.
 
     Four starts are tried: the first accept vector, their mean and two
-    random draws (seed 11); each runs at most 500 rounds, stopping once a
-    round gains less than 1e-10.  The search runs on the accept vectors'
+    random draws (seed 11); the rounds and the stop are those of
+    :func:`cdslab.qcore.best_ascent`.  The search runs on the accept vectors'
     joint exact-zero support (see :func:`_seesaw`); the random starts are
     still drawn and normalised at the full (M, M') shape, so every start,
     and so the estimate, is the full-space one up to rounding.
@@ -412,13 +414,7 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
         raise ValueError(f"input ({x}, {y}) is not a hiding input")
     stack, (rows, cols) = _accept_matrices(tp, x, y)
     unconstrained = float(np.mean([np.vdot(m, m).real ** 2 for m in stack]))
-    estimate, rounds, converged = _seesaw(stack, rows, cols)
-    return CheatResult(
-        estimate=estimate,
-        rounds=rounds,
-        converged=converged,
-        unconstrained=unconstrained,
-    )
+    return CheatResult(*_seesaw(stack, rows, cols), unconstrained=unconstrained)
 
 
 def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[float, int, bool]:
@@ -444,42 +440,24 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[floa
         u, sv, vh = np.linalg.svd(w @ adjoints, full_matrices=False)
         return sum(float(s.sum()) ** 2 for s in sv) / d_q, u @ vh
 
-    def refresh(rotations):
-        # top eigenvector of mean_s |phi^s><phi^s| via the small Gram matrix
+    def step(rotations):
+        # the shared purification: top eigenvector of mean_s |phi^s><phi^s|
+        # via the small Gram matrix
         phis = rotations @ mats
         flat = phis.reshape(d_q, -1)
         _, vecs = np.linalg.eigh(flat.conj() @ flat.T)
         w = np.tensordot(vecs[:, -1], phis, axes=1)
-        return w / np.linalg.norm(w)
+        return value_and_rotations(w / np.linalg.norm(w))
 
-    # each start is normalised at the full (M, M') shape, then cut
+    # the first accept matrix, their sum and two draws, each normalised at
+    # the full (M, M') shape, then cut
     rng = np.random.default_rng(11)
-    starts = [stack[0][:, cols] / np.linalg.norm(stack[0])]
-    mean = sum(stack)
-    starts.append(mean[:, cols] / np.linalg.norm(mean))
-    for _ in range(2):
-        guess = rng.standard_normal(stack.shape[1:]) + 1j * rng.standard_normal(stack.shape[1:])
-        starts.append(guess[:, cols] / np.linalg.norm(guess))
-
-    best = -1.0
-    best_rounds = 0
-    best_converged = False
-    for w in starts:
-        current, rotations = value_and_rotations(w)
-        converged = False
-        for rounds in range(1, 501):
-            w = refresh(rotations)
-            nxt, rotations = value_and_rotations(w)
-            if nxt - current < 1e-10:
-                current = max(current, nxt)
-                converged = True
-                break
-            current = nxt
-        if current > best:
-            best = current
-            best_rounds = rounds
-            best_converged = converged
-    return best, best_rounds, best_converged
+    shape = stack.shape[1:]
+    fulls = [stack[0], sum(stack)] + [
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+    starts = (value_and_rotations(full[:, cols] / np.linalg.norm(full)) for full in fulls)
+    best, _, rounds, converged = best_ascent(starts, step)
+    return best, rounds, converged
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,60 @@
-"""Decoder search: maximise entanglement fidelity over recovery channels.
+"""Multi-start alternating ascent, and the decoder search built on it.
+
+:func:`best_ascent` is the lab's one ascent driver: the decoder search here
+and the cheating provers' see-saw (:func:`cdslab.lowerbound.cheat_optimize`)
+hand it their starts and their one-round step, and it holds the round cap,
+the stopping rule and the choice of the best start.
 
 ``find_best_decoder(n, target)`` looks for a channel ``D`` such that
-``D o n`` is as close as possible to ``target``.  The search alternates two
-closed-form updates on a Stinespring isometry ``W`` of the decoder:
-
-* fix the environment direction, solve the isometry Procrustes problem by
-  one SVD;
-* fix ``W``, point the environment direction along the current overlap.
-
-Both steps are monotone in the overlap, so the iteration is a genuine
-ascent; it is seeded with the Petz (transpose-channel) recovery map, which
-is already exact whenever perfect recovery is possible, plus a few random
-isometries.  The achieved error is reported as the trace norm of the Choi
-difference against the target, i.e. the same lower bound on the diamond
-distance used elsewhere; the optimum is approached from below and no global
-optimality is claimed.
+``D o n`` is as close as possible to ``target``.  Each round updates a
+Stinespring isometry ``W`` of the decoder in closed form: the environment
+direction is pointed along the current overlap, then ``W`` solves the
+isometry Procrustes problem by one SVD.  Both updates are monotone in the
+overlap, so the iteration is a genuine ascent.  The achieved error is
+reported as the trace norm of the Choi difference against the target, i.e.
+the same lower bound on the diamond distance used elsewhere; the optimum is
+approached from below and no global optimality is claimed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .channels import QuantumChannel, canonical_kraus, choi_state
 from .distances import trace_norm
 from .states import layout_dim
+
+
+def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]]) -> tuple:
+    """Ascend from every start; return the best end.
+
+    ``starts`` yields ``(value, state)`` pairs and ``step(state)`` returns
+    the next pair, or None when there is no ascent direction.  Each start
+    runs at most 500 rounds.  A None stops it unconverged; a round that
+    gains less than 1e-10 stops it converged, and the new pair is kept only
+    if its value is not lower.  Returns ``(value, state, rounds, converged)``
+    of the first start with the largest value.
+    """
+    best = None
+    for value, state in starts:
+        converged = False
+        for rounds in range(1, 501):
+            nxt = step(state)
+            if nxt is None:
+                break
+            if nxt[0] - value < 1e-10:
+                if nxt[0] >= value:
+                    value, state = nxt
+                converged = True
+                break
+            value, state = nxt
+        if best is None or value > best[0]:
+            best = (value, state, rounds, converged)
+    return best
+
 
 def petz_recovery(channel: QuantumChannel) -> QuantumChannel:
     """Petz transpose channel of ``channel`` with respect to the maximally
@@ -69,18 +98,35 @@ def _stinespring_matrix(decoder: QuantumChannel, denv: int) -> np.ndarray:
     w[:, :count, :] = decoder.kraus_stack.transpose(1, 0, 2)
     return w.reshape(dq * denv, m)
 
-def _overlap_vectors(w_mat, s_tensor, target_vecs, dq, denv, d_ref, d_p):
-    """T_t(W) for all t, stacked: each is a vector on env x purifier."""
-    m = s_tensor.shape[0]
-    w = w_mat.reshape(dq, denv, m)
-    # omega[q, e, r, p] = sum_mu w[q, e, mu] s[mu, r, p]
-    omega = np.tensordot(w, s_tensor.reshape(m, d_ref, d_p), axes=(2, 0))
-    out = []
-    for phi in target_vecs:
-        # contract <phi|(q, r)
-        t = np.tensordot(phi.reshape(dq, d_ref).conj(), omega, axes=([0, 1], [0, 2]))
-        out.append(t.reshape(-1))  # env * purifier
-    return out
+def _overlap_maps(kraus: np.ndarray, target: QuantumChannel):
+    """The decoder search's two maps over the whole target stack.
+
+    ``kraus`` is the channel's ``(p, mu, r)`` Kraus stack on input dimension
+    ``d``; ``s[mu, r, p] = K_p[mu, r] / sqrt(d)`` purifies
+    ``(channel (x) id)(phi+)`` and ``phi_t = T_t / sqrt(d)`` are the
+    target's Kraus vectors.  ``pair(w)`` is the ascent pair of the decoder
+    isometry ``w`` (rows ``(q, e)``, columns ``mu``): ``(|T|^2, (w, T))``,
+    where ``T[t, e, p]`` is every target's overlap with ``w`` and ``|T|^2``
+    the entanglement fidelity of the composition with the target.
+    ``coefficients(xi)`` is ``C[(q, e), mu]`` with ``<xi, T(w)> = sum w * C``.
+    """
+    scale = np.sqrt(kraus.shape[2])
+    phis = (target.kraus_stack / scale).conj()                  # t, q, r
+    s = kraus.transpose(1, 2, 0) / scale                        # mu, r, p
+    phs = np.tensordot(phis, s, axes=(2, 1))                    # t, q, mu, p
+
+    def pair(w):
+        # w meets s before the targets: contracting phs with w sums in
+        # another order, which flips ulp-level ties between equal starts
+        omega = np.tensordot(w.reshape(phis.shape[1], -1, len(s)), s, axes=(2, 0))
+        t = np.tensordot(phis, omega, axes=([1, 2], [0, 2]))
+        return float(np.vdot(t, t).real), (w, t)
+
+    def coefficients(xi):
+        c = np.tensordot(phs, xi.conj(), axes=([0, 3], [0, 2]))    # q, mu, e
+        return c.transpose(0, 2, 1).reshape(-1, len(s))
+
+    return pair, coefficients
 
 def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> DecoderResult:
     """Search for a decoder ``D`` minimising the gap between ``D o channel``
@@ -91,10 +137,12 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
     channel : QuantumChannel
         The map to invert; its input layout must match the target's.
     target : QuantumChannel
-        Usually the identity on the secret system.
+        Usually the identity on the secret system; its output dimension
+        must be the channel's input dimension, where the Petz seed decodes.
 
-    Beside the Petz seed, two random isometries (seed 7) start the ascent;
-    each runs at most 500 rounds, stopping once a round gains at most 1e-10.
+    The starts are the Petz recovery map, already exact whenever perfect
+    recovery is possible, and two random isometries (seed 7); the rounds
+    and the stop are :func:`best_ascent`'s.
 
     Returns
     -------
@@ -105,74 +153,43 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
     """
     if layout_dim(channel.input_layout) != layout_dim(target.input_layout):
         raise ValueError("channel and target must share the input dimension")
+    if target.dim_out != channel.dim_in:
+        raise ValueError(
+            f"target output dimension {target.dim_out} differs from the channel's "
+            f"input dimension {channel.dim_in}, where the Petz seed decodes"
+        )
     minimal = canonical_kraus(channel)
     kraus = minimal.kraus_stack
-    d_p, m, dq_in = kraus.shape
-    dq_out = target.dim_out
+    _, m, dq = kraus.shape
     petz = petz_recovery(minimal)
     # extreme CPTP maps have Kraus rank <= input dimension, so an environment
     # of size m loses nothing; the Petz seed may carry a few more operators
     denv = max(1, m, len(petz.kraus_stack))
+    pair, coefficients = _overlap_maps(kraus, target)
 
-    # purification of (channel (x) id)(phi+): s[mu, r, p]
-    s_tensor = (kraus.transpose(1, 2, 0) / np.sqrt(dq_in)).reshape(m, dq_in * d_p)
+    def step(state):
+        _, t = state
+        norm = np.sqrt(np.vdot(t, t).real)
+        if norm < 1e-15:
+            return None
+        # maximise |tr(C^T W)| over isometries W
+        u, _, vh = np.linalg.svd(coefficients(t / norm).T, full_matrices=False)
+        return pair(vh.conj().T @ u.conj().T)
 
-    target_vecs = target.kraus_stack.reshape(len(target.kraus_stack), -1) / np.sqrt(dq_in)
-
-    def objective(w_mat):
-        ts = _overlap_vectors(w_mat, s_tensor, target_vecs, dq_out, denv, dq_in, d_p)
-        return sum(float(np.vdot(t, t).real) for t in ts), ts
-
-    def ascend(w_mat):
-        best, ts = objective(w_mat)
-        converged = False
-        for rounds in range(1, 501):
-            norm = np.sqrt(sum(float(np.vdot(t, t).real) for t in ts))
-            if norm < 1e-15:
-                break
-            xis = [t / norm for t in ts]
-            # linear coefficient matrix C with L(W) = sum_qe,mu W[qe,mu] C[qe,mu]
-            c = np.zeros((dq_out * denv, m), dtype=complex)
-            s3 = s_tensor.reshape(m, dq_in, d_p)
-            for phi, xi in zip(target_vecs, xis):
-                phi2 = phi.reshape(dq_out, dq_in)
-                xi2 = xi.reshape(denv, d_p)
-                # C[(q,e),mu] = conj(phi[q,r]) conj(xi[e,p]) s[mu,r,p]
-                tmp = np.tensordot(phi2.conj(), s3, axes=(1, 1))      # q, mu, p
-                block = np.tensordot(tmp, xi2.conj(), axes=(2, 1))    # q, mu, e
-                c += block.transpose(0, 2, 1).reshape(dq_out * denv, m)
-            # maximise |tr(C^T W)| over isometries W
-            a = c.T  # shape (m, dq*denv)
-            u, _, vh = np.linalg.svd(a, full_matrices=False)
-            w_mat = (vh.conj().T @ u.conj().T)
-            val, ts = objective(w_mat)
-            if val <= best + 1e-10:
-                best = val
-                converged = True
-                break
-            best = val
-        return best, w_mat, rounds, converged
-
-    candidates = [_stinespring_matrix(petz, denv)]
     rng = np.random.default_rng(7)
-    for _ in range(2):
-        g = rng.normal(size=(dq_out * denv, m)) + 1j * rng.normal(size=(dq_out * denv, m))
-        q, _ = np.linalg.qr(g)
-        candidates.append(q[:, :m])
+    shape = (dq * denv, m)    # denv >= m, so each QR factor is a full isometry
+    randoms = [np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+               for _ in range(2)]
+    starts = map(pair, [_stinespring_matrix(petz, denv)] + randoms)
+    best_val, (best_w, _), rounds, converged = best_ascent(starts, step)
 
-    best_val, best_w, best_rounds, best_conv = -1.0, None, 0, False
-    for w0 in candidates:
-        val, w, rounds, conv = ascend(w0)
-        if val > best_val:
-            best_val, best_w, best_rounds, best_conv = val, w, rounds, conv
-
-    ops = best_w.reshape(dq_out, denv, m).transpose(1, 0, 2)
+    ops = best_w.reshape(dq, denv, m).transpose(1, 0, 2)
     live = np.abs(ops).max(axis=(1, 2)) > 1e-14
     ops = ops[live] if live.any() else ops[:1]
     decoder = canonical_kraus(QuantumChannel(ops, channel.output_layout, target.output_layout))
     # Kraus (j, p), j slowest: D_j K_p
     composed = QuantumChannel(
-        (decoder.kraus_stack[:, None] @ kraus[None]).reshape(-1, dq_out, dq_in),
+        (decoder.kraus_stack[:, None] @ kraus[None]).reshape(-1, dq, dq),
         channel.input_layout,
         target.output_layout,
         validate=False,
@@ -182,6 +199,6 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
         decoder=decoder,
         achieved_error=float(err),
         entanglement_fidelity=float(min(1.0, best_val)),
-        rounds=best_rounds,
-        converged=best_conv,
+        rounds=rounds,
+        converged=converged,
     )

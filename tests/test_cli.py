@@ -60,6 +60,14 @@ def test_config_validates_fields():
         ExperimentConfig(suite="toys", n=0)
 
 
+def test_config_rejects_fields_the_suite_does_not_read():
+    with pytest.raises(ValueError, match="suite toys does not read n; it reads none"):
+        ExperimentConfig(suite="toys", n=3)
+    with pytest.raises(ValueError, match="suite two-prover does not read reps; it reads k"):
+        ExperimentConfig.from_mapping({"suite": "two-prover", "k": 2, "reps": 3})
+    assert ExperimentConfig(suite="forrelation", n=4, reps=5).reps == 5
+
+
 def test_emit_report_empty_is_a_valid_document(tmp_path):
     out = tmp_path / "empty.json"
     emit_report([], str(out), "json")
@@ -215,6 +223,12 @@ def test_main_rejects_unknown_config_fields(tmp_path, capsys):
     ["--suite", "hybrid", "--n", "6"],
     ["--suite", "forrelation", "--n", "3"],
     ["--suite", "two-prover", "--k", "7"],  # over the dense budget
+    # a size field the suite does not read
+    ["--suite", "toys", "--n", "3"],
+    ["--suite", "two-prover", "--k", "2", "--reps", "3"],
+    ["--suite", "neq-classical", "--n", "2", "--k", "1"],
+    ["--suite", "hybrid", "--reps", "3"],
+    ["--suite", "forrelation", "--k", "1"],
 ])
 def test_main_refused_sizes_exit_2_without_files(tmp_path, capsys, args):
     out = tmp_path / "report.json"

@@ -1,5 +1,5 @@
-"""Decoder search and Petz recovery, and their stacked Kraus builders
-against per-operator loops."""
+"""The ascent driver, decoder search and Petz recovery, and their stacked
+Kraus builders and decoder step against per-operator loops."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from cdslab.qcore import (
     DensityMatrix,
     QuantumChannel,
     apply_channel,
+    best_ascent,
     canonical_kraus,
     choi_state,
     find_best_decoder,
@@ -18,7 +19,7 @@ from cdslab.qcore import (
     petz_recovery,
     trace_norm,
 )
-from cdslab.qcore.optimize import _stinespring_matrix
+from cdslab.qcore.optimize import _overlap_maps, _stinespring_matrix
 
 def random_unitary(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -105,11 +106,49 @@ def test_petz_recovery_is_trace_preserving_with_defective_output_support():
     acc = sum(k.conj().T @ k for k in petz.kraus_operators)
     assert np.max(np.abs(acc - np.eye(5))) < 1e-9
 
+def test_decoder_search_refuses_a_target_off_the_channel_input():
+    # the Petz seed decodes to the channel's input, so the target must too
+    v = random_isometry(np.random.default_rng(54), 2, 4)
+    ch = QuantumChannel([v], [("Q", 2)], [("M", 4)])
+    with pytest.raises(ValueError, match="target output dimension 4 .* input dimension 2"):
+        find_best_decoder(ch, ch)
+
 def test_decoder_result_metadata():
     res = find_best_decoder(identity_channel([("Q", 2)]), identity_channel([("Q", 2)]))
     assert res.converged
     assert res.rounds <= 500
     assert 0.0 <= res.entanglement_fidelity <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the ascent driver's rule, on scripted steps
+# ---------------------------------------------------------------------------
+
+def _walk(values):
+    """A step that moves the state, an index, one entry along ``values``."""
+    def step(i):
+        return (values[i + 1], i + 1) if i + 1 < len(values) else None
+    return step
+
+def test_ascent_stops_on_the_first_round_gaining_less_than_the_tolerance():
+    values = [0.0, 1.0, 1.5, 1.5 + 5e-11, 2.0]
+    assert best_ascent([(values[0], 0)], _walk(values)) == (1.5 + 5e-11, 3, 3, True)
+
+def test_ascent_keeps_the_earlier_pair_when_the_last_round_is_lower():
+    values = [0.0, 1.0, 0.9, 2.0]
+    assert best_ascent([(values[0], 0)], _walk(values)) == (1.0, 1, 2, True)
+
+def test_ascent_stops_unconverged_at_the_round_cap():
+    step = lambda i: (float(i + 1), i + 1)
+    assert best_ascent([(0.0, 0)], step) == (500.0, 500, 500, False)
+
+def test_ascent_without_a_direction_keeps_the_start():
+    assert best_ascent([(0.3, "start")], lambda state: None) == (0.3, "start", 1, False)
+
+def test_ascent_takes_the_first_of_equal_starts():
+    stay = lambda state: (len(state), state)
+    assert best_ascent([(1, "a"), (1, "b")], stay) == (1, "a", 1, True)
+    assert best_ascent([(1, "a"), (2, "bb"), (2, "cc")], stay) == (2, "bb", 1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +228,54 @@ def test_decoder_search_error_is_that_of_the_per_operator_composition(seed, din,
     )
     want = trace_norm(choi_state(composed).entries - choi_state(target).entries)
     assert abs(result.achieved_error - want) <= 1e-12
+
+def _overlap_vectors(w_mat, s_tensor, target_vecs, dq, denv, d_ref, d_p):
+    """T_t(W) for all t, one target at a time: each a vector on env x purifier."""
+    m = s_tensor.shape[0]
+    w = w_mat.reshape(dq, denv, m)
+    # omega[q, e, r, p] = sum_mu w[q, e, mu] s[mu, r, p]
+    omega = np.tensordot(w, s_tensor.reshape(m, d_ref, d_p), axes=(2, 0))
+    out = []
+    for phi in target_vecs:
+        t = np.tensordot(phi.reshape(dq, d_ref).conj(), omega, axes=([0, 1], [0, 2]))
+        out.append(t.reshape(-1))
+    return out
+
+def _coefficients_reference(ts, s_tensor, target_vecs, dq, denv, d_ref, d_p):
+    """C[(q, e), mu] = sum_t conj(phi_t[q, r]) conj(xi_t[e, p]) s[mu, r, p]
+    for xi = T / |T|, accumulated one target at a time."""
+    m = s_tensor.shape[0]
+    norm = np.sqrt(sum(float(np.vdot(t, t).real) for t in ts))
+    c = np.zeros((dq * denv, m), dtype=complex)
+    s3 = s_tensor.reshape(m, d_ref, d_p)
+    for phi, t in zip(target_vecs, ts):
+        tmp = np.tensordot(phi.reshape(dq, d_ref).conj(), s3, axes=(1, 1))        # q, mu, p
+        block = np.tensordot(tmp, (t / norm).reshape(denv, d_p).conj(), axes=(2, 1))  # q, mu, e
+        c += block.transpose(0, 2, 1).reshape(dq * denv, m)
+    return c
+
+@settings(max_examples=30, deadline=None)
+@given(**_CHANNEL_SHAPES, target_seed=st.integers(0, 2**32 - 1), target_count=st.integers(2, 4),
+       extra=st.integers(0, 2))
+def test_decoder_step_on_a_target_stack_matches_the_per_target_loops(
+        seed, din, dout, count, target_seed, target_count, extra):
+    channel = _random_channel(seed, din, dout, count)
+    target = _random_channel(target_seed, din, din, target_count)
+    kraus = channel.kraus_stack
+    denv = dout + extra
+    w = random_isometry(np.random.default_rng(seed ^ target_seed), dout, din * denv)
+    s_tensor = (kraus.transpose(1, 2, 0) / np.sqrt(din)).reshape(dout, din * count)
+    target_vecs = target.kraus_stack.reshape(target_count, -1) / np.sqrt(din)
+    shape = (din, denv, din, count)
+    want_ts = _overlap_vectors(w, s_tensor, target_vecs, *shape)
+    pair, coefficients = _overlap_maps(kraus, target)
+    value, (same_w, ts) = pair(w)
+    assert same_w is w
+    assert ts.shape == (target_count, denv, count)
+    assert np.max(np.abs(ts.reshape(target_count, -1) - np.array(want_ts))) <= 1e-12
+    want_value = sum(float(np.vdot(t, t).real) for t in want_ts)
+    assert abs(value - want_value) <= 1e-12
+    assume(want_value > 1e-12)
+    want_c = _coefficients_reference(want_ts, s_tensor, target_vecs, *shape)
+    got_c = coefficients(ts / np.sqrt(value))
+    assert np.max(np.abs(got_c - want_c)) <= 1e-12
