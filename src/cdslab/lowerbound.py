@@ -52,7 +52,7 @@ from .framework import (
 )
 from .qcore import (
     DensityMatrix,
-    Isometry,
+    QuantumChannel,
     StateVector,
     apply_channel,
     apply_isometry,
@@ -206,9 +206,9 @@ class TwoProverProof:
     protocol: CdqsProtocol
     k: int
     d_q: int
-    alice_purification: Callable[[int], Isometry]
-    bob_purification: Callable[[int], Isometry]
-    recovery: Callable[[int, int], Isometry]
+    alice_purification: Callable[[int], QuantumChannel]
+    bob_purification: Callable[[int], QuantumChannel]
+    recovery: Callable[[int, int], QuantumChannel]
 
     def purified_run(self, x: int, y: int) -> StateVector:
         """Both purifications applied to ``sum_s |s>_Qbar |s>_Q (x) resource``.
@@ -277,15 +277,15 @@ def build_two_prover_proof(p: CdqsProtocol, k: int) -> TwoProverProof:
     rep = parallel_repeat(p, k)
 
     @functools.cache
-    def alice_purification(x: int) -> Isometry:
+    def alice_purification(x: int) -> QuantumChannel:
         return purify_channel(rep.alice_channel(x), env_name="EA")
 
     @functools.cache
-    def bob_purification(y: int) -> Isometry:
+    def bob_purification(y: int) -> QuantumChannel:
         return purify_channel(rep.bob_channel(y), env_name="EB")
 
     @functools.cache
-    def recovery(x: int, y: int) -> Isometry:
+    def recovery(x: int, y: int) -> QuantumChannel:
         dec = rep.decoder(x, y)
         if dec is None:
             raise ValueError(f"no decoder shipped for input ({x}, {y})")

@@ -11,9 +11,12 @@ dim_in)``, whose rows flatten to the columns ``vec(K_k)`` of
 ``A = [vec(K_1) ... vec(K_r)]``, of shape ``(dim_out * dim_in, r)``.
 Trace preservation is one product ``sum_k K_k^+ K_k``, application runs in
 blocks of stacked operators, each on the rows and columns its operators'
-exact nonzeros touch (a whole-range support takes the plain dense
-product), and the minimal Kraus family comes from the thin SVD of ``A``,
-so no Choi matrix is formed for it.
+exact nonzeros touch, and the minimal Kraus family comes from the thin SVD
+of ``A``, so no Choi matrix is formed for it.
+
+An isometry ``V`` (``V^+ V = I``) is a channel with the one Kraus operator
+``V``: ``purify_channel`` returns its Stinespring dilation in that form, and
+``apply_isometry`` applies such a channel to a pure state.
 
 Kraus families are built the same way: every dense builder (the pad lift
 and parallel repetition in :mod:`cdslab.framework`, the Petz map and the
@@ -47,7 +50,6 @@ from .states import (
     layout_dims,
     layout_names,
     layout_positions,
-    _frozen,
 )
 
 #: Choi eigenvalues at or below this count as zero, both when a Kraus family
@@ -71,7 +73,7 @@ class QuantumChannel:
     ----------
     kraus_operators : array_like
         A stack of shape ``(r, dim_out, dim_in)``, or a sequence of ``r``
-        operators of that shape; copied.
+        operators of that shape; copied.  Any other shape raises.
     input_layout, output_layout : iterable of (name, dim)
     validate : bool
         When True (default) enforce ``sum_k K_k^+ K_k = I`` within 1e-9.
@@ -93,7 +95,8 @@ class QuantumChannel:
         stack = np.array(kraus_operators, dtype=complex)
         if not len(stack):
             raise ValueError("channel needs at least one Kraus operator")
-        stack = stack.reshape(len(stack), dout, din)
+        if stack.shape[1:] != (dout, din):
+            raise ValueError(f"Kraus operators of shape {stack.shape[1:]}, expected ({dout}, {din})")
         stack.flags.writeable = False
         if validate:
             rows = stack.reshape(-1, din)                    # (k, out) x in
@@ -123,32 +126,6 @@ class QuantumChannel:
         )
 
 
-class Isometry:
-    """A matrix with orthonormal columns mapping between layouts."""
-
-    __slots__ = ("matrix", "input_layout", "output_layout")
-
-    def __init__(self, matrix, input_layout, output_layout):
-        in_lt = as_layout(input_layout)
-        out_lt = as_layout(output_layout)
-        din, dout = layout_dim(in_lt), layout_dim(out_lt)
-        mat = _frozen(np.asarray(matrix, dtype=complex).reshape(dout, din))
-        if dout < din:
-            raise ValueError(f"isometry output dimension {dout} smaller than input {din}")
-        gap = float(np.max(np.abs(mat.conj().T @ mat - np.eye(din))))
-        if gap > ATOL_INVARIANT:
-            raise ValueError(f"columns not orthonormal (gap {gap:.3e})")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "input_layout", in_lt)
-        object.__setattr__(self, "output_layout", out_lt)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Isometry is immutable")
-
-    def __repr__(self):
-        return f"Isometry(in={self.input_layout}, out={self.output_layout})"
-
-
 # ---------------------------------------------------------------------------
 # named constructors
 # ---------------------------------------------------------------------------
@@ -162,9 +139,9 @@ def identity_channel(layout) -> QuantumChannel:
 # application with identity padding
 # ---------------------------------------------------------------------------
 
-def _application_plan(state_layout: Layout, channel):
-    """Shared layout bookkeeping for applying a channel or an isometry (any
-    object with an ``input_layout`` and an ``output_layout``) to a subset.
+def _application_plan(state_layout: Layout, channel: QuantumChannel):
+    """Shared layout bookkeeping for applying a channel to a subset of a
+    state's subsystems, as a mixed or a pure state.
 
     Returns ``(perm, untouched, insert_at, new_layout)`` where ``perm``
     reorders the state so consumed subsystems come first in channel-input
@@ -209,12 +186,13 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     Each block acts on its support, read off the exact zeros of its
     operators: the input columns some operator in the block reads and the
     output rows some operator writes.  Only those rows and columns of the
-    consumed input are read, the operators are cut down to them, and the
-    product is added into only those output rows and columns.  A support
-    that is the whole range uses the stack and the matrix as they are and
-    adds the product whole, with no gathered copy; a block of all-zero
-    operators is skipped.
+    consumed input are gathered, the operators are cut down to them, and
+    the product is scattered into only those output rows and columns; a
+    block of all-zero operators is skipped.
     """
+    d = layout_dim(layout)
+    if mat.shape != (d, d):
+        raise ValueError(f"matrix of shape {mat.shape}, expected ({d}, {d}) for its layout")
     perm, untouched, insert_at, new_layout = _application_plan(layout, channel)
     dims = layout_dims(layout)
     k = len(dims)
@@ -224,7 +202,7 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     drest = math.prod(rest_dims)
     # rows: consumed input i; columns: (untouched r, untouched s, consumed input i')
     axes = consumed + untouched + [p + k for p in untouched] + [p + k for p in consumed]
-    work = mat.reshape(dims + dims).transpose(axes).reshape(din, -1)
+    work3 = mat.reshape(dims + dims).transpose(axes).reshape(din, drest * drest, din)
     stack = channel.kraus_stack
     block = max(din, dout) // min(din, dout)
     starts = np.arange(0, len(stack), block)
@@ -232,32 +210,20 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     nonzero = stack != 0
     reads = np.logical_or.reduceat(nonzero.any(axis=1), starts)         # block, i
     writes = np.logical_or.reduceat(nonzero.any(axis=2), starts)        # block, a
-    work3 = work.reshape(din, drest * drest, din)
-    acc = np.zeros((dout * drest * drest, dout), dtype=complex)
-    acc3 = acc.reshape(dout, drest * drest, dout)
-    mid = np.arange(drest * drest)[:, None]                             # (r, s) of acc3
+    acc = np.zeros((dout, drest * drest, dout), dtype=complex)
+    mid = np.arange(drest * drest)[:, None]                             # (r, s) of acc
     for lo, read, write in zip(starts.tolist(), reads, writes):
         if not read.any():                                              # all-zero operators
             continue
-        ks = stack[lo : lo + block]
-        b = len(ks)
-        w = work
-        if not read.all():
-            ins = np.flatnonzero(read)
-            ks = ks.take(ins, axis=2)
-            w = work3.take(ins, axis=0).take(ins, axis=2).reshape(len(ins), -1)
-        if not write.all():
-            outs = np.flatnonzero(write)
-            ks = ks.take(outs, axis=1)
-        m, c = ks.shape[1:]
+        ins, outs = np.flatnonzero(read), np.flatnonzero(write)
+        ks = stack[lo : lo + block].take(ins, axis=2).take(outs, axis=1)
+        w = work3.take(ins, 0).take(ins, 2).reshape(len(ins), -1)
+        b, m, c = ks.shape
         left = (ks.reshape(b * m, c) @ w).reshape(b, -1, c)             # k, (a, r, s), i'
         left = left.transpose(1, 0, 2).reshape(-1, b * c)               # (a, r, s), (k, i')
         adjoints = ks.conj().transpose(0, 2, 1).reshape(b * c, m)
         # no name holds the product, so its buffer is free for the next block
-        if m == dout:
-            acc += left @ adjoints
-        else:
-            acc3[outs[:, None, None], mid, outs] += (left @ adjoints).reshape(m, -1, m)
+        acc[outs[:, None, None], mid, outs] += (left @ adjoints).reshape(m, -1, m)
     # acc is ordered (outputs a, r, s, outputs a'); splice outputs to insert_at
     n_out = len(channel.output_layout)
     n_rest = len(rest_dims)
@@ -290,18 +256,22 @@ def _compress(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     used = np.flatnonzero(seen)
     return used, used.searchsorted(index)
 
-def apply_isometry(iso: Isometry, psi: StateVector) -> StateVector:
-    """Apply an isometry to the named subsystems of a pure state.
+def apply_isometry(iso: QuantumChannel, psi: StateVector) -> StateVector:
+    """Apply a one-operator channel ``V`` to the named subsystems of a pure
+    state; a channel with more Kraus operators is refused.
 
     Only the state's nonzero amplitudes are read: their indices split into a
-    consumed part (the isometry's input) and an untouched rest, the columns
-    of ``iso.matrix`` at the used inputs multiply the small (used inputs x
-    used rests) amplitude matrix, and the products are scattered into the
-    output layout.
+    consumed part (the channel's input) and an untouched rest, the columns
+    of ``V`` at the used inputs multiply the small (used inputs x used
+    rests) amplitude matrix, and the products are scattered into the output
+    layout.
     """
+    if len(iso.kraus_stack) != 1:
+        raise ValueError(f"an isometry has one Kraus operator, not {len(iso.kraus_stack)}")
+    v = iso.kraus_stack[0]
     perm, untouched, insert_at, new_layout = _application_plan(psi.layout, iso)
     dims = layout_dims(psi.layout)
-    dout, din = iso.matrix.shape
+    dout, din = v.shape
     rest_dims = [dims[p] for p in untouched]
     drest = math.prod(rest_dims)
     support = np.flatnonzero(psi.amplitudes != 0)
@@ -312,7 +282,7 @@ def apply_isometry(iso: Isometry, psi: StateVector) -> StateVector:
     used_rest, rest_at = _compress(rests, drest)
     small = np.zeros((len(used_in), len(used_rest)), dtype=complex)
     small[in_at, rest_at] = psi.amplitudes[support]
-    out = iso.matrix[:, used_in] @ small                     # (dout, used rests)
+    out = v[:, used_in] @ small                              # (dout, used rests)
     # output index: rest subsystems before the insertion point, outputs, the rest
     low = math.prod(rest_dims[insert_at:])
     high, low_at = np.divmod(used_rest, low)
@@ -378,8 +348,9 @@ def canonical_kraus(channel: QuantumChannel) -> QuantumChannel:
     kraus = (w[:, :rank] * sv[:rank]).T.reshape(rank, dout, din)
     return QuantumChannel(kraus, channel.input_layout, channel.output_layout)
 
-def purify_channel(channel: QuantumChannel, env_name: str = "E") -> Isometry:
-    """Stinespring isometry ``V`` with ``tr_env V rho V^+ = channel(rho)``.
+def purify_channel(channel: QuantumChannel, env_name: str = "E") -> QuantumChannel:
+    """Stinespring isometry ``V`` with ``tr_env V rho V^+ = channel(rho)``,
+    as the channel whose one Kraus operator is ``V``.
 
     The environment is appended after the output subsystems (so it varies
     fastest) and its dimension equals the Choi rank, hence never exceeds
@@ -392,19 +363,21 @@ def purify_channel(channel: QuantumChannel, env_name: str = "E") -> Isometry:
     v = stack.transpose(1, 0, 2)                             # out, e, in
     env = fresh_name(env_name, layout_names(channel.output_layout))
     out_lt = channel.output_layout + ((env, denv),)
-    return Isometry(v.reshape(dout * denv, din), channel.input_layout, out_lt)
+    return QuantumChannel(v.reshape(1, dout * denv, din), channel.input_layout, out_lt)
 
 def complementary_channel(channel: QuantumChannel) -> QuantumChannel:
     """The channel to the environment of ``purify_channel(channel)``.
 
-    Sharing the isometry with ``purify_channel`` means that for any input,
-    tracing the joint pure output over the environment gives ``channel`` and
-    tracing over the original output gives this complement.
+    Its Kraus operators are the ``d_out`` row blocks of the dilation's one
+    operator ``V``, one per output index.  Sharing ``V`` with
+    ``purify_channel`` means that for any input, tracing the joint pure
+    output over the environment gives ``channel`` and tracing over the
+    original output gives this complement.
     """
     v = purify_channel(channel)
     dout = channel.dim_out
     denv = layout_dim(v.output_layout) // dout
-    cube = v.matrix.reshape(dout, denv, channel.dim_in)
+    cube = v.kraus_stack.reshape(dout, denv, channel.dim_in)
     return QuantumChannel(cube, channel.input_layout, (v.output_layout[-1],), validate=False)
 
 def diamond_distance_bounds(a: QuantumChannel, b: QuantumChannel) -> tuple[float, float]:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import EIG_CLAMP, DensityMatrix
+from .states import ATOL_INVARIANT, DensityMatrix
 
 def _as_matrix(state) -> np.ndarray:
     if isinstance(state, DensityMatrix):
@@ -16,14 +16,13 @@ def _as_matrix(state) -> np.ndarray:
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian square root with tiny negative eigenvalues clamped to zero.
 
-    Eigenvalues below ``EIG_CLAMP`` (-1e-12) raise, since the input is then
-    not a numerical density matrix but a genuinely indefinite one.
+    Eigenvalues below ``-ATOL_INVARIANT`` (-1e-9, the bound a
+    :class:`DensityMatrix` is held to) raise, since the input is then not a
+    numerical density matrix but a genuinely indefinite one.
     """
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2)
-    if float(vals.min(initial=0.0)) < EIG_CLAMP * max(1.0, float(np.abs(vals).max(initial=1.0))):
-        # scale-aware guard: allow relative rounding dirt only
-        if float(vals.min()) < -1e-7:
-            raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
+    if float(vals.min(initial=0.0)) < -ATOL_INVARIANT:
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {vals.min():.3e})")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 

@@ -24,9 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ATOL_INVARIANT = 1e-9
-#: Eigenvalues above this (tiny, negative) floor are clamped to zero when a
-#: positive-semidefinite square root is taken.
-EIG_CLAMP = -1e-12
 
 Layout = tuple[tuple[str, int], ...]
 
@@ -172,7 +169,8 @@ class DensityMatrix:
 
     Invariants (checked at construction unless ``validate=False``):
     hermitian within 1e-9, unit trace within 1e-9, and minimum eigenvalue
-    >= -1e-9.
+    >= -1e-9.  Entries of any shape but ``(d, d)``, for the layout's
+    dimension ``d``, always raise.
     """
 
     __slots__ = ("entries", "layout")
@@ -180,7 +178,9 @@ class DensityMatrix:
     def __init__(self, entries, layout, validate: bool = True):
         lt = as_layout(layout)
         d = layout_dim(lt)
-        mat = _frozen(np.asarray(entries, dtype=complex).reshape(d, d))
+        mat = _frozen(entries)
+        if mat.shape != (d, d):
+            raise ValueError(f"density matrix entries of shape {mat.shape}, expected ({d}, {d})")
         if validate:
             herm_gap = float(np.max(np.abs(mat - mat.conj().T))) if d else 0.0
             if herm_gap > ATOL_INVARIANT:

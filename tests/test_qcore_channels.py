@@ -11,7 +11,6 @@ from cdslab.qcore import (
     ATOL_INVARIANT,
     PAULI,
     DensityMatrix,
-    Isometry,
     QuantumChannel,
     StateVector,
     apply_channel,
@@ -96,10 +95,16 @@ def test_kraus_operators_are_read_only_rows_of_the_stack():
         assert np.array_equal(op, ch.kraus_stack[k])
 
 def test_isometry_validates_columns():
-    with pytest.raises(ValueError):
-        Isometry(np.ones((4, 2)), [("Q", 2)], [("R", 4)])
-    with pytest.raises(ValueError):
-        Isometry(np.eye(2, 4), [("Q", 4)], [("R", 2)])  # dout < din
+    # an isometry is a channel with one Kraus operator V, V^+ V = I
+    with pytest.raises(ValueError, match="trace preserving"):
+        QuantumChannel([np.ones((4, 2))], [("Q", 2)], [("R", 4)])
+    with pytest.raises(ValueError, match="trace preserving"):
+        QuantumChannel([np.eye(2, 4)], [("Q", 4)], [("R", 2)])  # dout < din
+
+def test_channel_refuses_mis_shaped_operators():
+    # eight entries per operator fit (4, 4) only by reshaping, which is refused
+    with pytest.raises(ValueError, match=r"shape \(2, 8\), expected \(4, 4\)"):
+        QuantumChannel([np.ones((2, 8))], [("Q", 4)], [("M", 4)], validate=False)
 
 # ---------------------------------------------------------------------------
 # application
@@ -159,6 +164,9 @@ def test_apply_channel_dimension_mismatch():
     rho = maximally_mixed("Q", 3)
     with pytest.raises(ValueError):
         apply_channel(identity_channel([("Q", 2)]), rho)
+    # a raw matrix must be square over its whole layout, not just fill it
+    with pytest.raises(ValueError, match=r"shape \(2, 8\), expected \(4, 4\)"):
+        apply_channel_matrix(identity_channel([("A", 2)]), np.ones((2, 8)), [("A", 2), ("B", 2)])
 
 def test_apply_channel_output_name_collision():
     ch = QuantumChannel([np.eye(2)], [("A", 2)], [("B", 2)], validate=False)
@@ -170,7 +178,7 @@ def test_apply_isometry_matches_matrix_action():
     rng = np.random.default_rng(36)
     g = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
     v, _ = np.linalg.qr(g)
-    iso = Isometry(v, [("B", 2)], [("B", 2), ("E", 3)])
+    iso = QuantumChannel([v], [("B", 2)], [("B", 2), ("E", 3)])
     psi_a = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi_a /= np.linalg.norm(psi_a)
     psi_b = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -186,9 +194,9 @@ def _dense_apply_isometry(iso, psi):
     perm, untouched, insert_at, new_layout = channels_module._application_plan(psi.layout, iso)
     dims = [dim for _, dim in psi.layout]
     amps = psi.amplitudes.reshape(dims).transpose(perm)
-    din = iso.matrix.shape[1]
+    v = iso.kraus_stack[0]
     drest = int(np.prod([dims[p] for p in untouched]))
-    out = iso.matrix @ amps.reshape(din, drest)
+    out = v @ amps.reshape(v.shape[1], drest)
     out_dims = [dim for _, dim in iso.output_layout]
     rest_dims = [dims[p] for p in untouched]
     full = out.reshape(tuple(out_dims) + tuple(rest_dims))
@@ -217,7 +225,7 @@ def test_apply_isometry_matches_dense_oracle(seed, dims, growth, split_output, s
     din = int(np.prod([d for _, d in in_layout]))
     out_layout = [("O", din), ("E", growth)] if split_output else [("O", din * growth)]
     g = rng.normal(size=(din * growth, din)) + 1j * rng.normal(size=(din * growth, din))
-    iso = Isometry(np.linalg.qr(g)[0], in_layout, out_layout)
+    iso = QuantumChannel([np.linalg.qr(g)[0]], in_layout, out_layout)
     dim = int(np.prod(dims))
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     if sparse:
@@ -227,8 +235,12 @@ def test_apply_isometry_matches_dense_oracle(seed, dims, growth, split_output, s
     assert got.layout == want.layout
     assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
 
+def test_apply_isometry_refuses_more_than_one_operator():
+    with pytest.raises(ValueError, match="one Kraus operator, not 4"):
+        apply_isometry(depolarizing(0.3), StateVector([0, 1], [("Q", 2)]))
+
 def test_apply_isometry_output_is_frozen():
-    iso = Isometry(np.eye(2), [("A", 2)], [("B", 2)])
+    iso = QuantumChannel([np.eye(2)], [("A", 2)], [("B", 2)])
     out = apply_isometry(iso, StateVector([0, 1], [("A", 2)]))
     assert np.array_equal(out.amplitudes, [0, 1])
     with pytest.raises(ValueError):
@@ -301,12 +313,12 @@ def test_purify_identity_has_trivial_environment():
     v = purify_channel(identity_channel([("Q", 2)]))
     assert v.output_layout[-1][1] == 1
     # identity isometry up to a global phase
-    assert abs(abs(np.trace(v.matrix.reshape(2, 2))) - 2.0) < 1e-12
+    assert abs(abs(np.trace(v.kraus_stack[0])) - 2.0) < 1e-12
 
 def test_purify_single_kraus_channel_is_itself():
     u = H
     v = purify_channel(QuantumChannel([u], [("Q", 2)], [("Q", 2)]))
-    cube = v.matrix.reshape(2, 1, 2)
+    cube = v.kraus_stack[0].reshape(2, 1, 2)
     # unique up to global phase
     inner = abs(np.trace(cube[:, 0, :].conj().T @ u)) / 2
     assert abs(inner - 1.0) < 1e-9
@@ -316,9 +328,10 @@ def test_purification_reproduces_channel():
     ch = depolarizing(0.35)
     v = purify_channel(ch)
     env_name = v.output_layout[-1][0]
+    op = v.kraus_stack[0]
     for _ in range(20):
         rho_mat = random_density(rng, 2)
-        out = v.matrix @ rho_mat @ v.matrix.conj().T
+        out = op @ rho_mat @ op.conj().T
         full = DensityMatrix(out, v.output_layout, validate=False)
         red = partial_trace(full, ["Q"])
         want = apply_channel(ch, DensityMatrix(rho_mat, [("Q", 2)]))
@@ -509,7 +522,8 @@ def test_purify_forms_no_choi_matrix(monkeypatch):
     assert v.output_layout[-1][1] == 64
     rng = np.random.default_rng(47)
     rho = DensityMatrix(random_density(rng, ch.dim_in), ch.input_layout)
-    full = DensityMatrix(v.matrix @ rho.entries @ v.matrix.conj().T, v.output_layout, validate=False)
+    op = v.kraus_stack[0]
+    full = DensityMatrix(op @ rho.entries @ op.conj().T, v.output_layout, validate=False)
     got = partial_trace(full, [nm for nm, _ in ch.output_layout])
     assert np.max(np.abs(got.entries - apply_channel(ch, rho).entries)) < 1e-12
 

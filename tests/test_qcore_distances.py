@@ -143,8 +143,11 @@ def test_fidelity_pure_states_is_overlap():
         assert abs(f - abs(np.vdot(u, v)) ** 2) < 1e-10
 
 def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.0, -0.5]))
+    # one rule: below -ATOL_INVARIANT (-1e-9) raises, anything above is clamped
+    for low in (-0.5, -1e-8):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            psd_sqrt(np.diag([1.0, low]))
+    assert np.array_equal(psd_sqrt(np.diag([1.0, -1e-13])), np.diag([1.0, 0.0]))
 
 def test_psd_sqrt_squares_back():
     rng = np.random.default_rng(25)

@@ -85,6 +85,9 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix(np.eye(2), [("Q", 2)])  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix([[1.5, 0], [0, -0.5]], [("Q", 2)])  # negative eigenvalue
+    # sixteen entries fit (4, 4) only by reshaping, which is refused
+    with pytest.raises(ValueError, match=r"shape \(2, 8\), expected \(4, 4\)"):
+        DensityMatrix(np.ones((2, 8)), [("A", 2), ("B", 2)], validate=False)
 
 
 # ---------------------------------------------------------------------------
