@@ -491,34 +491,41 @@ def joint_channel(p: CdqsProtocol, x: int, y: int) -> QuantumChannel:
     return channel_from_choi(j.entries, (("Q", p.d_q),), msg_layout)
 
 
-def _kron_power(stack: np.ndarray, k: int) -> np.ndarray:
-    """The ``k``-fold Kronecker products of a stack of shape ``(r, d_out,
-    d_in)``, as one stack of shape ``(r^k, d_out^k, d_in^k)`` with the first
-    factor slowest in every index: one broadcast product per factor, the
-    elementwise products ``np.kron`` takes."""
+def _kron_regrouped(stack: np.ndarray, k: int, in_dims) -> np.ndarray:
+    """The ``k``-fold Kronecker power of a stack of shape ``(r, d_out,
+    d_in)``, with its input regrouped copy-major.
+
+    The power has shape ``(r^k, d_out^k, d_in^k)``, the first factor
+    slowest in every index: one broadcast product per factor, the
+    elementwise products ``np.kron`` takes.  With ``d_in`` split into the
+    registers ``in_dims = (a, b, ...)``, the power's input axes run copy
+    by copy, ``(a1, b1, ..., ak, bk)``; one reshape and transpose moves
+    register ``j`` of copy ``c`` to axis ``j k + c``, giving ``(a1..ak,
+    b1..bk, ...)``.  One register is left in place, and the single output
+    register groups as ``d_out^k``.
+    """
     out = stack
     for _ in range(k - 1):
         (a, ao, ai), (b, bo, bi) = out.shape, stack.shape
         out = (out[:, None, :, None, :, None] * stack[None, :, None, :, None, :]).reshape(
             a * b, ao * bo, ai * bi
         )
-    return out
+    count, dout, din = out.shape
+    regs = len(in_dims)
+    grouped = [2 + c * regs + j for j in range(regs) for c in range(k)]
+    regrouped = out.reshape((count, dout) + tuple(in_dims) * k).transpose([0, 1] + grouped)
+    return regrouped.reshape(count, dout, din)
 
-def _kron_repeat(channel: QuantumChannel, k: int, in_dims, in_layout, out_layout):
-    """k-fold product of a channel whose input has two registers.
-
-    The Kraus operators are the ``k``-fold Kronecker products of the
-    channel's, the first factor slowest, with their input axes regrouped
-    from ``(a1, b1, ..., ak, bk)`` to ``(a1..ak, b1..bk)`` by one reshape
-    and transpose; the single output register groups as out^k.
-    """
-    da, db = in_dims
-    power = _kron_power(channel.kraus_stack, k)
-    count, dout, din = power.shape
-    grouped = list(range(2, 2 * k + 2, 2)) + list(range(3, 2 * k + 3, 2))
-    kraus = power.reshape((count, dout) + (da, db) * k).transpose([0, 1] + grouped)
-    ch = QuantumChannel(kraus.reshape(count, dout, din), in_layout, out_layout, validate=False)
-    if count > ch.dim_in * ch.dim_out:
+def _repeated(channel: QuantumChannel, k: int, in_dims, in_names, out_name) -> QuantumChannel:
+    """The ``k``-fold product of ``channel``, by :func:`_kron_regrouped`,
+    with each input register ``name`` of dimension ``dim`` grouped as
+    ``(name, dim^k)`` and the output as ``(out_name, d_out^k)``.  A family
+    of more than ``d_in d_out`` operators is compressed by
+    :func:`canonical_kraus`."""
+    kraus = _kron_regrouped(channel.kraus_stack, k, in_dims)
+    in_layout = tuple((name, dim**k) for name, dim in zip(in_names, in_dims))
+    ch = QuantumChannel(kraus, in_layout, ((out_name, channel.dim_out**k),), validate=False)
+    if len(kraus) > ch.dim_in * ch.dim_out:
         ch = canonical_kraus(ch)
     return ch
 
@@ -533,12 +540,15 @@ def _check_dense_dimension(what: str, dim: int) -> None:
 def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     """Independent k-fold parallel composition (secret dimension ``d_q^k``).
 
-    Every Kraus family of the result is the ``k``-fold Kronecker power of
-    the original's stack, the first copy slowest, built as one stack; the
-    two-register inputs of Alice and the decoder, and the resource's
-    ``(L, R)`` pairs, are regrouped copy-major by one reshape and
-    transpose.  Costs scale exactly by ``k``; correctness and security of
-    the result are measured, not assumed.
+    Every Kraus family of the result, and its resource, is the ``k``-fold
+    Kronecker power of the original's, the first copy slowest, regrouped
+    copy-major by :func:`_kron_regrouped`.  The two-register inputs,
+    Alice's ``(Q, L)``, the decoder's ``(MA, MB)`` and the resource's
+    ``(L, R)``, run copy by copy in the power, ``(Q1, L1, ..., Qk, Lk)``
+    for Alice, and register by register in the result, ``(Q1..Qk,
+    L1..Lk)``; Bob's one register ``R`` and every output are not permuted.
+    Costs scale exactly by ``k``; correctness and security of the result
+    are measured, not assumed.
     """
     if k < 1:
         raise ValueError("repetition count must be >= 1")
@@ -549,35 +559,18 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     dr = layout_dim(p.resource.layout[1:])
     _check_dense_dimension(f"parallel_repeat({k}) mid-state", (p.d_q * da * db) ** k)
 
-    amps = _kron_power(p.resource.amplitudes.reshape(1, 1, -1), k).reshape((dl, dr) * k)
-    grouped = list(range(0, 2 * k, 2)) + list(range(1, 2 * k, 2))
-    resource = StateVector(
-        amps.transpose(grouped).reshape(-1), (("L", dl**k), ("R", dr**k)), validate=False
-    )
+    amps = _kron_regrouped(p.resource.amplitudes.reshape(1, 1, -1), k, (dl, dr)).reshape(-1)
+    resource = StateVector(amps, (("L", dl**k), ("R", dr**k)), validate=False)
 
-    def alice(x, _p=p, _k=k, _dl=dl):
-        base = _p.alice_channel(x)
-        return _kron_repeat(
-            base, _k, (_p.d_q, _dl),
-            (("Q", _p.d_q**_k), ("L", _dl**_k)), (("MA", base.dim_out**_k),),
-        )
+    def alice(x):
+        return _repeated(p.alice_channel(x), k, (p.d_q, dl), ("Q", "L"), "MA")
 
-    def bob(y, _p=p, _k=k):
-        base = _p.bob_channel(y)
-        return QuantumChannel(
-            _kron_power(base.kraus_stack, _k),
-            (("R", base.dim_in**_k),),
-            (("MB", base.dim_out**_k),),
-            validate=False,
-        )
+    def bob(y):
+        return _repeated(p.bob_channel(y), k, (dr,), ("R",), "MB")
 
-    def decoder(x, y, _p=p, _k=k, _da=da, _db=db):
-        base = _p.decoder(x, y)
-        if base is None:
-            return None
-        return _kron_repeat(
-            base, _k, (_da, _db), (("MA", _da**_k), ("MB", _db**_k)), (("Q", _p.d_q**_k),)
-        )
+    def decoder(x, y):
+        base = p.decoder(x, y)
+        return None if base is None else _repeated(base, k, (da, db), ("MA", "MB"), "Q")
 
     return CdqsProtocol(
         n=p.n,

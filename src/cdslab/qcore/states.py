@@ -101,8 +101,8 @@ class StateVector:
     Parameters
     ----------
     amplitudes : array_like
-        Flat complex vector of length ``prod(dims)``, row-major with the
-        last listed subsystem fastest.
+        Flat complex vector of shape ``(prod(dims),)``, row-major with the
+        last listed subsystem fastest; any other shape raises.
     layout : iterable of (name, dim)
     validate : bool
         When True (default) enforce unit norm within 1e-9.
@@ -112,11 +112,10 @@ class StateVector:
 
     def __init__(self, amplitudes, layout, validate: bool = True):
         lt = as_layout(layout)
-        amps = _frozen(np.asarray(amplitudes, dtype=complex).reshape(-1))
-        if amps.shape[0] != layout_dim(lt):
-            raise ValueError(
-                f"amplitude length {amps.shape[0]} does not match layout dimension {layout_dim(lt)}"
-            )
+        d = layout_dim(lt)
+        amps = _frozen(amplitudes)
+        if amps.shape != (d,):
+            raise ValueError(f"amplitudes of shape {amps.shape}, expected ({d},)")
         if validate:
             norm = float(np.linalg.norm(amps))
             if abs(norm - 1.0) > ATOL_INVARIANT:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, _draws, pad_counts, transcript_tally
+from .framework import CostReport, PadCounts, _draws, pad_counts, transcript_tally
 
 
 # ---------------------------------------------------------------------------
@@ -121,13 +121,8 @@ class HybridNeqCdqs:
         self.key_cds = double_secret(copy)
         self.construction = f"neq_promise_cdqs({n})"
         self.params = (("shortened_bits", self.m),)
-        # the key pair's decoded draws and posterior gap on a = b and on
-        # a != b, integer numerators over denominators both classes share
-        same, differ = (pad_counts(copy, 0, b).square() for b in (0, 1))
-        self._decoded = (same.decoded, differ.decoded)
-        self._gap = (same.gap(), differ.gap())
-        self._fidelity_scale = differ.total
-        self._distance_scale = differ.keys * differ.total
+        # the key pair's counts on a = b and on a != b
+        self._classes = tuple(pad_counts(copy, 0, b).square() for b in (0, 1))
 
     @property
     def cost(self) -> CostReport:
@@ -147,18 +142,18 @@ class HybridNeqCdqs:
 
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
         """Exact post-decoding entanglement fidelity with the reference."""
-        return self._averaged(self._decoded, self._fidelity_scale, x, y)
+        return self._averaged(PadCounts.fidelity, x, y)
 
     def product_distance(self, x: int, y: int) -> Fraction:
         """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1``."""
-        return self._averaged(self._gap, self._distance_scale, x, y)
+        return self._averaged(PadCounts.distance, x, y)
 
-    def _averaged(self, numerators: tuple, scale: int, x: int, y: int) -> Fraction:
-        """The equal-class and unequal-class measures ``numerators / scale``
-        mixed by the shortening's collision probability."""
-        same, differ = numerators
+    def _averaged(self, measure, x: int, y: int) -> Fraction:
+        """``measure`` of the equal-class and unequal-class counts, mixed
+        by the shortening's collision probability."""
+        same, differ = self._classes
         equal = dj_equal_probability(x, y, self.n)
-        return (equal * same + (1 - equal) * differ) / scale
+        return equal * measure(same) + (1 - equal) * measure(differ)
 
 
 def neq_promise_cdqs(n: int) -> HybridNeqCdqs:

@@ -19,6 +19,7 @@ from cdslab.framework import (
     CostReport,
     PromiseFunction,
     PsmProtocol,
+    _kron_regrouped,
     bob_side_state,
     cds_decode_failure,
     classical_to_quantum_lift,
@@ -43,6 +44,7 @@ from cdslab.qcore import (
     StateVector,
     apply_channel,
     canonical_kraus,
+    choi_state,
     maximally_entangled,
     partial_trace,
     tensor,
@@ -629,9 +631,9 @@ def _regroup_matrix(dims, perm):
     mat[dst, src] = 1.0
     return mat
 
-def _interleave(k):
-    # (a1..ak, b1..bk) -> (a1, b1, a2, b2, ...)
-    return [i + half for i in range(k) for half in (0, k)]
+def _interleave(k, regs=2):
+    # (a1..ak, b1..bk, ...) -> (a1, b1, ..., a2, b2, ...)
+    return [j * k + c for c in range(k) for j in range(regs)]
 
 def _kron_power_list(ops, k):
     out = [np.eye(1)]
@@ -724,3 +726,39 @@ def test_depolarized_repetition_reaches_the_canonical_branch():
     rep = parallel_repeat(p, 2).alice_channel(0)
     assert len(base.kraus_operators) ** 2 > rep.dim_in * rep.dim_out
     assert len(rep.kraus_operators) <= rep.dim_in * rep.dim_out
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    k=st.sampled_from([2, 3]),
+    count=st.integers(1, 2),
+    dout=st.integers(1, 2),
+)
+def test_kron_regrouped_matches_the_regrouped_kron_lists(data, k, count, dout):
+    # up to three input registers; small integer entries keep every
+    # product exact, so the two constructions agree bit for bit
+    in_dims = data.draw(st.lists(st.integers(1, 3 if k == 2 else 2), min_size=1, max_size=3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (count, dout, math.prod(in_dims))
+    stack = rng.integers(-3, 4, size=shape) + 1j * rng.integers(-3, 4, size=shape)
+    grouped = [d for d in in_dims for _ in range(k)]
+    p_in = _regroup_matrix(grouped, _interleave(k, len(in_dims)))
+    want = np.stack([op @ p_in for op in _kron_power_list(list(stack), k)])
+    assert np.array_equal(_kron_regrouped(stack, k, in_dims), want)
+
+def test_bob_repetition_over_the_choi_rank_bound_is_compressed():
+    # eight operators on R(2) -> MB(2): the depolarizing family, duplicated
+    family = [PAULI[s] / (2 * np.sqrt(2)) for s in "IXYZ"] * 2
+    bob = QuantumChannel(family, (("R", 2),), (("MB", 2),))
+    p = dataclasses.replace(
+        gated_forwarding(),
+        bob_channel=lambda y: bob,
+        resource=StateVector([1, 0], (("L", 1), ("R", 2))),
+    )
+    rep = parallel_repeat(p, 2).bob_channel(0)
+    product = QuantumChannel(
+        _kron_power_list(bob.kraus_operators, 2), rep.input_layout, rep.output_layout
+    )
+    assert len(product.kraus_operators) > rep.dim_in * rep.dim_out
+    assert len(rep.kraus_operators) <= rep.dim_in * rep.dim_out
+    assert np.allclose(choi_state(rep).entries, choi_state(product).entries, atol=1e-12)

@@ -66,6 +66,13 @@ def test_state_vector_norm_enforced():
     with pytest.raises(ValueError):
         StateVector([1.0, 1.0], [("Q", 2)])
 
+def test_state_vector_refuses_mis_shaped_amplitudes():
+    # the right size in the wrong shape is refused, not flattened
+    with pytest.raises(ValueError, match=r"amplitudes of shape \(2, 2\), expected \(4,\)"):
+        StateVector(np.eye(2) / np.sqrt(2), [("Q", 4)])
+    with pytest.raises(ValueError, match=r"amplitudes of shape \(3,\), expected \(2,\)"):
+        StateVector([1.0, 0.0, 0.0], [("Q", 2)])
+
 def test_states_are_immutable():
     psi = ket(0, "Q", 2)
     with pytest.raises(AttributeError):
