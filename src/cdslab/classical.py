@@ -167,7 +167,7 @@ def ip_function(n: int) -> PromiseFunction:
 
 
 def constant_function(n: int, value: int) -> PromiseFunction:
-    return PromiseFunction(n, lambda x, y, _v=int(value): _v, f"const_{value}")
+    return PromiseFunction(n, lambda x, y: int(value), f"const_{value}")
 
 
 def promise_neq_function(n: int) -> PromiseFunction:

@@ -116,11 +116,6 @@ class ForrelationInstance:
         return len(self.x)
 
     @property
-    def z(self) -> Tuple[int, ...]:
-        """Pointwise product x*y, the string whose forrelation is promised."""
-        return tuple(a * b for a, b in zip(self.x, self.y))
-
-    @property
     def forr(self) -> float:
         return forr_value([a * b for a, b in zip(self.x, self.y)])
 

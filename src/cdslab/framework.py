@@ -304,15 +304,16 @@ def _outputs(protocol, x: int, y: int, s: Optional[int], transcripts: np.ndarray
     """The decoder's (or referee's) output on each of ``transcripts``, as
     :func:`_draws` returns them, with -1 where the scalar decoder returns
     None.  With an :class:`ArrayForm` that is one call on the split codes;
-    otherwise one scalar call per distinct transcript."""
+    otherwise one scalar call per distinct transcript, in order of first
+    appearance, so nothing is sorted."""
     arrays = protocol.arrays is not None
     output = _bind(protocol, x, y, s, arrays)[2]
     if arrays:
         low = (1 << protocol.message_bits_b) - 1
         return output(transcripts >> protocol.message_bits_b, transcripts & low)
-    distinct, inverse = np.unique(transcripts, return_inverse=True)
-    outputs = [output(m_a, m_b) for m_a, m_b in distinct]
-    return np.array([-1 if out is None else out for out in outputs], dtype=np.int64)[inverse]
+    draws = transcripts.tolist()
+    decoded = {t: output(*t) for t in dict.fromkeys(draws)}
+    return np.array([-1 if decoded[t] is None else decoded[t] for t in draws], dtype=np.int64)
 
 def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     """Every distinct transcript at one input, sorted, as three arrays:
@@ -758,9 +759,9 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
 
     rs = np.arange(r_count)
 
-    def alice(x, _p=key_cds):
+    def alice(x):
         # Kraus (r, key), r slowest: pad / 2 from Q to Qs, |message_a><r| from L to MAc
-        msg = [[ma_index[_p.message_a(x, key, r)] for key in range(4)] for r in range(r_count)]
+        msg = [[ma_index[key_cds.message_a(x, key, r)] for key in range(4)] for r in range(r_count)]
         kraus = np.zeros((r_count, 4, dim_a, 2, 2, r_count), dtype=complex)
         kraus[rs[:, None], np.arange(4), msg, :, :, rs[:, None]] = PAD_OPERATORS / 2.0
         return QuantumChannel(
@@ -770,16 +771,16 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
             validate=False,
         )
 
-    def bob(y, _p=key_cds):
+    def bob(y):
         # Kraus r: |message_b><r| from R to MBc
         kraus = np.zeros((r_count, dim_b, r_count), dtype=complex)
-        kraus[rs, [mb_index[_p.message_b(y, r)] for r in range(r_count)], rs] = 1.0
+        kraus[rs, [mb_index[key_cds.message_b(y, r)] for r in range(r_count)], rs] = 1.0
         return QuantumChannel(kraus, (("R", r_count),), (("MBc", dim_b),), validate=False)
 
-    def decoder(x, y, _p=key_cds):
+    def decoder(x, y):
         # Kraus (m_a, m_b), m_a slowest: <m_a| (x) unpad (x) <m_b|, the identity
         # unpad when nothing is disclosed
-        keys = [_p.decoder(ma, x, mb, y) for ma in ma_space for mb in mb_space]
+        keys = [key_cds.decoder(ma, x, mb, y) for ma in ma_space for mb in mb_space]
         unpads = _UNPADS[[0 if key is None else int(key) for key in keys]]
         ia, ib = np.arange(dim_a)[:, None], np.arange(dim_b)
         kraus = np.zeros((dim_a, dim_b, 2, dim_a, 2, dim_b), dtype=complex)
@@ -840,9 +841,9 @@ def psm_to_cds(psm_family: Callable[..., PsmProtocol], f: PromiseFunction) -> Cd
         n=f.n,
         randomness_bits=psm.randomness_bits,
         secret_alphabet=2,
-        message_a=lambda x, s, r, _p=psm: _p.message_a((x << 1) | s, r),
-        message_b=lambda y, r, _p=psm: _p.message_b(y, r),
-        decoder=lambda ma, x, mb, y, _p=psm: _p.referee(ma, mb),
+        message_a=lambda x, s, r: psm.message_a((x << 1) | s, r),
+        message_b=lambda y, r: psm.message_b(y, r),
+        decoder=lambda ma, x, mb, y: psm.referee(ma, mb),
         message_bits_a=psm.message_bits_a,
         message_bits_b=psm.message_bits_b,
         construction=f"psm_to_cds({f.name})",

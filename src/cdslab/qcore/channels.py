@@ -14,6 +14,11 @@ blocks of stacked operators, each on the rows and columns its operators'
 exact nonzeros touch, and the minimal Kraus family comes from the thin SVD
 of ``A``, so no Choi matrix is formed for it.
 
+Where a channel reads its inputs in a larger state and writes its outputs
+is one rule, ``_application_plan``: flat-index maps of the consumed, the
+untouched and the output subsystems.  Mixed and pure application both
+gather and scatter through them, so no whole state is transposed.
+
 An isometry ``V`` (``V^+ V = I``) is a channel with the one Kraus operator
 ``V``: ``purify_channel`` returns its Stinespring dilation in that form, and
 ``apply_isometry`` applies such a channel to a pure state.
@@ -139,14 +144,29 @@ def identity_channel(layout) -> QuantumChannel:
 # application with identity padding
 # ---------------------------------------------------------------------------
 
+def _flat(layout: Layout, positions) -> np.ndarray:
+    """The flat index in ``layout`` of every combination of the subsystems at
+    ``positions``, row-major over them in the order given, with every other
+    subsystem at 0; the sum of two such maps over disjoint positions indexes
+    their joint combinations."""
+    dims = layout_dims(layout)
+    index = np.zeros(1, dtype=np.intp)
+    for p in positions:
+        index = np.add.outer(index, np.arange(dims[p]) * math.prod(dims[p + 1 :])).ravel()
+    return index
+
 def _application_plan(state_layout: Layout, channel: QuantumChannel):
     """Shared layout bookkeeping for applying a channel to a subset of a
-    state's subsystems, as a mixed or a pure state.
+    state's subsystems, as a mixed or a pure state: the one placement rule
+    of both kernels.
 
-    Returns ``(perm, untouched, insert_at, new_layout)`` where ``perm``
-    reorders the state so consumed subsystems come first in channel-input
-    order, and ``new_layout`` splices the channel outputs in at position
-    ``insert_at``, where the first consumed subsystem used to sit.
+    Returns ``(perm, untouched, out_at, rest_at, new_layout)``.  ``perm``
+    lists the consumed subsystems in channel-input order, then the
+    ``untouched`` ones in state order.  ``new_layout`` splices the channel
+    outputs in where the first consumed subsystem sat, and ``out_at[a] +
+    rest_at[r]`` is the flat index in ``new_layout`` of channel output
+    ``a`` with the untouched subsystems at their row-major combination
+    ``r``.
     """
     in_names = layout_names(channel.input_layout)
     positions = layout_positions(state_layout, in_names)
@@ -168,8 +188,10 @@ def _application_plan(state_layout: Layout, channel: QuantumChannel):
     insert_at = sum(1 for k in untouched if k < min(positions))
     kept = [state_layout[k] for k in untouched]
     new_layout = tuple(kept[:insert_at]) + channel.output_layout + tuple(kept[insert_at:])
-    perm = positions + untouched
-    return perm, untouched, insert_at, new_layout
+    spliced = range(insert_at, insert_at + len(channel.output_layout))
+    out_at = _flat(new_layout, spliced)
+    rest_at = _flat(new_layout, [k for k in range(len(new_layout)) if k not in spliced])
+    return positions + untouched, untouched, out_at, rest_at, new_layout
 
 def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layout):
     """Apply ``channel`` to a raw square matrix over ``layout``.
@@ -188,55 +210,42 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     output rows some operator writes.  Only those rows and columns of the
     consumed input are gathered, the operators are cut down to them, and
     the product is scattered into only those output rows and columns; a
-    block of all-zero operators is skipped.
+    block of all-zero operators is skipped.  Both the gather and the
+    scatter go through the flat-index maps of :func:`_application_plan`,
+    straight from the input matrix and into the returned one, so no whole
+    matrix is transposed.
     """
     d = layout_dim(layout)
     if mat.shape != (d, d):
         raise ValueError(f"matrix of shape {mat.shape}, expected ({d}, {d}) for its layout")
-    perm, untouched, insert_at, new_layout = _application_plan(layout, channel)
-    dims = layout_dims(layout)
-    k = len(dims)
-    din, dout = channel.dim_in, channel.dim_out
-    consumed = perm[: len(channel.input_layout)]
-    rest_dims = [dims[p] for p in untouched]
-    drest = math.prod(rest_dims)
-    # rows: consumed input i; columns: (untouched r, untouched s, consumed input i')
-    axes = consumed + untouched + [p + k for p in untouched] + [p + k for p in consumed]
-    work3 = mat.reshape(dims + dims).transpose(axes).reshape(din, drest * drest, din)
+    perm, untouched, out_at, rest_at, new_layout = _application_plan(layout, channel)
+    drest = len(rest_at)
+    # flat index of consumed input i with untouched r, and of output a with r
+    into = _flat(layout, perm[: len(channel.input_layout)])[:, None] + _flat(layout, untouched)
+    out_of = out_at[:, None] + rest_at
     stack = channel.kraus_stack
-    block = max(din, dout) // min(din, dout)
+    block = max(stack.shape[1:]) // min(stack.shape[1:])               # d_out, d_in
     starts = np.arange(0, len(stack), block)
     # per block, the input columns i and output rows a its operators touch
     nonzero = stack != 0
     reads = np.logical_or.reduceat(nonzero.any(axis=1), starts)         # block, i
     writes = np.logical_or.reduceat(nonzero.any(axis=2), starts)        # block, a
-    acc = np.zeros((dout, drest * drest, dout), dtype=complex)
-    mid = np.arange(drest * drest)[:, None]                             # (r, s) of acc
+    acc = np.zeros((layout_dim(new_layout),) * 2, dtype=complex)
     for lo, read, write in zip(starts.tolist(), reads, writes):
         if not read.any():                                              # all-zero operators
             continue
         ins, outs = np.flatnonzero(read), np.flatnonzero(write)
         ks = stack[lo : lo + block].take(ins, axis=2).take(outs, axis=1)
-        w = work3.take(ins, 0).take(ins, 2).reshape(len(ins), -1)
+        src, dst = into[ins], out_of[outs]
+        # entry (i, r, s, i') is row (i, r) and column (i', s) of the input
+        w = mat[src[:, :, None, None], src.T].reshape(len(ins), -1)
         b, m, c = ks.shape
         left = (ks.reshape(b * m, c) @ w).reshape(b, -1, c)             # k, (a, r, s), i'
         left = left.transpose(1, 0, 2).reshape(-1, b * c)               # (a, r, s), (k, i')
         adjoints = ks.conj().transpose(0, 2, 1).reshape(b * c, m)
         # no name holds the product, so its buffer is free for the next block
-        acc[outs[:, None, None], mid, outs] += (left @ adjoints).reshape(m, -1, m)
-    # acc is ordered (outputs a, r, s, outputs a'); splice outputs to insert_at
-    n_out = len(channel.output_layout)
-    n_rest = len(rest_dims)
-    out_dims = layout_dims(channel.output_layout)
-    full = acc.reshape(tuple(out_dims) + tuple(rest_dims) * 2 + tuple(out_dims))
-    a_ax = list(range(n_out))
-    r_ax = list(range(n_out, n_out + n_rest))
-    s_ax = list(range(n_out + n_rest, n_out + 2 * n_rest))
-    b_ax = list(range(n_out + 2 * n_rest, 2 * n_out + 2 * n_rest))
-    rows = r_ax[:insert_at] + a_ax + r_ax[insert_at:]
-    cols = s_ax[:insert_at] + b_ax + s_ax[insert_at:]
-    d_new = layout_dim(new_layout)
-    return full.transpose(rows + cols).reshape(d_new, d_new), new_layout
+        acc[dst[:, :, None, None], dst.T] += (left @ adjoints).reshape(m, drest, drest, m)
+    return acc, new_layout
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply ``channel`` to the subsystems it names, identity on the rest.
@@ -264,31 +273,25 @@ def apply_isometry(iso: QuantumChannel, psi: StateVector) -> StateVector:
     consumed part (the channel's input) and an untouched rest, the columns
     of ``V`` at the used inputs multiply the small (used inputs x used
     rests) amplitude matrix, and the products are scattered into the output
-    layout.
+    layout through the plan's ``out_at`` and ``rest_at``, the same
+    placement rule :func:`apply_channel_matrix` uses.
     """
     if len(iso.kraus_stack) != 1:
         raise ValueError(f"an isometry has one Kraus operator, not {len(iso.kraus_stack)}")
     v = iso.kraus_stack[0]
-    perm, untouched, insert_at, new_layout = _application_plan(psi.layout, iso)
+    perm, _, out_at, rest_at, new_layout = _application_plan(psi.layout, iso)
     dims = layout_dims(psi.layout)
-    dout, din = v.shape
-    rest_dims = [dims[p] for p in untouched]
-    drest = math.prod(rest_dims)
     support = np.flatnonzero(psi.amplitudes != 0)
     digits = np.unravel_index(support, dims)
     moved = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
-    inputs, rests = np.divmod(moved, drest)
-    used_in, in_at = _compress(inputs, din)
-    used_rest, rest_at = _compress(rests, drest)
+    inputs, rests = np.divmod(moved, len(rest_at))
+    used_in, in_at = _compress(inputs, v.shape[1])
+    used_rest, at_rest = _compress(rests, len(rest_at))
     small = np.zeros((len(used_in), len(used_rest)), dtype=complex)
-    small[in_at, rest_at] = psi.amplitudes[support]
+    small[in_at, at_rest] = psi.amplitudes[support]
     out = v[:, used_in] @ small                              # (dout, used rests)
-    # output index: rest subsystems before the insertion point, outputs, the rest
-    low = math.prod(rest_dims[insert_at:])
-    high, low_at = np.divmod(used_rest, low)
-    target = np.add.outer(np.arange(0, dout * low, low), high * (dout * low) + low_at)
     amps = np.zeros(layout_dim(new_layout), dtype=complex)
-    amps[target] = out
+    amps[np.add.outer(out_at, rest_at[used_rest])] = out
     return StateVector._adopt(amps, new_layout)
 
 

@@ -13,6 +13,7 @@ parities.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -343,11 +344,24 @@ class BhmPsqm:
         agree = sum(1 for e in range(self.n) if ((target >> e) & 1) == inst.promised_value)
         return Fraction(agree, self.n)
 
+    def _inner_pairs(self, inst: BhmInstance):
+        """The probability every measurement outcome carries (checked equal)
+        and a ``Counter`` of the inner PSM input pairs ``(u, v)`` the
+        outcomes produce, in order of first appearance."""
+        outcomes = self.outcome_distribution(inst)
+        prob = outcomes[0][0]
+        pairs = Counter()
+        for p, e, k, l, _vote in outcomes:
+            if p != prob:
+                raise ValueError(f"BHM outcomes are not equiprobable: {p} != {prob}")
+            pairs[self.psm_inputs(inst, e, k, l)] += 1
+        return prob, pairs
+
     def inner_layer_secure(self, inst: BhmInstance) -> bool:
         """Inner PSM transcript distribution depends only on the vote.
 
         Exact comparison across every (u, v) pair the instance can
-        produce, grouped by the vote value.  The map from ``r`` to the
+        produce, grouped by the vote ``<u, v>``.  The map from ``r`` to the
         transcript is injective (``r1 = ua ^ u``, ``r2 = vb ^ v``,
         ``r3 = aa ^ <u, r2>``; checked, and a pair with fewer transcripts
         than randomness values is refused), so every transcript is equally
@@ -356,12 +370,8 @@ class BhmPsqm:
         """
         total = 1 << self.inner.randomness_bits
         reference: dict = {}
-        seen = set()
-        for _, e, k, l, vote in self.outcome_distribution(inst):
-            u, v = self.psm_inputs(inst, e, k, l)
-            if (u, v) in seen:  # the vote is <u, v>, so it repeats too
-                continue
-            seen.add((u, v))
+        for u, v in self._inner_pairs(inst)[1]:
+            vote = _parity(u & v)
             support = np.sort(_draws(self.inner, u, v))
             repeats = int(np.count_nonzero(support[1:] == support[:-1]))
             if repeats:
@@ -384,14 +394,7 @@ class BhmPsqm:
         transcripts are named, in sorted order, each by the scalar messages
         at its first draw, and the outcome probability and the randomness
         count are applied once per transcript."""
-        outcomes = self.outcome_distribution(inst)
-        prob = outcomes[0][0]
-        multiplicity: dict = {}
-        for p, e, k, l, _vote in outcomes:
-            if p != prob:
-                raise ValueError(f"BHM outcomes are not equiprobable: {p} != {prob}")
-            uv = self.psm_inputs(inst, e, k, l)
-            multiplicity[uv] = multiplicity.get(uv, 0) + 1
+        prob, multiplicity = self._inner_pairs(inst)
         pairs = list(multiplicity)
         tallies = [transcript_tally(self.inner, u, v) for u, v in pairs]
         transcripts, index, inverse = np.unique(

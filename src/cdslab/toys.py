@@ -129,8 +129,8 @@ def depolarized(base: CdqsProtocol, strength: float) -> CdqsProtocol:
         raise ValueError("depolarizing strength must lie in [0, 1]")
     noise = _partial_depolarize_channel(strength).kraus_stack
 
-    def alice(x, _base=base):
-        ch = _base.alice_channel(x)
+    def alice(x):
+        ch = base.alice_channel(x)
         # Kraus (k, p), k slowest: K_k (N_p (x) I), the noise on the leading Q
         count, dout, din = ch.kraus_stack.shape
         kraus = np.einsum(

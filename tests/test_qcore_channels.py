@@ -188,22 +188,63 @@ def test_apply_isometry_matches_matrix_action():
     assert out.layout == (("A", 2), ("B", 2), ("E", 3))
     assert np.max(np.abs(out.amplitudes - np.kron(psi_a, v @ psi_b))) < 1e-12
 
+def _consumed_first(layout, channel):
+    """The reference bookkeeping, written apart from the kernels': the
+    permutation that puts the channel's inputs first in channel-input order,
+    the untouched positions, where the outputs are spliced in (at the first
+    input's place among the untouched subsystems) and the new layout."""
+    names = [nm for nm, _ in layout]
+    consumed = [names.index(nm) for nm, _ in channel.input_layout]
+    untouched = [k for k in range(len(layout)) if k not in consumed]
+    insert_at = sum(1 for k in untouched if k < min(consumed))
+    kept = [tuple(layout[k]) for k in untouched]
+    new_layout = tuple(kept[:insert_at]) + tuple(channel.output_layout) + tuple(kept[insert_at:])
+    return consumed + untouched, untouched, insert_at, new_layout
+
+def _splice(n_out, n_rest, insert_at):
+    """Axis order taking ``(outputs, rest)`` to ``(rest before, outputs, rest after)``."""
+    order = list(range(n_out + n_rest))
+    return order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
+
 def _dense_apply_isometry(iso, psi):
     """The dense reference: permute the whole state so the consumed
     subsystems lead, multiply by the isometry, and permute the result back."""
-    perm, untouched, insert_at, new_layout = channels_module._application_plan(psi.layout, iso)
+    perm, untouched, insert_at, new_layout = _consumed_first(psi.layout, iso)
     dims = [dim for _, dim in psi.layout]
     amps = psi.amplitudes.reshape(dims).transpose(perm)
     v = iso.kraus_stack[0]
-    drest = int(np.prod([dims[p] for p in untouched]))
-    out = v @ amps.reshape(v.shape[1], drest)
-    out_dims = [dim for _, dim in iso.output_layout]
     rest_dims = [dims[p] for p in untouched]
+    out = v @ amps.reshape(v.shape[1], int(np.prod(rest_dims)))
+    out_dims = [dim for _, dim in iso.output_layout]
     full = out.reshape(tuple(out_dims) + tuple(rest_dims))
-    n_out = len(out_dims)
-    order = list(range(n_out + len(rest_dims)))
-    spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
+    spliced = _splice(len(out_dims), len(rest_dims), insert_at)
     return StateVector(full.transpose(spliced).reshape(-1), new_layout, validate=False)
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    out_dims=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_application_plan_places_outputs_and_rest(dims, out_dims, data):
+    # out_at[a] + rest_at[r] is where (output a, untouched r) sits in the new
+    # layout, read off an independent transpose of its flat positions
+    layout = tuple((f"S{k}", d) for k, d in enumerate(dims))
+    order = data.draw(st.permutations(range(len(dims))))
+    consumed = order[: data.draw(st.integers(1, len(dims)))]
+    in_layout = [layout[k] for k in consumed]
+    out_layout = [(f"O{k}", d) for k, d in enumerate(out_dims)]
+    din, dout = int(np.prod([d for _, d in in_layout])), int(np.prod(out_dims))
+    ch = QuantumChannel(np.zeros((1, dout, din)), in_layout, out_layout, validate=False)
+    perm, untouched, out_at, rest_at, new_layout = channels_module._application_plan(layout, ch)
+    want_perm, want_untouched, insert_at, want_layout = _consumed_first(layout, ch)
+    assert (list(perm), list(untouched), new_layout) == (want_perm, want_untouched, want_layout)
+    new_dims = [d for _, d in new_layout]
+    n_rest = len(untouched)
+    # axes of the new layout in (outputs, rest) order: the inverse of the splice
+    axes = np.argsort(_splice(len(out_dims), n_rest, insert_at))
+    at = np.arange(int(np.prod(new_dims))).reshape(new_dims).transpose(axes).reshape(dout, -1)
+    assert np.array_equal(out_at[:, None] + rest_at, at)
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -529,7 +570,7 @@ def test_purify_forms_no_choi_matrix(monkeypatch):
 
 def _apply_per_kraus(channel, mat, layout):
     """Reference application: one pair of tensordots per Kraus operator."""
-    perm, untouched, insert_at, new_layout = channels_module._application_plan(layout, channel)
+    perm, untouched, insert_at, new_layout = _consumed_first(layout, channel)
     dims = [d for _, d in layout]
     k = len(dims)
     tens = mat.reshape(dims + dims).transpose(list(perm) + [p + k for p in perm])
@@ -541,12 +582,10 @@ def _apply_per_kraus(channel, mat, layout):
     for kr in channel.kraus_operators:
         tmp = np.tensordot(kr, work, axes=(1, 0))
         out += np.tensordot(tmp, kr.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)
-    n_out = len(channel.output_layout)
     out_dims = [d for _, d in channel.output_layout]
     full = out.reshape(tuple(out_dims) + tuple(rest_dims) + tuple(out_dims) + tuple(rest_dims))
-    order = list(range(n_out + len(rest_dims)))
-    spliced = order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
-    m = n_out + len(rest_dims)
+    spliced = _splice(len(out_dims), len(rest_dims), insert_at)
+    m = len(spliced)
     d_new = int(np.prod([d for _, d in new_layout]))
     return full.transpose(spliced + [p + m for p in spliced]).reshape(d_new, d_new), new_layout
 

@@ -348,6 +348,8 @@ def test_bhm_message_distribution_refuses_unequal_outcome_probabilities(monkeypa
     monkeypatch.setattr(proto, "outcome_distribution", lambda _inst: skewed)
     with pytest.raises(ValueError, match="equiprobable"):
         proto.message_distribution(inst)
+    with pytest.raises(ValueError, match="equiprobable"):
+        proto.inner_layer_secure(inst)
 
 def test_bhm_cost_scales_logarithmically():
     proto = bhm_psqm(8)  # 2n = 16 vertices -> 4 index bits

@@ -5,12 +5,15 @@ A top-level function or class, or a public method, that nothing in
 its own tests.  Such a name is deleted, or it goes on ``KEEP`` with the
 reason it stays.
 
-A reference is a name or attribute in the code, or a string constant
-that spells a (dotted) identifier, as the benchmark's lookup tables do.
-Definitions, imports and ``__all__`` entries are not references.  Method
-references match by attribute name alone, so the guard can miss a dead
-method that shares its name with a live attribute, but it never flags a
-live one.
+A reference to a top-level name is a name or attribute in the code, or a
+string constant that spells a (dotted) identifier, as the benchmark's
+lookup tables do.  A public method is referenced only by an attribute
+access or by a part of a dotted string such as the tracer's
+``"Class.method"``: a local variable or a plain string of the same name
+does not keep it alive.  Definitions, imports and ``__all__`` entries are
+not references.  Method references match by attribute name alone, so the
+guard can miss a dead method that shares its name with a live attribute,
+but it never flags a live one.
 
 The options guard does the same for parameters: every defaulted
 parameter of a ``def`` in ``src/cdslab`` whose name does not start with
@@ -19,7 +22,9 @@ parameter of a ``def`` in ``src/cdslab`` whose name does not start with
 keyword, by position, or through ``*``/``**`` unpacking; it matches by
 callee name, by class name for ``__init__`` and by attribute name for
 methods.  Dataclass fields are not ``def`` parameters, so the guard does
-not see them.
+not see them.  No ``def`` or ``lambda`` gives a default to a parameter
+whose name starts with ``_``: such a parameter would be a knob this guard
+cannot see, so a closure reads the captured name directly instead.
 
 The import guard fails on any name a module in ``src/``, ``tests/`` or
 ``cdsbench/`` imports and never uses.
@@ -63,22 +68,24 @@ KEEP = {
 }
 
 
-def _definitions() -> dict:
-    """Top-level functions and classes and public methods, by name."""
-    out = {}
+def _definitions() -> tuple:
+    """Top-level functions and classes, and public methods, each by name."""
+    top, methods = {}, {}
     for path in sorted(PACKAGE.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                out.setdefault(node.name, path.relative_to(ROOT))
+                top.setdefault(node.name, path.relative_to(ROOT))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        out.setdefault(item.name, path.relative_to(ROOT))
-    return out
+                        methods.setdefault(item.name, path.relative_to(ROOT))
+    return top, methods
 
 
-def _references() -> set:
-    names = set()
+def _references() -> tuple:
+    """Every referenced name, and the attribute names alone: attribute
+    accesses and the parts of dotted string constants."""
+    names, attributes = set(), set()
     for tree_root in CALLER_TREES:
         for path in sorted(tree_root.rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -92,7 +99,7 @@ def _references() -> set:
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    attributes.add(node.attr)
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
@@ -101,24 +108,28 @@ def _references() -> set:
                     parts = node.value.split(".")
                     if all(part.isidentifier() for part in parts):
                         names.update(parts)
-    return names
+                        if len(parts) > 1:
+                            attributes.update(parts)
+    return names | attributes, attributes
+
+
+def _dead() -> dict:
+    """Definitions with no reference, KEEP entries included, by name."""
+    top, methods = _definitions()
+    names, attributes = _references()
+    dead = {name: path for name, path in methods.items() if name not in attributes}
+    dead.update((name, path) for name, path in top.items() if name not in names)
+    return dead
 
 
 def test_every_definition_has_a_caller_or_a_reason():
-    defined = _definitions()
-    referenced = _references()
-    dead = sorted(
-        f"{path}: {name}"
-        for name, path in defined.items()
-        if name not in referenced and name not in KEEP
-    )
+    dead = sorted(f"{path}: {name}" for name, path in _dead().items() if name not in KEEP)
     assert not dead, "defined but used only by tests (delete, or add to KEEP):\n" + "\n".join(dead)
 
 
 def test_keep_list_is_current():
-    defined = _definitions()
-    referenced = _references()
-    stale = sorted(name for name in KEEP if name not in defined or name in referenced)
+    dead = _dead()
+    stale = sorted(name for name in KEEP if name not in dead)
     assert not stale, f"KEEP entries that are gone or now have a caller: {stale}"
 
 
@@ -228,6 +239,27 @@ def test_keep_options_is_current():
     unset = _unset_options()
     stale = sorted(key for key in KEEP_OPTIONS if key not in unset)
     assert not stale, f"KEEP_OPTIONS entries that are gone or now have a caller: {stale}"
+
+
+def test_no_default_on_a_private_parameter():
+    hidden = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            hidden += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {a.arg}"
+                for a in defaulted
+                if a.arg.startswith("_")
+            ]
+    assert not hidden, (
+        "defaults on _-named parameters (read the captured name in the body):\n"
+        + "\n".join(hidden)
+    )
 
 
 # ---------------------------------------------------------------------------
