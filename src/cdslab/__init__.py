@@ -6,7 +6,7 @@ Subpackages and modules:
 - :mod:`cdslab.framework` — protocol types, execution, lifting, costs
 - :mod:`cdslab.classical` — perfectly secure classical CDS/PSM constructions
 - :mod:`cdslab.toys` — tiny hand-rolled CDQS protocols used as test subjects
-- :mod:`cdslab.quantum` — Deutsch-Jozsa shortening, hybrid CDQS, exchange PSQM
+- :mod:`cdslab.quantum` — Deutsch-Jozsa shortening, hybrid CDQS, Boolean Hidden Matching PSQM
 - :mod:`cdslab.forrelation` — forrelation instances, circuits, Clifford+T
 - :mod:`cdslab.verifier` — correctness/security estimation and reports
 - :mod:`cdslab.lowerbound` — one-way quantization and two-prover reductions

@@ -17,6 +17,12 @@ wire is exactly ``1/2 + forr(x*y)``, which a constant number of repetitions
 converts into a majority-vote decision.  Each controlled-Hadamard expands
 into a seven-gate Clifford+T block with no T gate on the control wire, so the
 compiled circuit has T-depth 2 at every size.
+
+Every unitary gate kind is one entry of a table that holds its matrix on the
+wires a gate lists, control first; a kind's wire count is read off the
+matrix.  One gate loop serves both the statevector simulation, which refuses
+any circuit that does not end with its single measurement, and the dense
+unitary.
 """
 
 from __future__ import annotations
@@ -188,10 +194,22 @@ def instance_suite(
 # circuits
 
 
-_ONE_WIRE = frozenset({"H", "X", "T", "TDG", "P", "PDG", "MEASURE"})
-_TWO_WIRE = frozenset({"CNOT", "CH"})
 _ORACLES = frozenset({"ORACLE_A", "ORACLE_B"})
-_CLIFFORD_T = frozenset({"H", "X", "T", "TDG", "P", "PDG", "CNOT"})
+
+_SQ = 1.0 / math.sqrt(2.0)
+#: every unitary gate kind: its matrix on the wires the gate lists, control
+#: first; a kind acts on log2(dimension) wires
+_UNITARIES = {
+    "H": np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "T": np.diag([1.0, np.exp(1j * math.pi / 4)]),
+    "TDG": np.diag([1.0, np.exp(-1j * math.pi / 4)]),
+    "P": np.diag([1.0, 1j]),
+    "PDG": np.diag([1.0, -1j]),
+    "CNOT": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    "CH": np.eye(4, dtype=complex),
+}
+_UNITARIES["CH"][2:, 2:] = _UNITARIES["H"]
 
 
 @dataclass(frozen=True)
@@ -207,10 +225,10 @@ class Gate:
     wires: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind in _ONE_WIRE:
+        if self.kind in _UNITARIES:
+            expected = len(_UNITARIES[self.kind]).bit_length() - 1
+        elif self.kind == "MEASURE":
             expected = 1
-        elif self.kind in _TWO_WIRE:
-            expected = 2
         elif self.kind in _ORACLES:
             expected = None
         else:
@@ -269,22 +287,6 @@ def forrelation_circuit(n: int) -> Circuit:
     return Circuit(2 * m, tuple(gates))
 
 
-_SQ = 1.0 / math.sqrt(2.0)
-_GATE_MATRICES = {
-    "H": np.array([[_SQ, _SQ], [_SQ, -_SQ]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "T": np.diag([1.0, np.exp(1j * math.pi / 4)]),
-    "TDG": np.diag([1.0, np.exp(-1j * math.pi / 4)]),
-    "P": np.diag([1.0, 1j]),
-    "PDG": np.diag([1.0, -1j]),
-}
-_CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CH = np.eye(4, dtype=complex)
-_CH[2:, 2:] = _GATE_MATRICES["H"]
-
-
 def _apply_gate(state: np.ndarray, g: Gate, wires: int, x, y) -> np.ndarray:
     """Apply one gate to a tensor whose first ``wires`` axes are the wires.
 
@@ -300,38 +302,43 @@ def _apply_gate(state: np.ndarray, g: Gate, wires: int, x, y) -> np.ndarray:
         shape = [2 if w in g.wires else 1 for w in range(wires)]
         shape += [1] * (state.ndim - wires - len(batch)) + list(batch)
         return state * phases.reshape(shape)
-    if g.kind in ("CNOT", "CH"):
-        mat = (_CNOT if g.kind == "CNOT" else _CH).reshape(2, 2, 2, 2)
-        moved = np.tensordot(mat, state, axes=([2, 3], list(g.wires)))
-        return np.moveaxis(moved, (0, 1), g.wires)
-    mat = _GATE_MATRICES[g.kind]
-    moved = np.tensordot(mat, state, axes=([1], [g.wires[0]]))
-    return np.moveaxis(moved, 0, g.wires[0])
+    k = len(g.wires)
+    mat = _UNITARIES[g.kind].reshape((2,) * 2 * k)
+    moved = np.tensordot(mat, state, axes=(list(range(k, 2 * k)), list(g.wires)))
+    return np.moveaxis(moved, tuple(range(k)), g.wires)
+
+
+def _evolve(c: Circuit, state: np.ndarray, x, y) -> np.ndarray:
+    """Apply every gate of ``c`` except its measurements, in order."""
+    for g in c.gates:
+        if g.kind != "MEASURE":
+            state = _apply_gate(state, g, c.wire_count, x, y)
+    return state
 
 
 def acceptance_probability(c: Circuit, x, y):
     """Exact probability of measuring 0, by statevector simulation.
 
-    The circuit must end with its (single) measurement; oracle gates bind to
-    ``x`` and ``y``.  Given one instance (``x``, ``y`` of shape ``(n,)``) it
-    returns a float; given a stack of ``B`` instances (shape ``(B, n)``) it
-    simulates them together, instances along the state tensor's last axis,
-    and returns their ``B`` probabilities.
+    The circuit must end with its single measurement, or it is refused
+    before any gate runs; oracle gates bind to ``x`` and ``y``.  Given one
+    instance (``x``, ``y`` of shape ``(n,)``) it returns a float; given a
+    stack of ``B`` instances (shape ``(B, n)``) it simulates them together,
+    instances along the state tensor's last axis, and returns their ``B``
+    probabilities.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim not in (1, 2):
         raise ValueError(f"x and y must share a shape (n,) or (B, n), got {x.shape} and {y.shape}")
+    if [g.kind for g in c.gates].count("MEASURE") != 1 or c.gates[-1].kind != "MEASURE":
+        raise ValueError("the circuit must end with its single measurement")
     xs, ys = np.atleast_2d(x), np.atleast_2d(y)
     state = np.zeros((2,) * c.wire_count + (len(xs),), dtype=complex)
     state[(0,) * c.wire_count] = 1.0
-    for g in c.gates:
-        if g.kind == "MEASURE":
-            zero = np.moveaxis(np.take(state, 0, axis=g.wires[0]), -1, 0)
-            p0 = np.sum(np.abs(zero.reshape(len(xs), -1)) ** 2, axis=1)
-            return float(p0[0]) if x.ndim == 1 else p0
-        state = _apply_gate(state, g, c.wire_count, xs, ys)
-    raise ValueError("circuit has no measurement")
+    state = _evolve(c, state, xs, ys)
+    zero = np.moveaxis(np.take(state, 0, axis=c.gates[-1].wires[0]), -1, 0)
+    p0 = np.sum(np.abs(zero.reshape(len(xs), -1)) ** 2, axis=1)
+    return float(p0[0]) if x.ndim == 1 else p0
 
 
 def circuit_unitary(c: Circuit, x=None, y=None) -> np.ndarray:
@@ -341,11 +348,7 @@ def circuit_unitary(c: Circuit, x=None, y=None) -> np.ndarray:
     """
     dim = 1 << c.wire_count
     u = np.eye(dim, dtype=complex).reshape((2,) * c.wire_count + (dim,))
-    for g in c.gates:
-        if g.kind == "MEASURE":
-            continue
-        u = _apply_gate(u, g, c.wire_count, x, y)
-    return u.reshape(dim, dim)
+    return _evolve(c, u, x, y).reshape(dim, dim)
 
 
 _CH_BLOCK = ("P", "H", "T", "CNOT", "TDG", "H", "PDG")
@@ -364,34 +367,31 @@ def compile_clifford_t(c: Circuit) -> Circuit:
             ctrl, tgt = g.wires
             for kind in _CH_BLOCK:
                 gates.append(Gate(kind, (ctrl, tgt) if kind == "CNOT" else (tgt,)))
-        elif g.kind in _CLIFFORD_T or g.kind in _ORACLES or g.kind == "MEASURE":
-            gates.append(g)
         else:
-            raise ValueError(f"cannot compile gate kind {g.kind!r}")
+            gates.append(g)
     return Circuit(c.wire_count, tuple(gates))
 
 
 def t_depth(c: Circuit) -> int:
     """Number of T-layers under greedy as-soon-as-possible scheduling.
 
-    Gates commute past each other only when wire-disjoint.  Multi-wire
-    elements (CNOT, oracles) synchronise the layer counters of their wires;
-    one-wire Cliffords are transparent.  Oracles and measurements are input
-    loading and readout, not gates of the computational gate set, so they
-    block their wires without contributing a layer.
+    Gates commute past each other only when wire-disjoint.  T and TDG add a
+    layer on their wire; every element on more than one wire (CNOT, an
+    oracle) synchronises the layer counters of its wires; every other
+    element is transparent.  Oracles and measurements are input loading and
+    readout, not gates of the computational gate set, so they contribute no
+    layer.  Controlled-H is not Clifford+T and is refused: compile first.
     """
     depth = [0] * c.wire_count
     for g in c.gates:
+        if g.kind == "CH":
+            raise ValueError(f"gate kind {g.kind!r} is not Clifford+T")
         if g.kind in ("T", "TDG"):
             depth[g.wires[0]] += 1
-        elif g.kind in ("CNOT",) or g.kind in _ORACLES:
+        elif len(g.wires) > 1:
             level = max(depth[w] for w in g.wires)
             for w in g.wires:
                 depth[w] = level
-        elif g.kind in _ONE_WIRE:
-            continue
-        else:
-            raise ValueError(f"gate kind {g.kind!r} is not Clifford+T")
     return max(depth) if depth else 0
 
 

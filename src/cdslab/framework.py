@@ -15,8 +15,8 @@ decoder runs once per distinct transcript.  Counts, decode failures and
 pad-key counts are one tally over either, and each distinct transcript
 is named by the scalar messages at its first draw
 (:func:`transcript_counts`); :func:`transcript_tally` is that tally before
-naming, for callers outside this module.  The scalar message functions
-stay the reference the array forms are tested against.
+naming.  The scalar message functions stay the reference the array forms
+are tested against.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:

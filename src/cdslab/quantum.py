@@ -21,7 +21,7 @@ import numpy as np
 
 from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, PadCounts, _draws, pad_counts, transcript_tally
+from .framework import CostReport, PadCounts, _draws, pad_counts
 
 
 # ---------------------------------------------------------------------------
@@ -388,27 +388,26 @@ class BhmPsqm:
     def message_distribution(self, inst: BhmInstance) -> dict:
         """Exact referee view: mixture of inner PSM transcripts.
 
-        Every outcome carries the same probability (checked), so each
-        distinct ``(u, v)``'s transcript tally is weighted by its integer
-        outcome multiplicity and summed.  Only the final distinct
-        transcripts are named, in sorted order, each by the scalar messages
-        at its first draw, and the outcome probability and the randomness
-        count are applied once per transcript."""
+        Every outcome carries the same probability (checked), so the draws
+        of every distinct ``(u, v)``, in order of first appearance, are
+        tallied once, each draw weighted by its pair's integer outcome
+        multiplicity.  Only the final distinct transcripts are named, in
+        sorted order, each by the scalar messages at its first draw: the
+        first pair that has it, at its least ``r``.  The outcome
+        probability and the randomness count are applied once per
+        transcript."""
         prob, multiplicity = self._inner_pairs(inst)
         pairs = list(multiplicity)
-        tallies = [transcript_tally(self.inner, u, v) for u, v in pairs]
-        transcripts, index, inverse = np.unique(
-            np.concatenate([t for t, _, _ in tallies]), return_index=True, return_inverse=True
-        )
-        counts = np.zeros(len(transcripts), dtype=np.int64)
-        weighted = [multiplicity[uv] * c for uv, (_, _, c) in zip(pairs, tallies)]
-        np.add.at(counts, inverse, np.concatenate(weighted))
-        owner = np.repeat(np.arange(len(pairs)), [len(t) for t, _, _ in tallies])[index]
-        first = np.concatenate([f for _, f, _ in tallies])[index]
-        scale = prob / (1 << self.inner.randomness_bits)
+        total = 1 << self.inner.randomness_bits
+        draws = np.concatenate([_draws(self.inner, u, v) for u, v in pairs])
+        _, index, inverse = np.unique(draws, return_index=True, return_inverse=True)
+        weights = np.repeat(np.array([multiplicity[uv] for uv in pairs], dtype=np.int64), total)
+        counts = np.zeros(len(index), dtype=np.int64)
+        np.add.at(counts, inverse, weights)
+        scale = prob / total
         out = {}
-        for i, r, c in zip(owner.tolist(), first.tolist(), counts.tolist()):
-            u, v = pairs[i]
+        for i, c in zip(index.tolist(), counts.tolist()):
+            (u, v), r = pairs[i // total], i % total
             out[(self.inner.message_a(u, r), self.inner.message_b(v, r))] = c * scale
         return out
 

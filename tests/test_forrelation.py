@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cdslab.forrelation import (
+    _UNITARIES,
     ALPHA,
     BETA,
     TAU,
@@ -19,6 +20,7 @@ from cdslab.forrelation import (
     forr_value,
     forrelation_circuit,
     forrelation_decision,
+    _apply_gate,
     forrelation_instance,
     instance_suite,
     t_depth,
@@ -196,6 +198,63 @@ def test_all_ones_instance_accepts_at_frozen_value():
 def test_circuit_rejects_gate_after_measurement():
     with pytest.raises(ValueError):
         Circuit(1, (Gate("MEASURE", (0,)), Gate("H", (0,))))
+
+def test_acceptance_refuses_a_second_measurement():
+    c = Circuit(2, (Gate("H", (0,)), Gate("MEASURE", (1,)), Gate("MEASURE", (0,))))
+    with pytest.raises(ValueError, match="single measurement"):
+        acceptance_probability(c, [1, 1], [1, 1])
+
+def test_acceptance_refuses_a_gate_after_the_measurement():
+    c = Circuit(2, (Gate("H", (0,)), Gate("MEASURE", (0,)), Gate("H", (1,))))
+    with pytest.raises(ValueError, match="single measurement"):
+        acceptance_probability(c, [1, 1], [1, 1])
+
+def test_acceptance_refuses_a_circuit_without_measurement():
+    with pytest.raises(ValueError, match="single measurement"):
+        acceptance_probability(Circuit(1, (Gate("H", (0,)),)), [1, 1], [1, 1])
+
+
+# ---------------------------------------------------------------------------
+# the gate table
+# ---------------------------------------------------------------------------
+
+def test_every_table_kind_is_unitary_and_takes_exactly_its_arity():
+    assert set(_UNITARIES) == {"H", "X", "T", "TDG", "P", "PDG", "CNOT", "CH"}
+    for kind, mat in _UNITARIES.items():
+        assert mat.shape in ((2, 2), (4, 4))
+        assert np.allclose(mat.conj().T @ mat, np.eye(len(mat)), atol=1e-12)
+        arity = 1 if len(mat) == 2 else 2
+        assert Gate(kind, tuple(range(arity))).wires == tuple(range(arity))
+        for count in (arity - 1, arity + 1):
+            with pytest.raises(ValueError, match=f"{kind} takes {arity} wire"):
+                Gate(kind, tuple(range(count)))
+
+def _dense_gate(mat, wires, wire_count):
+    """Independent oracle: ``mat`` on ``wires`` (first wire most significant)
+    as a full matrix, from ``np.kron`` with the identity on the other wires
+    and a permutation of the wires into natural order."""
+    order = list(wires) + [w for w in range(wire_count) if w not in wires]
+    full = np.kron(mat, np.eye(1 << (wire_count - len(wires))))
+    back = list(np.argsort(order))
+    return (
+        full.reshape((2,) * 2 * wire_count)
+        .transpose(back + [wire_count + a for a in back])
+        .reshape(1 << wire_count, 1 << wire_count)
+    )
+
+@pytest.mark.parametrize("kind", sorted(_UNITARIES))
+def test_apply_gate_matches_the_dense_oracle(kind):
+    rng = np.random.default_rng(31)
+    wire_count = 4
+    arity = len(_UNITARIES[kind]).bit_length() - 1
+    placements = [(0,), (2,), (3,)] if arity == 1 else [(0, 1), (1, 0), (0, 3), (3, 1), (2, 0)]
+    for wires in placements:
+        state = rng.normal(size=(1 << wire_count, 3)) + 1j * rng.normal(size=(1 << wire_count, 3))
+        got = _apply_gate(
+            state.reshape((2,) * wire_count + (3,)), Gate(kind, wires), wire_count, None, None
+        )
+        want = _dense_gate(_UNITARIES[kind], wires, wire_count) @ state
+        assert np.allclose(got.reshape(1 << wire_count, 3), want, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

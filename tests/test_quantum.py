@@ -329,7 +329,7 @@ def test_bhm_inner_supports_are_the_scalar_transcripts(data):
     assert in_code_order == sorted(reference)
 
 def test_bhm_message_distribution_matches_the_per_outcome_mixture():
-    for n, seed in ((2, 2), (3, 5)):
+    for n, seed in ((1, 3), (2, 2), (3, 5), (4, 6)):
         proto = bhm_psqm(n)
         inst = bhm_instance(n, seed & 1, seed)
         expected: dict = {}
@@ -337,7 +337,9 @@ def test_bhm_message_distribution_matches_the_per_outcome_mixture():
             u, v = proto.psm_inputs(inst, e, k, l)
             for t, q in enumerate_message_distribution(proto.inner, u, v).items():
                 expected[t] = expected.get(t, Fraction(0)) + prob * q
-        assert proto.message_distribution(inst) == expected
+        dist = proto.message_distribution(inst)
+        assert dist == expected
+        assert list(dist) == sorted(expected)
 
 def test_bhm_message_distribution_refuses_unequal_outcome_probabilities(monkeypatch):
     proto = bhm_psqm(2)

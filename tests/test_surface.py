@@ -11,7 +11,9 @@ lookup tables do.  A public method is referenced only by an attribute
 access or by a part of a dotted string such as the tracer's
 ``"Class.method"``: a local variable or a plain string of the same name
 does not keep it alive.  Definitions, imports and ``__all__`` entries are
-not references.  Method references match by attribute name alone, so the
+not references, and nor is anything inside a definition's own body: a
+recursive call, or a string constant that spells its name, does not keep
+it alive.  Method references match by attribute name alone, so the
 guard can miss a dead method that shares its name with a live attribute,
 but it never flags a live one.
 
@@ -65,6 +67,7 @@ KEEP = {
     "system_bounds_ok": "purification-dimension bounds of the two-prover proof",
     "table_psm": "generic PSM for any small function, input of psm_to_cds",
     "transcript_form": "exact rational twin of the dense pad lift, its cross-check",
+    "unencrypted": "cleartext toy whose delta = 3/2 is the evidence for the open delta interval",
 }
 
 
@@ -82,9 +85,34 @@ def _definitions() -> tuple:
     return top, methods
 
 
+def _owned(tree: ast.Module, in_package: bool):
+    """Every node of ``tree`` with the names of the judged definitions it
+    sits in: the top-level function or class, and the public method of a
+    top-level class.  Outside the package no definition is judged."""
+    stack = [(tree, frozenset(), frozenset())]
+    while stack:
+        node, top, methods = stack.pop()
+        yield node, top, methods
+        for child in ast.iter_child_nodes(node):
+            if in_package and node is tree and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                stack.append((child, top | {child.name}, methods))
+            elif (
+                in_package
+                and isinstance(node, ast.ClassDef)
+                and node in tree.body
+                and isinstance(child, ast.FunctionDef)
+                and not child.name.startswith("_")
+            ):
+                stack.append((child, top, methods | {child.name}))
+            else:
+                stack.append((child, top, methods))
+
+
 def _references() -> tuple:
-    """Every referenced name, and the attribute names alone: attribute
-    accesses and the parts of dotted string constants."""
+    """The names that refer to top-level definitions, and those that refer
+    to methods: attribute accesses and the parts of dotted string constants.
+    A reference inside a definition's own body does not count for that
+    definition."""
     names, attributes = set(), set()
     for tree_root in CALLER_TREES:
         for path in sorted(tree_root.rglob("*.py")):
@@ -95,11 +123,12 @@ def _references() -> tuple:
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
                 ):
                     exported.update(id(sub) for sub in ast.walk(node.value))
-            for node in ast.walk(tree):
+            for node, top, methods in _owned(tree, path.is_relative_to(PACKAGE)):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    names.update({node.id} - top)
                 elif isinstance(node, ast.Attribute):
-                    attributes.add(node.attr)
+                    names.update({node.attr} - top)
+                    attributes.update({node.attr} - methods)
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
@@ -107,10 +136,10 @@ def _references() -> tuple:
                 ):
                     parts = node.value.split(".")
                     if all(part.isidentifier() for part in parts):
-                        names.update(parts)
+                        names.update(set(parts) - top)
                         if len(parts) > 1:
-                            attributes.update(parts)
-    return names | attributes, attributes
+                            attributes.update(set(parts) - methods)
+    return names, attributes
 
 
 def _dead() -> dict:
