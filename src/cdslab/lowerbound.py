@@ -24,13 +24,15 @@ The cheating-prover optimum is approximated from below by a see-saw
 (alternating polar updates of per-secret rotations with a top-eigenvector
 update of the shared purification, run by :func:`cdslab.qcore.best_ascent`),
 so asserting it under the soundness bound checks a necessary condition of
-the theorem, never a vacuous one.
+the theorem, never a vacuous one.  It stops at a certified upper end of the
+optimum once it is within 1e-10 of it, and the starts it does not need are
+never built (:func:`_seesaw`).
 The see-saw runs on the accept vectors' joint exact-zero support, the
 message rows and purifying columns that some accept vector touches.  That
 is exact: the updates read the vectors only through products to which
 zero columns add nothing and zero rows add only zero columns, which the
-thin polar factor leaves out.  Its random starts are still drawn and
-normalised at the full shape, then cut.
+thin polar factor leaves out.  Its random starts, when they run, are still
+drawn and normalised at the full shape, then cut.
 """
 
 from __future__ import annotations
@@ -385,12 +387,14 @@ def soundness_bound(k: int, delta: float) -> float:
 
 @dataclass
 class CheatResult:
-    """Best cheating strategy found by the see-saw."""
+    """Best cheating strategy found by the see-saw, and the certified upper
+    end of every value the see-saw can reach (see :func:`_seesaw`)."""
 
     estimate: float
     rounds: int
     converged: bool
     unconstrained: float
+    upper: float
 
 
 def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> CheatResult:
@@ -403,24 +407,48 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
     eigenvector of the rotated accept vectors.  ``unconstrained`` reports the
     ablation where both provers see ``s`` and simply replay ``psi^s``.
 
-    Four starts are tried: the first accept vector, their mean and two
-    random draws (seed 11); the rounds and the stop are those of
-    :func:`cdslab.qcore.best_ascent`.  The search runs on the accept vectors'
-    joint exact-zero support (see :func:`_seesaw`); the random starts are
-    still drawn and normalised at the full (M, M') shape, so every start,
-    and so the estimate, is the full-space one up to rounding.
+    Four starts are tried in turn: the first accept vector, their mean and
+    two random draws (seed 11); the rounds and the stop are those of
+    :func:`cdslab.qcore.best_ascent`.  ``upper`` is a certified upper end of
+    the passing probability over every ``sigma`` (derived in
+    :func:`_seesaw`); once a finished start is within 1e-10 of it, the
+    later starts are never built or run.  The search runs on the accept
+    vectors' joint exact-zero support (see :func:`_seesaw`); the random
+    starts are still drawn and normalised at the full (M, M') shape, so
+    every start that runs, and so the estimate, is the full-space one up
+    to rounding.
     """
     if f.value(x, y) != 0:
         raise ValueError(f"input ({x}, {y}) is not a hiding input")
     stack, (rows, cols) = _accept_matrices(tp, x, y)
     unconstrained = float(np.mean([np.vdot(m, m).real ** 2 for m in stack]))
-    return CheatResult(*_seesaw(stack, rows, cols), unconstrained=unconstrained)
+    estimate, rounds, converged, upper = _seesaw(stack, rows, cols)
+    return CheatResult(estimate, rounds, converged, unconstrained=unconstrained, upper=upper)
 
 
-def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[float, int, bool]:
+def _seesaw_upper(mats: np.ndarray) -> float:
+    """:func:`_seesaw`'s certified end for the stacked (M, M') matrices
+    ``mats``; see there."""
+    _, sv, vh = np.linalg.svd(mats, full_matrices=False)
+    kept = sv > 1e-12 * sv[:, :1]
+    power = sv ** 2
+    norms = power.sum(axis=1)
+    cut = np.where(kept, 0.0, power).sum(axis=1)
+    weights = np.divide(cut, norms, out=np.zeros_like(norms), where=norms > 0)
+    # mean_s Pi_s = B B^+ / d_q with B the kept right singular vectors side
+    # by side; its top eigenvalue is that of the smaller Gram matrix B^+ B
+    basis = vh[kept]
+    lam = np.linalg.eigvalsh(basis @ basis.conj().T).max(initial=0.0) / len(mats)
+    root = math.sqrt(lam) + math.sqrt(weights.max(initial=0.0))
+    return float(norms.max(initial=0.0) * root ** 2)
+
+
+def _seesaw(stack: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray) -> tuple[float, int, bool, float]:
     """Best value, its rounds and convergence over :func:`cheat_optimize`'s
-    starts, for the (M, M') matrices ``stack`` whose entries outside
-    ``rows`` x ``cols`` are exactly zero.
+    starts, and the certified end the search stops at, for the (M, M')
+    matrices ``stack`` whose entries outside ``rows`` x ``cols`` are exactly
+    zero.
 
     Each round reads the matrices only through the products ``w a^+`` and
     the rotated ``U a``, so both run on the support.  The shared
@@ -430,6 +458,27 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[floa
     factor of the cut product: it acts on ``a`` as the full M x M one does
     wherever the cut product has full column rank, and elsewhere both
     complete a zero block arbitrarily.
+
+    The end is computed on the cut matrices ``a_s``.  ``rho_s = tr_M
+    |a_s><a_s|`` has trace ``n_s = ||a_s||^2`` and its support is the row
+    space of ``a_s``.  ``Pi_s`` projects onto the span of the right singular
+    vectors whose singular value exceeds 1e-12 of ``a_s``'s top one, and
+    ``w_s = sum_cut sv^2 / sum sv^2 = Tr(1 - Pi_s) rho_s / n_s`` is the
+    weight that cut discards.  Fidelity does not drop under the measurement
+    ``{Pi_s, 1 - Pi_s}``, so for any ``sigma`` of trace at most 1, with
+    ``t_s = Tr Pi_s sigma``::
+
+        F(rho_s, sigma) <= (sqrt(Tr Pi_s rho_s * t_s)
+                            + sqrt(Tr(1 - Pi_s) rho_s * Tr(1 - Pi_s) sigma))^2
+                        <= n_s (sqrt(t_s) + sqrt(w_s))^2.
+
+    With ``n = max_s n_s`` (1 for unit accept vectors), ``W = max_s w_s``,
+    ``mean_s sqrt(t_s) <= sqrt(mean_s t_s)`` and ``mean_s t_s = Tr(mean_s
+    Pi_s) sigma <= Lambda = lambda_max(mean_s Pi_s)``, the mean is at most
+    ``n (sqrt(Lambda) + sqrt(W))^2``.  That holds for any cut level, which
+    only trades ``Lambda`` against ``W``, and for the full-space search
+    too, whose ``sigma`` may leave the support.  An all-zero stack has end
+    0.
     """
     d_q = len(stack)
     mats = stack[:, rows][:, :, cols]
@@ -450,14 +499,20 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[floa
         return value_and_rotations(w / np.linalg.norm(w))
 
     # the first accept matrix, their sum and two draws, each normalised at
-    # the full (M, M') shape, then cut
+    # the full (M, M') shape, then cut; each is built only when it runs
     rng = np.random.default_rng(11)
     shape = stack.shape[1:]
-    fulls = [stack[0], sum(stack)] + [
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
-    starts = (value_and_rotations(full[:, cols] / np.linalg.norm(full)) for full in fulls)
-    best, _, rounds, converged = best_ascent(starts, step)
-    return best, rounds, converged
+
+    def fulls():
+        yield stack[0]
+        yield sum(stack)
+        for _ in range(2):
+            yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    starts = (value_and_rotations(full[:, cols] / np.linalg.norm(full)) for full in fulls())
+    upper = _seesaw_upper(mats)
+    best, _, rounds, converged = best_ascent(starts, step, upper)
+    return best, rounds, converged, upper
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ approached from below and no global optimality is claimed.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -28,7 +30,8 @@ from .distances import trace_norm
 from .states import layout_dim
 
 
-def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]]) -> tuple:
+def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]],
+                upper: Optional[float] = None) -> tuple:
     """Ascend from every start; return the best end.
 
     ``starts`` yields ``(value, state)`` pairs and ``step(state)`` returns
@@ -37,6 +40,14 @@ def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]]) -
     gains less than 1e-10 stops it converged, and the new pair is kept only
     if its value is not lower.  Returns ``(value, state, rounds, converged)``
     of the first start with the largest value.
+
+    ``upper`` is a certified upper end of every value the search can
+    reach, or None when none is known.  Once a start has finished and the
+    best value so far is at least ``upper - 1e-10`` (the round tolerance),
+    no later start can gain more than that tolerance, so the search returns
+    and the remaining starts are never pulled from ``starts``.  It stops
+    only between starts, so a search that never meets its end returns what
+    it returns without one.
     """
     best = None
     for value, state in starts:
@@ -53,6 +64,8 @@ def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]]) -
             value, state = nxt
         if best is None or value > best[0]:
             best = (value, state, rounds, converged)
+        if upper is not None and best[0] >= upper - 1e-10:
+            break
     return best
 
 
@@ -87,6 +100,7 @@ class DecoderResult:
     entanglement_fidelity: float
     rounds: int
     converged: bool
+    fidelity_upper: Optional[float]
 
 
 def _stinespring_matrix(decoder: QuantumChannel, denv: int) -> np.ndarray:
@@ -141,15 +155,30 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
         must be the channel's input dimension, where the Petz seed decodes.
 
     The starts are the Petz recovery map, already exact whenever perfect
-    recovery is possible, and two random isometries (seed 7); the rounds
-    and the stop are :func:`best_ascent`'s.
+    recovery is possible, and two random isometries (seed 7), drawn only
+    when they run; the rounds and the stop are :func:`best_ascent`'s.
+
+    When the target is the identity channel (one Kraus operator, exactly
+    the identity matrix) the search has a certified end.  Its value is the
+    entanglement fidelity ``F = <phi+|(D o channel (x) id)(phi+)|phi+>``,
+    and Barnum and Knill (J. Math. Phys. 43, 2097, 2002) show that the Petz
+    map ``P`` with respect to the maximally mixed input reaches at least
+    the square of the best one: ``F(P) >= F_opt^2``.  So no decoder
+    exceeds ``min(1, sqrt(F_petz))``, with ``F_petz`` the Petz start's
+    value; the kernel completion of :func:`petz_recovery` only adds Kraus
+    operators, so it can only raise ``F_petz``.  (:func:`petz_recovery`
+    takes the eigenvalues of ``channel(I/d)`` at or below 1e-12 as zero, so
+    the end is the theorem's exactly when none of them lies in (0, 1e-12].)
+    The search stops once it is within 1e-10 of that end.  For any other
+    target no end is known and every start runs.
 
     Returns
     -------
     DecoderResult
         ``achieved_error`` is the Choi-difference trace norm of the best
         composition found, a lower bound on its diamond distance from the
-        target.
+        target.  ``fidelity_upper`` is the certified end, or None for a
+        target other than the identity.
     """
     if layout_dim(channel.input_layout) != layout_dim(target.input_layout):
         raise ValueError("channel and target must share the input dimension")
@@ -178,10 +207,13 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
 
     rng = np.random.default_rng(7)
     shape = (dq * denv, m)    # denv >= m, so each QR factor is a full isometry
-    randoms = [np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
-               for _ in range(2)]
-    starts = map(pair, [_stinespring_matrix(petz, denv)] + randoms)
-    best_val, (best_w, _), rounds, converged = best_ascent(starts, step)
+    randoms = (np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))[0]
+               for _ in range(2))
+    first = pair(_stinespring_matrix(petz, denv))
+    identity = len(target.kraus_stack) == 1 and np.array_equal(target.kraus_stack[0], np.eye(dq))
+    upper = min(1.0, math.sqrt(first[0])) if identity else None
+    best_val, (best_w, _), rounds, converged = best_ascent(
+        itertools.chain([first], map(pair, randoms)), step, upper)
 
     ops = best_w.reshape(dq, denv, m).transpose(1, 0, 2)
     live = np.abs(ops).max(axis=(1, 2)) > 1e-14
@@ -201,4 +233,5 @@ def find_best_decoder(channel: QuantumChannel, target: QuantumChannel) -> Decode
         entanglement_fidelity=float(min(1.0, best_val)),
         rounds=rounds,
         converged=converged,
+        fidelity_upper=upper,
     )

@@ -11,16 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdslab import lowerbound as lb
-from cdslab.framework import CdqsProtocol
+from cdslab.framework import CdqsProtocol, joint_channel
 from cdslab.qcore import (
     DensityMatrix,
     QuantumChannel,
     StateVector,
     apply_isometry,
+    best_ascent,
+    complementary_channel,
     fidelity,
+    find_best_decoder,
+    identity_channel,
     layout_names,
     maximally_entangled,
     maximally_mixed,
+    optimize,
     partial_trace,
     tensor,
 )
@@ -411,18 +416,59 @@ def test_seesaw_on_the_support_matches_the_full_space_search(data):
         sub = cols[:data.draw(st.integers(r, c))] if s == 0 else cols
         block = rng.normal(size=(r, len(sub))) + 1j * rng.normal(size=(r, len(sub)))
         stack[s][np.ix_(rows, sub)] = block / np.linalg.norm(block)
-    estimate, _, converged = lb._seesaw(stack, *lb._joint_support(stack))
+    estimate, _, converged, _ = lb._seesaw(stack, *lb._joint_support(stack))
     ref_estimate, _, ref_converged = _full_space_seesaw(list(stack))
     assert estimate == pytest.approx(ref_estimate, abs=1e-9)
     assert converged == ref_converged
 
 
-@pytest.mark.parametrize("p, f, k", [
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_no_see_saw_passes_its_certified_end(data):
+    # random unit accept matrices; some get a singular tail at 1e-13 of
+    # their top value, under the end's 1e-12 cut, so the cut and its
+    # discarded weight come into play.  Secrets on disjoint columns make the
+    # end 1/d_q, which the first start (the first accept matrix) reaches
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d_q = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(1, 4))
+    mp = data.draw(st.integers(1, 6))
+    disjoint = data.draw(st.booleans())
+    stack = np.zeros((d_q, m, mp * d_q if disjoint else mp), dtype=complex)
+    for s in range(d_q):
+        u, sv, vh = np.linalg.svd(rng.normal(size=(m, mp)) + 1j * rng.normal(size=(m, mp)),
+                                  full_matrices=False)
+        tail = data.draw(st.integers(0, len(sv) - 1))
+        sv[len(sv) - tail:] = 1e-13 * sv[0]
+        block = (u * sv) @ vh
+        cols = slice(s * mp, (s + 1) * mp) if disjoint else slice(None)
+        stack[s][:, cols] = block / np.linalg.norm(block)
+    estimate, _, _, upper = lb._seesaw(stack, *lb._joint_support(stack))
+    ref_estimate, _, _ = _full_space_seesaw(list(stack))
+    assert estimate <= upper + 1e-12
+    assert ref_estimate <= upper + 1e-12
+    if disjoint:
+        assert upper == pytest.approx(1 / d_q, abs=1e-12)
+        assert estimate >= upper - 1e-10
+
+
+def test_an_all_zero_accept_stack_has_end_zero():
+    stack = np.zeros((2, 3, 4), dtype=complex)
+    assert lb._seesaw(stack, *lb._joint_support(stack)) == (0.0, 1, True, 0.0)
+
+
+#: shipped inputs whose see-saw meets its certified end on the first start
+TIGHT_CASES = [
     (lifted_neq(), lifted_neq_function(), 1),
     (gated_forwarding(), gated_function(), 1),
     (gated_forwarding(), gated_function(), 2),
     (gated_forwarding(), gated_function(), 3),
-])
+    (lifted_and(), lifted_and_function(), 1),
+    (depolarized(lifted_neq(), 0.05), lifted_neq_function(), 1),
+]
+
+
+@pytest.mark.parametrize("p, f, k", TIGHT_CASES)
 def test_cheat_optimize_equals_the_full_space_search_on_shipped_inputs(p, f, k):
     # leaky(0.06) at k = 4 is checked where its bound is
     tp = lb.build_two_prover_proof(p, k)
@@ -450,6 +496,64 @@ def test_cheat_stays_under_bound_with_real_security_slack():
     assert cheat.converged == converged
     ortho = lb.message_orthogonality_check(tp, f, 0, 0)
     assert ortho <= 4 * math.sqrt(delta) + 1e-9
+
+
+class _NoDraws:
+    """Stands in for ``np.random.default_rng``: its generators refuse to draw."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a seed-{self.seed} random start was drawn")
+
+
+@pytest.mark.parametrize("p, f, k", TIGHT_CASES)
+def test_a_see_saw_that_meets_its_end_draws_no_random_start(p, f, k, monkeypatch):
+    tp = lb.build_two_prover_proof(p, k)
+    monkeypatch.setattr(np.random, "default_rng", _NoDraws)
+    for x, y in f.promise_pairs():
+        if f.value(x, y) == 0:
+            cheat = lb.cheat_optimize(tp, f, x, y)
+            assert cheat.upper - 1e-10 <= cheat.estimate <= cheat.upper + 1e-12
+
+
+def test_complementary_decoding_of_lifted_neq_draws_no_random_start(monkeypatch):
+    p, f = lifted_neq(), lifted_neq_function()
+    monkeypatch.setattr(np.random, "default_rng", _NoDraws)
+    for x, y in f.promise_pairs():
+        if f.value(x, y) == 0:
+            assert lb.complementary_decode_check(p, f, x, y) <= 1e-9
+
+
+@pytest.mark.parametrize("p", [leaky(0.1), leaky(0.06)])
+def test_searches_that_miss_their_end_run_as_without_one(p, monkeypatch):
+    f, target = gated_function(), identity_channel((("Q", 2),))
+    tp = lb.build_two_prover_proof(p, 1)
+    comp = complementary_channel(joint_channel(p, 0, 0))
+    pulled = []
+
+    def counted(starts, step, upper):
+        def each():
+            for start in starts:
+                pulled.append(start[0])
+                yield start
+        return best_ascent(each(), step, upper)
+
+    monkeypatch.setattr(lb, "best_ascent", counted)
+    monkeypatch.setattr(optimize, "best_ascent", counted)
+    cheat = lb.cheat_optimize(tp, f, 0, 0)
+    assert len(pulled) == 4
+    decoded = find_best_decoder(comp, target)
+    assert len(pulled) == 4 + 3
+    endless = lambda starts, step, upper: best_ascent(starts, step)
+    monkeypatch.setattr(lb, "best_ascent", endless)
+    monkeypatch.setattr(optimize, "best_ascent", endless)
+    assert lb.cheat_optimize(tp, f, 0, 0) == cheat
+    again = find_best_decoder(comp, target)
+    assert np.array_equal(again.decoder.kraus_stack, decoded.decoder.kraus_stack)
+    fields = ("achieved_error", "entanglement_fidelity", "rounds", "converged", "fidelity_upper")
+    assert [getattr(again, n) for n in fields] == [getattr(decoded, n) for n in fields]
 
 
 def test_unpadded_proof_keeps_minimal_environments():

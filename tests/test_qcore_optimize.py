@@ -1,6 +1,8 @@
 """The ascent driver, decoder search and Petz recovery, and their stacked
 Kraus builders and decoder step against per-operator loops."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -151,6 +153,40 @@ def test_ascent_takes_the_first_of_equal_starts():
     assert best_ascent([(1, "a"), (2, "bb"), (2, "cc")], stay) == (2, "bb", 1, True)
 
 
+def _then_refuse(*pairs):
+    """Yield ``pairs``, then fail if the search pulls another start."""
+    yield from pairs
+    raise AssertionError("a start was pulled after the search met its end")
+
+def test_a_start_that_meets_the_end_stops_the_search():
+    values = [0.0, 1.0, 2.0, 2.0]
+    assert best_ascent(_then_refuse((values[0], 0)), _walk(values), 2.0) == (2.0, 3, 3, True)
+    # the end is checked on the best start so far, not on the last one
+    stay = lambda state: (len(state), state)
+    assert best_ascent(_then_refuse((2, "bb"), (1, "a")), stay, 2.0) == (2, "bb", 1, True)
+
+def test_the_end_stops_at_exactly_its_tolerance_and_not_below():
+    values = {"at": 1.0 - 1e-10, "below": np.nextafter(1.0 - 1e-10, 0.0), "last": 1.0}
+    stay = lambda state: (values[state], state)
+    got = best_ascent(_then_refuse((values["at"], "at")), stay, 1.0)
+    assert got == (values["at"], "at", 1, True)
+    got = best_ascent([(values["below"], "below"), (values["last"], "last")], stay, 1.0)
+    assert got == (1.0, "last", 1, True)
+
+@pytest.mark.parametrize("upper", [None, 1e4, math.inf])
+def test_an_end_that_is_never_met_changes_no_scripted_search(upper):
+    walk = [0.0, 1.0, 1.5, 1.5 + 5e-11, 2.0]
+    assert best_ascent([(walk[0], 0)], _walk(walk), upper) == (1.5 + 5e-11, 3, 3, True)
+    lower = [0.0, 1.0, 0.9, 2.0]
+    assert best_ascent([(lower[0], 0)], _walk(lower), upper) == (1.0, 1, 2, True)
+    climb = lambda i: (float(i + 1), i + 1)
+    assert best_ascent([(0.0, 0)], climb, upper) == (500.0, 500, 500, False)
+    assert best_ascent([(0.3, "start")], lambda state: None, upper) == (0.3, "start", 1, False)
+    stay = lambda state: (len(state), state)
+    assert best_ascent([(1, "a"), (1, "b")], stay, upper) == (1, "a", 1, True)
+    assert best_ascent([(1, "a"), (2, "bb"), (2, "cc")], stay, upper) == (2, "bb", 1, True)
+
+
 # ---------------------------------------------------------------------------
 # stacked builders against per-operator loops
 # ---------------------------------------------------------------------------
@@ -228,6 +264,32 @@ def test_decoder_search_error_is_that_of_the_per_operator_composition(seed, din,
     )
     want = trace_norm(choi_state(composed).entries - choi_state(target).entries)
     assert abs(result.achieved_error - want) <= 1e-12
+
+@settings(max_examples=30, deadline=None)
+@given(**_CHANNEL_SHAPES)
+def test_no_decoder_passes_the_petz_end(seed, din, dout, count):
+    # Barnum-Knill: F_opt <= sqrt(F_petz), F the entanglement fidelity
+    channel = _random_channel(seed, din, dout, count)
+    target = identity_channel((("Q", din),))
+    result = find_best_decoder(channel, target)
+    petz = petz_recovery(canonical_kraus(channel))
+    phi = choi_state(target).entries
+    f_petz = np.vdot(phi, apply_channel(petz, choi_state(channel)).entries @ phi).real
+    # phi = |phi+><phi+|, so <phi+|J|phi+> = tr(phi J phi)
+    assert abs(result.fidelity_upper - min(1.0, math.sqrt(f_petz))) <= 1e-12
+    assert result.entanglement_fidelity <= result.fidelity_upper + 1e-12
+    assert result.achieved_error >= 2 * (1 - result.fidelity_upper) - 1e-12
+
+def test_only_the_identity_target_has_a_decoder_end():
+    rng = np.random.default_rng(55)
+    v = random_isometry(rng, 2, 4)
+    ch = QuantumChannel([v], [("Q", 2)], [("M", 4)])
+    assert find_best_decoder(ch, identity_channel([("Q", 2)])).fidelity_upper is not None
+    # a unitary target, and the identity written with a second, zero operator
+    u = QuantumChannel([random_unitary(rng, 2)], [("Q", 2)], [("Q", 2)])
+    padded = QuantumChannel([np.eye(2), np.zeros((2, 2))], [("Q", 2)], [("Q", 2)])
+    for target in (u, padded):
+        assert find_best_decoder(ch, target).fidelity_upper is None
 
 def _overlap_vectors(w_mat, s_tensor, target_vecs, dq, denv, d_ref, d_p):
     """T_t(W) for all t, one target at a time: each a vector on env x purifier."""
