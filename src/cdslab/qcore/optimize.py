@@ -47,7 +47,9 @@ def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]],
     no later start can gain more than that tolerance, so the search returns
     and the remaining starts are never pulled from ``starts``.  It stops
     only between starts, so a search that never meets its end returns what
-    it returns without one.
+    it returns without one.  The see-saw's end ``n (sqrt(Lambda) +
+    sqrt(W))^2`` is derived in :func:`cdslab.lowerbound._seesaw`, and the
+    decoder search's ``min(1, sqrt(F_petz))`` in :func:`find_best_decoder`.
     """
     best = None
     for value, state in starts:
