@@ -428,8 +428,18 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
 
 def _seesaw_upper(mats: np.ndarray) -> float:
     """:func:`_seesaw`'s certified end for the stacked (M, M') matrices
-    ``mats``; see there."""
-    _, sv, vh = np.linalg.svd(mats, full_matrices=False)
+    ``mats``; see there.
+
+    The singular values and right singular vectors of each ``a_s`` come
+    from one reduced QR of the transposes, ``a_s^T = Q_s R_s``, and the SVD
+    of the small ``R_s^T = U_s S_s V_s^+``: then ``a_s = U_s S_s (Q_s
+    V_s^*)^T``, so the right singular vectors are the rows of ``V_s^+
+    Q_s^T``.  ``R_s`` is ``min(M, M')`` square on a side, so wide and tall
+    matrices take the one path.
+    """
+    q, r = np.linalg.qr(mats.transpose(0, 2, 1))
+    _, sv, vr = np.linalg.svd(r.transpose(0, 2, 1), full_matrices=False)
+    vh = vr @ q.transpose(0, 2, 1)
     kept = sv > 1e-12 * sv[:, :1]
     power = sv ** 2
     norms = power.sum(axis=1)
@@ -479,9 +489,17 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray,
     only trades ``Lambda`` against ``W``, and for the full-space search
     too, whose ``sigma`` may leave the support.  An all-zero stack has end
     0.
+
+    A stack that is not all zero but whose first matrix is gives the first
+    start no direction, so it is refused before any start runs.  Accept
+    matrices that sum to zero give the sum start none either; that start is
+    skipped.
     """
     d_q = len(stack)
     mats = stack[:, rows][:, :, cols]
+    if mats.size and not mats[0].any():
+        raise ValueError("degenerate accept stack: the first accept matrix is zero, so the "
+                         "first see-saw start has no direction")
     adjoints = mats.conj().transpose(0, 2, 1)
 
     def value_and_rotations(w):
@@ -498,14 +516,17 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray,
         w = np.tensordot(vecs[:, -1], phis, axes=1)
         return value_and_rotations(w / np.linalg.norm(w))
 
-    # the first accept matrix, their sum and two draws, each normalised at
-    # the full (M, M') shape, then cut; each is built only when it runs
+    # the first accept matrix, their sum unless it is zero, and two draws,
+    # each normalised at the full (M, M') shape, then cut; each is built only
+    # when it runs
     rng = np.random.default_rng(11)
     shape = stack.shape[1:]
 
     def fulls():
         yield stack[0]
-        yield sum(stack)
+        total = sum(stack)
+        if total.any():
+            yield total
         for _ in range(2):
             yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

@@ -14,6 +14,17 @@ blocks of stacked operators, each on the rows and columns its operators'
 exact nonzeros touch, and the minimal Kraus family comes from the thin SVD
 of ``A``, so no Choi matrix is formed for it.
 
+Exact zeros are the one block rule of the dense kernels: a matrix whose
+exact nonzero pattern splits into connected blocks is block diagonal up to
+row and column permutations, and :func:`cdslab.qcore.distances._blocks`
+groups those blocks by shape.  ``trace_norm`` takes one stacked SVD per
+shape, ``channel_from_choi`` one stacked ``eigh`` of the Choi matrix's
+blocks and ``canonical_kraus`` one stacked thin SVD of ``A``'s; Kraus
+blocks of equal operator count and support sizes share one batched
+application.  Zeros are exact zeros, never a tolerance.  A degenerate
+eigenspace split over several blocks may get another basis than one
+decomposition of the whole matrix would give it, an equally valid one.
+
 Where a channel reads its inputs in a larger state and writes its outputs
 is one rule, ``_application_plan``: flat-index maps of the consumed, the
 untouched and the output subsystems.  Mixed and pure application both
@@ -43,7 +54,7 @@ import math
 
 import numpy as np
 
-from .distances import trace_norm
+from .distances import _blocks, trace_norm
 from .states import (
     ATOL_INVARIANT,
     DensityMatrix,
@@ -200,10 +211,10 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     fail DensityMatrix validation (quantized states, differences).
 
     The Kraus operators act in blocks of ``b = max(d_in, d_out) //
-    min(d_in, d_out)``, two matrix products per block: the stacked block
-    times the matrix, then the result times the stacked adjoints, summed
-    over the block.  So a block's first product is no larger than the
-    bigger of the input and output matrices.
+    min(d_in, d_out)`` (the last block may hold fewer), two matrix products
+    per block: the stacked block times the matrix, then the result times
+    the stacked adjoints, summed over the block.  So a block's first
+    product is no larger than the bigger of the input and output matrices.
 
     Each block acts on its support, read off the exact zeros of its
     operators: the input columns some operator in the block reads and the
@@ -214,6 +225,18 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     scatter go through the flat-index maps of :func:`_application_plan`,
     straight from the input matrix and into the returned one, so no whole
     matrix is transposed.
+
+    Blocks with equal operator count and support sizes share one batched
+    gather and two batched products, each block's bit for bit the product
+    it would have alone.  Each block's products and their flat output
+    indices are written at the block's own offset, so one ``np.add.at``
+    adds them in block order and every entry is summed in the order
+    block-by-block application would sum it.  Blocks are taken in runs,
+    each run starting while the work of the runs before it, counted in
+    entries held, stays below one input plus one output matrix.  A dense
+    block fills a run alone and holds no more than it would alone; a run
+    of small blocks may hold up to about one input plus one output matrix
+    more.
     """
     d = layout_dim(layout)
     if mat.shape != (d, d):
@@ -230,21 +253,44 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     nonzero = stack != 0
     reads = np.logical_or.reduceat(nonzero.any(axis=1), starts)         # block, i
     writes = np.logical_or.reduceat(nonzero.any(axis=2), starts)        # block, a
+    sizes = np.stack([np.minimum(block, len(stack) - starts), reads.sum(axis=1),
+                      writes.sum(axis=1)], axis=1)                     # block: b, c, m
+    live = np.flatnonzero(sizes[:, 1])                                  # skip all-zero blocks
+    # entries a block holds: (c + b m)^2 bounds its input, products and output
+    held = drest**2 * (sizes[live, 1] + sizes[live, 0] * sizes[live, 2]) ** 2
+    run = (np.cumsum(held) - held) // (mat.size + layout_dim(new_layout) ** 2)
     acc = np.zeros((layout_dim(new_layout),) * 2, dtype=complex)
-    for lo, read, write in zip(starts.tolist(), reads, writes):
-        if not read.any():                                              # all-zero operators
-            continue
-        ins, outs = np.flatnonzero(read), np.flatnonzero(write)
-        ks = stack[lo : lo + block].take(ins, axis=2).take(outs, axis=1)
-        src, dst = into[ins], out_of[outs]
-        # entry (i, r, s, i') is row (i, r) and column (i', s) of the input
-        w = mat[src[:, :, None, None], src.T].reshape(len(ins), -1)
-        b, m, c = ks.shape
-        left = (ks.reshape(b * m, c) @ w).reshape(b, -1, c)             # k, (a, r, s), i'
-        left = left.transpose(1, 0, 2).reshape(-1, b * c)               # (a, r, s), (k, i')
-        adjoints = ks.conj().transpose(0, 2, 1).reshape(b * c, m)
-        # no name holds the product, so its buffer is free for the next block
-        acc[dst[:, :, None, None], dst.T] += (left @ adjoints).reshape(m, drest, drest, m)
+    for blocks in np.split(live, np.flatnonzero(np.diff(run)) + 1):
+        shapes, kind = np.unique(sizes[blocks], axis=0, return_inverse=True)
+        count = (sizes[blocks, 2] * drest) ** 2                         # entries each block adds
+        start = np.cumsum(count) - count                                # in block order
+        spots = np.empty(count.sum(), dtype=np.intp)
+        values = np.empty(count.sum(), dtype=complex)
+        for group, (b, c, m) in enumerate(shapes.tolist()):
+            pos = np.flatnonzero(kind == group)
+            lot, g = blocks[pos], len(pos)
+            ins = np.nonzero(reads[lot])[1].reshape(g, c)
+            outs = np.nonzero(writes[lot])[1].reshape(g, m)
+            ops = starts[lot, None] + np.arange(b)
+            ks = stack[ops[:, :, None, None], outs[:, None, :, None], ins[:, None, None, :]]
+            src, dst = into[ins], out_of[outs]                       # lot, i or a, r
+            # entry (i, r, s, i') is row (i, r) and column (i', s) of the input
+            w = mat[src[:, :, :, None, None], src.transpose(0, 2, 1)[:, None, None]]
+            w = w.reshape(g, c, -1)
+            # each product's operand is freed once the product is made, so
+            # no more than two of these buffers are held at a time
+            left = (ks.reshape(g, b * m, c) @ w).reshape(g, b, -1, c)
+            del w
+            left = left.transpose(0, 2, 1, 3).reshape(g, -1, b * c)     # (a, r, s), (k, i')
+            adjoints = ks.conj().transpose(0, 1, 3, 2).reshape(g, b * c, m)
+            product = (left @ adjoints).reshape(g, -1)                 # (a, r, s, a')
+            del left
+            place = start[pos, None] + np.arange(product.shape[1])
+            values[place] = product
+            del product
+            spots[place] = (dst[:, :, :, None, None] * len(acc)
+                            + dst.transpose(0, 2, 1)[:, None, None]).reshape(g, -1)
+        np.add.at(acc.reshape(-1), spots, values)
     return acc, new_layout
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -316,21 +362,58 @@ def choi_state(channel: QuantumChannel) -> DensityMatrix:
         ref.append((rn, dim))
     return DensityMatrix(j, channel.output_layout + tuple(ref), validate=False)
 
+def _spectral_channel(parts, in_lt, out_lt) -> QuantumChannel:
+    """The Kraus family of a Choi matrix, from eigenpairs found block by
+    block.
+
+    ``parts`` lists, per block shape, ``(rows, lam, ops)``: each block's
+    indices ``(g, r)`` into the ``d_out d_in`` vec space, the Choi
+    eigenvalue of each of its ``k`` candidate operators ``(g, k)``, and the
+    candidates on ``rows``, as the columns of ``ops`` ``(g, r, k)``.  Each
+    block lists its candidates in descending order.  They are ordered by
+    descending eigenvalue, stable in the order listed, kept while it
+    exceeds ``KRAUS_RANK_TOL``, and written into the full vec space.
+    """
+    rank = sum(int(np.count_nonzero(lam > KRAUS_RANK_TOL)) for _, lam, _ in parts)
+    if rank == 0:
+        raise ValueError("Choi matrix has no positive spectrum")
+    lams = np.concatenate([lam.ravel() for _, lam, _ in parts])
+    place = np.empty(len(lams), dtype=np.intp)
+    place[np.argsort(-lams, kind="stable")] = np.arange(len(lams))
+    din, dout = layout_dim(in_lt), layout_dim(out_lt)
+    kraus = np.zeros((rank, dout * din), dtype=complex)
+    first = 0
+    for rows, lam, ops in parts:
+        at = place[first : first + lam.size].reshape(lam.shape)
+        first += lam.size
+        blk, col = np.nonzero(at < rank)
+        kraus[at[blk, col, None], rows[blk]] = ops[blk, :, col]
+    return QuantumChannel(kraus.reshape(rank, dout, din), in_lt, out_lt)
+
 def channel_from_choi(j: np.ndarray, input_layout, output_layout) -> QuantumChannel:
-    """Recover a Kraus family from a normalised Choi matrix."""
+    """Recover a Kraus family from a normalised Choi matrix.
+
+    The operators are the eigenvectors of the symmetrised ``J`` scaled by
+    ``sqrt(d_in * lambda)``, in descending order of ``lambda``, kept while
+    ``lambda`` exceeds ``KRAUS_RANK_TOL``.  ``J`` is split by
+    :func:`cdslab.qcore.distances._blocks` into the connected blocks of its
+    exact nonzero pattern, with an edge from every nonzero row to its own
+    column so that each block is a principal submatrix; blocks of one shape
+    share one stacked ``eigh``, and rows that are exactly zero carry only
+    eigenvalue 0.
+    """
     in_lt = as_layout(input_layout)
     out_lt = as_layout(output_layout)
-    din, dout = layout_dim(in_lt), layout_dim(out_lt)
-    vals, vecs = np.linalg.eigh((j + j.conj().T) / 2)
-    kraus = []
-    for idx in np.argsort(vals)[::-1]:
-        lam = float(vals[idx])
-        if lam <= KRAUS_RANK_TOL:
-            break
-        kraus.append(np.sqrt(din * lam) * vecs[:, idx].reshape(dout, din))
-    if not kraus:
-        raise ValueError("Choi matrix has no positive spectrum")
-    return QuantumChannel(kraus, in_lt, out_lt)
+    h = (j + j.conj().T) / 2
+    pattern = h != 0
+    pattern[np.diag_indices(len(h))] |= pattern.any(axis=1)
+    parts = []
+    for rows, _, blocks in _blocks(h, pattern):
+        vals, vecs = np.linalg.eigh(blocks)                  # ascending
+        vals, vecs = vals[:, ::-1], vecs[:, :, ::-1]
+        scale = np.sqrt(layout_dim(in_lt) * vals.clip(0.0))
+        parts.append((rows, vals, vecs * scale[:, None, :]))
+    return _spectral_channel(parts, in_lt, out_lt)
 
 def canonical_kraus(channel: QuantumChannel) -> QuantumChannel:
     """Minimal Kraus family (Choi rank many operators) for the same map.
@@ -341,15 +424,17 @@ def canonical_kraus(channel: QuantumChannel) -> QuantumChannel:
     ``s_a^2 / d_in`` exceeds ``KRAUS_RANK_TOL``.  These are the eigenvectors
     of ``J = A A^+ / d_in`` scaled by ``sqrt(d_in * lambda)``, up to a phase
     each, without forming the ``(d_out d_in)``-dimensional Choi matrix.
+    ``A`` is split by :func:`cdslab.qcore.distances._blocks` into the
+    connected blocks of its exact nonzero pattern; blocks of one shape share
+    one stacked thin SVD, whose left vectors are written back into the full
+    vec space.
     """
-    din, dout = channel.dim_in, channel.dim_out
     stacked = channel.kraus_stack.reshape(len(channel.kraus_stack), -1).T
-    w, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.count_nonzero(sv**2 / din > KRAUS_RANK_TOL))
-    if rank == 0:
-        raise ValueError("Choi matrix has no positive spectrum")
-    kraus = (w[:, :rank] * sv[:rank]).T.reshape(rank, dout, din)
-    return QuantumChannel(kraus, channel.input_layout, channel.output_layout)
+    parts = []
+    for rows, _, blocks in _blocks(stacked, stacked != 0):
+        w, sv, _ = np.linalg.svd(blocks, full_matrices=False)   # descending
+        parts.append((rows, sv**2 / channel.dim_in, w * sv[:, None, :]))
+    return _spectral_channel(parts, channel.input_layout, channel.output_layout)
 
 def purify_channel(channel: QuantumChannel, env_name: str = "E") -> QuantumChannel:
     """Stinespring isometry ``V`` with ``tr_env V rho V^+ = channel(rho)``,

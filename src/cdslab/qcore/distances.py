@@ -60,39 +60,54 @@ def _block_labels(nz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         labels = new
 
 
+def _blocks(m: np.ndarray, nz: np.ndarray):
+    """The connected blocks of the boolean pattern ``nz`` of ``m``, grouped
+    by shape: the one block rule of the dense kernels.
+
+    Up to row and column permutations ``m`` is block diagonal in the
+    components of :func:`_block_labels`, wherever it is zero off ``nz``.
+    Yields ``(rows, cols, stack)`` per block shape ``(r, c)``, ascending:
+    ``rows`` of shape ``(g, r)`` and ``cols`` of shape ``(g, c)`` hold each
+    of the ``g`` blocks' indices, ascending, and ``stack = m[rows, cols]``
+    of shape ``(g, r, c)`` the blocks themselves.  All-``False`` rows and
+    columns lie in no block, so an all-``False`` pattern yields nothing.
+    """
+    n_rows, n_cols = nz.shape
+    rows, cols = _block_labels(nz)
+    # row and column indices grouped by block label, ascending within each
+    # block, and each label's row and column counts
+    row_idx = np.argsort(rows, kind="stable")
+    col_idx = np.argsort(cols, kind="stable")
+    row_count = np.bincount(rows, minlength=n_rows + 1)[:n_rows]
+    col_count = np.bincount(cols, minlength=n_rows + 1)[:n_rows]
+    row_start = np.cumsum(row_count) - row_count
+    col_start = np.cumsum(col_count) - col_count
+    labels = np.flatnonzero(row_count)
+    shapes = row_count[labels] * (n_cols + 1) + col_count[labels]
+    for shape in sorted(set(shapes.tolist())):
+        blocks = labels[shapes == shape]
+        r, c = divmod(shape, n_cols + 1)
+        sub_rows = row_idx[row_start[blocks, None] + np.arange(r)]
+        sub_cols = col_idx[col_start[blocks, None] + np.arange(c)]
+        yield sub_rows, sub_cols, m[sub_rows[:, :, None], sub_cols[:, None, :]]
+
+
 def trace_norm(mat) -> float:
     """Sum of singular values (Schatten 1-norm).
 
     Accepts a raw matrix or a DensityMatrix; always finite for finite input.
-    The matrix is split into the connected blocks of its exact nonzero
-    pattern: up to row and column permutations it is block diagonal, so its
-    singular values are those of its blocks.  Blocks of one shape share one
-    stacked SVD; an all-zero matrix has norm exactly 0.0.
+    The matrix is split by :func:`_blocks` into the connected blocks of its
+    exact nonzero pattern, so its singular values are those of its blocks.
+    Blocks of one shape share one stacked SVD; an all-zero matrix has norm
+    exactly 0.0.
     """
     m = _as_matrix(mat)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"trace_norm expects a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("trace_norm input contains non-finite entries")
-    n = m.shape[0]
-    rows, cols = _block_labels(m != 0)
-    # row and column indices grouped by block label, ascending within each
-    # block, and each label's row and column counts
-    row_idx = np.argsort(rows, kind="stable")
-    col_idx = np.argsort(cols, kind="stable")
-    row_count = np.bincount(rows, minlength=n + 1)[:n]
-    col_count = np.bincount(cols, minlength=n + 1)[:n]
-    row_start = np.cumsum(row_count) - row_count
-    col_start = np.cumsum(col_count) - col_count
-    labels = np.flatnonzero(row_count)
-    shapes = row_count[labels] * (n + 1) + col_count[labels]
     total = 0.0
-    for shape in sorted(set(shapes.tolist())):
-        blocks = labels[shapes == shape]
-        r, c = divmod(shape, n + 1)
-        sub_rows = row_idx[row_start[blocks, None] + np.arange(r)]
-        sub_cols = col_idx[col_start[blocks, None] + np.arange(c)]
-        stack = m[sub_rows[:, :, None], sub_cols[:, None, :]]
+    for _, _, stack in _blocks(m, m != 0):
         total += float(np.linalg.svd(stack, compute_uv=False).sum())
     return total
 

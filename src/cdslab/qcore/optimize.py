@@ -50,14 +50,19 @@ def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]],
     it returns without one.  The see-saw's end ``n (sqrt(Lambda) +
     sqrt(W))^2`` is derived in :func:`cdslab.lowerbound._seesaw`, and the
     decoder search's ``min(1, sqrt(F_petz))`` in :func:`find_best_decoder`.
+
+    A nan value, from a start or from a step, raises: every comparison
+    with nan is false, so a nan best value would never be replaced.
     """
     best = None
     for value, state in starts:
+        _refuse_nan(value)
         converged = False
         for rounds in range(1, 501):
             nxt = step(state)
             if nxt is None:
                 break
+            _refuse_nan(nxt[0])
             if nxt[0] - value < 1e-10:
                 if nxt[0] >= value:
                     value, state = nxt
@@ -69,6 +74,11 @@ def best_ascent(starts: Iterable[tuple], step: Callable[..., Optional[tuple]],
         if upper is not None and best[0] >= upper - 1e-10:
             break
     return best
+
+
+def _refuse_nan(value) -> None:
+    if math.isnan(value):
+        raise ValueError("ascent value is nan")
 
 
 def petz_recovery(channel: QuantumChannel) -> QuantumChannel:

@@ -4,6 +4,7 @@ complementary decoding of hidden secrets."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -455,6 +456,75 @@ def test_no_see_saw_passes_its_certified_end(data):
 def test_an_all_zero_accept_stack_has_end_zero():
     stack = np.zeros((2, 3, 4), dtype=complex)
     assert lb._seesaw(stack, *lb._joint_support(stack)) == (0.0, 1, True, 0.0)
+
+
+def test_a_zero_first_accept_matrix_is_refused_before_any_start():
+    # the first start has no direction: 0 / 0 entries, then an SVD that fails
+    stack = np.zeros((2, 3, 4), dtype=complex)
+    stack[1][0, 0] = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="degenerate accept stack"):
+            lb._seesaw(stack, *lb._joint_support(stack))
+
+
+def test_accept_vectors_equal_up_to_phase_meet_the_end_on_the_first_start():
+    # the most cheatable stack: its sum is zero, but the first start already
+    # meets the end, so the sum start is never built
+    stack = np.zeros((2, 3, 4), dtype=complex)
+    stack[1][0, 0] = 1
+    stack[0] = -stack[1]
+    assert lb._seesaw(stack, *lb._joint_support(stack)) == (1.0, 1, True, 1.0)
+
+
+def test_a_zero_sum_start_is_skipped(monkeypatch):
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(2, 2, 3)) + 1j * rng.normal(size=(2, 2, 3))
+    a /= np.linalg.norm(a, axis=(1, 2), keepdims=True)
+    stack = np.stack([a[0], -a[0], a[1], -a[1]])
+    pulled = []
+    best_ascent = lb.best_ascent
+
+    def counted(starts, step, upper):
+        return best_ascent((pulled.append(s) or s for s in starts), step, upper)
+
+    monkeypatch.setattr(lb, "best_ascent", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best, _, converged, upper = lb._seesaw(stack, *lb._joint_support(stack))
+    # the first start misses the end; then only the two draws run
+    assert len(pulled) == 3
+    assert converged and 0 < best < upper - 1e-3
+
+
+def _seesaw_upper_by_svd(mats):
+    """Reference for :func:`lowerbound._seesaw_upper`: one thin SVD of each
+    cut matrix."""
+    _, sv, vh = np.linalg.svd(mats, full_matrices=False)
+    kept = sv > 1e-12 * sv[:, :1]
+    power = sv ** 2
+    norms = power.sum(axis=1)
+    cut = np.where(kept, 0.0, power).sum(axis=1)
+    weights = np.divide(cut, norms, out=np.zeros_like(norms), where=norms > 0)
+    basis = vh[kept]
+    lam = np.linalg.eigvalsh(basis @ basis.conj().T).max(initial=0.0) / len(mats)
+    return float(norms.max(initial=0.0) * (math.sqrt(lam) + math.sqrt(weights.max(initial=0.0))) ** 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d_q=st.integers(1, 4),
+    short=st.integers(1, 6),
+    extra=st.integers(0, 40),
+    wide=st.booleans(),
+)
+def test_seesaw_upper_by_qr_matches_the_svd_route(seed, d_q, short, extra, wide):
+    rng = np.random.default_rng(seed)
+    shape = (short, short + extra) if wide else (short + extra, short)
+    mats = rng.normal(size=(d_q,) + shape) + 1j * rng.normal(size=(d_q,) + shape)
+    mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+    assert abs(lb._seesaw_upper(mats) - _seesaw_upper_by_svd(mats)) <= 1e-14
 
 
 #: shipped inputs whose see-saw meets its certified end on the first start

@@ -1,5 +1,7 @@
 """Channel application, purification, complements, and Choi calculus."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -659,3 +661,174 @@ def test_apply_channel_matrix_runs_partial_blocks():
     want, want_layout = _apply_per_kraus(ch, mat, layout)
     assert got_layout == want_layout == (("A", 3), ("M", 8), ("C", 2))
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the exact-zero block rule against the routes it replaced
+# ---------------------------------------------------------------------------
+
+def _apply_by_block(channel, mat, layout):
+    """Reference application: the support-cut loop over Kraus blocks, one
+    block at a time, each product added into the output as it comes."""
+    perm, untouched, out_at, rest_at, new_layout = channels_module._application_plan(
+        layout, channel
+    )
+    flat = channels_module._flat
+    drest = len(rest_at)
+    into = flat(layout, perm[: len(channel.input_layout)])[:, None] + flat(layout, untouched)
+    out_of = out_at[:, None] + rest_at
+    stack = channel.kraus_stack
+    block = max(stack.shape[1:]) // min(stack.shape[1:])
+    starts = np.arange(0, len(stack), block)
+    nonzero = stack != 0
+    reads = np.logical_or.reduceat(nonzero.any(axis=1), starts)
+    writes = np.logical_or.reduceat(nonzero.any(axis=2), starts)
+    acc = np.zeros((len(out_at) * drest,) * 2, dtype=complex)
+    for lo, read, write in zip(starts.tolist(), reads, writes):
+        if not read.any():
+            continue
+        ins, outs = np.flatnonzero(read), np.flatnonzero(write)
+        ks = stack[lo : lo + block].take(ins, axis=2).take(outs, axis=1)
+        src, dst = into[ins], out_of[outs]
+        w = mat[src[:, :, None, None], src.T].reshape(len(ins), -1)
+        b, m, c = ks.shape
+        left = (ks.reshape(b * m, c) @ w).reshape(b, -1, c)
+        left = left.transpose(1, 0, 2).reshape(-1, b * c)
+        adjoints = ks.conj().transpose(0, 2, 1).reshape(b * c, m)
+        acc[dst[:, :, None, None], dst.T] += (left @ adjoints).reshape(m, drest, drest, m)
+    return acc, new_layout
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3)),
+    consumed=st.sampled_from([("B",), ("C", "A"), ("A", "B", "C"), ("B", "C")]),
+    out_dims=st.sampled_from([(1,), (2,), (5,), (8,), (2, 3)]),
+    r=st.integers(1, 14),
+    keep=st.sampled_from([0.3, 0.6, 0.9, 1.0, "few"]),
+    zero_block=st.booleans(),
+)
+def test_apply_channel_matrix_equals_the_per_block_loop_bit_for_bit(
+    seed, dims, consumed, out_dims, r, keep, zero_block
+):
+    # blocks of mixed support sizes in random order, so the shape groups
+    # interleave: with "few", every operator reads 1-3 columns and writes
+    # 1-3 rows, and blocks of several shapes share one run.  Kraus counts
+    # that leave a partial last block; an all-zero block; fully dense
+    # operators, whose blocks run one or two at a time
+    rng = np.random.default_rng(seed)
+    layout = tuple(zip("ABC", dims))
+    dim_of = dict(layout)
+    in_layout = [(nm, dim_of[nm]) for nm in consumed]
+    out_layout = list(zip(("M", "N"), out_dims))
+    din, dout = int(np.prod([d for _, d in in_layout])), int(np.prod(out_dims))
+    if keep == "few":
+        mask = np.zeros((r, dout, din), dtype=bool)
+        for op in mask:
+            rows = rng.permutation(dout)[: rng.integers(1, 4)]
+            op[rows[:, None], rng.permutation(din)[: rng.integers(1, 4)]] = True
+    else:
+        mask = _zero_mask(rng, r, dout, din, keep)
+    block = max(din, dout) // min(din, dout)
+    if zero_block:
+        lo = block * rng.integers(-(-r // block))
+        mask[lo : lo + block] = False
+    stack = _random_complex(rng, r, dout, din) * mask
+    ch = QuantumChannel(stack, in_layout, out_layout, validate=False)
+    d = int(np.prod(dims))
+    mat = _random_complex(rng, d, d)
+    got, got_layout = apply_channel_matrix(ch, mat, layout)
+    want, want_layout = _apply_by_block(ch, mat, layout)
+    assert got_layout == want_layout
+    assert np.array_equal(got, want)
+
+def test_apply_channel_matrix_equals_the_per_block_loop_on_the_lifted_neq_support():
+    p = lifted_neq()
+    phi = maximally_entangled("Qbar", "Q", p.d_q).density_matrix()
+    state = tensor(phi, bob_side_state(p, 0))
+    rng = np.random.default_rng(50)
+    for ch in (p.alice_channel(0), p.alice_channel(1)):
+        for mat in (state.entries, _random_complex(rng, 256, 256)):
+            got, _ = apply_channel_matrix(ch, mat, state.layout)
+            assert np.array_equal(got, _apply_by_block(ch, mat, state.layout)[0])
+
+def test_dense_kraus_application_holds_no_more_than_block_by_block():
+    # four dense one-qubit blocks, one run each: the output, two product
+    # buffers and one run's values and indices.  Block-by-block application
+    # peaks at about 5.26 matrices here; a value and index buffer held
+    # beside all three product buffers reaches about 6.5
+    ch = QuantumChannel([0.5 * PAULI[k] for k in "IXYZ"], [("B", 2)], [("B", 2)])
+    mat = _random_complex(np.random.default_rng(3), 256, 256)
+    tracemalloc.start()
+    try:
+        apply_channel_matrix(ch, mat, (("A", 64), ("B", 2), ("C", 2)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.1 * mat.nbytes
+
+def _dense_channel_from_choi(j, ch):
+    """Reference Kraus family: one eigendecomposition of the whole Choi
+    matrix, eigenvalues above KRAUS_RANK_TOL in descending order."""
+    vals, vecs = np.linalg.eigh((j + j.conj().T) / 2)
+    order = np.argsort(vals)[::-1]
+    order = order[vals[order] > channels_module.KRAUS_RANK_TOL]
+    ops = (vecs[:, order] * np.sqrt(ch.dim_in * vals[order])).T
+    return QuantumChannel(ops.reshape(-1, ch.dim_out, ch.dim_in), ch.input_layout,
+                          ch.output_layout)
+
+def _block_structured_channel(data, rng):
+    """A channel whose stacked Kraus vectors are block diagonal up to row
+    and column permutations.  The input basis is split into random groups;
+    each group gets its own random output rows and its own operators, from
+    a random isometry, a depolarizer mixed by a random unitary (one block
+    whose Choi spectrum is flat), or a copy of the group before it (equal
+    spectra in two blocks).  The operators are then shuffled."""
+    din = data.draw(st.integers(1, 6))
+    dout = data.draw(st.integers(1, 4))
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(din - 1, 1)), max_size=din - 1)))
+    groups = np.split(rng.permutation(din), [c for c in cuts if c < din])
+    ops, before = [], None
+    for group in groups:
+        kind = data.draw(st.sampled_from(["isometry", "flat", "copy"]))
+        if kind == "copy" and before is not None and before.shape[2] == len(group):
+            cube = before
+        elif kind == "flat":
+            width = data.draw(st.integers(1, dout))
+            size = width * len(group)
+            unitary = np.linalg.qr(_random_complex(rng, size, size))[0]
+            basis = np.eye(size).reshape(width, len(group), size).transpose(2, 0, 1)
+            cube = np.tensordot(unitary, basis, axes=(1, 0)) / np.sqrt(width)
+        else:
+            width = data.draw(st.integers(1, dout))
+            env = -(-len(group) // width) + data.draw(st.integers(0, 2))
+            iso = np.linalg.qr(_random_complex(rng, width * env, len(group)))[0]
+            cube = iso.reshape(width, env, len(group)).transpose(1, 0, 2)
+        before = cube
+        rows = rng.permutation(dout)[: cube.shape[1]]
+        placed = np.zeros((len(cube), dout, din), dtype=complex)
+        placed[:, rows[:, None], group] = cube
+        ops.append(placed)
+    stack = np.concatenate(ops)[rng.permutation(sum(len(o) for o in ops))]
+    return QuantumChannel(stack, [("Q", din)], [("M", dout)])
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_block_split_kraus_families_reproduce_the_dense_route(seed, data):
+    ch = _block_structured_channel(data, np.random.default_rng(seed))
+    j = choi_state(ch).entries
+    want = _dense_channel_from_choi(j, ch)
+    want_spectrum = np.sum(np.abs(want.kraus_stack) ** 2, axis=(1, 2)) / ch.dim_in
+    for got in (channel_from_choi(j, ch.input_layout, ch.output_layout), canonical_kraus(ch)):
+        assert len(got.kraus_stack) == len(want.kraus_stack)
+        assert np.max(np.abs(choi_state(got).entries - choi_state(want).entries)) < 1e-12
+        spectrum = np.sum(np.abs(got.kraus_stack) ** 2, axis=(1, 2)) / ch.dim_in
+        assert np.all(np.diff(spectrum) <= 1e-12)
+        assert np.max(np.abs(spectrum - want_spectrum)) < 1e-12
+
+def test_block_split_kraus_families_refuse_an_all_zero_input():
+    with pytest.raises(ValueError, match="no positive spectrum"):
+        channel_from_choi(np.zeros((6, 6), dtype=complex), [("Q", 2)], [("M", 3)])
+    zero = QuantumChannel(np.zeros((4, 3, 2)), [("Q", 2)], [("M", 3)], validate=False)
+    with pytest.raises(ValueError, match="no positive spectrum"):
+        canonical_kraus(zero)

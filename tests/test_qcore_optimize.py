@@ -173,6 +173,14 @@ def test_the_end_stops_at_exactly_its_tolerance_and_not_below():
     got = best_ascent([(values["below"], "below"), (values["last"], "last")], stay, 1.0)
     assert got == (1.0, "last", 1, True)
 
+def test_a_nan_value_is_refused():
+    # a nan would otherwise stay the best value, as no later value exceeds it
+    nan = float("nan")
+    with pytest.raises(ValueError, match="nan"):
+        best_ascent([(nan, "start"), (1.0, "next")], lambda state: None)
+    with pytest.raises(ValueError, match="nan"):
+        best_ascent([(0.0, "start")], lambda state: (nan, state))
+
 @pytest.mark.parametrize("upper", [None, 1e4, math.inf])
 def test_an_end_that_is_never_met_changes_no_scripted_search(upper):
     walk = [0.0, 1.0, 1.5, 1.5 + 5e-11, 2.0]
