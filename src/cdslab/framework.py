@@ -12,11 +12,12 @@ field high, so integer order is tuple order, and a transcript is ``code_a
 << message_bits_b | code_b``.  Otherwise the transcripts are the scalar
 ``(m_a, m_b)`` in an object array, which must be orderable, and the
 decoder runs once per distinct transcript.  Counts, decode failures and
-pad-key counts are one tally over either, and each distinct transcript
-is named by the scalar messages at its first draw
-(:func:`transcript_counts`); :func:`transcript_tally` is that tally before
-naming.  The scalar message functions stay the reference the array forms
-are tested against.
+pad-key counts are one tally over either, and every tally is one
+``np.unique``: of the transcripts, and in :func:`pad_counts` also of the
+key-count rows.  Each distinct transcript is named by the scalar messages
+at its first draw (:func:`transcript_counts`); :func:`transcript_tally` is
+that tally before naming.  The scalar message functions stay the reference
+the array forms are tested against.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -325,14 +326,8 @@ def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     must be orderable.  Either way the scalar messages at the first ``r``
     are the transcript.  For CDS protocols the secret ``s`` is required.
     """
-    transcripts = _draws(protocol, x, y, s)
-    # runs of equal transcripts in sorted order; the sort need not be
-    # stable, since each run's first r is the least draw in it
-    order = np.argsort(transcripts)
-    ordered = transcripts[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    counts = np.diff(np.append(starts, len(ordered)))
-    return ordered[starts], np.minimum.reduceat(order, starts), counts
+    # np.unique sorts stably for return_index, so each index is the least r
+    return np.unique(_draws(protocol, x, y, s), return_index=True, return_counts=True)
 
 def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
     """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
@@ -666,13 +661,8 @@ def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     # its -1 (None) decodes key 0
     outputs = _outputs(key_cds, x, y, 0, transcripts)
     decoded = int(np.count_nonzero(np.maximum(outputs, 0) == key_of_draw))
-    # equal key-count vectors made adjacent, then counted per run
-    rows = table.reshape(-1, keys)
-    rows = rows[np.lexsort(rows.T)]
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-    vectors = Counter(dict(zip(
-        map(tuple, rows[starts].tolist()), np.diff(starts, append=len(rows)).tolist()
-    )))
+    rows, mults = np.unique(table.reshape(-1, keys), axis=0, return_counts=True)
+    vectors = Counter(dict(zip(map(tuple, rows.tolist()), mults.tolist())))
     return PadCounts(vectors, decoded, keys << key_cds.randomness_bits)
 
 

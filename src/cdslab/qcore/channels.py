@@ -19,9 +19,10 @@ exact nonzero pattern splits into connected blocks is block diagonal up to
 row and column permutations, and :func:`cdslab.qcore.distances._blocks`
 groups those blocks by shape.  ``trace_norm`` takes one stacked SVD per
 shape, ``channel_from_choi`` one stacked ``eigh`` of the Choi matrix's
-blocks and ``canonical_kraus`` one stacked thin SVD of ``A``'s; Kraus
-blocks of equal operator count and support sizes share one batched
-application.  Zeros are exact zeros, never a tolerance.  A degenerate
+blocks and ``canonical_kraus`` one stacked thin SVD of ``A``'s;
+consecutive Kraus blocks of one operator count and support sizes share one
+batched application, a run that ends where the shape or the memory budget
+changes.  Zeros are exact zeros, never a tolerance.  A degenerate
 eigenspace split over several blocks may get another basis than one
 decomposition of the whole matrix would give it, an equally valid one.
 
@@ -226,17 +227,16 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     straight from the input matrix and into the returned one, so no whole
     matrix is transposed.
 
-    Blocks with equal operator count and support sizes share one batched
-    gather and two batched products, each block's bit for bit the product
-    it would have alone.  Each block's products and their flat output
-    indices are written at the block's own offset, so one ``np.add.at``
-    adds them in block order and every entry is summed in the order
-    block-by-block application would sum it.  Blocks are taken in runs,
-    each run starting while the work of the runs before it, counted in
-    entries held, stays below one input plus one output matrix.  A dense
-    block fills a run alone and holds no more than it would alone; a run
-    of small blocks may hold up to about one input plus one output matrix
-    more.
+    Consecutive blocks of one operator count and support sizes share a
+    run: one batched gather and two batched products, each block's bit for
+    bit the product it would have alone, and one ``np.add.at`` of the
+    products into the output, in block order, so every entry is summed in
+    the order block-by-block application would sum it.  A run ends where
+    the block shape changes, or where the work of the blocks before it,
+    counted in entries held, passes another multiple of one input plus one
+    output matrix.  A dense block fills a run alone and holds no more than
+    it would alone; a run of small blocks may hold up to about one input
+    plus one output matrix more.
     """
     d = layout_dim(layout)
     if mat.shape != (d, d):
@@ -260,37 +260,32 @@ def apply_channel_matrix(channel: QuantumChannel, mat: np.ndarray, layout: Layou
     held = drest**2 * (sizes[live, 1] + sizes[live, 0] * sizes[live, 2]) ** 2
     run = (np.cumsum(held) - held) // (mat.size + layout_dim(new_layout) ** 2)
     acc = np.zeros((layout_dim(new_layout),) * 2, dtype=complex)
-    for blocks in np.split(live, np.flatnonzero(np.diff(run)) + 1):
-        shapes, kind = np.unique(sizes[blocks], axis=0, return_inverse=True)
-        count = (sizes[blocks, 2] * drest) ** 2                         # entries each block adds
-        start = np.cumsum(count) - count                                # in block order
-        spots = np.empty(count.sum(), dtype=np.intp)
-        values = np.empty(count.sum(), dtype=complex)
-        for group, (b, c, m) in enumerate(shapes.tolist()):
-            pos = np.flatnonzero(kind == group)
-            lot, g = blocks[pos], len(pos)
-            ins = np.nonzero(reads[lot])[1].reshape(g, c)
-            outs = np.nonzero(writes[lot])[1].reshape(g, m)
-            ops = starts[lot, None] + np.arange(b)
-            ks = stack[ops[:, :, None, None], outs[:, None, :, None], ins[:, None, None, :]]
-            src, dst = into[ins], out_of[outs]                       # lot, i or a, r
-            # entry (i, r, s, i') is row (i, r) and column (i', s) of the input
-            w = mat[src[:, :, :, None, None], src.transpose(0, 2, 1)[:, None, None]]
-            w = w.reshape(g, c, -1)
-            # each product's operand is freed once the product is made, so
-            # no more than two of these buffers are held at a time
-            left = (ks.reshape(g, b * m, c) @ w).reshape(g, b, -1, c)
-            del w
-            left = left.transpose(0, 2, 1, 3).reshape(g, -1, b * c)     # (a, r, s), (k, i')
-            adjoints = ks.conj().transpose(0, 1, 3, 2).reshape(g, b * c, m)
-            product = (left @ adjoints).reshape(g, -1)                 # (a, r, s, a')
-            del left
-            place = start[pos, None] + np.arange(product.shape[1])
-            values[place] = product
-            del product
-            spots[place] = (dst[:, :, :, None, None] * len(acc)
-                            + dst.transpose(0, 2, 1)[:, None, None]).reshape(g, -1)
-        np.add.at(acc.reshape(-1), spots, values)
+    # a run ends where the budget run or the block shape changes
+    cut = (np.diff(run) != 0) | np.any(np.diff(sizes[live], axis=0) != 0, axis=1)
+    for blocks in np.split(live, np.flatnonzero(cut) + 1) if len(live) else ():
+        (b, c, m), g = sizes[blocks[0]].tolist(), len(blocks)
+        ins = np.nonzero(reads[blocks])[1].reshape(g, c)
+        outs = np.nonzero(writes[blocks])[1].reshape(g, m)
+        ops = starts[blocks, None] + np.arange(b)
+        ks = stack[ops[:, :, None, None], outs[:, None, :, None], ins[:, None, None, :]]
+        src, dst = into[ins], out_of[outs]                           # run, i or a, r
+        # C-ordered transposes keep the gather and the flat indices below
+        # C-ordered, so each reshapes in place
+        src_t, dst_t = (np.ascontiguousarray(v.transpose(0, 2, 1)) for v in (src, dst))
+        # entry (i, r, s, i') is row (i, r) and column (i', s) of the input
+        w = mat[src[:, :, :, None, None], src_t[:, None, None]].reshape(g, c, -1)
+        # each product's operand is freed once the product is made, and a
+        # run's last buffers before the next run's gather, so no more than
+        # two of these buffers are held at a time
+        left = (ks.reshape(g, b * m, c) @ w).reshape(g, b, -1, c)
+        del w
+        left = left.transpose(0, 2, 1, 3).reshape(g, -1, b * c)         # (a, r, s), (k, i')
+        adjoints = ks.conj().transpose(0, 1, 3, 2).reshape(g, b * c, m)
+        product = left @ adjoints                                       # (a, r, s), a'
+        del left
+        spots = dst[:, :, :, None, None] * len(acc) + dst_t[:, None, None]
+        np.add.at(acc.reshape(-1), spots.reshape(-1), product.reshape(-1))
+        del product, spots
     return acc, new_layout
 
 def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -711,10 +711,10 @@ def _apply_by_block(channel, mat, layout):
 def test_apply_channel_matrix_equals_the_per_block_loop_bit_for_bit(
     seed, dims, consumed, out_dims, r, keep, zero_block
 ):
-    # blocks of mixed support sizes in random order, so the shape groups
-    # interleave: with "few", every operator reads 1-3 columns and writes
-    # 1-3 rows, and blocks of several shapes share one run.  Kraus counts
-    # that leave a partial last block; an all-zero block; fully dense
+    # blocks of mixed support sizes in random order: with "few", every
+    # operator reads 1-3 columns and writes 1-3 rows, so runs split where
+    # the block shape changes within one budget run.  Kraus counts that
+    # leave a partial last block; an all-zero block; fully dense
     # operators, whose blocks run one or two at a time
     rng = np.random.default_rng(seed)
     layout = tuple(zip("ABC", dims))
@@ -752,20 +752,29 @@ def test_apply_channel_matrix_equals_the_per_block_loop_on_the_lifted_neq_suppor
             got, _ = apply_channel_matrix(ch, mat, state.layout)
             assert np.array_equal(got, _apply_by_block(ch, mat, state.layout)[0])
 
-def test_dense_kraus_application_holds_no_more_than_block_by_block():
-    # four dense one-qubit blocks, one run each: the output, two product
-    # buffers and one run's values and indices.  Block-by-block application
-    # peaks at about 5.26 matrices here; a value and index buffer held
-    # beside all three product buffers reaches about 6.5
-    ch = QuantumChannel([0.5 * PAULI[k] for k in "IXYZ"], [("B", 2)], [("B", 2)])
+@pytest.mark.parametrize("ops, register, layout, bound", [
+    # four dense one-qubit blocks, one run each: the output and two
+    # product-sized buffers, 3.02 matrices.  Block-by-block application
+    # peaked at about 5.26 matrices here, and runs that wrote their products
+    # into run-sized value and index buffers at 5.02
+    pytest.param([0.5 * PAULI[k] for k in "IXYZ"], ("B", 2), (("A", 64), ("B", 2), ("C", 2)),
+                 3.1, id="pauli"),
+    # sixteen one-entry blocks |a><i| / 2 in two runs of eight: the output
+    # and two half-matrix run buffers, 2.02 matrices; run-sized value and
+    # index buffers reached 3.02
+    pytest.param(np.eye(16).reshape(16, 4, 4) / 2, ("B", 4), (("A", 4), ("B", 4), ("C", 16)),
+                 2.1, id="one-entry"),
+])
+def test_dense_kraus_application_holds_no_more_than_block_by_block(ops, register, layout, bound):
+    ch = QuantumChannel(ops, [register], [register])
     mat = _random_complex(np.random.default_rng(3), 256, 256)
     tracemalloc.start()
     try:
-        apply_channel_matrix(ch, mat, (("A", 64), ("B", 2), ("C", 2)))
+        apply_channel_matrix(ch, mat, layout)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.1 * mat.nbytes
+    assert peak <= bound * mat.nbytes
 
 def _dense_channel_from_choi(j, ch):
     """Reference Kraus family: one eigendecomposition of the whole Choi
