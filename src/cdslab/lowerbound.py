@@ -27,12 +27,19 @@ so asserting it under the soundness bound checks a necessary condition of
 the theorem, never a vacuous one.  It stops at a certified upper end of the
 optimum once it is within 1e-10 of it, and the starts it does not need are
 never built (:func:`_seesaw`).
-The see-saw runs on the accept vectors' joint exact-zero support, the
-message rows and purifying columns that some accept vector touches.  That
-is exact: the updates read the vectors only through products to which
-zero columns add nothing and zero rows add only zero columns, which the
-thin polar factor leaves out.  Its random starts, when they run, are still
-drawn and normalised at the full shape, then cut.
+The purified runs are pure states held on their support
+(:class:`cdslab.qcore.SupportVector`): flat indices and amplitudes, seeded
+from the resource's nonzero amplitudes and carried through the
+purifications by :func:`cdslab.qcore.apply_isometry`, so no vector of the
+runs' full dimension is formed.  Each hiding input's accept stack is read
+off its run's support once (:attr:`TwoProverProof.accept_stack`), already
+cut to the accept vectors' joint exact-zero support, the message rows and
+purifying columns that some accept vector touches; the see-saw and the
+orthogonality check share it.  Running the see-saw on that support is
+exact: the updates read the vectors only through products to which zero
+columns add nothing and zero rows add only zero columns, which the thin
+polar factor leaves out.  Its random starts, when they run, are still drawn
+and normalised at the full shape, then cut.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .framework import (
 from .qcore import (
     DensityMatrix,
     QuantumChannel,
-    StateVector,
+    SupportVector,
     apply_channel,
     apply_isometry,
     best_ascent,
@@ -63,7 +70,9 @@ from .qcore import (
     find_best_decoder,
     identity_channel,
     layout_dim,
+    layout_dims,
     layout_names,
+    layout_positions,
     maximally_entangled,
     purify_channel,
     tensor,
@@ -203,6 +212,10 @@ class TwoProverProof:
     the state ``|s> (x) resource`` — equivalently, acceptance probability is
     the overlap with the accept vector ``psi^s``, the slice of
     :meth:`purified_run` at ``Qbar = s``.
+
+    The purifications, the recoveries and ``accept_stack`` are cached per
+    input; ``accept_stack(x, y)`` is :func:`_accept_matrices`, built from
+    one purified run.
     """
 
     protocol: CdqsProtocol
@@ -211,17 +224,26 @@ class TwoProverProof:
     alice_purification: Callable[[int], QuantumChannel]
     bob_purification: Callable[[int], QuantumChannel]
     recovery: Callable[[int, int], QuantumChannel]
+    accept_stack: Callable[[int, int], tuple]
 
-    def purified_run(self, x: int, y: int) -> StateVector:
-        """Both purifications applied to ``sum_s |s>_Qbar |s>_Q (x) resource``.
+    def purified_run(self, x: int, y: int) -> SupportVector:
+        """Both purifications applied to ``sum_s |s>_Qbar |s>_Q (x) resource``,
+        on its support.
 
         The input is left unnormalised, amplitude exactly 1 at each
         ``(s, s)``, so the slice at ``Qbar = s`` is the run on ``|s>`` bit
-        for bit: the accept vector ``psi^s``.
+        for bit: the accept vector ``psi^s``.  It is seeded on its support
+        directly: the resource's nonzero amplitude ``r`` sits at ``(s, s,
+        r)`` for every ``s``.
         """
-        pair = StateVector(np.eye(self.d_q).reshape(-1), (("Qbar", self.d_q), ("Q", self.d_q)),
-                           validate=False)
-        state = apply_isometry(self.alice_purification(x), tensor(pair, self.protocol.resource))
+        resource = self.protocol.resource
+        nonzero = np.flatnonzero(resource.amplitudes)
+        pairs = np.arange(self.d_q) * (self.d_q + 1) * resource.dim
+        pair = (("Qbar", self.d_q), ("Q", self.d_q))
+        state = SupportVector(np.add.outer(pairs, nonzero).ravel(),
+                              np.tile(resource.amplitudes[nonzero], self.d_q),
+                              pair + resource.layout)
+        state = apply_isometry(self.alice_purification(x), state)
         return apply_isometry(self.bob_purification(y), state)
 
     def system_names(self, x: int, y: int):
@@ -293,21 +315,32 @@ def build_two_prover_proof(p: CdqsProtocol, k: int) -> TwoProverProof:
             raise ValueError(f"no decoder shipped for input ({x}, {y})")
         return purify_channel(dec, env_name="P")
 
-    return TwoProverProof(
+    @functools.cache
+    def accept_stack(x: int, y: int) -> tuple:
+        return _accept_matrices(proof, x, y)
+
+    proof = TwoProverProof(
         protocol=rep,
         k=k,
         d_q=rep.d_q,
         alice_purification=alice_purification,
         bob_purification=bob_purification,
         recovery=recovery,
+        accept_stack=accept_stack,
     )
+    return proof
 
 
-def _vector_as_matrix(state: StateVector, row_names, col_names) -> np.ndarray:
-    """Amplitudes reshaped with ``row_names`` indexing rows (row-major)."""
-    ordered = state.permuted(list(row_names) + list(col_names))
-    rows = math.prod(d for nm, d in ordered.layout if nm in set(row_names))
-    return np.asarray(ordered.amplitudes).reshape(rows, -1)
+def _coordinates(state: SupportVector, *groups):
+    """Per group of subsystem names, the flat index over that group
+    (row-major, in the order named) of each of ``state``'s amplitudes, and
+    the group's dimension."""
+    dims = layout_dims(state.layout)
+    digits = np.unravel_index(state.index, dims)
+    for names in groups:
+        at = layout_positions(state.layout, names)
+        sub = [dims[p] for p in at]
+        yield np.ravel_multi_index([digits[p] for p in at], sub), math.prod(sub)
 
 
 def honest_acceptance_by_secret(tp: TwoProverProof, f: PromiseFunction, x: int, y: int):
@@ -319,13 +352,18 @@ def honest_acceptance_by_secret(tp: TwoProverProof, f: PromiseFunction, x: int, 
     recovered :meth:`TwoProverProof.purified_run`: over ``sqrt(d_Q)``, its
     rows over ``(Qbar, Q)`` are the pure components of the pre-shared state
     on ``(P, private)``, and its row ``(s, s)`` is the recovered ``psi^s``
-    at ``Q = s``.
+    at ``Q = s``.  The rows are read off the recovered run's support, on
+    only the ``(P, private)`` columns some row uses, since the others add
+    nothing to their overlaps.
     """
     if f.value(x, y) != 1:
         raise ValueError(f"input ({x}, {y}) is not a disclosing input")
     _, private = tp.system_names(x, y)
     recovered = apply_isometry(tp.recovery(x, y), tp.purified_run(x, y))
-    rows = _vector_as_matrix(recovered, ["Qbar", "Q"], ["P"] + private)
+    (row, _), (col, _) = _coordinates(recovered, ["Qbar", "Q"], ["P"] + private)
+    cols, col_at = np.unique(col, return_inverse=True)
+    rows = np.zeros((tp.d_q ** 2, len(cols)), dtype=complex)    # only the used columns
+    rows[row, col_at] = recovered.amplitudes
     overlaps = rows @ rows[::tp.d_q + 1].conj().T       # column s: row (s, s)
     return [float(v) for v in np.linalg.norm(overlaps, axis=0) ** 2 / tp.d_q]
 
@@ -335,21 +373,29 @@ def honest_acceptance(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) ->
     return float(np.mean(honest_acceptance_by_secret(tp, f, x, y)))
 
 
-def _joint_support(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the rows and of the columns in which some matrix of
-    ``stack`` has an entry that is not exactly zero."""
-    nonzero = stack != 0
-    return np.flatnonzero(nonzero.any(axis=(0, 2))), np.flatnonzero(nonzero.any(axis=(0, 1)))
-
-
 def _accept_matrices(tp: TwoProverProof, x: int, y: int):
-    """The accept vectors ``psi^s`` as (M, M') amplitude matrices, stacked
-    over ``s`` (the purified run's slices at ``Qbar = s``), and their
-    :func:`_joint_support`."""
+    """The accept vectors ``psi^s`` as (M, M') amplitude matrices (the
+    purified run's slices at ``Qbar = s``), cut to their joint exact-zero
+    support, and where that support lies.
+
+    Returns ``(mats, rows, cols, shape)``: ``mats[s]`` is ``psi^s`` on the
+    message rows ``rows`` and purifying columns ``cols`` that some accept
+    vector touches, both ascending, and ``shape`` is the full (M, M').
+    All are read off the run's support, so no (M, M') matrix is formed,
+    and the arrays are read-only.
+    """
     message, private = tp.system_names(x, y)
-    rows = _vector_as_matrix(tp.purified_run(x, y), ["Qbar"] + message, private)
-    stack = rows.reshape(tp.d_q, -1, rows.shape[1])
-    return stack, _joint_support(stack)
+    run = tp.purified_run(x, y)
+    (row, d_rows), (col, d_p) = _coordinates(run, ["Qbar"] + message, private)
+    d_m = d_rows // tp.d_q
+    secret, row = np.divmod(row, d_m)
+    rows, row_at = np.unique(row, return_inverse=True)
+    cols, col_at = np.unique(col, return_inverse=True)
+    mats = np.zeros((tp.d_q, len(rows), len(cols)), dtype=complex)
+    mats[secret, row_at, col_at] = run.amplitudes
+    for shared in (mats, rows, cols):                    # cached, so read-only
+        shared.flags.writeable = False
+    return mats, rows, cols, (d_m, d_p)
 
 
 def _marginal_fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -367,8 +413,7 @@ def message_orthogonality_check(tp: TwoProverProof, f: PromiseFunction, x: int, 
     """Max pairwise fidelity of the accept vectors' purifying-side marginals."""
     if f.value(x, y) != 0:
         raise ValueError(f"input ({x}, {y}) is not a hiding input")
-    stack, (rows, cols) = _accept_matrices(tp, x, y)
-    mats = stack[:, rows][:, :, cols]
+    mats = tp.accept_stack(x, y)[0]
     worst = 0.0
     for s in range(tp.d_q):
         for t in range(s + 1, tp.d_q):
@@ -412,17 +457,18 @@ def cheat_optimize(tp: TwoProverProof, f: PromiseFunction, x: int, y: int) -> Ch
     :func:`cdslab.qcore.best_ascent`.  ``upper`` is a certified upper end of
     the passing probability over every ``sigma`` (derived in
     :func:`_seesaw`); once a finished start is within 1e-10 of it, the
-    later starts are never built or run.  The search runs on the accept
-    vectors' joint exact-zero support (see :func:`_seesaw`); the random
-    starts are still drawn and normalised at the full (M, M') shape, so
-    every start that runs, and so the estimate, is the full-space one up
-    to rounding.
+    later starts are never built or run.  The search runs on the input's
+    cached accept stack, cut to the accept vectors' joint exact-zero
+    support (see :func:`_seesaw`), and ``unconstrained`` sums over that
+    support alone; the random starts are still drawn and normalised at the
+    full (M, M') shape, so every start that runs, and so the estimate, is
+    the full-space one up to rounding.
     """
     if f.value(x, y) != 0:
         raise ValueError(f"input ({x}, {y}) is not a hiding input")
-    stack, (rows, cols) = _accept_matrices(tp, x, y)
-    unconstrained = float(np.mean([np.vdot(m, m).real ** 2 for m in stack]))
-    estimate, rounds, converged, upper = _seesaw(stack, rows, cols)
+    accept = tp.accept_stack(x, y)
+    unconstrained = float(np.mean([np.vdot(m, m).real ** 2 for m in accept[0]]))
+    estimate, rounds, converged, upper = _seesaw(*accept)
     return CheatResult(estimate, rounds, converged, unconstrained=unconstrained, upper=upper)
 
 
@@ -453,12 +499,14 @@ def _seesaw_upper(mats: np.ndarray) -> float:
     return float(norms.max(initial=0.0) * root ** 2)
 
 
-def _seesaw(stack: np.ndarray, rows: np.ndarray,
-            cols: np.ndarray) -> tuple[float, int, bool, float]:
+def _seesaw(mats: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            shape: tuple[int, int]) -> tuple[float, int, bool, float]:
     """Best value, its rounds and convergence over :func:`cheat_optimize`'s
-    starts, and the certified end the search stops at, for the (M, M')
-    matrices ``stack`` whose entries outside ``rows`` x ``cols`` are exactly
-    zero.
+    starts, and the certified end the search stops at, for (M, M') =
+    ``shape`` matrices whose entries outside ``rows`` x ``cols`` are exactly
+    zero, given as their cut ``mats`` (``mats[s]`` on ``rows`` x ``cols``),
+    as :func:`_accept_matrices` returns them.  No (M, M') matrix is formed
+    unless a random start runs.
 
     Each round reads the matrices only through the products ``w a^+`` and
     the rotated ``U a``, so both run on the support.  The shared
@@ -495,8 +543,7 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray,
     matrices that sum to zero give the sum start none either; that start is
     skipped.
     """
-    d_q = len(stack)
-    mats = stack[:, rows][:, :, cols]
+    d_q = len(mats)
     if mats.size and not mats[0].any():
         raise ValueError("degenerate accept stack: the first accept matrix is zero, so the "
                          "first see-saw start has no direction")
@@ -516,21 +563,27 @@ def _seesaw(stack: np.ndarray, rows: np.ndarray,
         w = np.tensordot(vecs[:, -1], phis, axes=1)
         return value_and_rotations(w / np.linalg.norm(w))
 
-    # the first accept matrix, their sum unless it is zero, and two draws,
-    # each normalised at the full (M, M') shape, then cut; each is built only
-    # when it runs
+    # the first accept matrix and their sum unless it is zero, each scattered
+    # into all M rows and normalised, then two draws, each normalised at the
+    # full (M, M') shape, then cut to the support columns; each is built
+    # only when it runs
     rng = np.random.default_rng(11)
-    shape = stack.shape[1:]
 
-    def fulls():
-        yield stack[0]
-        total = sum(stack)
+    def scattered(cut):
+        w = np.zeros((shape[0], len(cols)), dtype=complex)
+        w[rows] = cut
+        return w / np.linalg.norm(w)
+
+    def cuts():
+        yield scattered(mats[0])
+        total = sum(mats)
         if total.any():
-            yield total
+            yield scattered(total)
         for _ in range(2):
-            yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            full = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            yield full[:, cols] / np.linalg.norm(full)
 
-    starts = (value_and_rotations(full[:, cols] / np.linalg.norm(full)) for full in fulls())
+    starts = (value_and_rotations(w) for w in cuts())
     upper = _seesaw_upper(mats)
     best, _, rounds, converged = best_ascent(starts, step, upper)
     return best, rounds, converged, upper

@@ -33,7 +33,9 @@ gather and scatter through them, so no whole state is transposed.
 
 An isometry ``V`` (``V^+ V = I``) is a channel with the one Kraus operator
 ``V``: ``purify_channel`` returns its Stinespring dilation in that form, and
-``apply_isometry`` applies such a channel to a pure state.
+``apply_isometry`` applies such a channel to a pure state held on its
+support (:class:`cdslab.qcore.states.SupportVector`), whose output it
+keeps on its support too.
 
 Kraus families are built the same way: every dense builder (the pad lift
 and parallel repetition in :mod:`cdslab.framework`, the Petz map and the
@@ -60,7 +62,7 @@ from .states import (
     ATOL_INVARIANT,
     DensityMatrix,
     Layout,
-    StateVector,
+    SupportVector,
     as_layout,
     fresh_name,
     layout_dim,
@@ -306,34 +308,34 @@ def _compress(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     used = np.flatnonzero(seen)
     return used, used.searchsorted(index)
 
-def apply_isometry(iso: QuantumChannel, psi: StateVector) -> StateVector:
+def apply_isometry(iso: QuantumChannel, psi: SupportVector) -> SupportVector:
     """Apply a one-operator channel ``V`` to the named subsystems of a pure
-    state; a channel with more Kraus operators is refused.
+    state held on its support; a channel with more Kraus operators is
+    refused.
 
-    Only the state's nonzero amplitudes are read: their indices split into a
-    consumed part (the channel's input) and an untouched rest, the columns
-    of ``V`` at the used inputs multiply the small (used inputs x used
-    rests) amplitude matrix, and the products are scattered into the output
-    layout through the plan's ``out_at`` and ``rest_at``, the same
-    placement rule :func:`apply_channel_matrix` uses.
+    The support's indices split into a consumed part (the channel's input)
+    and an untouched rest, the columns of ``V`` at the used inputs multiply
+    the small (used inputs x used rests) amplitude matrix, and the products
+    that are not exactly zero are placed in the output layout through the
+    plan's ``out_at`` and ``rest_at``, the same placement rule
+    :func:`apply_channel_matrix` uses.  No vector of the full output
+    dimension is formed.
     """
     if len(iso.kraus_stack) != 1:
         raise ValueError(f"an isometry has one Kraus operator, not {len(iso.kraus_stack)}")
     v = iso.kraus_stack[0]
     perm, _, out_at, rest_at, new_layout = _application_plan(psi.layout, iso)
     dims = layout_dims(psi.layout)
-    support = np.flatnonzero(psi.amplitudes != 0)
-    digits = np.unravel_index(support, dims)
+    digits = np.unravel_index(psi.index, dims)
     moved = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
     inputs, rests = np.divmod(moved, len(rest_at))
     used_in, in_at = _compress(inputs, v.shape[1])
     used_rest, at_rest = _compress(rests, len(rest_at))
     small = np.zeros((len(used_in), len(used_rest)), dtype=complex)
-    small[in_at, at_rest] = psi.amplitudes[support]
+    small[in_at, at_rest] = psi.amplitudes
     out = v[:, used_in] @ small                              # (dout, used rests)
-    amps = np.zeros(layout_dim(new_layout), dtype=complex)
-    amps[np.add.outer(out_at, rest_at[used_rest])] = out
-    return StateVector._adopt(amps, new_layout)
+    kept = out != 0
+    return SupportVector(np.add.outer(out_at, rest_at[used_rest])[kept], out[kept], new_layout)
 
 
 # ---------------------------------------------------------------------------

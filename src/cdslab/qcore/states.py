@@ -7,6 +7,8 @@ matrices are stored dense in row-major order with the **last listed
 subsystem varying fastest**, i.e. the basis state ``|a>|b>`` of a layout
 ``(("A", dA), ("B", dB))`` sits at flat index ``a * dB + b``, which is the
 ordinary Kronecker-product convention (``np.kron(vec_a, vec_b)``).
+A :class:`SupportVector` keeps only a pure state's nonzero amplitudes,
+each with its flat index in that order.
 
 All public objects are immutable: constructors copy their inputs and mark
 the underlying arrays read-only.  Operations never mutate their arguments.
@@ -19,6 +21,7 @@ identities are tested elsewhere at 1e-12.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,16 +126,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "layout", lt)
 
-    @classmethod
-    def _adopt(cls, amps: np.ndarray, layout: Layout) -> "StateVector":
-        """Wrap a freshly built flat complex vector over a normalised layout
-        without copying or validating it; ``amps`` is frozen in place."""
-        amps.flags.writeable = False
-        psi = object.__new__(cls)
-        object.__setattr__(psi, "amplitudes", amps)
-        object.__setattr__(psi, "layout", layout)
-        return psi
-
     def __setattr__(self, *_):
         raise AttributeError("StateVector is immutable")
 
@@ -145,18 +138,31 @@ class StateVector:
         amps = self.amplitudes
         return DensityMatrix(np.outer(amps, amps.conj()), self.layout, validate=False)
 
-    def permuted(self, order: Sequence[str]) -> "StateVector":
-        """Reorder subsystems; ``order`` must name every subsystem once."""
-        perm = layout_positions(self.layout, order)
-        if sorted(perm) != list(range(len(self.layout))):
-            raise ValueError("permutation must mention every subsystem exactly once")
-        dims = layout_dims(self.layout)
-        # a fresh copy, or a view of the frozen amplitudes when they stay in order
-        amps = self.amplitudes.reshape(dims).transpose(perm).reshape(-1)
-        return StateVector._adopt(amps, tuple(self.layout[p] for p in perm))
-
     def __repr__(self):
         return f"StateVector(dim={self.dim}, layout={self.layout})"
+
+
+@dataclass(frozen=True)
+class SupportVector:
+    """A pure state on its support: ``amplitudes[k]`` sits at the flat index
+    ``index[k]`` over ``layout`` (row-major, as for :class:`StateVector`),
+    each index at most once, and every other amplitude is zero.  Both
+    arrays are copied, 1-D and read-only; the norm is not checked.
+    """
+
+    index: np.ndarray
+    amplitudes: np.ndarray
+    layout: Layout
+
+    def __post_init__(self):
+        index = np.array(self.index, dtype=np.intp)
+        amps = _frozen(self.amplitudes)
+        if index.ndim != 1 or amps.shape != index.shape:
+            raise ValueError(f"{index.shape} indices for {amps.shape} amplitudes")
+        index.flags.writeable = False
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "layout", as_layout(self.layout))
 
 
 # ---------------------------------------------------------------------------

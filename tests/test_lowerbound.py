@@ -4,6 +4,7 @@ complementary decoding of hidden secrets."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,13 +18,16 @@ from cdslab.qcore import (
     DensityMatrix,
     QuantumChannel,
     StateVector,
+    SupportVector,
     apply_isometry,
     best_ascent,
     complementary_channel,
     fidelity,
     find_best_decoder,
     identity_channel,
+    layout_dim,
     layout_names,
+    layout_positions,
     maximally_entangled,
     maximally_mixed,
     optimize,
@@ -203,11 +207,76 @@ def test_value_preconditions_are_enforced():
         lb.cheat_optimize(tp, f, 1, 1)
 
 
+def _dense(state):
+    """A state held on its support as a dense (unnormalised) StateVector."""
+    amps = np.zeros(layout_dim(state.layout), dtype=complex)
+    amps[state.index] = state.amplitudes
+    return StateVector(amps, state.layout, validate=False)
+
+
+def _dense_apply(iso, psi):
+    """The dense route: ``iso`` on the nonzero amplitudes of the dense
+    ``psi``, its output written into a vector of the full output dimension."""
+    support = np.flatnonzero(psi.amplitudes)
+    return _dense(apply_isometry(iso, SupportVector(support, psi.amplitudes[support], psi.layout)))
+
+
+def _permuted(psi, order):
+    """The dense ``psi`` with its subsystems reordered to ``order``."""
+    perm = layout_positions(psi.layout, order)
+    amps = psi.amplitudes.reshape([dim for _, dim in psi.layout]).transpose(perm).reshape(-1)
+    return StateVector(amps, tuple(psi.layout[p] for p in perm), validate=False)
+
+
+def _vector_as_matrix(psi, row_names, col_names):
+    """Dense amplitudes reshaped with ``row_names`` indexing rows (row-major)."""
+    ordered = _permuted(psi, list(row_names) + list(col_names))
+    rows = math.prod(d for nm, d in ordered.layout if nm in set(row_names))
+    return ordered.amplitudes.reshape(rows, -1)
+
+
+def _joint_support(stack):
+    """Indices of the rows and of the columns in which some matrix of
+    ``stack`` has an entry that is not exactly zero."""
+    nonzero = stack != 0
+    return np.flatnonzero(nonzero.any(axis=(0, 2))), np.flatnonzero(nonzero.any(axis=(0, 1)))
+
+
+def _cut(stack):
+    """A full (d_Q, M, M') stack in :func:`lowerbound._seesaw`'s arguments."""
+    rows, cols = _joint_support(stack)
+    return stack[:, rows][:, :, cols], rows, cols, stack.shape[1:]
+
+
+def _full(accept):
+    """The cut accept stack ``(mats, rows, cols, shape)`` scattered back into
+    the full (d_Q, M, M') stack."""
+    mats, rows, cols, shape = accept
+    stack = np.zeros((len(mats),) + tuple(shape), dtype=complex)
+    stack[:, rows[:, None], cols] = mats
+    return stack
+
+
 def _run_on(tp, state, x, y):
-    """Both purifications of ``tp`` applied to ``state (x) resource``: the
-    per-state run that the proof's single run replaces, kept as its oracle."""
-    state = apply_isometry(tp.alice_purification(x), tensor(state, tp.protocol.resource))
-    return apply_isometry(tp.bob_purification(y), state)
+    """Both purifications of ``tp`` applied to ``state (x) resource`` along
+    the dense route: the per-state run that the proof's single run
+    replaces, kept as its oracle."""
+    state = _dense_apply(tp.alice_purification(x), tensor(state, tp.protocol.resource))
+    return _dense_apply(tp.bob_purification(y), state)
+
+
+def _dense_accept_matrices(tp, x, y):
+    """The accept stack along the dense route: the purified run on the
+    dense ``sum_s |s>_Qbar |s>_Q``, permuted to (Qbar, messages, private)
+    and reshaped to the full (d_Q, M, M') stack, with its
+    :func:`_joint_support`."""
+    message, private = tp.system_names(x, y)
+    pair = StateVector(np.eye(tp.d_q).reshape(-1), (("Qbar", tp.d_q), ("Q", tp.d_q)),
+                       validate=False)
+    run = _run_on(tp, pair, x, y)
+    rows = _vector_as_matrix(run, ["Qbar"] + message, private)
+    stack = rows.reshape(tp.d_q, -1, rows.shape[1])
+    return run, stack, _joint_support(stack)
 
 
 def _secret(s, d_q):
@@ -221,11 +290,11 @@ def _honest_by_secret_oracle(tp, x, y):
     rec = tp.recovery(x, y)
     _, private = tp.system_names(x, y)
     run = _run_on(tp, maximally_entangled("Qbar", "Q", tp.d_q), x, y)
-    shares = lb._vector_as_matrix(apply_isometry(rec, run), ["Qbar", "Q"], ["P"] + private)
+    shares = _vector_as_matrix(_dense_apply(rec, run), ["Qbar", "Q"], ["P"] + private)
     out = []
     for s in range(tp.d_q):
-        chi = apply_isometry(rec, _run_on(tp, _secret(s, tp.d_q), x, y))
-        blocks = lb._vector_as_matrix(chi, ["Q"], ["P"] + private)
+        chi = _dense_apply(rec, _run_on(tp, _secret(s, tp.d_q), x, y))
+        blocks = _vector_as_matrix(chi, ["Q"], ["P"] + private)
         out.append(float(sum(abs(np.vdot(blocks[s], row)) ** 2 for row in shares)))
     return out
 
@@ -259,11 +328,82 @@ def test_accept_stack_is_the_per_secret_runs_bit_for_bit(p, f, k):
     tp = lb.build_two_prover_proof(p, k)
     for x, y in f.promise_pairs():
         message, private = tp.system_names(x, y)
-        stack, _ = lb._accept_matrices(tp, x, y)
+        stack = _full(lb._accept_matrices(tp, x, y))
         assert stack.shape[0] == tp.d_q
         for s in range(tp.d_q):
-            oracle = _run_on(tp, _secret(s, tp.d_q), x, y).permuted(message + private)
+            oracle = _permuted(_run_on(tp, _secret(s, tp.d_q), x, y), message + private)
             assert np.array_equal(stack[s].reshape(-1), oracle.amplitudes)
+
+
+#: every shipped hiding input the proof lab judges, each at the k it runs at
+DENSE_ROUTE_CASES = [
+    (lifted_neq(), lifted_neq_function(), 1),
+    (lifted_and(), lifted_and_function(), 1),
+    (gated_forwarding(), gated_function(), 3),
+    (leaky(0.1), gated_function(), 1),
+    (leaky(0.06), gated_function(), 1),
+    (leaky(0.06), gated_function(), 4),
+    (depolarized(lifted_neq(), 0.05), lifted_neq_function(), 1),
+]
+
+
+@pytest.mark.parametrize("p, f, k", DENSE_ROUTE_CASES)
+def test_support_built_accept_stack_is_the_dense_route_bit_for_bit(p, f, k):
+    tp = lb.build_two_prover_proof(p, k)
+    for x, y in f.promise_pairs():
+        if f.value(x, y) == 1:
+            continue
+        dense_run, stack, (rows, cols) = _dense_accept_matrices(tp, x, y)
+        run = tp.purified_run(x, y)
+        assert run.layout == dense_run.layout
+        assert np.array_equal(_dense(run).amplitudes, dense_run.amplitudes)
+        mats, got_rows, got_cols, shape = tp.accept_stack(x, y)
+        assert shape == stack.shape[1:]
+        assert np.array_equal(got_rows, rows) and np.array_equal(got_cols, cols)
+        assert np.array_equal(mats, stack[:, rows][:, :, cols])
+
+
+@pytest.mark.parametrize(
+    "p, f, k, runs",
+    [(lifted_neq(), lifted_neq_function(), 1, 4), (gated_forwarding(), gated_function(), 3, 2)],
+)
+def test_two_prover_checks_run_each_input_once(p, f, k, runs, monkeypatch):
+    # the see-saw and the orthogonality check share one accept stack
+    made = []
+    purified_run = lb.TwoProverProof.purified_run
+
+    def counted(self, x, y):
+        made.append((x, y))
+        return purified_run(self, x, y)
+
+    monkeypatch.setattr(lb.TwoProverProof, "purified_run", counted)
+    tp = lb.build_two_prover_proof(p, k)
+    lb.two_prover_checks(tp, f, f.promise_pairs(), 0.0, 0.0)
+    assert len(made) == runs
+    assert sorted(made) == sorted(f.promise_pairs())
+
+
+def test_two_prover_checks_hold_less_than_one_dense_run():
+    # on lifted NEQ a dense purified run holds 2^18 amplitudes, 128 of them
+    # nonzero; with the purifications built, no check comes near that size
+    p, f = lifted_neq(), lifted_neq_function()
+    tp = lb.build_two_prover_proof(p, 1)
+    for x, y in f.promise_pairs():
+        tp.alice_purification(x), tp.bob_purification(y)
+        if f.value(x, y) == 1:
+            tp.recovery(x, y)
+    run = tp.purified_run(0, 0)
+    assert len(run.index) == 128
+    dense_bytes = 16 * layout_dim(run.layout)
+    assert dense_bytes == 4 * 2**20
+    tracemalloc.start()
+    try:
+        records = lb.two_prover_checks(tp, f, f.promise_pairs(), 0.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.get("honest_ok", True) and r.get("cheat_ok", True) for r in records)
+    assert peak < dense_bytes
 
 
 @pytest.mark.parametrize(
@@ -287,7 +427,7 @@ def test_honest_acceptance_reads_the_diagonal_rows():
 
 def test_accept_vector_is_normalized():
     tp = lb.build_two_prover_proof(gated_forwarding(), 2)
-    stack, _ = lb._accept_matrices(tp, 1, 1)
+    stack = _full(tp.accept_stack(1, 1))
     assert stack.shape[0] == 4
     for s in range(4):
         assert np.linalg.norm(stack[s]) == pytest.approx(1.0, abs=1e-9)
@@ -299,7 +439,7 @@ def test_marginal_fidelity_matches_dense_computation():
     tp = lb.build_two_prover_proof(leaky(0.3), 1)
     f = gated_function()
     message, private = tp.system_names(0, 0)
-    run = tp.purified_run(0, 0).permuted(["Qbar"] + message + private)
+    run = _permuted(_dense(tp.purified_run(0, 0)), ["Qbar"] + message + private)
     slices = run.amplitudes.reshape(tp.d_q, -1)
     states = [StateVector(slices[s], run.layout[1:]) for s in range(2)]
     dense = fidelity(
@@ -417,7 +557,7 @@ def test_seesaw_on_the_support_matches_the_full_space_search(data):
         sub = cols[:data.draw(st.integers(r, c))] if s == 0 else cols
         block = rng.normal(size=(r, len(sub))) + 1j * rng.normal(size=(r, len(sub)))
         stack[s][np.ix_(rows, sub)] = block / np.linalg.norm(block)
-    estimate, _, converged, _ = lb._seesaw(stack, *lb._joint_support(stack))
+    estimate, _, converged, _ = lb._seesaw(*_cut(stack))
     ref_estimate, _, ref_converged = _full_space_seesaw(list(stack))
     assert estimate == pytest.approx(ref_estimate, abs=1e-9)
     assert converged == ref_converged
@@ -444,7 +584,7 @@ def test_no_see_saw_passes_its_certified_end(data):
         block = (u * sv) @ vh
         cols = slice(s * mp, (s + 1) * mp) if disjoint else slice(None)
         stack[s][:, cols] = block / np.linalg.norm(block)
-    estimate, _, _, upper = lb._seesaw(stack, *lb._joint_support(stack))
+    estimate, _, _, upper = lb._seesaw(*_cut(stack))
     ref_estimate, _, _ = _full_space_seesaw(list(stack))
     assert estimate <= upper + 1e-12
     assert ref_estimate <= upper + 1e-12
@@ -455,7 +595,7 @@ def test_no_see_saw_passes_its_certified_end(data):
 
 def test_an_all_zero_accept_stack_has_end_zero():
     stack = np.zeros((2, 3, 4), dtype=complex)
-    assert lb._seesaw(stack, *lb._joint_support(stack)) == (0.0, 1, True, 0.0)
+    assert lb._seesaw(*_cut(stack)) == (0.0, 1, True, 0.0)
 
 
 def test_a_zero_first_accept_matrix_is_refused_before_any_start():
@@ -465,7 +605,7 @@ def test_a_zero_first_accept_matrix_is_refused_before_any_start():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="degenerate accept stack"):
-            lb._seesaw(stack, *lb._joint_support(stack))
+            lb._seesaw(*_cut(stack))
 
 
 def test_accept_vectors_equal_up_to_phase_meet_the_end_on_the_first_start():
@@ -474,7 +614,7 @@ def test_accept_vectors_equal_up_to_phase_meet_the_end_on_the_first_start():
     stack = np.zeros((2, 3, 4), dtype=complex)
     stack[1][0, 0] = 1
     stack[0] = -stack[1]
-    assert lb._seesaw(stack, *lb._joint_support(stack)) == (1.0, 1, True, 1.0)
+    assert lb._seesaw(*_cut(stack)) == (1.0, 1, True, 1.0)
 
 
 def test_a_zero_sum_start_is_skipped(monkeypatch):
@@ -491,7 +631,7 @@ def test_a_zero_sum_start_is_skipped(monkeypatch):
     monkeypatch.setattr(lb, "best_ascent", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        best, _, converged, upper = lb._seesaw(stack, *lb._joint_support(stack))
+        best, _, converged, upper = lb._seesaw(*_cut(stack))
     # the first start misses the end; then only the two draws run
     assert len(pulled) == 3
     assert converged and 0 < best < upper - 1e-3
@@ -546,8 +686,7 @@ def test_cheat_optimize_equals_the_full_space_search_on_shipped_inputs(p, f, k):
         if f.value(x, y) == 1:
             continue
         cheat = lb.cheat_optimize(tp, f, x, y)
-        stack, _ = lb._accept_matrices(tp, x, y)
-        estimate, _, converged = _full_space_seesaw(list(stack))
+        estimate, _, converged = _full_space_seesaw(list(_full(tp.accept_stack(x, y))))
         assert abs(cheat.estimate - estimate) <= 1e-12
         assert cheat.converged == converged
 
@@ -560,8 +699,7 @@ def test_cheat_stays_under_bound_with_real_security_slack():
     cheat = lb.cheat_optimize(tp, f, 0, 0)
     assert cheat.estimate <= lb.soundness_bound(4, delta) + 1e-6
     # the one hiding input, against the full-space search
-    stack, _ = lb._accept_matrices(tp, 0, 0)
-    estimate, _, converged = _full_space_seesaw(list(stack))
+    estimate, _, converged = _full_space_seesaw(list(_full(tp.accept_stack(0, 0))))
     assert abs(cheat.estimate - estimate) <= 1e-12
     assert cheat.converged == converged
     ortho = lb.message_orthogonality_check(tp, f, 0, 0)

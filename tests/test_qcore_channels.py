@@ -15,6 +15,7 @@ from cdslab.qcore import (
     DensityMatrix,
     QuantumChannel,
     StateVector,
+    SupportVector,
     apply_channel,
     apply_channel_matrix,
     apply_isometry,
@@ -185,10 +186,24 @@ def test_apply_isometry_matches_matrix_action():
     psi_a /= np.linalg.norm(psi_a)
     psi_b = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi_b /= np.linalg.norm(psi_b)
-    joint = StateVector(np.kron(psi_a, psi_b), [("A", 2), ("B", 2)])
+    joint = _on_support(StateVector(np.kron(psi_a, psi_b), [("A", 2), ("B", 2)]))
     out = apply_isometry(iso, joint)
     assert out.layout == (("A", 2), ("B", 2), ("E", 3))
-    assert np.max(np.abs(out.amplitudes - np.kron(psi_a, v @ psi_b))) < 1e-12
+    assert np.max(np.abs(_dense(out) - np.kron(psi_a, v @ psi_b))) < 1e-12
+
+def _on_support(psi, order=None):
+    """``psi`` on its support, its nonzero amplitudes in flat-index order or
+    permuted by ``order``."""
+    support = np.flatnonzero(psi.amplitudes)
+    if order is not None:
+        support = support[order(len(support))]
+    return SupportVector(support, psi.amplitudes[support], psi.layout)
+
+def _dense(state):
+    """The dense amplitudes of a state held on its support."""
+    amps = np.zeros(int(np.prod([dim for _, dim in state.layout])), dtype=complex)
+    amps[state.index] = state.amplitudes
+    return amps
 
 def _consumed_first(layout, channel):
     """The reference bookkeeping, written apart from the kernels': the
@@ -274,20 +289,30 @@ def test_apply_isometry_matches_dense_oracle(seed, dims, growth, split_output, s
     if sparse:
         amps[rng.permutation(dim)[: int(rng.integers(0, dim))]] = 0
     psi = StateVector(amps / np.linalg.norm(amps), layout)
-    got, want = apply_isometry(iso, psi), _dense_apply_isometry(iso, psi)
+    # the support in a random order: the kernel may not rely on a sorted one
+    got = apply_isometry(iso, _on_support(psi, rng.permutation))
+    want = _dense_apply_isometry(iso, psi)
     assert got.layout == want.layout
-    assert np.max(np.abs(got.amplitudes - want.amplitudes)) <= 1e-13
+    assert np.max(np.abs(_dense(got) - want.amplitudes)) <= 1e-13
+    # the output is on its support: distinct indices, no exact zero kept
+    assert len(np.unique(got.index)) == len(got.index) and np.all(got.amplitudes != 0)
 
 def test_apply_isometry_refuses_more_than_one_operator():
     with pytest.raises(ValueError, match="one Kraus operator, not 4"):
-        apply_isometry(depolarizing(0.3), StateVector([0, 1], [("Q", 2)]))
+        apply_isometry(depolarizing(0.3), SupportVector([1], [1], [("Q", 2)]))
 
 def test_apply_isometry_output_is_frozen():
     iso = QuantumChannel([np.eye(2)], [("A", 2)], [("B", 2)])
-    out = apply_isometry(iso, StateVector([0, 1], [("A", 2)]))
-    assert np.array_equal(out.amplitudes, [0, 1])
-    with pytest.raises(ValueError):
-        out.amplitudes[0] = 1
+    out = apply_isometry(iso, SupportVector([1], [1], [("A", 2)]))
+    assert out.layout == (("B", 2),)
+    assert np.array_equal(out.index, [1]) and np.array_equal(out.amplitudes, [1])
+    for array in (out.index, out.amplitudes):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+def test_support_vector_refuses_mismatched_arrays():
+    with pytest.raises(ValueError, match="indices for"):
+        SupportVector([0, 1], [1], [("A", 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -190,17 +190,19 @@ def test_partial_trace_matrix_keep_all_is_identity():
 # ---------------------------------------------------------------------------
 
 def test_permuted_swaps_basis_state():
-    psi = tensor(ket(0, "A", 2), ket(1, "B", 2))
-    swapped = psi.permuted(["B", "A"])
+    rho = tensor(ket(0, "A", 2), ket(1, "B", 2)).density_matrix()
+    swapped = rho.permuted(["B", "A"])
     assert swapped.layout == (("B", 2), ("A", 2))
-    assert np.allclose(swapped.amplitudes, [0, 0, 1, 0])  # |1>|0> in new order
-    # the identity order: equal amplitudes, read-only, the input unchanged
-    before = psi.amplitudes.copy()
-    same = psi.permuted(["A", "B"])
-    assert same.layout == psi.layout
-    assert np.array_equal(same.amplitudes, psi.amplitudes)
-    assert not same.amplitudes.flags.writeable and not swapped.amplitudes.flags.writeable
-    assert np.array_equal(psi.amplitudes, before) and not psi.amplitudes.flags.writeable
+    flipped = np.zeros((4, 4))
+    flipped[2, 2] = 1                                     # |1>|0> in new order
+    assert np.allclose(swapped.entries, flipped)
+    # the identity order: equal entries, read-only, the input unchanged
+    before = rho.entries.copy()
+    same = rho.permuted(["A", "B"])
+    assert same.layout == rho.layout
+    assert np.array_equal(same.entries, rho.entries)
+    assert not same.entries.flags.writeable and not swapped.entries.flags.writeable
+    assert np.array_equal(rho.entries, before) and not rho.entries.flags.writeable
 
 def test_permuted_round_trip_density():
     rng = np.random.default_rng(8)
