@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .classical import ip_function, ip_psm, neq_cds, neq_function
+from .classical import ip_function, ip_psm, neq_cds, neq_function, promise_neq_function
 from .forrelation import (
     acceptance_probability,
     compile_clifford_t,
@@ -38,7 +38,7 @@ from .forrelation import (
 )
 from .framework import CostReport
 from .lowerbound import build_two_prover_proof, soundness_bound, two_prover_checks
-from .quantum import hybrid_promise_function, neq_promise_cdqs
+from .quantum import HybridNeqCdqs
 from .toys import (
     gated_forwarding,
     gated_function,
@@ -167,8 +167,8 @@ def hybrid_input_sample(n: int, seed: int) -> list:
 
 def _suite_hybrid(cfg: ExperimentConfig):
     n = cfg.n or 8
-    f = hybrid_promise_function(n)
-    p = neq_promise_cdqs(n)
+    f = promise_neq_function(n)
+    p = HybridNeqCdqs(n)
     inputs = None if n <= 4 else hybrid_input_sample(n, cfg.seed)
     rep = cdqs_verify(p, f, inputs=inputs, seed=cfg.seed)
     rows: List[Row] = [(rep, {})]

@@ -36,8 +36,10 @@ Pauli-padded qubit" shape answers them exactly in rationals, so large
 classical registers stay cheap: :func:`pad_counts` tabulates, per
 transcript, the integer counts of each pad key, and :class:`PadCounts`
 turns them into all three measures.  A decoder that returns None leaves
-the pad on, which decodes key 0 only.  :class:`TranscriptCdqsProtocol`
-and the hybrid protocol of :mod:`cdslab.quantum` both measure this way.
+the pad on, which decodes key 0 only.  :class:`TranscriptCdqsProtocol` is
+this shape's one class: at each input a weighted mixture of such counts,
+measured once.  The one-class :func:`transcript_form` and the hybrid
+protocol of :mod:`cdslab.quantum`, a two-class mixture, are its instances.
 
 Integer encodings: an ``n``-bit input is an integer in ``[0, 2^n)``; bit
 ``i`` of ``x`` is ``(x >> i) & 1``.  Shared randomness is an integer
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Hashable, Optional
@@ -668,25 +670,24 @@ def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
 
 @dataclass(frozen=True)
 class TranscriptCdqsProtocol:
-    """The pad lift of a classical CDS hiding 2-bit keys, in transcript form.
+    """A CDQS whose message is a classical transcript plus the secret qubit
+    padded by ``X^{k1} Z^{k2}``, measured exactly as a mixture of pad counts.
 
-    The message is the classical transcript of ``key_cds`` plus the secret
-    qubit padded by ``X^{k1} Z^{k2}`` with ``k = 2*k1 + k2`` the disclosed
-    key; every measure is exact through :func:`pad_counts`, so
-    verification stays rational even when the classical registers are far
-    too large for dense simulation.
+    ``classes(x, y)`` gives the ``(Fraction weight, PadCounts)`` classes at
+    one input, whose weights sum to 1, and each measure is the weighted sum
+    of the classes' :class:`PadCounts` measures, so verification stays
+    rational even when the classical registers are far too large for dense
+    simulation.  :func:`transcript_form` is the one-class instance and the
+    hybrid protocol of :mod:`cdslab.quantum` a two-class one.
     """
 
-    key_cds: CdsProtocol
+    n: int
     cost: CostReport
+    classes: Callable[[int, int], tuple]
     construction: str = ""
     params: tuple = ()
 
     d_q = 2
-
-    @property
-    def n(self) -> int:
-        return self.key_cds.n
 
     def decoding_distance(self, x: int, y: int) -> Fraction:
         """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
@@ -695,11 +696,11 @@ class TranscriptCdqsProtocol:
 
     def entanglement_fidelity(self, x: int, y: int) -> Fraction:
         """Exact decoded entanglement fidelity at one input."""
-        return pad_counts(self.key_cds, x, y).fidelity()
+        return sum(weight * counts.fidelity() for weight, counts in self.classes(x, y))
 
     def product_distance(self, x: int, y: int) -> Fraction:
         """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1`` at one input."""
-        return pad_counts(self.key_cds, x, y).distance()
+        return sum(weight * counts.distance() for weight, counts in self.classes(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -707,15 +708,11 @@ class TranscriptCdqsProtocol:
 # ---------------------------------------------------------------------------
 
 def _pad_lift_cost(key_cds: CdsProtocol) -> CostReport:
-    """Cost of the pad lift of ``key_cds``, which must hide 2-bit keys."""
+    """Cost of the pad lift of ``key_cds``, which must hide 2-bit keys: the
+    classical CDS's cost plus the padded qubit."""
     if key_cds.secret_alphabet != 4:
         raise ValueError("the pad lift needs a CDS hiding 2-bit secrets (alphabet 4)")
-    return CostReport(
-        comm_bits=key_cds.message_bits_a + key_cds.message_bits_b,
-        comm_qubits=1,
-        shared_random_bits=key_cds.randomness_bits,
-        shared_epr_pairs=0,
-    )
+    return replace(protocol_cost(key_cds), comm_qubits=1)
 
 def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     """Turn a classical CDS hiding 2-bit keys into a CDQS for one qubit.
@@ -796,15 +793,17 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
 
 def transcript_form(key_cds: CdsProtocol) -> TranscriptCdqsProtocol:
     """The same pad construction as :func:`classical_to_quantum_lift`, but
-    kept in exact transcript form instead of dense channels.
+    kept in exact transcript form instead of dense channels: one class per
+    input, the :func:`pad_counts` of ``key_cds`` at that input.
 
     Agreement of its fidelity and distances with the dense lift on every
     input is a cross-check, and the rational form stays usable when the
     dense one would not fit.
     """
     return TranscriptCdqsProtocol(
-        key_cds=key_cds,
+        n=key_cds.n,
         cost=_pad_lift_cost(key_cds),
+        classes=lambda x, y: ((Fraction(1), pad_counts(key_cds, x, y)),),
         construction=f"pad_lift_transcript({key_cds.construction or 'anonymous'})",
         params=key_cds.params,
     )

@@ -3,8 +3,9 @@
 Everything in this module reduces to counting: measurement outcome
 distributions come out of integer Walsh-Hadamard transforms, so all
 probabilities are exact rationals and the verification layer never sees
-floating-point noise.  The hybrid protocol's padded qubit is measured by
-the framework's one padded-qubit rule, :func:`cdslab.framework.pad_counts`.
+floating-point noise.  The hybrid protocol is a
+:class:`cdslab.framework.TranscriptCdqsProtocol`, so its padded qubit is
+measured by the framework's one transcript-regime rule.
 
 Bit conventions match the classical module: an n-bit string is an integer
 with bit i equal to ``(x >> i) & 1``; inner products are ``(u & v)``
@@ -14,14 +15,14 @@ parities.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .classical import _parity, ip_psm, neq_cds, double_secret, promise_neq_function
+from .classical import _parity, ip_psm, neq_cds, double_secret
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, PadCounts, _draws, pad_counts
+from .framework import CostReport, TranscriptCdqsProtocol, _draws, _pad_lift_cost, pad_counts
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def dj_equal_probability(x: int, y: int, n: int) -> Fraction:
 # hybrid promise-NEQ CDQS
 # ---------------------------------------------------------------------------
 
-class HybridNeqCdqs:
+class HybridNeqCdqs(TranscriptCdqsProtocol):
     """CDQS for promise NEQ: shorten inputs, then disclose a qubit pad key.
 
     On strings of length ``n`` (a power of two), Alice and Bob first run
@@ -106,64 +107,35 @@ class HybridNeqCdqs:
       ``2^{m-1}`` slopes with ``A_0 = c xor s``: every vector is
       ``(2^{m-1}, 2^{m-1})``, and the decoder returns None on every draw.
 
-    So one equal pair and one unequal pair are tabulated, and each input's
-    measure is ``P_eq same + (1 - P_eq) differ`` with ``P_eq`` from
-    :func:`dj_equal_probability`.
+    So one equal pair and one unequal pair are tabulated, and the protocol
+    is the two-class :class:`~cdslab.framework.TranscriptCdqsProtocol`
+    whose classes, the equal and the unequal counts, are weighted ``P_eq``
+    and ``1 - P_eq`` with ``P_eq`` from :func:`dj_equal_probability`.
     """
-
-    d_q = 2
 
     def __init__(self, n: int):
         if n < 2 or n & (n - 1):
             raise ValueError("hybrid protocol needs a power-of-two string length >= 2")
-        self.n = n
-        self.m = n.bit_length() - 1
-        copy = neq_cds(self.m)
-        self.key_cds = double_secret(copy)
-        self.construction = f"neq_promise_cdqs({n})"
-        self.params = (("shortened_bits", self.m),)
+        m = n.bit_length() - 1
+        copy = neq_cds(m)
         # the key pair's counts on a = b and on a != b
-        self._classes = tuple(pad_counts(copy, 0, b).square() for b in (0, 1))
+        same, differ = (pad_counts(copy, 0, b).square() for b in (0, 1))
 
-    @property
-    def cost(self) -> CostReport:
-        m = self.m
-        return CostReport(
-            # a and b travel alongside the doubled CDS messages
-            comm_bits=2 * m + self.key_cds.message_bits_a + self.key_cds.message_bits_b,
-            comm_qubits=1,
-            shared_random_bits=self.key_cds.randomness_bits,
-            shared_epr_pairs=m,
-        )
+        def classes(x: int, y: int) -> tuple:
+            equal = dj_equal_probability(x, y, n)
+            return ((equal, same), (1 - equal, differ))
 
-    def decoding_distance(self, x: int, y: int) -> Fraction:
-        """Exact ``||J(D o N) - J(id)||_1``: every wrongly decoded key lands
-        on a Bell state orthogonal to the reference one."""
-        return 2 * (1 - self.entanglement_fidelity(x, y))
+        # the pad lift's cost, plus a and b alongside the doubled CDS
+        # messages and the m EPR pairs of the shortening
+        lift = _pad_lift_cost(double_secret(copy))
+        cost = replace(lift, comm_bits=lift.comm_bits + 2 * m, shared_epr_pairs=m)
+        super().__init__(n=n, cost=cost, classes=classes,
+                         construction=f"neq_promise_cdqs({n})", params=(("shortened_bits", m),))
 
-    def entanglement_fidelity(self, x: int, y: int) -> Fraction:
-        """Exact post-decoding entanglement fidelity with the reference."""
-        return self._averaged(PadCounts.fidelity, x, y)
-
-    def product_distance(self, x: int, y: int) -> Fraction:
-        """Exact ``|| rho_{QbarM} - pi (x) rho_M ||_1``."""
-        return self._averaged(PadCounts.distance, x, y)
-
-    def _averaged(self, measure, x: int, y: int) -> Fraction:
-        """``measure`` of the equal-class and unequal-class counts, mixed
-        by the shortening's collision probability."""
-        same, differ = self._classes
-        equal = dj_equal_probability(x, y, self.n)
-        return equal * measure(same) + (1 - equal) * measure(differ)
-
-
-def neq_promise_cdqs(n: int) -> HybridNeqCdqs:
-    """The hybrid CDQS for promise NEQ on length-n strings (n power of 2)."""
-    return HybridNeqCdqs(n)
-
-
-def hybrid_promise_function(n: int):
-    return promise_neq_function(n)
+    # cdsbench/tracing.py wraps these two measures through this class's own
+    # __dict__, so they are named here, bound to the base class's functions
+    entanglement_fidelity = TranscriptCdqsProtocol.entanglement_fidelity
+    product_distance = TranscriptCdqsProtocol.product_distance
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,10 @@ def simulator_fold(cells) -> float:
 
 
 def _report(p, rows, seed, epsilon, delta_lower, delta_upper) -> VerificationReport:
-    """The report of ``p`` from its rows and its worst-case estimates."""
+    """The report of ``p`` from its rows and its worst-case estimates.  A
+    report over no input certifies nothing, so it is refused."""
+    if not rows:
+        raise ValueError(f"{p.construction or 'anonymous'}: no input to verify")
     return VerificationReport(
         protocol=p.construction or "anonymous",
         n=p.n,
@@ -293,7 +296,8 @@ def cdqs_verify(
     the diamond distance to the constant simulator).  Each lower value
     ``lo`` comes with the upper bound ``min(2, d_Q * lo)`` in the
     diagnostics.  ``inputs`` defaults to every promise pair, which must be
-    explicitly supplied when the domain is too large to enumerate.
+    explicitly supplied when the domain is too large to enumerate; each
+    input is verified once, so a repeated one is refused.
     """
     _check_sizes(p, f)
     if inputs is None:
@@ -302,6 +306,8 @@ def cdqs_verify(
                 "promise domain too large to enumerate; pass inputs explicitly"
             )
         inputs = list(f.promise_pairs())
+    if len(set(inputs)) < len(inputs):
+        raise ValueError("an input pair is listed more than once")
     diagnostics = []
     for x, y in sorted(inputs):
         value = f.value(x, y)

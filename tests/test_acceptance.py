@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cdslab import lowerbound as lb
-from cdslab.classical import ip_function, ip_psm, neq_cds, neq_function
+from cdslab.classical import ip_function, ip_psm, neq_cds, neq_function, promise_neq_function
 from cdslab.cli import ExperimentConfig, hybrid_input_sample, run_suite
 from cdslab.forrelation import (
     acceptance_probability,
@@ -37,9 +37,8 @@ from cdslab.qcore import (
 from cdslab.quantum import (
     bhm_instance,
     bhm_psqm,
+    HybridNeqCdqs,
     dj_equal_probability,
-    hybrid_promise_function,
-    neq_promise_cdqs,
 )
 from cdslab.toys import (
     always_one_function,
@@ -101,8 +100,8 @@ HYBRID_COST_TABLE = {
 def test_criterion_03_hybrid_promise_neq():
     with criterion(3, "hybrid promise-NEQ CDQS: exact correctness, hiding <= 1e-9, logarithmic cost"):
         for n in (4, 8, 16):
-            p = neq_promise_cdqs(n)
-            f = hybrid_promise_function(n)
+            p = HybridNeqCdqs(n)
+            f = promise_neq_function(n)
             inputs = None if n <= 4 else hybrid_input_sample(n, seed=2026)
             rep = cdqs_verify(p, f, inputs=inputs)
             assert rep.epsilon_hat == 0
@@ -188,7 +187,7 @@ def test_criterion_06_forrelation():
 def test_criterion_07_productness_both_directions():
     with criterion(7, "productness: hiding inputs near product, disclosing inputs decodable"):
         cases = list(toy_suite())
-        cases.append((neq_promise_cdqs(4), hybrid_promise_function(4)))
+        cases.append((HybridNeqCdqs(4), promise_neq_function(4)))
         cases.append((depolarized(trivial_forwarding(), 0.1), always_one_function()))
         cases.append((leaky(0.05), gated_function()))
         for p, f in cases:

@@ -144,6 +144,18 @@ def test_hybrid_suite_runs_clean(tmp_path):
     assert [entry["delta_hat_lower"], entry["delta_hat_upper"]] == [0, 0]
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "0acd37845de6c536a8c3394ba96be943ad559bb887e6006141a80b0a74c2b874"),
+    ("csv", "934fc1c1587db0ec15f7c2cc512db3baaab1c5c109739cbb65e8315a15d24035"),
+])
+def test_hybrid_report_is_pinned_at_the_default_seed(tmp_path, fmt, digest):
+    # the transcript regime's report bytes: inputs, measures and cost at n = 64
+    out = tmp_path / f"hybrid.{fmt}"
+    argv = ["--suite", "hybrid", "--n", "64", "--seed", "2026", "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_hybrid_input_sample_is_deterministic_and_on_promise():
     sample = hybrid_input_sample(8, seed=11)
     assert sample == hybrid_input_sample(8, seed=11)

@@ -50,7 +50,7 @@ from cdslab.qcore import (
     tensor,
     trace_norm,
 )
-from cdslab.quantum import neq_promise_cdqs
+from cdslab.quantum import HybridNeqCdqs
 from cdslab.toys import (
     depolarized,
     gated_forwarding,
@@ -281,10 +281,10 @@ def test_budget_reaches_transcript_form_and_hybrid(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         transcript_form(double_secret(neq_cds(13))).entanglement_fidelity(0, 1)
     with pytest.raises(ValueError, match="budget"):
-        neq_promise_cdqs(8192)
+        HybridNeqCdqs(8192)
     # 24 randomness bits fit, but not the 2 x 2^24 (key, draw) pairs held at once
     with pytest.raises(ValueError, match="budget"):
-        neq_promise_cdqs(4096)
+        HybridNeqCdqs(4096)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +445,7 @@ def test_merged_transcript_blocks_measure_like_per_r_blocks(key_cds, per_r_pad_m
             assert exact.product_distance(x, y) == distance
 
 def test_hybrid_exposes_the_same_exact_interface():
-    p = neq_promise_cdqs(2)
+    p = HybridNeqCdqs(2)
     assert p.entanglement_fidelity(0, 1) == Fraction(1)  # distance n/2 = 1
     assert p.product_distance(2, 2) == Fraction(0)
 

@@ -10,14 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab.classical import double_secret, ip_psm, neq_cds
+from cdslab.classical import double_secret, ip_psm, neq_cds, promise_neq_function
 from cdslab.cli import hybrid_input_sample
 from cdslab.framework import (
     ArrayForm,
     PadCounts,
+    TranscriptCdqsProtocol,
     enumerate_message_distribution,
     pad_counts,
     transcript_counts,
+    transcript_form,
     transcript_tally,
 )
 from cdslab.quantum import (
@@ -28,8 +30,6 @@ from cdslab.quantum import (
     bhm_to_text,
     dj_equal_probability,
     dj_shorten,
-    hybrid_promise_function,
-    neq_promise_cdqs,
 )
 
 
@@ -104,8 +104,8 @@ def test_dj_equal_probability_matches_the_diagonal_at_larger_sizes(data):
 
 def test_hybrid_perfect_on_promise_exhaustive_small():
     for n in (2, 4):
-        p = neq_promise_cdqs(n)
-        f = hybrid_promise_function(n)
+        p = HybridNeqCdqs(n)
+        f = promise_neq_function(n)
         for x, y in f.promise_pairs():
             if f.value(x, y) == 1:
                 assert p.entanglement_fidelity(x, y) == 1
@@ -113,24 +113,24 @@ def test_hybrid_perfect_on_promise_exhaustive_small():
                 assert p.product_distance(x, y) == 0
 
 def test_hybrid_spot_checks_large():
-    p = neq_promise_cdqs(16)
+    p = HybridNeqCdqs(16)
     x = 0b1010101010101010
     y = x ^ 0b1111111100000000  # distance 8 = n/2
     assert p.entanglement_fidelity(x, y) == 1
     assert p.product_distance(x, x) == 0
 
 def test_hybrid_cost_table():
-    assert neq_promise_cdqs(16).cost.as_dict() == {
+    assert HybridNeqCdqs(16).cost.as_dict() == {
         "comm_bits": 26,
         "comm_qubits": 1,
         "shared_random_bits": 16,
         "shared_epr_pairs": 4,
     }
-    assert neq_promise_cdqs(4).cost.shared_epr_pairs == 2
+    assert HybridNeqCdqs(4).cost.shared_epr_pairs == 2
 
 def test_hybrid_rejects_bad_sizes():
     with pytest.raises(ValueError):
-        neq_promise_cdqs(3)
+        HybridNeqCdqs(3)
 
 def _documented_counts(m, equal):
     """One ``neq_cds(m)`` copy's counts on a shortened pair, as the
@@ -164,9 +164,29 @@ def test_pad_counts_depend_on_the_pair_only_through_equality_sampled(data):
     a = data.draw(st.integers(0, (1 << m) - 1))
     _check_pair_counts(m, a, data.draw(st.one_of(st.just(a), st.integers(0, (1 << m) - 1))))
 
+def test_hybrid_and_transcript_form_share_one_measure_rule():
+    assert isinstance(HybridNeqCdqs(4), TranscriptCdqsProtocol)
+    assert not {"decoding_distance", "_averaged", "cost"} & set(vars(HybridNeqCdqs))
+    # the names the benchmark tracer wraps are the base class's functions
+    assert HybridNeqCdqs.entanglement_fidelity is TranscriptCdqsProtocol.entanglement_fidelity
+    assert HybridNeqCdqs.product_distance is TranscriptCdqsProtocol.product_distance
+    for n in (4, 8, 16):
+        p = HybridNeqCdqs(n)
+        for x, y in hybrid_input_sample(n, seed=2026):
+            weights = [weight for weight, _ in p.classes(x, y)]
+            assert sum(weights) == 1 and all(type(w) is Fraction for w in weights), (n, x, y)
+            fidelity = p.entanglement_fidelity(x, y)
+            assert type(fidelity) is Fraction
+            assert p.decoding_distance(x, y) == 2 * (1 - fidelity), (n, x, y)
+    key_cds = double_secret(neq_cds(1))
+    t = transcript_form(key_cds)
+    for x in range(2):
+        for y in range(2):
+            assert t.classes(x, y) == ((1, pad_counts(key_cds, x, y)),), (x, y)
+
 def test_hybrid_equality_classes_match_the_tabulated_average(tabulated_hybrid_measures):
     # every promise pair at n = 4 and 8, and the CLI's sample at n = 16
-    cases = [(n, hybrid_promise_function(n).promise_pairs()) for n in (4, 8)]
+    cases = [(n, promise_neq_function(n).promise_pairs()) for n in (4, 8)]
     cases.append((16, hybrid_input_sample(16, seed=2026)))
     for n, inputs in cases:
         p = HybridNeqCdqs(n)

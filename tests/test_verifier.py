@@ -23,6 +23,7 @@ from cdslab.classical import (
     ip_psm,
     neq_cds,
     neq_function,
+    promise_neq_function,
 )
 from cdslab.framework import (
     CdsProtocol,
@@ -32,7 +33,7 @@ from cdslab.framework import (
     enumerate_message_distribution,
     transcript_form,
 )
-from cdslab.quantum import hybrid_promise_function, neq_promise_cdqs
+from cdslab.quantum import HybridNeqCdqs
 from cdslab.toys import (
     depolarized,
     gated_forwarding,
@@ -344,15 +345,15 @@ def test_lifted_neq_dense_path():
 
 
 def test_hybrid_exact_transcript_path():
-    report = cdqs_verify(neq_promise_cdqs(4), hybrid_promise_function(4))
+    report = cdqs_verify(HybridNeqCdqs(4), promise_neq_function(4))
     assert report.epsilon_hat == 0.0
     assert report.delta_hat_lower == 0.0 and report.delta_hat_upper == 0.0
     assert len(report.inputs) == 112  # 16 equal pairs + 16 * C(4,2) far pairs
 
 
 def test_hybrid_large_domain_needs_explicit_inputs():
-    p = neq_promise_cdqs(16)
-    f = hybrid_promise_function(16)
+    p = HybridNeqCdqs(16)
+    f = promise_neq_function(16)
     with pytest.raises(ValueError, match="explicit"):
         cdqs_verify(p, f)
     x = 0b1010101010101010
@@ -373,9 +374,35 @@ def test_size_mismatch_rejected():
     with pytest.raises(ValueError, match=r"n=3 .* n=1"):
         psm_verify(ip_psm(3), ip_function(1))
     with pytest.raises(ValueError, match=r"n=8 .* n=4"):
-        cdqs_verify(neq_promise_cdqs(8), hybrid_promise_function(4))
+        cdqs_verify(HybridNeqCdqs(8), promise_neq_function(4))
     with pytest.raises(ValueError, match=r"n=1 .* n=2"):
         productness_check(gated_forwarding(), neq_function(2))
+
+
+def _nowhere_promised() -> PromiseFunction:
+    return PromiseFunction(1, lambda x, y: None, "nowhere")
+
+
+def test_cdqs_verify_refuses_an_empty_input_list():
+    # a report over no input would read eps = delta = 0 and pass
+    with pytest.raises(ValueError, match="no input"):
+        cdqs_verify(HybridNeqCdqs(8), promise_neq_function(8), inputs=[])
+
+
+def test_cds_verify_refuses_a_function_promised_nowhere():
+    with pytest.raises(ValueError, match="no input"):
+        cds_verify(neq_cds(1), _nowhere_promised())
+
+
+def test_psm_verify_refuses_a_function_promised_nowhere():
+    with pytest.raises(ValueError, match="no input"):
+        psm_verify(ip_psm(1), _nowhere_promised())
+
+
+def test_cdqs_verify_refuses_a_repeated_input():
+    # the report would list (0, 0) twice
+    with pytest.raises(ValueError, match="listed more than once"):
+        cdqs_verify(lifted_neq(), lifted_neq_function(), inputs=[(0, 0), (0, 0)])
 
 
 def test_depolarized_epsilon_grows_continuously():
@@ -422,7 +449,7 @@ def test_productness_entries_carry_the_right_witness():
 
 
 def test_productness_hybrid_transcript_path():
-    checks = productness_check(neq_promise_cdqs(4), hybrid_promise_function(4))
+    checks = productness_check(HybridNeqCdqs(4), promise_neq_function(4))
     assert len(checks) == 112
     assert all(c["ok"] for c in checks)
     ones = [c for c in checks if c["value"] == 1]
