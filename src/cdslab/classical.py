@@ -148,6 +148,15 @@ def _parity_array(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v).astype(np.int64) & 1
 
 
+def _promise_neq_log_length(n: int) -> int:
+    """``log2 n`` of a promise-NEQ string length ``n``, which must be a
+    power of two >= 2: the one length rule of promise NEQ, its
+    Deutsch-Jozsa shortening and the hybrid protocol."""
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"promise NEQ needs a string length that is a power of two >= 2, got {n}")
+    return n.bit_length() - 1
+
+
 # ---------------------------------------------------------------------------
 # promise functions
 # ---------------------------------------------------------------------------
@@ -172,8 +181,7 @@ def constant_function(n: int, value: int) -> PromiseFunction:
 
 def promise_neq_function(n: int) -> PromiseFunction:
     """Promise NEQ on length-n strings: equal, or at Hamming distance n/2."""
-    if n < 2 or n & (n - 1):
-        raise ValueError("promise NEQ needs a power-of-two string length >= 2")
+    _promise_neq_log_length(n)
 
     def value(x, y):
         d = (x ^ y).bit_count()

@@ -30,8 +30,9 @@ the verifier asks of it:
   mid-protocol state (the lower end of delta).
 
 A dense :class:`CdqsProtocol` (named-subsystem channels for Alice and Bob
-plus a pure resource state, each one-dimensional when unused) answers them
-at its Choi state, so it stays small.  The "classical transcript + one
+plus a pure resource state held on its support, a
+:class:`cdslab.qcore.SupportVector`, each one-dimensional when unused)
+answers them at its Choi state, so it stays small.  The "classical transcript + one
 Pauli-padded qubit" shape answers them exactly in rationals, so large
 classical registers stay cheap: :func:`pad_counts` tabulates, per
 transcript, the integer counts of each pad key, and :class:`PadCounts`
@@ -60,7 +61,6 @@ bob_side_state(p, y)`` (no state holds ``Q``, ``L`` and ``R`` at once).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -70,10 +70,11 @@ from typing import Callable, Hashable, Optional
 import numpy as np
 
 from .qcore import (
+    ATOL_INVARIANT,
     PAULI,
     DensityMatrix,
     QuantumChannel,
-    StateVector,
+    SupportVector,
     apply_channel,
     canonical_kraus,
     channel_from_choi,
@@ -379,7 +380,7 @@ def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 # defaults of a protocol that shares no resource and has no Bob message
-_NO_RESOURCE = StateVector(np.ones(1, dtype=complex), (("L", 1), ("R", 1)), validate=False)
+_NO_RESOURCE = SupportVector([0], [1], (("L", 1), ("R", 1)))
 _SILENT_BOB = QuantumChannel([np.ones((1, 1))], (("R", 1),), (("MB", 1),), validate=False)
 
 
@@ -393,10 +394,12 @@ class CdqsProtocol:
 
     ``alice_channel(x)`` consumes ``(Q, L)``, ``bob_channel(y)`` consumes
     ``R``; ``decoder(x, y)`` returns a channel from the message subsystems
-    to ``Q``, or None on inputs where decoding is not promised.  Without a
-    resource or a Bob message, the defaults keep ``L``, ``R`` and ``MB`` as
-    one-dimensional registers: ``resource`` is the amplitude-``[1]`` state
-    on ``(L(1), R(1))`` and ``bob_channel`` maps ``R(1) -> MB(1)``.
+    to ``Q``, or None on inputs where decoding is not promised.  The
+    ``resource`` is a pure state on ``(L, R)`` held on its support; its norm
+    must be 1 within ``ATOL_INVARIANT``.  Without a resource or a Bob
+    message, the defaults keep ``L``, ``R`` and ``MB`` as one-dimensional
+    registers: ``resource`` is the one entry ``[1]`` on ``(L(1), R(1))``
+    and ``bob_channel`` maps ``R(1) -> MB(1)``.
     """
 
     n: int
@@ -404,10 +407,15 @@ class CdqsProtocol:
     alice_channel: Callable[[int], QuantumChannel]
     decoder: Callable[[int, int], Optional[QuantumChannel]]
     bob_channel: Callable[[int], QuantumChannel] = _silent_bob
-    resource: StateVector = _NO_RESOURCE
+    resource: SupportVector = _NO_RESOURCE
     cost: Optional[CostReport] = None
     construction: str = ""
     params: tuple = ()
+
+    def __post_init__(self):
+        norm = float(np.linalg.norm(self.resource.amplitudes))
+        if abs(norm - 1.0) > ATOL_INVARIANT:
+            raise ValueError(f"resource norm {norm} deviates from 1 beyond {ATOL_INVARIANT}")
 
     def message_dims(self) -> tuple[int, int]:
         """(dim of Alice's message, dim of Bob's message), probed at x=y=0."""
@@ -430,7 +438,8 @@ class CdqsProtocol:
         """``<phi+| (decoder (x) id)(mid state) |phi+>`` for the shipped decoder."""
         rho = self._decoded(x, y)
         phi = maximally_entangled("Qbar", "Q", self.d_q)
-        return float(np.real(phi.amplitudes.conj() @ rho.entries @ phi.amplitudes))
+        on_phi = rho.entries[np.ix_(phi.index, phi.index)]
+        return float(np.real(phi.amplitudes.conj() @ on_phi @ phi.amplitudes))
 
     def product_distance(self, x: int, y: int) -> float:
         """``|| rho_{QbarM} - pi (x) rho_M ||_1`` of the mid state."""
@@ -540,11 +549,13 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
 
     Every Kraus family of the result, and its resource, is the ``k``-fold
     Kronecker power of the original's, the first copy slowest, regrouped
-    copy-major by :func:`_kron_regrouped`.  The two-register inputs,
-    Alice's ``(Q, L)``, the decoder's ``(MA, MB)`` and the resource's
-    ``(L, R)``, run copy by copy in the power, ``(Q1, L1, ..., Qk, Lk)``
-    for Alice, and register by register in the result, ``(Q1..Qk,
-    L1..Lk)``; Bob's one register ``R`` and every output are not permuted.
+    copy-major by :func:`_kron_regrouped`; the resource is scattered to its
+    dense amplitudes for that and held on the power's nonzeros.  The
+    two-register inputs, Alice's ``(Q, L)``, the decoder's ``(MA, MB)`` and
+    the resource's ``(L, R)``, run copy by copy in the power, ``(Q1, L1,
+    ..., Qk, Lk)`` for Alice, and register by register in the result,
+    ``(Q1..Qk, L1..Lk)``; Bob's one register ``R`` and every output are not
+    permuted.
     Costs scale exactly by ``k``; correctness and security of the result
     are measured, not assumed.
     """
@@ -557,8 +568,11 @@ def parallel_repeat(p: CdqsProtocol, k: int) -> CdqsProtocol:
     dr = layout_dim(p.resource.layout[1:])
     _check_dense_dimension(f"parallel_repeat({k}) mid-state", (p.d_q * da * db) ** k)
 
-    amps = _kron_regrouped(p.resource.amplitudes.reshape(1, 1, -1), k, (dl, dr)).reshape(-1)
-    resource = StateVector(amps, (("L", dl**k), ("R", dr**k)), validate=False)
+    dense = np.zeros(dl * dr, dtype=complex)
+    dense[p.resource.index] = p.resource.amplitudes
+    amps = _kron_regrouped(dense.reshape(1, 1, -1), k, (dl, dr)).reshape(-1)
+    nonzero = np.flatnonzero(amps)
+    resource = SupportVector(nonzero, amps[nonzero], (("L", dl**k), ("R", dr**k)))
 
     def alice(x):
         return _repeated(p.alice_channel(x), k, (p.d_q, dl), ("Q", "L"), "MA")
@@ -721,9 +735,9 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     to the secret qubit, and runs the classical CDS with secret ``k``; the
     referee recovers the key exactly when the CDS discloses it and unpads.
     Message subsystems: ``MAc`` (Alice's classical message), ``Qs`` (the
-    padded qubit), ``MBc`` (Bob's classical message).  The resource
-    ``(L, R)`` and the mid state ``(Qbar, MAc, Qs, MBc)`` must fit the dense
-    budget.
+    padded qubit), ``MBc`` (Bob's classical message).  The resource is the
+    maximally entangled state on ``(L, R)``, one draw ``r`` per entry; it
+    and the mid state ``(Qbar, MAc, Qs, MBc)`` must fit the dense budget.
     """
     cost = _pad_lift_cost(key_cds)
     r_count = 1 << key_cds.randomness_bits
@@ -738,11 +752,7 @@ def classical_to_quantum_lift(key_cds: CdsProtocol) -> CdqsProtocol:
     dim_a, dim_b = len(ma_space), len(mb_space)
     _check_dense_dimension("pad-lift mid-state", 4 * dim_a * dim_b)
 
-    resource = StateVector(
-        np.eye(r_count, dtype=complex).reshape(-1) / math.sqrt(r_count),
-        (("L", r_count), ("R", r_count)),
-        validate=False,
-    )
+    resource = maximally_entangled("L", "R", r_count)
 
     rs = np.arange(r_count)
 

@@ -29,7 +29,7 @@ optimum once it is within 1e-10 of it, and the starts it does not need are
 never built (:func:`_seesaw`).
 The purified runs are pure states held on their support
 (:class:`cdslab.qcore.SupportVector`): flat indices and amplitudes, seeded
-from the resource's nonzero amplitudes and carried through the
+as the support product of the pair and the resource and carried through the
 purifications by :func:`cdslab.qcore.apply_isometry`, so no vector of the
 runs' full dimension is formed.  Each hiding input's accept stack is read
 off its run's support once (:attr:`TwoProverProof.accept_stack`), already
@@ -230,19 +230,15 @@ class TwoProverProof:
         """Both purifications applied to ``sum_s |s>_Qbar |s>_Q (x) resource``,
         on its support.
 
-        The input is left unnormalised, amplitude exactly 1 at each
-        ``(s, s)``, so the slice at ``Qbar = s`` is the run on ``|s>`` bit
-        for bit: the accept vector ``psi^s``.  It is seeded on its support
-        directly: the resource's nonzero amplitude ``r`` sits at ``(s, s,
-        r)`` for every ``s``.
+        The pair is left unnormalised, amplitude exactly 1 at each ``(s,
+        s)``, so the slice at ``Qbar = s`` is the run on ``|s>`` bit for
+        bit: the accept vector ``psi^s``.  The input is the support product
+        :func:`cdslab.qcore.tensor` of the pair's ``d_Q`` entries and the
+        resource's.
         """
-        resource = self.protocol.resource
-        nonzero = np.flatnonzero(resource.amplitudes)
-        pairs = np.arange(self.d_q) * (self.d_q + 1) * resource.dim
-        pair = (("Qbar", self.d_q), ("Q", self.d_q))
-        state = SupportVector(np.add.outer(pairs, nonzero).ravel(),
-                              np.tile(resource.amplitudes[nonzero], self.d_q),
-                              pair + resource.layout)
+        d = self.d_q
+        pair = SupportVector(np.arange(d) * (d + 1), np.ones(d), (("Qbar", d), ("Q", d)))
+        state = tensor(pair, self.protocol.resource)
         state = apply_isometry(self.alice_purification(x), state)
         return apply_isometry(self.bob_purification(y), state)
 

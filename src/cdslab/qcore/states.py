@@ -1,21 +1,24 @@
-"""State vectors and density matrices over named, ordered subsystems.
+"""Pure states on their support and density matrices over named, ordered
+subsystems.
 
 Conventions
 -----------
-A *layout* is an ordered tuple of ``(name, dim)`` pairs.  Vectors and
-matrices are stored dense in row-major order with the **last listed
-subsystem varying fastest**, i.e. the basis state ``|a>|b>`` of a layout
-``(("A", dA), ("B", dB))`` sits at flat index ``a * dB + b``, which is the
-ordinary Kronecker-product convention (``np.kron(vec_a, vec_b)``).
-A :class:`SupportVector` keeps only a pure state's nonzero amplitudes,
-each with its flat index in that order.
+A *layout* is an ordered tuple of ``(name, dim)`` pairs.  Flat indices run
+in row-major order with the **last listed subsystem varying fastest**,
+i.e. the basis state ``|a>|b>`` of a layout ``(("A", dA), ("B", dB))``
+sits at flat index ``a * dB + b``, which is the ordinary Kronecker-product
+convention (``np.kron(vec_a, vec_b)``).  A pure state is a
+:class:`SupportVector`: its amplitudes that may be nonzero, each with its
+flat index, and no vector of the full dimension.  A
+:class:`DensityMatrix` is stored dense in the same order.
 
 All public objects are immutable: constructors copy their inputs and mark
 the underlying arrays read-only.  Operations never mutate their arguments.
 
-Tolerances: structural invariants (normalisation, hermiticity, positivity,
-trace) are enforced at ``ATOL_INVARIANT = 1e-9``; pure linear-algebra
-identities are tested elsewhere at 1e-12.
+Tolerances: a density matrix's invariants (hermiticity, positivity, trace)
+are enforced at ``ATOL_INVARIANT = 1e-9``, and so is the norm of a
+protocol's resource (:class:`cdslab.framework.CdqsProtocol`); pure
+linear-algebra identities are tested elsewhere at 1e-12.
 """
 
 from __future__ import annotations
@@ -95,59 +98,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# StateVector
+# SupportVector
 # ---------------------------------------------------------------------------
-
-class StateVector:
-    """A pure state: complex amplitudes over an ordered subsystem layout.
-
-    Parameters
-    ----------
-    amplitudes : array_like
-        Flat complex vector of shape ``(prod(dims),)``, row-major with the
-        last listed subsystem fastest; any other shape raises.
-    layout : iterable of (name, dim)
-    validate : bool
-        When True (default) enforce unit norm within 1e-9.
-    """
-
-    __slots__ = ("amplitudes", "layout")
-
-    def __init__(self, amplitudes, layout, validate: bool = True):
-        lt = as_layout(layout)
-        d = layout_dim(lt)
-        amps = _frozen(amplitudes)
-        if amps.shape != (d,):
-            raise ValueError(f"amplitudes of shape {amps.shape}, expected ({d},)")
-        if validate:
-            norm = float(np.linalg.norm(amps))
-            if abs(norm - 1.0) > ATOL_INVARIANT:
-                raise ValueError(f"state vector norm {norm} deviates from 1 beyond 1e-9")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "layout", lt)
-
-    def __setattr__(self, *_):
-        raise AttributeError("StateVector is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def density_matrix(self) -> "DensityMatrix":
-        """The rank-one density matrix ``|psi><psi|``."""
-        amps = self.amplitudes
-        return DensityMatrix(np.outer(amps, amps.conj()), self.layout, validate=False)
-
-    def __repr__(self):
-        return f"StateVector(dim={self.dim}, layout={self.layout})"
-
 
 @dataclass(frozen=True)
 class SupportVector:
     """A pure state on its support: ``amplitudes[k]`` sits at the flat index
-    ``index[k]`` over ``layout`` (row-major, as for :class:`StateVector`),
-    each index at most once, and every other amplitude is zero.  Both
-    arrays are copied, 1-D and read-only; the norm is not checked.
+    ``index[k]`` over ``layout`` (row-major, last subsystem fastest), each
+    index in ``[0, d)`` at most once, and every other amplitude is zero.
+    Both arrays are copied, 1-D and read-only; the norm is not checked.
     """
 
     index: np.ndarray
@@ -155,14 +114,29 @@ class SupportVector:
     layout: Layout
 
     def __post_init__(self):
+        layout = as_layout(self.layout)
         index = np.array(self.index, dtype=np.intp)
         amps = _frozen(self.amplitudes)
         if index.ndim != 1 or amps.shape != index.shape:
             raise ValueError(f"{index.shape} indices for {amps.shape} amplitudes")
+        d = layout_dim(layout)
+        ordered = np.sort(index)
+        if index.size and not 0 <= ordered[0] <= ordered[-1] < d:
+            raise ValueError(f"support index outside [0, {d})")
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("support index repeats")
         index.flags.writeable = False
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "layout", as_layout(self.layout))
+        object.__setattr__(self, "layout", layout)
+
+    def density_matrix(self) -> "DensityMatrix":
+        """The rank-one density matrix ``|psi><psi|``, exactly zero off the
+        support's rows and columns."""
+        d = layout_dim(self.layout)
+        mat = np.zeros((d, d), dtype=complex)
+        mat[np.ix_(self.index, self.index)] = np.outer(self.amplitudes, self.amplitudes.conj())
+        return DensityMatrix(mat, self.layout, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +211,32 @@ def maximally_mixed(name: str, dim: int) -> DensityMatrix:
     """The state ``I/dim`` on a single subsystem."""
     return DensityMatrix(np.eye(dim) / dim, ((name, dim),), validate=False)
 
-def maximally_entangled(name_a: str, name_b: str, dim: int) -> StateVector:
-    """``(1/sqrt(dim)) sum_i |i>|i>`` on two ``dim``-dimensional subsystems."""
-    amps = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
-    return StateVector(amps, ((name_a, dim), (name_b, dim)), validate=False)
+def maximally_entangled(name_a: str, name_b: str, dim: int) -> SupportVector:
+    """``(1/sqrt(dim)) sum_i |i>|i>`` on two ``dim``-dimensional subsystems,
+    held on its ``dim`` entries ``i (dim + 1)``."""
+    return SupportVector(
+        np.arange(dim) * (dim + 1), np.full(dim, 1 / math.sqrt(dim)), ((name_a, dim), (name_b, dim))
+    )
 
 def tensor(*parts):
-    """Tensor product of StateVectors or of DensityMatrices (left to right).
+    """Tensor product of SupportVectors or of DensityMatrices (left to right).
 
-    Layouts concatenate; subsystem names must stay distinct.
+    Layouts concatenate; subsystem names must stay distinct.  The product of
+    SupportVectors is the product of their supports: ``a`` then ``b`` puts
+    ``a.amplitudes[i] * b.amplitudes[j]`` at ``a.index[i] * d_b +
+    b.index[j]``, ``a``'s entries slowest.
     """
     if not parts:
         raise ValueError("tensor() needs at least one argument")
     kinds = {type(p) for p in parts}
-    if kinds == {StateVector}:
-        amps = parts[0].amplitudes
+    if kinds == {SupportVector}:
+        index, amps = parts[0].index, parts[0].amplitudes
         layout = list(parts[0].layout)
         for p in parts[1:]:
-            amps = np.kron(amps, p.amplitudes)
+            index = np.add.outer(index * layout_dim(p.layout), p.index).ravel()
+            amps = np.outer(amps, p.amplitudes).ravel()
             layout.extend(p.layout)
-        return StateVector(amps, layout, validate=False)
+        return SupportVector(index, amps, layout)
     if kinds == {DensityMatrix}:
         mat = parts[0].entries
         layout = list(parts[0].layout)
@@ -264,7 +244,7 @@ def tensor(*parts):
             mat = np.kron(mat, p.entries)
             layout.extend(p.layout)
         return DensityMatrix(mat, layout, validate=False)
-    raise ValueError("tensor() arguments must be all StateVector or all DensityMatrix")
+    raise ValueError("tensor() arguments must be all SupportVector or all DensityMatrix")
 
 def partial_trace(state: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     """Trace out everything except ``keep``.

@@ -20,9 +20,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .classical import _parity, ip_psm, neq_cds, double_secret
+from .classical import _parity, _promise_neq_log_length, ip_psm, neq_cds, double_secret
 from .forrelation import _walsh_hadamard
-from .framework import CostReport, TranscriptCdqsProtocol, _draws, _pad_lift_cost, pad_counts
+from .framework import (CostReport, TranscriptCdqsProtocol, _draws, _pad_lift_cost, pad_counts,
+                        protocol_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +55,7 @@ def dj_shorten(x: int, y: int, n: int) -> dict[tuple[int, int], Fraction]:
 
 def _dj_difference(x: int, y: int, n: int) -> int:
     """``x xor y``, once ``n`` and both inputs are checked."""
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"n must be a power of two >= 2, got {n}")
+    _promise_neq_log_length(n)
     for v in (x, y):
         if not 0 <= v < (1 << n):
             raise ValueError(f"input {v} does not fit in {n} bits")
@@ -114,9 +114,7 @@ class HybridNeqCdqs(TranscriptCdqsProtocol):
     """
 
     def __init__(self, n: int):
-        if n < 2 or n & (n - 1):
-            raise ValueError("hybrid protocol needs a power-of-two string length >= 2")
-        m = n.bit_length() - 1
+        m = _promise_neq_log_length(n)
         copy = neq_cds(m)
         # the key pair's counts on a = b and on a != b
         same, differ = (pad_counts(copy, 0, b).square() for b in (0, 1))
@@ -261,12 +259,8 @@ class BhmPsqm:
 
     @property
     def cost(self) -> CostReport:
-        return CostReport(
-            comm_bits=self.inner.message_bits_a + self.inner.message_bits_b,
-            comm_qubits=0,
-            shared_random_bits=self.inner.randomness_bits,
-            shared_epr_pairs=self.index_bits,
-        )
+        """The inner PSM's cost plus the ``log(2n~)`` shared EPR pairs."""
+        return replace(protocol_cost(self.inner), shared_epr_pairs=self.index_bits)
 
     def psm_inputs(self, inst: BhmInstance, edge: int, k: int, l: int) -> tuple[int, int]:
         """The inner PSM input pair produced by one measurement outcome."""

@@ -156,6 +156,24 @@ def test_hybrid_report_is_pinned_at_the_default_seed(tmp_path, fmt, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, fmt, digest", [
+    (["--suite", "toys"], "json",
+     "8f1f67bed2c3aefe0a1e087beaaea8d7d3e67fac5b36b099917966251adde08d"),
+    (["--suite", "toys"], "csv",
+     "a999105525d9f55b71e8a13dcff5d0bac19e70d0fe1073852252967165199a10"),
+    (["--suite", "two-prover", "--k", "1"], "json",
+     "9570405e6f36fba8ce474a3ba8f993ccdb41847d08042cf4a207c707a6bbfae5"),
+    (["--suite", "two-prover", "--k", "1"], "csv",
+     "d8c874d4e856a3b607654f3cdc82973a2ef0a553ed86eb330d1d6fa359d3ea64"),
+])
+def test_dense_reports_are_pinned_at_the_default_seed(tmp_path, args, fmt, digest):
+    # the dense regime's report bytes: the toys' measures through density
+    # matrices, and the proof lab's purified runs, see-saw and orthogonality
+    out = tmp_path / f"report.{fmt}"
+    assert main(args + ["--seed", "2026", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_hybrid_input_sample_is_deterministic_and_on_promise():
     sample = hybrid_input_sample(8, seed=11)
     assert sample == hybrid_input_sample(8, seed=11)

@@ -41,7 +41,7 @@ from cdslab.qcore import (
     PAULI,
     DensityMatrix,
     QuantumChannel,
-    StateVector,
+    SupportVector,
     apply_channel,
     canonical_kraus,
     choi_state,
@@ -326,6 +326,33 @@ def test_joint_channel_matches_sequential_run():
         np.asarray(via_channel.entries), np.asarray(direct.entries), atol=1e-10
     )
 
+def _dense(state):
+    """The dense amplitudes of a state held on its support."""
+    amps = np.zeros(np.prod([dim for _, dim in state.layout]), dtype=complex)
+    amps[state.index] = state.amplitudes
+    return amps
+
+def test_cdqs_protocol_refuses_an_unnormalised_resource():
+    # the resource is a pure state: its norm is 1 within 1e-9
+    base = gated_forwarding()
+    layout = (("L", 1), ("R", 2))
+    for amps in ([1.0, 1.0], [1 + 2e-9, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="resource norm"):
+            dataclasses.replace(base, resource=SupportVector([0, 1], amps, layout))
+    for amps in ([1 + 5e-10, 0.0], [0.6, 0.8j]):
+        p = dataclasses.replace(base, resource=SupportVector([0, 1], amps, layout))
+        assert np.array_equal(p.resource.amplitudes, amps)
+
+def test_resources_are_held_on_their_support():
+    # no resource: one entry; the pad lift: phi+ on its r entries
+    assert np.array_equal(trivial_forwarding().resource.index, [0])
+    assert np.array_equal(trivial_forwarding().resource.amplitudes, [1])
+    lift = lifted_neq()
+    r = lift.resource.layout[0][1]
+    assert lift.resource.layout == (("L", r), ("R", r))
+    assert np.array_equal(lift.resource.index, np.arange(r) * (r + 1))
+    assert np.array_equal(_dense(lift.resource), np.eye(r).reshape(-1) / np.sqrt(r))
+
 
 # ---------------------------------------------------------------------------
 # lifting a classical CDS to a quantum one
@@ -528,7 +555,7 @@ def test_bobless_protocol_matches_direct_choi_computation(seed, count):
 def test_bob_side_first_matches_the_full_register_run(seed, alice_count, bob_count):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-    resource = StateVector(amps / np.linalg.norm(amps), (("L", 2), ("R", 2)))
+    resource = SupportVector(np.arange(4), amps / np.linalg.norm(amps), (("L", 2), ("R", 2)))
     bob = QuantumChannel(_random_kraus(rng, bob_count), (("R", 2),), (("MB", 2),))
     alice = QuantumChannel(
         _random_kraus(rng, alice_count, dim_in=4), (("Q", 2), ("L", 2)), (("MA", 2),)
@@ -653,7 +680,7 @@ def _kron_repeat_reference(channel, k, in_dims, in_layout, out_layout):
 def _repeated_resource_reference(p, k):
     dl = p.resource.layout[0][1]
     dr = p.resource.layout[1][1]
-    amps = _kron_power_list([p.resource.amplitudes], k)[0].reshape(-1)
+    amps = _kron_power_list([_dense(p.resource)], k)[0].reshape(-1)
     perm = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
     return _regroup_matrix([dl, dr] * k, perm) @ amps
 
@@ -699,7 +726,10 @@ def test_parallel_repeat_stacks_equal_the_regrouped_kron_lists(make, k):
     rep = parallel_repeat(p, k)
     da, db = p.message_dims()
     dl = p.resource.layout[0][1]
-    assert np.array_equal(rep.resource.amplitudes, _repeated_resource_reference(p, k))
+    # the power's dense amplitudes, held on exactly its nonzeros
+    want = _repeated_resource_reference(p, k)
+    assert np.array_equal(rep.resource.index, np.flatnonzero(want))
+    assert np.array_equal(_dense(rep.resource), want)
     inputs = range(1 << p.n)
     for x in inputs:
         got = rep.alice_channel(x)
@@ -753,7 +783,7 @@ def test_bob_repetition_over_the_choi_rank_bound_is_compressed():
     p = dataclasses.replace(
         gated_forwarding(),
         bob_channel=lambda y: bob,
-        resource=StateVector([1, 0], (("L", 1), ("R", 2))),
+        resource=SupportVector([0], [1], (("L", 1), ("R", 2))),
     )
     rep = parallel_repeat(p, 2).bob_channel(0)
     product = QuantumChannel(

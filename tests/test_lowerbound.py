@@ -17,7 +17,6 @@ from cdslab.framework import CdqsProtocol, joint_channel
 from cdslab.qcore import (
     DensityMatrix,
     QuantumChannel,
-    StateVector,
     SupportVector,
     apply_isometry,
     best_ascent,
@@ -32,7 +31,6 @@ from cdslab.qcore import (
     maximally_mixed,
     optimize,
     partial_trace,
-    tensor,
 )
 from cdslab.toys import (
     always_one_function,
@@ -207,11 +205,17 @@ def test_value_preconditions_are_enforced():
         lb.cheat_optimize(tp, f, 1, 1)
 
 
+def _on_every_index(amps, layout):
+    """A dense (unnormalised) vector as a SupportVector that lists every
+    flat index, so its amplitudes are the dense vector."""
+    return SupportVector(np.arange(len(amps)), amps, layout)
+
+
 def _dense(state):
-    """A state held on its support as a dense (unnormalised) StateVector."""
+    """A state held on its support, scattered to its dense amplitudes."""
     amps = np.zeros(layout_dim(state.layout), dtype=complex)
     amps[state.index] = state.amplitudes
-    return StateVector(amps, state.layout, validate=False)
+    return _on_every_index(amps, state.layout)
 
 
 def _dense_apply(iso, psi):
@@ -225,7 +229,7 @@ def _permuted(psi, order):
     """The dense ``psi`` with its subsystems reordered to ``order``."""
     perm = layout_positions(psi.layout, order)
     amps = psi.amplitudes.reshape([dim for _, dim in psi.layout]).transpose(perm).reshape(-1)
-    return StateVector(amps, tuple(psi.layout[p] for p in perm), validate=False)
+    return _on_every_index(amps, tuple(psi.layout[p] for p in perm))
 
 
 def _vector_as_matrix(psi, row_names, col_names):
@@ -258,10 +262,14 @@ def _full(accept):
 
 
 def _run_on(tp, state, x, y):
-    """Both purifications of ``tp`` applied to ``state (x) resource`` along
-    the dense route: the per-state run that the proof's single run
-    replaces, kept as its oracle."""
-    state = _dense_apply(tp.alice_purification(x), tensor(state, tp.protocol.resource))
+    """Both purifications of ``tp`` applied to the dense ``state (x)
+    resource``, a ``np.kron`` of dense vectors, along the dense route: the
+    per-state run that the proof's single run replaces, kept as its
+    oracle."""
+    resource = _dense(tp.protocol.resource)
+    joint = _on_every_index(np.kron(state.amplitudes, resource.amplitudes),
+                            state.layout + resource.layout)
+    state = _dense_apply(tp.alice_purification(x), joint)
     return _dense_apply(tp.bob_purification(y), state)
 
 
@@ -271,8 +279,7 @@ def _dense_accept_matrices(tp, x, y):
     and reshaped to the full (d_Q, M, M') stack, with its
     :func:`_joint_support`."""
     message, private = tp.system_names(x, y)
-    pair = StateVector(np.eye(tp.d_q).reshape(-1), (("Qbar", tp.d_q), ("Q", tp.d_q)),
-                       validate=False)
+    pair = _on_every_index(np.eye(tp.d_q).reshape(-1), (("Qbar", tp.d_q), ("Q", tp.d_q)))
     run = _run_on(tp, pair, x, y)
     rows = _vector_as_matrix(run, ["Qbar"] + message, private)
     stack = rows.reshape(tp.d_q, -1, rows.shape[1])
@@ -280,7 +287,7 @@ def _dense_accept_matrices(tp, x, y):
 
 
 def _secret(s, d_q):
-    return StateVector(np.eye(d_q)[s], (("Q", d_q),))
+    return _on_every_index(np.eye(d_q)[s], (("Q", d_q),))
 
 
 def _honest_by_secret_oracle(tp, x, y):
@@ -289,7 +296,7 @@ def _honest_by_secret_oracle(tp, x, y):
     each accept vector from its own run on ``|s>``."""
     rec = tp.recovery(x, y)
     _, private = tp.system_names(x, y)
-    run = _run_on(tp, maximally_entangled("Qbar", "Q", tp.d_q), x, y)
+    run = _run_on(tp, _dense(maximally_entangled("Qbar", "Q", tp.d_q)), x, y)
     shares = _vector_as_matrix(_dense_apply(rec, run), ["Qbar", "Q"], ["P"] + private)
     out = []
     for s in range(tp.d_q):
@@ -441,7 +448,8 @@ def test_marginal_fidelity_matches_dense_computation():
     message, private = tp.system_names(0, 0)
     run = _permuted(_dense(tp.purified_run(0, 0)), ["Qbar"] + message + private)
     slices = run.amplitudes.reshape(tp.d_q, -1)
-    states = [StateVector(slices[s], run.layout[1:]) for s in range(2)]
+    assert np.linalg.norm(slices, axis=1) == pytest.approx([1.0, 1.0], abs=1e-9)
+    states = [_on_every_index(slices[s], run.layout[1:]) for s in range(2)]
     dense = fidelity(
         partial_trace(states[0].density_matrix(), keep=private),
         partial_trace(states[1].density_matrix(), keep=private),
@@ -464,7 +472,8 @@ def test_marginal_fidelity_of_complex_vectors_matches_dense_computation(seed, dm
         m = rng.normal(size=(dm, dp)) + 1j * rng.normal(size=(dm, dp))
         mats.append(m / np.linalg.norm(m))
     marginals = [
-        partial_trace(StateVector(m.reshape(-1), (("M", dm), ("P", dp))).density_matrix(), keep=["P"])
+        partial_trace(_on_every_index(m.reshape(-1), (("M", dm), ("P", dp))).density_matrix(),
+                      keep=["P"])
         for m in mats
     ]
     dense = fidelity(*marginals)

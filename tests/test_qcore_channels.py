@@ -14,7 +14,6 @@ from cdslab.qcore import (
     PAULI,
     DensityMatrix,
     QuantumChannel,
-    StateVector,
     SupportVector,
     apply_channel,
     apply_channel_matrix,
@@ -186,18 +185,18 @@ def test_apply_isometry_matches_matrix_action():
     psi_a /= np.linalg.norm(psi_a)
     psi_b = rng.normal(size=2) + 1j * rng.normal(size=2)
     psi_b /= np.linalg.norm(psi_b)
-    joint = _on_support(StateVector(np.kron(psi_a, psi_b), [("A", 2), ("B", 2)]))
+    joint = _on_support(np.kron(psi_a, psi_b), [("A", 2), ("B", 2)])
     out = apply_isometry(iso, joint)
     assert out.layout == (("A", 2), ("B", 2), ("E", 3))
     assert np.max(np.abs(_dense(out) - np.kron(psi_a, v @ psi_b))) < 1e-12
 
-def _on_support(psi, order=None):
-    """``psi`` on its support, its nonzero amplitudes in flat-index order or
-    permuted by ``order``."""
-    support = np.flatnonzero(psi.amplitudes)
+def _on_support(amps, layout, order=None):
+    """The dense ``amps`` on its support, its nonzero amplitudes in
+    flat-index order or permuted by ``order``."""
+    support = np.flatnonzero(amps)
     if order is not None:
         support = support[order(len(support))]
-    return SupportVector(support, psi.amplitudes[support], psi.layout)
+    return SupportVector(support, amps[support], layout)
 
 def _dense(state):
     """The dense amplitudes of a state held on its support."""
@@ -223,19 +222,20 @@ def _splice(n_out, n_rest, insert_at):
     order = list(range(n_out + n_rest))
     return order[n_out : n_out + insert_at] + order[:n_out] + order[n_out + insert_at :]
 
-def _dense_apply_isometry(iso, psi):
-    """The dense reference: permute the whole state so the consumed
-    subsystems lead, multiply by the isometry, and permute the result back."""
-    perm, untouched, insert_at, new_layout = _consumed_first(psi.layout, iso)
-    dims = [dim for _, dim in psi.layout]
-    amps = psi.amplitudes.reshape(dims).transpose(perm)
+def _dense_apply_isometry(iso, amps, layout):
+    """The dense reference: permute the whole state ``amps`` over
+    ``layout`` so the consumed subsystems lead, multiply by the isometry,
+    and permute the result back; returns the amplitudes and their layout."""
+    perm, untouched, insert_at, new_layout = _consumed_first(layout, iso)
+    dims = [dim for _, dim in layout]
+    amps = amps.reshape(dims).transpose(perm)
     v = iso.kraus_stack[0]
     rest_dims = [dims[p] for p in untouched]
     out = v @ amps.reshape(v.shape[1], int(np.prod(rest_dims)))
     out_dims = [dim for _, dim in iso.output_layout]
     full = out.reshape(tuple(out_dims) + tuple(rest_dims))
     spliced = _splice(len(out_dims), len(rest_dims), insert_at)
-    return StateVector(full.transpose(spliced).reshape(-1), new_layout, validate=False)
+    return full.transpose(spliced).reshape(-1), new_layout
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -288,12 +288,12 @@ def test_apply_isometry_matches_dense_oracle(seed, dims, growth, split_output, s
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     if sparse:
         amps[rng.permutation(dim)[: int(rng.integers(0, dim))]] = 0
-    psi = StateVector(amps / np.linalg.norm(amps), layout)
+    amps /= np.linalg.norm(amps)
     # the support in a random order: the kernel may not rely on a sorted one
-    got = apply_isometry(iso, _on_support(psi, rng.permutation))
-    want = _dense_apply_isometry(iso, psi)
-    assert got.layout == want.layout
-    assert np.max(np.abs(_dense(got) - want.amplitudes)) <= 1e-13
+    got = apply_isometry(iso, _on_support(amps, layout, rng.permutation))
+    want, want_layout = _dense_apply_isometry(iso, amps, layout)
+    assert got.layout == want_layout
+    assert np.max(np.abs(_dense(got) - want)) <= 1e-13
     # the output is on its support: distinct indices, no exact zero kept
     assert len(np.unique(got.index)) == len(got.index) and np.all(got.amplitudes != 0)
 

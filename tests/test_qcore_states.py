@@ -5,7 +5,7 @@ import pytest
 
 from cdslab.qcore import (
     DensityMatrix,
-    StateVector,
+    SupportVector,
     as_layout,
     fresh_name,
     layout_dim,
@@ -20,7 +20,17 @@ from cdslab.qcore import (
 
 def ket(index, name, dim):
     """The computational basis state ``|index>`` of one ``dim``-level system."""
-    return StateVector(np.eye(dim)[index], [(name, dim)])
+    return SupportVector([index], [1.0], [(name, dim)])
+
+def on_every_index(amps, layout):
+    """A dense vector as a SupportVector listing every flat index."""
+    return SupportVector(np.arange(len(amps)), amps, layout)
+
+def dense(state):
+    """The dense amplitudes of a state held on its support."""
+    amps = np.zeros(layout_dim(state.layout), dtype=complex)
+    amps[state.index] = state.amplitudes
+    return amps
 
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -62,23 +72,35 @@ def test_fresh_name_primes_until_free():
 # state construction and immutability
 # ---------------------------------------------------------------------------
 
-def test_state_vector_norm_enforced():
-    with pytest.raises(ValueError):
-        StateVector([1.0, 1.0], [("Q", 2)])
-
-def test_state_vector_refuses_mis_shaped_amplitudes():
+def test_support_vector_refuses_mis_shaped_arrays():
     # the right size in the wrong shape is refused, not flattened
-    with pytest.raises(ValueError, match=r"amplitudes of shape \(2, 2\), expected \(4,\)"):
-        StateVector(np.eye(2) / np.sqrt(2), [("Q", 4)])
-    with pytest.raises(ValueError, match=r"amplitudes of shape \(3,\), expected \(2,\)"):
-        StateVector([1.0, 0.0, 0.0], [("Q", 2)])
+    with pytest.raises(ValueError, match=r"\(4,\) indices for \(2, 2\) amplitudes"):
+        SupportVector(np.arange(4), np.eye(2) / np.sqrt(2), [("Q", 4)])
+    with pytest.raises(ValueError, match=r"\(2, 2\) indices for \(2, 2\) amplitudes"):
+        SupportVector(np.arange(4).reshape(2, 2), np.eye(2) / np.sqrt(2), [("Q", 4)])
+    with pytest.raises(ValueError, match=r"\(2,\) indices for \(3,\) amplitudes"):
+        SupportVector([0, 1], [1.0, 0.0, 0.0], [("Q", 2)])
+
+def test_support_vector_refuses_an_index_outside_the_layout():
+    for index in ([4], [-1], [0, 7]):
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            SupportVector(index, np.ones(len(index)), [("A", 2), ("B", 2)])
+    # the ends of the range are accepted
+    assert list(SupportVector([0, 3], [1, 1], [("A", 2), ("B", 2)]).index) == [0, 3]
+
+def test_support_vector_refuses_a_repeated_index():
+    with pytest.raises(ValueError, match="repeats"):
+        SupportVector([2, 0, 2], [1, 1, 1], [("A", 4)])
 
 def test_states_are_immutable():
     psi = ket(0, "Q", 2)
     with pytest.raises(AttributeError):
         psi.amplitudes = np.zeros(2)
-    with pytest.raises(ValueError):
-        psi.amplitudes[0] = 0.0
+    with pytest.raises(AttributeError):
+        psi.index = np.zeros(1)
+    for array in (psi.amplitudes, psi.index):
+        with pytest.raises(ValueError):
+            array[0] = 0
     rho = psi.density_matrix()
     with pytest.raises(AttributeError):
         rho.entries = np.eye(2)
@@ -105,8 +127,44 @@ def test_tensor_basis_states_last_fastest():
     ket0 = ket(0, "A", 2)
     ket1 = ket(1, "B", 2)
     joint = tensor(ket0, ket1)
-    assert np.allclose(joint.amplitudes, [0, 1, 0, 0])
+    assert np.array_equal(dense(joint), [0, 1, 0, 0])
     assert joint.layout == (("A", 2), ("B", 2))
+
+def test_tensor_of_supports_matches_kron():
+    # the support product, on random sparse parts with their supports in
+    # random order: np.kron's entries bit for bit, first part slowest
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        dims = rng.integers(1, 4, size=3)
+        parts = []
+        for k, dim in enumerate(dims):
+            index = rng.permutation(dim)[: rng.integers(1, dim + 1)]
+            amps = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+            parts.append(SupportVector(index, amps, [(f"S{k}", dim)]))
+        joint = tensor(*parts)
+        want = dense(parts[0])
+        for p in parts[1:]:
+            want = np.kron(want, dense(p))
+        assert joint.layout == tuple((f"S{k}", dim) for k, dim in enumerate(dims))
+        assert np.array_equal(dense(joint), want)
+        assert len(joint.index) == np.prod([len(p.index) for p in parts])
+
+def test_density_matrix_of_a_support_vector():
+    rng = np.random.default_rng(13)
+    amps = random_pure(rng, 6)
+    amps[[1, 4]] = 0
+    psi = SupportVector([5, 0, 2, 3], amps[[5, 0, 2, 3]], [("A", 2), ("B", 3)])
+    rho = psi.density_matrix()
+    assert rho.layout == psi.layout
+    assert np.array_equal(rho.entries, np.outer(amps, amps.conj()))
+    assert not rho.entries[[1, 4]].any() and not rho.entries[:, [1, 4]].any()
+
+def test_maximally_entangled_on_its_entries():
+    for dim in (1, 2, 3, 4):
+        phi = maximally_entangled("A", "B", dim)
+        assert phi.layout == (("A", dim), ("B", dim))
+        assert np.array_equal(phi.index, np.arange(dim) * (dim + 1))
+        assert np.array_equal(dense(phi), np.eye(dim).reshape(-1) / np.sqrt(dim))
 
 def test_tensor_maximally_mixed():
     pi = maximally_mixed("A", 2)
@@ -114,9 +172,9 @@ def test_tensor_maximally_mixed():
     assert np.allclose(joint.entries, np.eye(4) / 4)
 
 def test_tensor_plus_states_uniform():
-    plus_a = StateVector(np.ones(2) / np.sqrt(2), [("A", 2)])
-    plus_b = StateVector(np.ones(2) / np.sqrt(2), [("B", 2)])
-    assert np.allclose(tensor(plus_a, plus_b).amplitudes, np.full(4, 0.5))
+    plus_a = on_every_index(np.ones(2) / np.sqrt(2), [("A", 2)])
+    plus_b = on_every_index(np.ones(2) / np.sqrt(2), [("B", 2)])
+    assert np.allclose(dense(tensor(plus_a, plus_b)), np.full(4, 0.5))
 
 def test_tensor_name_collision():
     with pytest.raises(ValueError):
@@ -148,7 +206,7 @@ def test_partial_trace_schmidt_oracle():
     rng = np.random.default_rng(11)
     for _ in range(8):
         amps = random_pure(rng, 6)
-        psi = StateVector(amps, [("A", 2), ("B", 3)])
+        psi = on_every_index(amps, [("A", 2), ("B", 3)])
         red = partial_trace(psi.density_matrix(), ["A"])
         schmidt = np.linalg.svd(amps.reshape(2, 3), compute_uv=False)
         eigs = np.sort(np.linalg.eigvalsh(red.entries))[::-1]

@@ -14,6 +14,7 @@ from cdslab.classical import double_secret, ip_psm, neq_cds, promise_neq_functio
 from cdslab.cli import hybrid_input_sample
 from cdslab.framework import (
     ArrayForm,
+    CostReport,
     PadCounts,
     TranscriptCdqsProtocol,
     enumerate_message_distribution,
@@ -372,6 +373,20 @@ def test_bhm_message_distribution_refuses_unequal_outcome_probabilities(monkeypa
         proto.message_distribution(inst)
     with pytest.raises(ValueError, match="equiprobable"):
         proto.inner_layer_secure(inst)
+
+@pytest.mark.parametrize("n, counts", [
+    (1, (8, 0, 7, 1)),
+    (2, (10, 0, 9, 2)),
+    (3, (12, 0, 11, 3)),
+    (4, (12, 0, 11, 3)),
+    (5, (14, 0, 13, 4)),
+    (6, (14, 0, 13, 4)),
+    (7, (14, 0, 13, 4)),
+    (8, (14, 0, 13, 4)),
+])
+def test_bhm_cost_is_the_inner_psm_cost_plus_the_index_pairs(n, counts):
+    # (comm_bits, comm_qubits, shared_random_bits, shared_epr_pairs)
+    assert bhm_psqm(n).cost == CostReport(*counts)
 
 def test_bhm_cost_scales_logarithmically():
     proto = bhm_psqm(8)  # 2n = 16 vertices -> 4 index bits

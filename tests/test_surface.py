@@ -31,6 +31,10 @@ cannot see, so a closure reads the captured name directly instead.
 The import guard fails on any name a module in ``src/``, ``tests/`` or
 ``cdsbench/`` imports and never uses.
 
+The export guard holds ``cdslab.qcore.__all__`` to the public names
+``qcore/__init__.py`` imports, so a stale export fails here and not at
+``from cdslab.qcore import *``.
+
 The tracing guard resolves every name the benchmark's traced pass looks
 up (``COUNTED`` and ``SPANNED`` in ``cdsbench/tracing.py``), so a rename
 fails here and not only in a traced benchmark run.
@@ -41,6 +45,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import cdslab.qcore
 from cdslab.qcore import identity_channel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -314,6 +319,24 @@ def test_every_imported_name_is_used():
                         if bound not in used:
                             unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+# ---------------------------------------------------------------------------
+# qcore's exports
+# ---------------------------------------------------------------------------
+
+def test_qcore_exports_are_the_names_it_imports():
+    tree = ast.parse((PACKAGE / "qcore" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    ]
+    exported = cdslab.qcore.__all__
+    assert len(set(exported)) == len(exported), "a name is exported twice"
+    assert sorted(exported) == sorted(imported)
 
 
 # ---------------------------------------------------------------------------
