@@ -11,9 +11,10 @@ degree, built on that degree's first use and kept for the process; GF(2)
 needs none.
 
 ``neq_cds`` and ``ip_psm`` also carry an :class:`~cdslab.framework.ArrayForm`:
-the same messages and decoder over an int64 array of draws, whose field
-products read numpy copies of the same tables.  The scalar functions stay
-the reference the array forms are tested against.
+the same messages and decoder over an int64 grid of draws, inputs and
+secrets, whose field products and inverses read numpy copies of the same
+tables.  The scalar functions stay the reference the array forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -132,12 +133,22 @@ def _array_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gf_mul_array(a: np.ndarray, b, n: int) -> np.ndarray:
-    """``gf_mul`` elementwise over int64 arrays (or an array and a scalar);
-    products with a zero factor are masked, since ``log[0]`` means nothing."""
+    """``gf_mul`` elementwise over int64 arrays that broadcast (or an array
+    and a scalar); products with a zero factor are masked, since ``log[0]``
+    means nothing."""
     if n == 1:
         return a & b
     exp, log = _array_tables(n)
     return np.where((a == 0) | (b == 0), 0, exp[log[a] + log[b]])
+
+
+def _gf_inv_array(a, n: int):
+    """``gf_inv`` elementwise over an int64 array or an int; 0 maps to an
+    arbitrary field element, which the caller masks."""
+    if n == 1:
+        return a
+    exp, log = _array_tables(n)
+    return exp[(1 << n) - 1 - log[a]]
 
 
 def _parity(v: int) -> int:
@@ -233,7 +244,8 @@ def neq_cds(n: int) -> CdsProtocol:
         a = gf_mul(u ^ m_b, inverse(x ^ y), n)
         return c ^ (a & 1)
 
-    # the same over an array of draws; Alice's code is u << 1 | c
+    # the same over a grid of draws, inputs and secrets as ints or columns;
+    # Alice's code is u << 1 | c
     def message_a_array(x, s, r):
         a = r >> n
         return (_gf_mul_array(a, x, n) ^ (r & mask)) << 1 | (s ^ (a & 1))
@@ -242,10 +254,9 @@ def neq_cds(n: int) -> CdsProtocol:
         return _gf_mul_array(r >> n, y, n) ^ (r & mask)
 
     def decoder_array(code_a, x, code_b, y):
-        if x == y:
-            return np.full_like(code_a, -1)
-        a = _gf_mul_array((code_a >> 1) ^ code_b, inverse(x ^ y), n)
-        return (code_a ^ a) & 1
+        d = np.bitwise_xor(x, y)
+        a = _gf_mul_array((code_a >> 1) ^ code_b, _gf_inv_array(d, n), n)
+        return np.where(d == 0, -1, (code_a ^ a) & 1)
 
     return CdsProtocol(
         n=n,
@@ -356,7 +367,8 @@ def ip_psm(n: int) -> PsmProtocol:
         v, beta = m_b
         return _parity(u & v) ^ alpha ^ beta
 
-    # the same over an array of draws; each code is (pad-masked input) << 1 | bit
+    # the same over a grid of draws, inputs as ints or columns; each code is
+    # (pad-masked input) << 1 | bit
     def message_a_array(x, r):
         r1, r2, r3 = split(r)
         return (x ^ r1) << 1 | (_parity_array(x & r2) ^ r3)

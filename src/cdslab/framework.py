@@ -4,20 +4,23 @@ Classical :class:`CdsProtocol` / :class:`PsmProtocol` are message functions
 over integer-encoded inputs plus dyadic shared randomness, executed by
 one exhaustive enumeration whose integer counts become exact rational
 probabilities.  Only two private functions know a protocol's form:
-:func:`_draws` returns the transcript of every draw at one input and
-:func:`_outputs` the decoder's (or referee's) output on each.  A protocol
-with an :class:`ArrayForm` (``neq_cds`` and ``ip_psm``) runs one numpy
-pass per input: its messages are int64 codes with the fields packed first
-field high, so integer order is tuple order, and a transcript is ``code_a
-<< message_bits_b | code_b``.  Otherwise the transcripts are the scalar
-``(m_a, m_b)`` in an object array, which must be orderable, and the
-decoder runs once per distinct transcript.  Counts, decode failures and
-pad-key counts are one tally over either, and every tally is one
-``np.unique``: of the transcripts, and in :func:`pad_counts` also of the
-key-count rows.  Each distinct transcript is named by the scalar messages
-at its first draw (:func:`transcript_counts`); :func:`transcript_tally` is
-that tally before naming.  The scalar message functions stay the reference
-the array forms are tested against.
+:func:`_draws` returns the transcript of every draw at one input, or at
+a grid of inputs with one row each, and :func:`_outputs` the decoder's
+(or referee's) output on each.  A protocol with an :class:`ArrayForm`
+(``neq_cds`` and ``ip_psm``) evaluates the whole ``(inputs x 2^rb)``
+grid in one numpy pass, in blocks of at most ``max(2^rb, 2^16)`` draws:
+its messages are int64 codes with the fields packed first field high, so
+integer order is tuple order, and a transcript is ``code_a <<
+message_bits_b | code_b``.  Otherwise the transcripts are the scalar
+``(m_a, m_b)`` in an object array, drawn one input at a time, which must
+be orderable, and the decoder runs once per distinct transcript of each
+input.  Counts, decode failures and pad-key counts are tallies over
+either: a row-wise sort of a grid (:func:`psm_tally`), or one sort of
+one input's codes with their draws beside them (:func:`transcript_tally`,
+:func:`pad_counts`).  Each distinct transcript is named by the scalar
+messages at its first draw (:func:`transcript_counts`);
+:func:`transcript_tally` is that tally before naming.  The scalar message
+functions stay the reference the array forms are tested against.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -89,6 +92,8 @@ from .qcore import (
 )
 
 ENUMERATION_BUDGET_BITS = 24
+# the most draws one block of an enumeration grid holds, unless one input has more
+_GRID_DRAWS = 1 << 16
 #: cap on the mid-protocol state dimension of dense CDQS objects
 DENSE_DIMENSION_BUDGET = 4096
 
@@ -127,7 +132,11 @@ class PromiseFunction:
         if not (0 <= x < 1 << self.n and 0 <= y < 1 << self.n):
             raise ValueError(f"input ({x}, {y}) outside domain of {self.name}")
         v = self._value_fn(x, y)
-        return None if v is None else int(v)
+        if v is None:
+            return None
+        if v not in (0, 1):
+            raise ValueError(f"{self.name} at input ({x}, {y}) gives {v!r}, not 0, 1 or None")
+        return int(v)
 
     def promise_pairs(self):
         """All in-promise input pairs, in lexicographic order."""
@@ -193,11 +202,14 @@ def _exact_log2(d: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class ArrayForm:
-    """Whole-array twins of a classical protocol's message and output
+    """Whole-grid twins of a classical protocol's message and output
     functions.
 
     Each takes its scalar twin's arguments with ``r`` an int64 array of
-    draws of the shared randomness, and returns one int64 entry per draw:
+    draws of the shared randomness, and the inputs and the secret as ints
+    or as int64 columns of shape ``(k, 1)``, which broadcast against ``r``
+    (and a transcript code against both).  It returns one int64 entry per
+    (input, draw) of the broadcast grid:
 
     * ``message_a`` and ``message_b`` return message codes: the message's
       fields packed first field high, each in a fixed width, so integer
@@ -223,9 +235,10 @@ class CdsProtocol:
     ``message_a(x, s, r)`` and ``message_b(y, r)`` return orderable message
     values; ``decoder(m_a, x, m_b, y)`` returns the recovered secret, or
     None when the transcript announces "nothing disclosed".  ``arrays``,
-    when set, is the same protocol over whole arrays of draws; the exact
-    enumeration then runs as one numpy pass per input, and the scalar
-    functions stay its reference and name its transcripts.
+    when set, is the same protocol over whole grids of inputs and draws;
+    the exact enumeration then evaluates every input of a verification as
+    one int64 grid, and the scalar functions stay its reference and name
+    its transcripts.
     """
 
     n: int
@@ -245,7 +258,8 @@ class CdsProtocol:
 class PsmProtocol:
     """A private-simultaneous-messages protocol (referee sees only messages):
     ``message_a(x, r)`` and ``message_b(y, r)`` return orderable message
-    values; ``arrays`` as for :class:`CdsProtocol`."""
+    values; ``arrays`` as for :class:`CdsProtocol`, so that every promise
+    input of a verification is one int64 grid."""
 
     n: int
     randomness_bits: int
@@ -269,8 +283,14 @@ def _randomness_count(protocol) -> int:
         )
     return 1 << protocol.randomness_bits
 
-def _bind(protocol, x: int, y: int, s: Optional[int], arrays: bool):
-    """Alice's and Bob's message functions of ``r`` at one input, and the
+def _require(p, kinds, what: str) -> None:
+    """Refuse ``p`` unless it is one of the classes ``kinds``, naming them."""
+    if not isinstance(p, kinds):
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{what} needs a {expected}, got {type(p).__name__}")
+
+def _bind(protocol, x, y, s, arrays: bool):
+    """Alice's and Bob's message functions of ``r`` at the inputs, and the
     output as a function of the two messages, from the scalar functions or
     the :class:`ArrayForm`: the one place the enumeration tells a CDS (its
     secret required, its decoder seeing the inputs) from a PSM."""
@@ -283,34 +303,52 @@ def _bind(protocol, x: int, y: int, s: Optional[int], arrays: bool):
     decode = form.output if arrays else form.decoder
     return partial(form.message_a, x, s), message_b, lambda m_a, m_b: decode(m_a, x, m_b, y)
 
-def _draws(protocol, x: int, y: int, s: Optional[int] = None) -> np.ndarray:
-    """The transcript of every draw of the shared randomness at one input,
-    indexed by ``r``.  With an :class:`ArrayForm` these are the int64 codes
-    ``code_a << message_bits_b | code_b`` of one numpy pass; otherwise the
-    scalar ``(m_a, m_b)`` in an object array.  Nothing is decoded here, so
-    a tally never needs a decoder that can read every transcript.  The
-    budget, the code width and the secret are checked before anything is
-    drawn."""
+def _rows(x, y, s) -> list:
+    """The ``(x, y, s)`` of each row of a grid whose inputs and secret are
+    ints or columns, as ints (``s`` None for a PSM)."""
+    grid = np.broadcast(x, y, 0 if s is None else s)
+    return [(int(a), int(b), None if s is None else int(c)) for a, b, c in grid]
+
+def _draws(protocol, x, y, s=None) -> np.ndarray:
+    """The transcript of every draw of the shared randomness, indexed by
+    ``r``, at one input or at a grid of them: ``x``, ``y`` and ``s`` are
+    ints, or int64 columns of shape ``(k, 1)`` that broadcast, and then
+    each of the ``k`` rows holds one input's draws.  With an
+    :class:`ArrayForm` these are the int64 codes ``code_a << message_bits_b
+    | code_b`` of one numpy evaluation over the whole grid; otherwise the
+    scalar ``(m_a, m_b)`` in an object array, one input at a time.  Nothing
+    is decoded here, so a tally never needs a decoder that can read every
+    transcript.  The budget, the code width and the secret are checked
+    before anything is drawn."""
     total = _randomness_count(protocol)
     arrays = protocol.arrays is not None
     width = protocol.message_bits_a + protocol.message_bits_b
     if arrays and width > 63:
         raise ValueError(f"a {width}-bit transcript code overflows int64")
     message_a, message_b, _ = _bind(protocol, x, y, s, arrays)
-    if not arrays:
-        return np.fromiter(
-            ((message_a(r), message_b(r)) for r in range(total)), dtype=object, count=total
-        )
-    r = np.arange(total, dtype=np.int64)
-    return (message_a(r) << protocol.message_bits_b) | message_b(r)
+    if arrays:
+        r = np.arange(total, dtype=np.int64)
+        codes = (message_a(r) << protocol.message_bits_b) | message_b(r)
+        # messages that ignore the inputs still give one row per input
+        grid = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(s), r.shape)
+        return codes if codes.shape == grid else np.broadcast_to(codes, grid)
+    if np.ndim(x) or np.ndim(y) or np.ndim(s):
+        return np.stack([_draws(protocol, *row) for row in _rows(x, y, s)])
+    return np.fromiter(
+        ((message_a(r), message_b(r)) for r in range(total)), dtype=object, count=total
+    )
 
-def _outputs(protocol, x: int, y: int, s: Optional[int], transcripts: np.ndarray) -> np.ndarray:
+def _outputs(protocol, x, y, s, transcripts: np.ndarray) -> np.ndarray:
     """The decoder's (or referee's) output on each of ``transcripts``, as
-    :func:`_draws` returns them, with -1 where the scalar decoder returns
-    None.  With an :class:`ArrayForm` that is one call on the split codes;
-    otherwise one scalar call per distinct transcript, in order of first
-    appearance, so nothing is sorted."""
+    :func:`_draws` returns them at the same inputs, with -1 where the scalar
+    decoder returns None.  With an :class:`ArrayForm` that is one call on
+    the split codes; otherwise, row by row, one scalar call per distinct
+    transcript, in order of first appearance, so nothing is sorted."""
     arrays = protocol.arrays is not None
+    if not arrays and transcripts.ndim > 1:
+        return np.stack([
+            _outputs(protocol, *row, draws) for row, draws in zip(_rows(x, y, s), transcripts)
+        ])
     output = _bind(protocol, x, y, s, arrays)[2]
     if arrays:
         low = (1 << protocol.message_bits_b) - 1
@@ -318,6 +356,65 @@ def _outputs(protocol, x: int, y: int, s: Optional[int], transcripts: np.ndarray
     draws = transcripts.tolist()
     decoded = {t: output(*t) for t in dict.fromkeys(draws)}
     return np.array([-1 if decoded[t] is None else decoded[t] for t in draws], dtype=np.int64)
+
+def _grid(protocol, x, y, s):
+    """The draws at every input ``(x[i], y[i])`` of two equal-length int
+    sequences, at the secret ``s`` (None for a PSM), in blocks of
+    consecutive inputs: ``(rows, x, y, draws)``, the block's slice of the
+    sequences, its inputs as int64 columns, and their :func:`_draws`, one
+    row per input.  A block holds at most ``max(2^randomness_bits,
+    _GRID_DRAWS)`` draws."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"inputs must be two equal-length sequences, not {x.shape} and {y.shape}")
+    step = max(1, _GRID_DRAWS >> protocol.randomness_bits)
+    for start in range(0, len(x), step):
+        rows = slice(start, start + step)
+        xs, ys = x[rows, None], y[rows, None]
+        yield rows, xs, ys, _draws(protocol, xs, ys, s)
+
+def _row_counts(draws: np.ndarray) -> list:
+    """Per row of a grid of draws, its distinct transcripts, sorted, with
+    their number of ``r``: int64 codes as one row-wise sort and one pass
+    over its runs, scalar transcripts row by row."""
+    if draws.dtype == object:
+        return [
+            dict(zip(*(part.tolist() for part in np.unique(row, return_counts=True))))
+            for row in draws
+        ]
+    ordered = np.sort(draws, axis=1)
+    new = np.ones(ordered.shape, dtype=bool)
+    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=ordered.size).tolist()
+    codes = ordered.reshape(-1)[starts].tolist()
+    bounds = np.searchsorted(starts, np.arange(len(draws) + 1) * draws.shape[1]).tolist()
+    return [dict(zip(codes[a:b], counts[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+def _fractions(counts, total: int) -> list:
+    """``Fraction(c, total)`` for each of ``counts``, one Fraction built per
+    distinct count."""
+    shared = {c: Fraction(c, total) for c in set(counts)}
+    return [shared[c] for c in counts]
+
+def _stable_order(transcripts: np.ndarray, code_bits: int):
+    """The 1-D ``transcripts`` sorted, and the stable order that sorts them,
+    so equal transcripts keep their positions' order.  Where int64 codes of
+    ``code_bits`` bits fit beside their positions in 63 bits, one sort of
+    the packed key ``code << bits | position`` gives both; otherwise (and
+    for scalar transcripts) one stable ``argsort``."""
+    bits = max(len(transcripts) - 1, 0).bit_length()
+    if transcripts.dtype != object and code_bits + bits <= 63:
+        key = transcripts << bits
+        key |= np.arange(len(transcripts), dtype=np.int64)
+        key.sort()
+        return key >> bits, key & ((1 << bits) - 1)
+    order = np.argsort(transcripts, kind="stable")
+    return transcripts[order], order
+
+def _run_heads(ordered: np.ndarray) -> np.ndarray:
+    """Which entries of a sorted 1-D array start a run of equal entries."""
+    return np.concatenate(([True], ordered[1:] != ordered[:-1]))
 
 def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     """Every distinct transcript at one input, sorted, as three arrays:
@@ -327,10 +424,14 @@ def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
     numpy pass, and code order is the scalar transcripts' tuple order;
     otherwise they are the scalar ``(m_a, m_b)`` in an object array, which
     must be orderable.  Either way the scalar messages at the first ``r``
-    are the transcript.  For CDS protocols the secret ``s`` is required.
+    are the transcript.  The draws are sorted once, stably
+    (:func:`_stable_order`), so each run's first entry has the least ``r``.
+    For CDS protocols the secret ``s`` is required.
     """
-    # np.unique sorts stably for return_index, so each index is the least r
-    return np.unique(_draws(protocol, x, y, s), return_index=True, return_counts=True)
+    draws = _draws(protocol, x, y, s)
+    ordered, order = _stable_order(draws, protocol.message_bits_a + protocol.message_bits_b)
+    starts = np.flatnonzero(_run_heads(ordered))
+    return ordered[starts], order[starts], np.diff(starts, append=len(ordered))
 
 def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
     """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
@@ -347,28 +448,41 @@ def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict
     return dict(zip(keys, counts[order].tolist()))
 
 def transcript_distribution(protocol, counts: dict) -> dict:
-    """The counts of :func:`transcript_counts` as the exact distribution
-    ``(m_a, m_b) -> Fraction``, whose values sum to 1."""
-    total = 1 << protocol.randomness_bits
-    return {key: Fraction(c, total) for key, c in counts.items()}
+    """The counts of :func:`transcript_counts` (or of :func:`psm_tally`) as
+    the exact distribution ``transcript -> Fraction``, whose values sum to
+    1; one Fraction is built per distinct count."""
+    return dict(zip(counts, _fractions(counts.values(), 1 << protocol.randomness_bits)))
 
 def enumerate_message_distribution(protocol, x: int, y: int, s: Optional[int] = None):
     """Exact transcript distribution of a classical protocol at one input."""
     return transcript_distribution(protocol, transcript_counts(protocol, x, y, s))
 
-def cds_decode_failure(p: CdsProtocol, x: int, y: int, s: int) -> Fraction:
-    """Exact probability that the referee fails to output ``s``."""
-    bad = int(np.count_nonzero(_outputs(p, x, y, s, _draws(p, x, y, s)) != s))
-    return Fraction(bad, 1 << p.randomness_bits)
+def cds_decode_failure(p: CdsProtocol, x, y, s: int):
+    """Exact probability that the referee fails to output ``s``.  ``x`` and
+    ``y`` are ints, or two equal-length int sequences for one Fraction per
+    input pair, all drawn as one grid."""
+    single = np.ndim(x) == 0
+    bad = []
+    for _, xs, ys, draws in _grid(p, np.atleast_1d(x), np.atleast_1d(y), s):
+        bad += np.count_nonzero(_outputs(p, xs, ys, s, draws) != s, axis=1).tolist()
+    failures = _fractions(bad, 1 << p.randomness_bits)
+    return failures[0] if single else failures
 
-def psm_tally(p: PsmProtocol, x: int, y: int, value: int) -> tuple[dict, Fraction]:
+def psm_tally(p: PsmProtocol, x, y, value):
     """The transcript counts at one input, keyed by the transcripts of
     :func:`transcript_tally`, and the exact probability that the referee's
-    output differs from ``value``, from one enumeration."""
-    transcripts = _draws(p, x, y)
-    keys, per_key = np.unique(transcripts, return_counts=True)
-    bad = int(np.count_nonzero(_outputs(p, x, y, None, transcripts) != value))
-    return dict(zip(keys.tolist(), per_key.tolist())), Fraction(bad, 1 << p.randomness_bits)
+    output differs from ``value``, from one enumeration.  ``x``, ``y`` and
+    ``value`` may be equal-length int sequences instead, for one such pair
+    per input, all drawn as one grid."""
+    single = np.ndim(x) == 0
+    value = np.atleast_1d(value)
+    counts, bad = [], []
+    for rows, xs, ys, draws in _grid(p, np.atleast_1d(x), np.atleast_1d(y), None):
+        counts += _row_counts(draws)
+        wrong = _outputs(p, xs, ys, None, draws) != value[rows, None]
+        bad += np.count_nonzero(wrong, axis=1).tolist()
+    tallies = list(zip(counts, _fractions(bad, 1 << p.randomness_bits)))
+    return tallies[0] if single else tallies
 
 def psm_decode_failure(p: PsmProtocol, x: int, y: int, value: int) -> Fraction:
     """Exact probability that the referee's output differs from ``value``."""
@@ -657,29 +771,53 @@ class PadCounts:
 
 def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     """The counts of :class:`PadCounts` for ``key_cds`` disclosing the pad
-    key, one enumeration per key.  The key-count vectors are one
-    ``bincount`` over the transcript index of every (key, draw), and the
-    decoder runs once per distinct transcript; a decoder returning None
-    leaves the pad on (the identity unpad), which is right for key 0.
-    Every (key, draw) is held at once, so their number, not only the
-    draws per key, is held to the enumeration budget."""
+    key.  The keys are the secret axis of one enumeration grid, whose
+    transcripts are sorted once (:func:`_stable_order`); each run of equal
+    transcripts is one key-count vector, from one ``bincount`` over the
+    (run, key) of every draw.  The vectors are tallied as one int64 code
+    each where their entries fit, and by one ``lexsort`` otherwise.  The
+    decoder runs on every draw (once per distinct transcript without an
+    :class:`ArrayForm`); a decoder returning None leaves the pad on (the
+    identity unpad), which is right for key 0.  Every (key, draw) is held
+    at once, so their number, not only the draws per key, is held to the
+    enumeration budget."""
     keys = key_cds.secret_alphabet
     if keys << key_cds.randomness_bits > 1 << ENUMERATION_BUDGET_BITS:
         raise ValueError(
             f"{keys} keys times 2^{key_cds.randomness_bits} draws exceed the "
             f"2^{ENUMERATION_BUDGET_BITS}-draw enumeration budget"
         )
-    transcripts = np.concatenate([_draws(key_cds, x, y, key) for key in range(keys)])
-    unique, inverse = np.unique(transcripts, return_inverse=True)
-    key_of_draw = np.repeat(np.arange(keys), 1 << key_cds.randomness_bits)
-    table = np.bincount(inverse * keys + key_of_draw, minlength=len(unique) * keys)
+    total = 1 << key_cds.randomness_bits
+    key_of_row = np.arange(keys)[:, None]
+    transcripts = _draws(key_cds, x, y, key_of_row).reshape(-1)
     # the decoder does not read the secret, so key 0 binds it for every draw;
     # its -1 (None) decodes key 0
-    outputs = _outputs(key_cds, x, y, 0, transcripts)
-    decoded = int(np.count_nonzero(np.maximum(outputs, 0) == key_of_draw))
-    rows, mults = np.unique(table.reshape(-1, keys), axis=0, return_counts=True)
+    outputs = _outputs(key_cds, x, y, 0, transcripts).reshape(keys, total)
+    decoded = int(np.count_nonzero(np.maximum(outputs, 0, out=outputs) == key_of_row))
+    del outputs
+    ordered, order = _stable_order(transcripts, key_cds.message_bits_a + key_cds.message_bits_b)
+    # the (run, key) of every draw, in place: the arrays hold 2^24 entries
+    run = np.cumsum(_run_heads(ordered))
+    runs = int(run[-1])
+    del ordered
+    run -= 1
+    run *= keys
+    order //= total
+    run += order
+    table = np.bincount(run, minlength=runs * keys).reshape(-1, keys)
+    bits = int(table.max()).bit_length()
+    if keys * bits <= 63:
+        # each vector as one code, the first key's count highest, so code
+        # order is the vectors' lexicographic order
+        shifts = bits * np.arange(keys - 1, -1, -1, dtype=np.int64)
+        codes, mults = np.unique((table << shifts).sum(axis=1), return_counts=True)
+        rows = (codes[:, None] >> shifts) & ((1 << bits) - 1)
+    else:
+        table = table[np.lexsort(table.T[::-1])]
+        heads = np.flatnonzero(np.concatenate(([True], (table[1:] != table[:-1]).any(axis=1))))
+        rows, mults = table[heads], np.diff(heads, append=len(table))
     vectors = Counter(dict(zip(map(tuple, rows.tolist()), mults.tolist())))
-    return PadCounts(vectors, decoded, keys << key_cds.randomness_bits)
+    return PadCounts(vectors, decoded, keys * total)
 
 
 @dataclass(frozen=True)
@@ -722,8 +860,9 @@ class TranscriptCdqsProtocol:
 # ---------------------------------------------------------------------------
 
 def _pad_lift_cost(key_cds: CdsProtocol) -> CostReport:
-    """Cost of the pad lift of ``key_cds``, which must hide 2-bit keys: the
-    classical CDS's cost plus the padded qubit."""
+    """Cost of the pad lift of ``key_cds``, which must be a CDS hiding 2-bit
+    keys: the classical CDS's cost plus the padded qubit."""
+    _require(key_cds, (CdsProtocol,), "the pad lift")
     if key_cds.secret_alphabet != 4:
         raise ValueError("the pad lift needs a CDS hiding 2-bit secrets (alphabet 4)")
     return replace(protocol_cost(key_cds), comm_qubits=1)

@@ -33,10 +33,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .framework import (
+    CdqsProtocol,
     CdsProtocol,
     CostReport,
     PromiseFunction,
     PsmProtocol,
+    TranscriptCdqsProtocol,
+    _require,
     cds_decode_failure,
     enumerate_message_distribution,
     protocol_cost,
@@ -232,25 +235,35 @@ def _report(p, rows, seed, epsilon, delta_lower, delta_upper) -> VerificationRep
 # classical verifiers
 # ---------------------------------------------------------------------------
 
+def _inputs(rows) -> tuple[list, list]:
+    """The ``x`` and the ``y`` of each report row, as two sequences."""
+    return [row["x"] for row in rows], [row["y"] for row in rows]
+
+
 def cds_verify(p: CdsProtocol, f: PromiseFunction, seed: Optional[int] = None) -> VerificationReport:
     """Exact correctness and simulator-radius security for a classical CDS.
 
     ``epsilon_hat`` is the worst decode-failure probability over disclosing
-    inputs and secrets, an exact rational cast to float at the end.  Each
-    hiding input is one simulator cell over its secrets' distributions.
+    inputs and secrets, an exact rational cast to float at the end; each
+    secret's failures at every disclosing input come from one grid.  Each
+    hiding input is one simulator cell over its secrets' distributions,
+    each named by the scalar messages.
     """
+    _require(p, (CdsProtocol,), "cds_verify")
     _check_sizes(p, f)
     rows = [{"x": x, "y": y, "value": f.value(x, y)} for x, y in f.promise_pairs()]
+    disclosing = [row for row in rows if row["value"] == 1]
+    hiding = [row for row in rows if row["value"] == 0]
     secrets = range(p.secret_alphabet)
+    failures = [cds_decode_failure(p, *_inputs(disclosing), s) for s in secrets]
     eps = Fraction(0)
-    for row in rows:
-        if row["value"] == 1:
-            worst = max(cds_decode_failure(p, row["x"], row["y"], s) for s in secrets)
-            eps = max(eps, worst)
-            row["decode_failure"] = float(worst)
+    for row, per_secret in zip(disclosing, zip(*failures)):
+        worst = max(per_secret)
+        eps = max(eps, worst)
+        row["decode_failure"] = float(worst)
     delta = simulator_fold(
         [(row, enumerate_message_distribution(p, row["x"], row["y"], s)) for s in secrets]
-        for row in rows if row["value"] == 0
+        for row in hiding
     )
     return _report(p, rows, seed, eps, delta, delta)
 
@@ -259,21 +272,21 @@ def psm_verify(p: PsmProtocol, f: PromiseFunction, seed: Optional[int] = None) -
     """Exact verification of a PSM: the simulator may depend only on the value.
 
     Each value class is one simulator cell over its inputs' distributions.
-    An input is enumerated once, and a distribution built once per distinct
-    count table, which equal inputs share.
+    Every input is drawn at once, in one grid, and a distribution built once
+    per distinct count table, which equal inputs share.
     """
+    _require(p, (PsmProtocol,), "psm_verify")
     _check_sizes(p, f)
+    rows = [{"x": x, "y": y, "value": f.value(x, y)} for x, y in f.promise_pairs()]
+    tallies = psm_tally(p, *_inputs(rows), [row["value"] for row in rows])
     eps = Fraction(0)
-    rows, classes, tables, dists = [], {}, [], []
-    for x, y in f.promise_pairs():
-        value = f.value(x, y)
-        counts, failure = psm_tally(p, x, y, value)
+    classes, tables, dists = {}, [], []
+    for row, (counts, failure) in zip(rows, tallies):
         eps = max(eps, failure)
         if counts not in tables:
             tables.append(counts)
             dists.append(transcript_distribution(p, counts))
-        rows.append({"x": x, "y": y, "value": value})
-        classes.setdefault(value, []).append((rows[-1], dists[tables.index(counts)]))
+        classes.setdefault(row["value"], []).append((row, dists[tables.index(counts)]))
     delta = simulator_fold(cell for _, cell in sorted(classes.items()))
     return _report(p, rows, seed, eps, delta, delta)
 
@@ -299,6 +312,7 @@ def cdqs_verify(
     explicitly supplied when the domain is too large to enumerate; each
     input is verified once, so a repeated one is refused.
     """
+    _require(p, (CdqsProtocol, TranscriptCdqsProtocol), "cdqs_verify")
     _check_sizes(p, f)
     if inputs is None:
         if 1 << (2 * f.n) > _ENUMERABLE_PAIRS:

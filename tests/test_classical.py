@@ -3,12 +3,14 @@ exhaustive correctness/security checks at small sizes."""
 
 import dataclasses
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdslab import classical
+from cdslab import classical, framework
 from cdslab.classical import (
     IRREDUCIBLE,
     and_cds,
@@ -204,10 +206,15 @@ def test_neq_cds_inverts_each_difference_once(monkeypatch):
         return gf_inv(a, n)
 
     monkeypatch.setattr(classical, "gf_inv", counted)
-    report = cds_verify(neq_cds(3), neq_function(3))
+    report = cds_verify(dataclasses.replace(neq_cds(3), arrays=None), neq_function(3))
     assert report.epsilon_hat == 0
-    # one inverse per distinct nonzero x ^ y in GF(8), each computed once
+    # the scalar decoder: one inverse per distinct nonzero x ^ y in GF(8),
+    # each computed once
     assert sorted(calls) == list(range(1, 8))
+    # the array decoder reads every inverse off the field tables
+    calls.clear()
+    assert cds_verify(neq_cds(3), neq_function(3)) == report
+    assert calls == []
 
 def test_neq_cds_cost():
     cost = protocol_cost(neq_cds(4))
@@ -374,3 +381,61 @@ def test_array_path_equals_the_scalar_reference(case, per_r_pad_measures):
         table = pad_counts(p, x, y)
         assert table == pad_counts(reference, x, y)
         assert (table.fidelity(), table.distance()) == per_r_pad_measures(p, x, y)
+
+
+@st.composite
+def _grid_case(draw):
+    """``neq_cds(1..4)`` with a secret or ``ip_psm(1..3)`` with one value per
+    input, at a random list of input pairs (repeats allowed, about half of
+    the CDS pairs equal), and a grid block of one input or the default."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        p, s = neq_cds(n), draw(st.integers(0, 1))
+    else:
+        n = draw(st.integers(1, 3))
+        p, s = ip_psm(n), None
+    inputs = st.integers(0, (1 << n) - 1)
+    pairs = draw(st.lists(
+        inputs.flatmap(lambda x: st.tuples(st.just(x), st.one_of(st.just(x), inputs))),
+        min_size=1, max_size=12,
+    ))
+    values = draw(st.lists(st.integers(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    one_per_block = draw(st.booleans())
+    return p, s, pairs, values, one_per_block
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_grid_case())
+def test_grid_equals_the_per_input_calls_and_the_scalar_reference(case):
+    p, s, pairs, values, one_per_block = case
+    reference = dataclasses.replace(p, arrays=None)
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    block = (1 << p.randomness_bits) if one_per_block else framework._GRID_DRAWS
+    with mock.patch.object(framework, "_GRID_DRAWS", block):
+        if s is None:
+            grid = psm_tally(p, xs, ys, values)
+            assert grid == [psm_tally(p, x, y, v) for (x, y), v in zip(pairs, values)]
+            scalar = psm_tally(reference, xs, ys, values)
+            assert scalar == [psm_tally(reference, x, y, v) for (x, y), v in zip(pairs, values)]
+            # code order is tuple order: the same counts, sorted alike
+            assert [(list(c.values()), f) for c, f in grid] == \
+                [(list(c.values()), f) for c, f in scalar]
+        else:
+            grid = cds_decode_failure(p, xs, ys, s)
+            assert grid == [cds_decode_failure(p, x, y, s) for x, y in pairs]
+            assert grid == cds_decode_failure(reference, xs, ys, s)
+            assert grid == [cds_decode_failure(reference, x, y, s) for x, y in pairs]
+            x, y = pairs[0]
+            assert pad_counts(p, x, y) == pad_counts(reference, x, y)
+
+
+@pytest.mark.parametrize("p, s", [
+    (neq_cds(1), 0), (neq_cds(4), 1), (neq_cds(6), 0), (ip_psm(2), None), (ip_psm(5), None),
+])
+def test_transcript_tally_equals_np_unique_with_its_dtypes(p, s):
+    # one sort of the packed (code, r) keys gives np.unique's three arrays
+    for x, y in ((0, 0), (1, 0), ((1 << p.n) - 1, 1)):
+        got = transcript_tally(p, x, y, s)
+        want = np.unique(framework._draws(p, x, y, s), return_index=True, return_counts=True)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)

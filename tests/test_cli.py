@@ -174,6 +174,24 @@ def test_dense_reports_are_pinned_at_the_default_seed(tmp_path, args, fmt, diges
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, fmt, digest", [
+    (["--suite", "neq-classical", "--n", "4"], "json",
+     "898758406f20d2f9dc1c7d387b4a03ce4595cb6d160e8613a7dfff20c1d90af5"),
+    (["--suite", "neq-classical", "--n", "4"], "csv",
+     "6409a819d0522537bc827140599ad4795b599f8d522d4dfbf5094434fe790c88"),
+    (["--suite", "ip-psm", "--n", "3"], "json",
+     "dbe9c9e2cd511af50682528493fadfbd68d3f553e6d4790f66eefa17bd02c9b9"),
+    (["--suite", "ip-psm", "--n", "3"], "csv",
+     "e532b8addb2da6b7e3efe35e9aac767865edba010a8b278846406d65332f5620"),
+])
+def test_classical_reports_are_pinned_at_the_default_seed(tmp_path, args, fmt, digest):
+    # the classical regime's report bytes: exact decode failures and
+    # simulator distances of every input, through the enumeration grid
+    out = tmp_path / f"report.{fmt}"
+    assert main(args + ["--seed", "2026", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_hybrid_input_sample_is_deterministic_and_on_promise():
     sample = hybrid_input_sample(8, seed=11)
     assert sample == hybrid_input_sample(8, seed=11)

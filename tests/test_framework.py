@@ -3,6 +3,7 @@ protocols, lifting, parallel repetition, and cost accounting."""
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from cdslab.framework import (
     CdsProtocol,
     CdqsProtocol,
     CostReport,
+    PadCounts,
     PromiseFunction,
     PsmProtocol,
     _kron_regrouped,
@@ -272,6 +274,18 @@ def test_array_path_refuses_a_transcript_code_wider_than_int64():
     with pytest.raises(ValueError, match="64-bit transcript code overflows int64"):
         psm_decode_failure(wide_psm, 0, 1, 0)
 
+def test_transcript_form_refuses_a_psm():
+    with pytest.raises(TypeError, match="the pad lift needs a CdsProtocol, got PsmProtocol"):
+        transcript_form(ip_psm(1))
+
+
+@pytest.mark.parametrize("value", [2, -1, 0.5, "1"])
+def test_promise_function_refuses_a_value_other_than_0_1_none(value):
+    f = PromiseFunction(2, lambda x, y: value if (x, y) == (3, 1) else x & 1, "odd")
+    assert [f.value(x, 0) for x in range(4)] == [0, 1, 0, 1]
+    with pytest.raises(ValueError, match=r"odd at input \(3, 1\) gives"):
+        f.value(3, 1)
+
 def test_budget_reaches_transcript_form_and_hybrid(monkeypatch):
     # 52 and 26 randomness bits: refused before any enumeration starts
     def allocate(*args, **kwargs):
@@ -413,6 +427,32 @@ def test_pad_counts_account_for_every_draw():
             assert sum(m * sum(v) for v, m in table.vectors.items()) == table.total
             assert all(len(v) == 4 and min(v) >= 0 for v in table.vectors)
             assert 0 <= table.decoded <= table.total
+
+@pytest.mark.parametrize("rb, path", [(15, "one code per vector"), (17, "lexsort")])
+def test_pad_counts_tally_wide_count_vectors(rb, path):
+    # the transcript is (r + key) mod 3, so each transcript's vector holds
+    # about 2^rb / 3 draws of every key, in an order that differs from
+    # transcript to transcript: 15-bit counts pack four keys into one int64
+    # code, 16-bit ones take the lexsort
+    def constant(value):
+        return lambda *args: value
+
+    key_cds = CdsProtocol(
+        n=1, randomness_bits=rb, secret_alphabet=4,
+        message_a=lambda x, s, r: (r + s) % 3, message_b=constant(0), decoder=constant(None),
+        message_bits_a=2, message_bits_b=1,
+        arrays=ArrayForm(
+            lambda x, s, r: (r + s) % 3, lambda y, r: 0 * r, lambda a, x, b, y: 0 * a - 1
+        ),
+    )
+    total = 1 << rb
+    want = Counter(
+        tuple(len(range((t - key) % 3, total, 3)) for key in range(4)) for t in range(3)
+    )
+    assert (max(max(v) for v in want).bit_length() * 4 <= 63) == (path == "one code per vector")
+    table = pad_counts(key_cds, 0, 1)
+    assert table == PadCounts(want, total, 4 * total)
+    assert list(table.vectors) == sorted(want)
 
 def test_transcript_methods_delegate():
     p = transcript_form(double_secret(neq_cds(1)))

@@ -7,12 +7,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdslab
-from cdslab import verifier
+from cdslab import framework, verifier
 
 from cdslab.classical import (
     and_cds,
@@ -306,6 +307,33 @@ def test_psm_verify_on_transcript_codes_equals_the_scalar_reference(n):
     assert psm_verify(p, f).as_dict() == psm_verify(reference, f).as_dict()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cds_verify_on_the_grid_equals_the_scalar_reference(n):
+    # neq_cds's decode failures come from one grid per secret, the
+    # reference's from one scalar pass per input
+    p, f = neq_cds(n), neq_function(n)
+    reference = dataclasses.replace(p, arrays=None)
+    assert cds_verify(p, f).as_dict() == cds_verify(reference, f).as_dict()
+
+
+def test_cds_verify_across_several_grid_blocks_equals_the_scalar_reference(monkeypatch):
+    # neq_cds(5) draws 2^10 per input, so its 992 disclosing inputs take
+    # 16 blocks of 64 inputs per secret
+    p, f = neq_cds(5), neq_function(5)
+    blocks = []
+
+    def counted(protocol, x, y, s=None):
+        blocks.append(np.shape(x))
+        return draws(protocol, x, y, s)
+
+    draws = framework._draws
+    monkeypatch.setattr(framework, "_draws", counted)
+    grid = cds_verify(p, f).as_dict()
+    assert blocks.count((64, 1)) == 2 * 15 and blocks.count((32, 1)) == 2
+    monkeypatch.undo()
+    assert grid == cds_verify(dataclasses.replace(p, arrays=None), f).as_dict()
+
+
 def test_psm_inputs_cover_promise_once_in_order():
     report = psm_verify(echo_and_psm(), and_function())
     assert [(e["x"], e["y"]) for e in report.inputs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -397,6 +425,32 @@ def test_cds_verify_refuses_a_function_promised_nowhere():
 def test_psm_verify_refuses_a_function_promised_nowhere():
     with pytest.raises(ValueError, match="no input"):
         psm_verify(ip_psm(1), _nowhere_promised())
+
+
+def test_cds_verify_refuses_a_psm():
+    with pytest.raises(TypeError, match="cds_verify needs a CdsProtocol, got PsmProtocol"):
+        cds_verify(ip_psm(1), ip_function(1))
+
+
+def test_psm_verify_refuses_a_cds():
+    with pytest.raises(TypeError, match="psm_verify needs a PsmProtocol, got CdsProtocol"):
+        psm_verify(neq_cds(1), neq_function(1))
+
+
+def test_cdqs_verify_refuses_a_classical_cds():
+    with pytest.raises(
+        TypeError, match="cdqs_verify needs a CdqsProtocol or TranscriptCdqsProtocol, got CdsProtocol"
+    ):
+        cdqs_verify(neq_cds(1), neq_function(1))
+
+
+def test_classical_verifiers_refuse_a_value_outside_0_1():
+    # the grid splits rows by value, so a row of value 2 would be skipped
+    two = PromiseFunction(1, lambda x, y: 2 * (x ^ y), "two")
+    with pytest.raises(ValueError, match=r"two at input \(0, 1\) gives 2"):
+        cds_verify(neq_cds(1), two)
+    with pytest.raises(ValueError, match=r"two at input \(0, 1\) gives 2"):
+        psm_verify(ip_psm(1), two)
 
 
 def test_cdqs_verify_refuses_a_repeated_input():
