@@ -14,13 +14,16 @@ integer order is tuple order, and a transcript is ``code_a <<
 message_bits_b | code_b``.  Otherwise the transcripts are the scalar
 ``(m_a, m_b)`` in an object array, drawn one input at a time, which must
 be orderable, and the decoder runs once per distinct transcript of each
-input.  Counts, decode failures and pad-key counts are tallies over
-either: a row-wise sort of a grid (:func:`psm_tally`), or one sort of
-one input's codes with their draws beside them (:func:`transcript_tally`,
-:func:`pad_counts`).  Each distinct transcript is named by the scalar
-messages at its first draw (:func:`transcript_counts`);
-:func:`transcript_tally` is that tally before naming.  The scalar message
-functions stay the reference the array forms are tested against.
+input.  Every count is one tally, :func:`_tally`: each row of a grid of
+draws sorted once, stably, into runs of equal transcripts.  A per-input
+count tallies one row per input (:func:`transcript_tally`,
+:func:`psm_tally`); a pooled count tallies a one-row grid of several
+rows' draws (:func:`pad_counts` over the pad keys, :func:`mixture_counts`
+over weighted inputs), and holds them all at once, so their number is
+held to the enumeration budget.  Each distinct transcript is named by
+the scalar messages at its first draw (:func:`transcript_counts`,
+:func:`mixture_counts`).  The scalar message functions stay the
+reference the array forms are tested against.
 
 Every CDQS shape answers the same three per-input questions, which is all
 the verifier asks of it:
@@ -274,12 +277,13 @@ class PsmProtocol:
     arrays: Optional[ArrayForm] = None
 
 
-def _randomness_count(protocol) -> int:
-    """``2^randomness_bits``, refused above the enumeration budget."""
-    if protocol.randomness_bits > ENUMERATION_BUDGET_BITS:
+def _randomness_count(protocol, rows: int) -> int:
+    """``2^randomness_bits``, refused when ``rows`` inputs' (or keys')
+    draws of it, held at once, exceed the enumeration budget."""
+    if rows << protocol.randomness_bits > 1 << ENUMERATION_BUDGET_BITS:
         raise ValueError(
-            f"enumeration over {protocol.randomness_bits} randomness bits exceeds "
-            f"the {ENUMERATION_BUDGET_BITS}-bit budget"
+            f"{rows} x 2^{protocol.randomness_bits} draws exceed the "
+            f"2^{ENUMERATION_BUDGET_BITS}-draw enumeration budget"
         )
     return 1 << protocol.randomness_bits
 
@@ -320,7 +324,7 @@ def _draws(protocol, x, y, s=None) -> np.ndarray:
     is decoded here, so a tally never needs a decoder that can read every
     transcript.  The budget, the code width and the secret are checked
     before anything is drawn."""
-    total = _randomness_count(protocol)
+    total = _randomness_count(protocol, 1)
     arrays = protocol.arrays is not None
     width = protocol.message_bits_a + protocol.message_bits_b
     if arrays and width > 63:
@@ -329,9 +333,10 @@ def _draws(protocol, x, y, s=None) -> np.ndarray:
     if arrays:
         r = np.arange(total, dtype=np.int64)
         codes = (message_a(r) << protocol.message_bits_b) | message_b(r)
-        # messages that ignore the inputs still give one row per input
+        # messages that ignore the inputs still give one row per input, as
+        # an array of its own, since a tally sorts it in place
         grid = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(s), r.shape)
-        return codes if codes.shape == grid else np.broadcast_to(codes, grid)
+        return codes if codes.shape == grid else np.broadcast_to(codes, grid).copy()
     if np.ndim(x) or np.ndim(y) or np.ndim(s):
         return np.stack([_draws(protocol, *row) for row in _rows(x, y, s)])
     return np.fromiter(
@@ -357,6 +362,13 @@ def _outputs(protocol, x, y, s, transcripts: np.ndarray) -> np.ndarray:
     decoded = {t: output(*t) for t in dict.fromkeys(draws)}
     return np.array([-1 if decoded[t] is None else decoded[t] for t in draws], dtype=np.int64)
 
+def _pairs(x, y):
+    """Two equal-length int sequences of inputs as int64 arrays."""
+    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"inputs must be two equal-length sequences, not {x.shape} and {y.shape}")
+    return x, y
+
 def _grid(protocol, x, y, s):
     """The draws at every input ``(x[i], y[i])`` of two equal-length int
     sequences, at the secret ``s`` (None for a PSM), in blocks of
@@ -364,32 +376,41 @@ def _grid(protocol, x, y, s):
     sequences, its inputs as int64 columns, and their :func:`_draws`, one
     row per input.  A block holds at most ``max(2^randomness_bits,
     _GRID_DRAWS)`` draws."""
-    x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-    if x.ndim != 1 or x.shape != y.shape:
-        raise ValueError(f"inputs must be two equal-length sequences, not {x.shape} and {y.shape}")
+    x, y = _pairs(x, y)
     step = max(1, _GRID_DRAWS >> protocol.randomness_bits)
     for start in range(0, len(x), step):
         rows = slice(start, start + step)
         xs, ys = x[rows, None], y[rows, None]
         yield rows, xs, ys, _draws(protocol, xs, ys, s)
 
-def _row_counts(draws: np.ndarray) -> list:
-    """Per row of a grid of draws, its distinct transcripts, sorted, with
-    their number of ``r``: int64 codes as one row-wise sort and one pass
-    over its runs, scalar transcripts row by row."""
-    if draws.dtype == object:
-        return [
-            dict(zip(*(part.tolist() for part in np.unique(row, return_counts=True))))
-            for row in draws
-        ]
-    ordered = np.sort(draws, axis=1)
-    new = np.ones(ordered.shape, dtype=bool)
-    new[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    starts = np.flatnonzero(new)
-    counts = np.diff(starts, append=ordered.size).tolist()
-    codes = ordered.reshape(-1)[starts].tolist()
-    bounds = np.searchsorted(starts, np.arange(len(draws) + 1) * draws.shape[1]).tolist()
-    return [dict(zip(codes[a:b], counts[a:b])) for a, b in zip(bounds, bounds[1:])]
+def _tally(draws: np.ndarray, code_bits: int):
+    """Sort each row of a ``(k, R)`` grid of transcripts once, stably, into
+    runs of equal transcripts.  Returns the transcripts in that order, row
+    after row, the ``r`` of each within its row, and the bounds of the
+    runs: the position where each starts and then the number of draws.  No
+    run crosses a row, and each run's first entry has its least ``r``.
+    Int64 codes of ``code_bits`` bits are sorted in place, as the packed
+    key ``code << bits | r``, where that fits in 63 bits, so the caller
+    reads the draws first; wider codes and scalar transcripts take a
+    stable ``argsort``.  Pooled draws are a one-row grid, whose ``r`` is
+    the flat index.  This is the one sort of draws into runs."""
+    total = draws.shape[1]
+    bits = max(total - 1, 0).bit_length()
+    if draws.dtype != object and code_bits + bits <= 63:
+        ordered = draws
+        ordered <<= bits
+        ordered |= np.arange(total, dtype=np.int64)
+        ordered.sort(axis=1)
+        order = ordered & ((1 << bits) - 1)
+        ordered >>= bits
+    else:
+        order = np.argsort(draws, axis=1, kind="stable")
+        ordered = np.take_along_axis(draws, order, axis=1)
+    ordered, order = ordered.reshape(-1), order.reshape(-1)
+    heads = np.ones(draws.size + 1, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:-1])
+    heads[::total] = True
+    return ordered, order, np.flatnonzero(heads)
 
 def _fractions(counts, total: int) -> list:
     """``Fraction(c, total)`` for each of ``counts``, one Fraction built per
@@ -397,41 +418,38 @@ def _fractions(counts, total: int) -> list:
     shared = {c: Fraction(c, total) for c in set(counts)}
     return [shared[c] for c in counts]
 
-def _stable_order(transcripts: np.ndarray, code_bits: int):
-    """The 1-D ``transcripts`` sorted, and the stable order that sorts them,
-    so equal transcripts keep their positions' order.  Where int64 codes of
-    ``code_bits`` bits fit beside their positions in 63 bits, one sort of
-    the packed key ``code << bits | position`` gives both; otherwise (and
-    for scalar transcripts) one stable ``argsort``."""
-    bits = max(len(transcripts) - 1, 0).bit_length()
-    if transcripts.dtype != object and code_bits + bits <= 63:
-        key = transcripts << bits
-        key |= np.arange(len(transcripts), dtype=np.int64)
-        key.sort()
-        return key >> bits, key & ((1 << bits) - 1)
-    order = np.argsort(transcripts, kind="stable")
-    return transcripts[order], order
+def _row_tallies(draws: np.ndarray, code_bits: int) -> list:
+    """The three arrays of :func:`transcript_tally` for each row of a grid
+    of draws, from one :func:`_tally`."""
+    ordered, order, bounds = _tally(draws, code_bits)
+    rows = np.searchsorted(bounds, np.arange(0, draws.size + 1, draws.shape[1])).tolist()
+    if len(bounds) > draws.size:
+        # one draw per run, as in a perfect PSM: the arrays are as long as
+        # the grid, so none is copied and every count is a read-only 1
+        transcripts, first, counts = ordered, order, np.broadcast_to(np.int64(1), draws.size)
+    else:
+        transcripts, first, counts = ordered[bounds[:-1]], order[bounds[:-1]], np.diff(bounds)
+    return [(transcripts[a:b], first[a:b], counts[a:b]) for a, b in zip(rows, rows[1:])]
 
-def _run_heads(ordered: np.ndarray) -> np.ndarray:
-    """Which entries of a sorted 1-D array start a run of equal entries."""
-    return np.concatenate(([True], ordered[1:] != ordered[:-1]))
-
-def transcript_tally(protocol, x: int, y: int, s: Optional[int] = None):
+def transcript_tally(protocol, x, y, s: Optional[int] = None):
     """Every distinct transcript at one input, sorted, as three arrays:
     the transcripts, the first ``r`` of each and its number of ``r``.
+    ``x`` and ``y`` may be two equal-length int sequences instead, for one
+    such triple per input, all drawn as one grid.
 
-    With an :class:`ArrayForm` the transcripts are int64 codes from one
-    numpy pass, and code order is the scalar transcripts' tuple order;
-    otherwise they are the scalar ``(m_a, m_b)`` in an object array, which
-    must be orderable.  Either way the scalar messages at the first ``r``
-    are the transcript.  The draws are sorted once, stably
-    (:func:`_stable_order`), so each run's first entry has the least ``r``.
-    For CDS protocols the secret ``s`` is required.
+    With an :class:`ArrayForm` the transcripts are int64 codes, and code
+    order is the scalar transcripts' tuple order; otherwise they are the
+    scalar ``(m_a, m_b)`` in an object array, which must be orderable.
+    Either way the scalar messages at the first ``r`` are the transcript.
+    The arrays are views, read-only for the counts where every draw is its
+    own transcript.  For CDS protocols the secret ``s`` is required.
     """
-    draws = _draws(protocol, x, y, s)
-    ordered, order = _stable_order(draws, protocol.message_bits_a + protocol.message_bits_b)
-    starts = np.flatnonzero(_run_heads(ordered))
-    return ordered[starts], order[starts], np.diff(starts, append=len(ordered))
+    single = np.ndim(x) == 0
+    bits = protocol.message_bits_a + protocol.message_bits_b
+    tallies = []
+    for *_, draws in _grid(protocol, np.atleast_1d(x), np.atleast_1d(y), s):
+        tallies += _row_tallies(draws, bits)
+    return tallies[0] if single else tallies
 
 def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict:
     """``(m_a, m_b) -> number of r`` over all ``2^randomness_bits`` values
@@ -446,6 +464,32 @@ def transcript_counts(protocol, x: int, y: int, s: Optional[int] = None) -> dict
     message_a, message_b, _ = _bind(protocol, x, y, s, False)
     keys = ((message_a(r), message_b(r)) for r in first[order].tolist())
     return dict(zip(keys, counts[order].tolist()))
+
+def mixture_counts(protocol, x, y, s: Optional[int], weights) -> dict:
+    """The draws of every input ``(x[i], y[i])`` of two equal-length int
+    sequences pooled, each counted ``weights[i]`` times: ``(m_a, m_b) ->
+    weighted count``, in transcript order.  Each distinct transcript is
+    named by the scalar messages at its first draw, the first input that
+    has it at its least ``r``.  Every draw is held at once, so their number
+    is held to the enumeration budget before anything is drawn; ``s`` is
+    the secret of a CDS, None for a PSM."""
+    x, y = _pairs(x, y)
+    if len(weights) != len(x):
+        raise ValueError(f"{len(weights)} weights for {len(x)} inputs")
+    total = _randomness_count(protocol, len(x))
+    draws = _draws(protocol, x[:, None], y[:, None], s)
+    bits = protocol.message_bits_a + protocol.message_bits_b
+    order, bounds = _tally(draws.reshape(1, -1), bits)[1:]
+    first = order[bounds[:-1]].tolist()
+    order >>= protocol.randomness_bits
+    counts = np.add.reduceat(np.asarray(weights, dtype=np.int64)[order], bounds[:-1])
+    named = [_bind(protocol, a, b, s, False)[:2] for a, b in zip(x.tolist(), y.tolist())]
+    out = {}
+    for i, c in zip(first, counts.tolist()):
+        row, r = divmod(i, total)
+        message_a, message_b = named[row]
+        out[message_a(r), message_b(r)] = c
+    return out
 
 def transcript_distribution(protocol, counts: dict) -> dict:
     """The counts of :func:`transcript_counts` (or of :func:`psm_tally`) as
@@ -476,11 +520,12 @@ def psm_tally(p: PsmProtocol, x, y, value):
     per input, all drawn as one grid."""
     single = np.ndim(x) == 0
     value = np.atleast_1d(value)
+    bits = p.message_bits_a + p.message_bits_b
     counts, bad = [], []
     for rows, xs, ys, draws in _grid(p, np.atleast_1d(x), np.atleast_1d(y), None):
-        counts += _row_counts(draws)
         wrong = _outputs(p, xs, ys, None, draws) != value[rows, None]
         bad += np.count_nonzero(wrong, axis=1).tolist()
+        counts += [dict(zip(t.tolist(), c.tolist())) for t, _, c in _row_tallies(draws, bits)]
     tallies = list(zip(counts, _fractions(bad, 1 << p.randomness_bits)))
     return tallies[0] if single else tallies
 
@@ -772,7 +817,7 @@ class PadCounts:
 def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     """The counts of :class:`PadCounts` for ``key_cds`` disclosing the pad
     key.  The keys are the secret axis of one enumeration grid, whose
-    transcripts are sorted once (:func:`_stable_order`); each run of equal
+    draws are pooled and tallied once (:func:`_tally`); each run of equal
     transcripts is one key-count vector, from one ``bincount`` over the
     (run, key) of every draw.  The vectors are tallied as one int64 code
     each where their entries fit, and by one ``lexsort`` otherwise.  The
@@ -782,12 +827,7 @@ def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     at once, so their number, not only the draws per key, is held to the
     enumeration budget."""
     keys = key_cds.secret_alphabet
-    if keys << key_cds.randomness_bits > 1 << ENUMERATION_BUDGET_BITS:
-        raise ValueError(
-            f"{keys} keys times 2^{key_cds.randomness_bits} draws exceed the "
-            f"2^{ENUMERATION_BUDGET_BITS}-draw enumeration budget"
-        )
-    total = 1 << key_cds.randomness_bits
+    total = _randomness_count(key_cds, keys)
     key_of_row = np.arange(keys)[:, None]
     transcripts = _draws(key_cds, x, y, key_of_row).reshape(-1)
     # the decoder does not read the secret, so key 0 binds it for every draw;
@@ -795,15 +835,17 @@ def pad_counts(key_cds: CdsProtocol, x: int, y: int) -> PadCounts:
     outputs = _outputs(key_cds, x, y, 0, transcripts).reshape(keys, total)
     decoded = int(np.count_nonzero(np.maximum(outputs, 0, out=outputs) == key_of_row))
     del outputs
-    ordered, order = _stable_order(transcripts, key_cds.message_bits_a + key_cds.message_bits_b)
+    order, bounds = _tally(transcripts[None], key_cds.message_bits_a + key_cds.message_bits_b)[1:]
+    del transcripts
     # the (run, key) of every draw, in place: the arrays hold 2^24 entries
-    run = np.cumsum(_run_heads(ordered))
-    runs = int(run[-1])
-    del ordered
-    run -= 1
-    run *= keys
-    order //= total
+    run = np.zeros(len(order), dtype=np.int64)
+    run[bounds[1:-1]] = keys
+    runs = len(bounds) - 1
+    del bounds
+    np.cumsum(run, out=run)
+    order >>= key_cds.randomness_bits
     run += order
+    del order
     table = np.bincount(run, minlength=runs * keys).reshape(-1, keys)
     bits = int(table.max()).bit_length()
     if keys * bits <= 63:

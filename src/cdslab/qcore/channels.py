@@ -300,14 +300,6 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
     mat, new_layout = apply_channel_matrix(channel, rho.entries, rho.layout)
     return DensityMatrix(mat, new_layout, validate=False)
 
-def _compress(index: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``index`` (each below ``size``), ascending, and
-    the position of each entry of ``index`` among them."""
-    seen = np.zeros(size, dtype=bool)
-    seen[index] = True
-    used = np.flatnonzero(seen)
-    return used, used.searchsorted(index)
-
 def apply_isometry(iso: QuantumChannel, psi: SupportVector) -> SupportVector:
     """Apply a one-operator channel ``V`` to the named subsystems of a pure
     state held on its support; a channel with more Kraus operators is
@@ -329,8 +321,8 @@ def apply_isometry(iso: QuantumChannel, psi: SupportVector) -> SupportVector:
     digits = np.unravel_index(psi.index, dims)
     moved = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
     inputs, rests = np.divmod(moved, len(rest_at))
-    used_in, in_at = _compress(inputs, v.shape[1])
-    used_rest, at_rest = _compress(rests, len(rest_at))
+    used_in, in_at = np.unique(inputs, return_inverse=True)
+    used_rest, at_rest = np.unique(rests, return_inverse=True)
     small = np.zeros((len(used_in), len(used_rest)), dtype=complex)
     small[in_at, at_rest] = psi.amplitudes
     out = v[:, used_in] @ small                              # (dout, used rests)

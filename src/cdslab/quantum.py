@@ -22,8 +22,8 @@ import numpy as np
 
 from .classical import _parity, _promise_neq_log_length, ip_psm, neq_cds, double_secret
 from .forrelation import _walsh_hadamard
-from .framework import (CostReport, TranscriptCdqsProtocol, _grid, _pad_lift_cost, _run_heads,
-                        _stable_order, pad_counts, protocol_cost)
+from .framework import (CostReport, TranscriptCdqsProtocol, _pad_lift_cost, mixture_counts,
+                        pad_counts, protocol_cost, transcript_tally)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,8 @@ class BhmPsqm:
     ``(l, i, j)``.  They then run the inner-product PSM on
     ``u = (k, 1, 1)`` and ``v = (i xor j, <l, i xor j>, w_ij)``, whose
     value is the vote ``x_i xor x_j xor w_ij`` for the measured edge.
+    The inner PSM's transcripts are counted by the framework's tallies
+    alone: per pair for the security check, pooled for the referee view.
     """
 
     def __init__(self, n: int):
@@ -323,12 +325,6 @@ class BhmPsqm:
             pairs[self.psm_inputs(inst, e, k, l)] += 1
         return prob, pairs
 
-    def _inner_grid(self, pairs):
-        """The inner PSM's draws at each ``(u, v)`` of ``pairs``, one grid
-        of rows in blocks, as :func:`~cdslab.framework._grid` yields them."""
-        us, vs = zip(*pairs)
-        return _grid(self.inner, us, vs, None)
-
     def inner_layer_secure(self, inst: BhmInstance) -> bool:
         """Inner PSM transcript distribution depends only on the vote.
 
@@ -338,55 +334,39 @@ class BhmPsqm:
         ``r3 = aa ^ <u, r2>``; checked, and a pair with fewer transcripts
         than randomness values is refused), so every transcript is equally
         likely and two distributions are equal exactly when their sorted
-        transcripts coincide.  Every pair is drawn in one grid and sorted
-        row by row.
+        transcripts coincide: the :func:`~cdslab.framework.transcript_tally`
+        of every pair, drawn as one grid.
         """
         total = 1 << self.inner.randomness_bits
         pairs = list(self._inner_pairs(inst)[1])
         reference: dict = {}
-        for rows, *_, draws in self._inner_grid(pairs):
-            support = np.sort(draws, axis=1)
-            repeats = np.count_nonzero(support[:, 1:] == support[:, :-1], axis=1)
-            for (u, v), row, repeated in zip(pairs[rows], support, repeats.tolist()):
-                if repeated:
-                    raise AssertionError(
-                        f"inner PSM at ({u}, {v}): {total - repeated} transcripts for {total} "
-                        "randomness values, so the map from r is not injective"
-                    )
-                vote = _parity(u & v)
-                if vote not in reference:
-                    reference[vote] = row
-                elif not np.array_equal(reference[vote], row):
-                    return False
+        for (u, v), (support, _, _) in zip(pairs, transcript_tally(self.inner, *zip(*pairs))):
+            if len(support) < total:
+                raise AssertionError(
+                    f"inner PSM at ({u}, {v}): {len(support)} transcripts for {total} "
+                    "randomness values, so the map from r is not injective"
+                )
+            vote = _parity(u & v)
+            if vote not in reference:
+                reference[vote] = support
+            elif (reference[vote] != support).any():
+                return False
         return True
 
     def message_distribution(self, inst: BhmInstance) -> dict:
         """Exact referee view: mixture of inner PSM transcripts.
 
-        Every outcome carries the same probability (checked), so the draws
-        of every distinct ``(u, v)``, in order of first appearance, are
-        drawn as one grid and sorted once with their positions beside them,
-        each draw weighted by its pair's integer outcome multiplicity.  Only
-        the final distinct transcripts are named, in sorted order, each by
-        the scalar messages at its first draw: the first pair that has it,
-        at its least ``r``.  The outcome probability and the randomness
-        count are applied once per distinct count."""
+        Every outcome carries the same probability (checked), so the view
+        is the :func:`~cdslab.framework.mixture_counts` of the distinct
+        ``(u, v)`` pairs, each weighted by its integer outcome
+        multiplicity, in sorted transcript order; the outcome probability
+        and the randomness count are applied once per distinct count."""
         prob, multiplicity = self._inner_pairs(inst)
-        pairs = list(multiplicity)
-        total = 1 << self.inner.randomness_bits
-        draws = np.concatenate([block.reshape(-1) for *_, block in self._inner_grid(pairs)])
-        width = self.inner.message_bits_a + self.inner.message_bits_b
-        ordered, order = _stable_order(draws, width)
-        starts = np.flatnonzero(_run_heads(ordered))
-        weights = np.repeat(np.array([multiplicity[uv] for uv in pairs], dtype=np.int64), total)
-        counts = np.add.reduceat(weights[order], starts).tolist()
-        scale = prob / total
-        exact = {c: c * scale for c in set(counts)}
-        out = {}
-        for i, c in zip(order[starts].tolist(), counts):
-            (u, v), r = pairs[i // total], i % total
-            out[(self.inner.message_a(u, r), self.inner.message_b(v, r))] = exact[c]
-        return out
+        us, vs = zip(*multiplicity)
+        counts = mixture_counts(self.inner, us, vs, None, list(multiplicity.values()))
+        scale = prob / (1 << self.inner.randomness_bits)
+        exact = {c: c * scale for c in set(counts.values())}
+        return {t: exact[c] for t, c in counts.items()}
 
 
 def bhm_psqm(n: int) -> BhmPsqm:

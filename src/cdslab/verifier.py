@@ -351,24 +351,20 @@ def productness_check(p, f: PromiseFunction) -> list:
     product with the messages (distance at most the verified delta upper
     bound); disclosing inputs must decode with entanglement fidelity at
     least ``1 - epsilon_hat``.  The bounds come from ``cdqs_verify(p, f)``
-    over every promise input.
+    over every promise input, and a hiding input's distance is its report
+    row's ``delta_lower``, so no input is measured twice.
     """
-    _check_sizes(p, f)
     report = cdqs_verify(p, f)
     out = []
-    for x, y in ((e["x"], e["y"]) for e in report.inputs):
-        if f.value(x, y) == 1:
-            fid = float(p.entanglement_fidelity(x, y))
+    for row in report.inputs:
+        x, y, value = row["x"], row["y"], row["value"]
+        if value == 1:
+            name, measure = "fidelity", float(p.entanglement_fidelity(x, y))
             bound = 1.0 - report.epsilon_hat - 1e-9
-            out.append(
-                {"x": x, "y": y, "value": 1, "fidelity": fid, "bound": bound,
-                 "ok": fid >= bound}
-            )
+            ok = measure >= bound
         else:
-            gap = float(p.product_distance(x, y))
+            name, measure = "distance", row["delta_lower"]
             bound = report.delta_hat_upper + 1e-9
-            out.append(
-                {"x": x, "y": y, "value": 0, "distance": gap, "bound": bound,
-                 "ok": gap <= bound}
-            )
+            ok = measure <= bound
+        out.append({"x": x, "y": y, "value": value, name: measure, "bound": bound, "ok": ok})
     return out

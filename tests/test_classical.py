@@ -28,6 +28,7 @@ from cdslab.classical import (
 from cdslab.framework import (
     cds_decode_failure,
     enumerate_message_distribution,
+    mixture_counts,
     pad_counts,
     protocol_cost,
     psm_decode_failure,
@@ -412,6 +413,10 @@ def test_grid_equals_the_per_input_calls_and_the_scalar_reference(case):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     block = (1 << p.randomness_bits) if one_per_block else framework._GRID_DRAWS
     with mock.patch.object(framework, "_GRID_DRAWS", block):
+        for form in (p, reference):
+            grid = [[part.tolist() for part in t] for t in transcript_tally(form, xs, ys, s)]
+            per_input = [transcript_tally(form, x, y, s) for x, y in pairs]
+            assert grid == [[part.tolist() for part in t] for t in per_input]
         if s is None:
             grid = psm_tally(p, xs, ys, values)
             assert grid == [psm_tally(p, x, y, v) for (x, y), v in zip(pairs, values)]
@@ -439,3 +444,80 @@ def test_transcript_tally_equals_np_unique_with_its_dtypes(p, s):
         want = np.unique(framework._draws(p, x, y, s), return_index=True, return_counts=True)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _object_grid(rows: list) -> np.ndarray:
+    """Rows of equal length of ``(a, b)`` tuples as a 2-D object array."""
+    grid = np.empty((len(rows), len(rows[0])), dtype=object)
+    for i, row in enumerate(rows):
+        grid[i, :] = [tuple(t) for t in row]
+    return grid
+
+
+@st.composite
+def _tally_grid(draw):
+    """A ``(k, R)`` grid of transcripts with many repeats, and the code
+    width ``_tally`` is told: int64 codes of a random width (and told that
+    width, or a width too wide to pack, so the ``argsort`` runs), tuples in
+    an object array, or one pooled row."""
+    kind = draw(st.sampled_from(["codes", "wide", "tuples", "pooled"]))
+    k = 1 if kind == "pooled" else draw(st.integers(1, 5))
+    total = 1 << draw(st.integers(0, 6))
+    width = draw(st.integers(1, 62))
+    values = st.integers(0, draw(st.integers(0, (1 << width) - 1)))
+    rows = draw(st.lists(
+        st.lists(values, min_size=total, max_size=total), min_size=k, max_size=k
+    ))
+    if kind == "tuples":
+        return _object_grid([[(v % 3, v % 5) for v in row] for row in rows]), 0
+    return np.array(rows, dtype=np.int64), 62 if kind == "wide" else width
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_tally_grid())
+def test_tally_equals_np_unique_per_row(case):
+    draws, code_bits = case
+    ordered, order, bounds = framework._tally(draws.copy(), code_bits)
+    total = draws.shape[1]
+    assert bounds[0] == 0 and bounds[-1] == draws.size
+    assert set(np.arange(0, draws.size + 1, total).tolist()) <= set(bounds.tolist())
+    rows = np.searchsorted(bounds, np.arange(0, draws.size + 1, total)).tolist()
+    for i, (a, b) in enumerate(zip(rows, rows[1:])):
+        row = draws[i]
+        at = order[i * total:(i + 1) * total]
+        # a stable sort of the row: r ascending within each run
+        assert sorted(at.tolist()) == list(range(total))
+        assert ordered[i * total:(i + 1) * total].tolist() == row[at].tolist()
+        starts = bounds[a:b]
+        values, first, counts = np.unique(row, return_index=True, return_counts=True)
+        assert ordered[starts].tolist() == values.tolist()
+        assert order[starts].tolist() == first.tolist()
+        assert np.diff(bounds[a:b + 1]).tolist() == counts.tolist()
+
+
+@st.composite
+def _mixture_case(draw):
+    """``neq_cds(1..3)`` with a secret or ``ip_psm(1..3)`` without one, or
+    their scalar twins, at random inputs (repeats allowed) with random
+    integer weights."""
+    n = draw(st.integers(1, 3))
+    p, s = draw(st.sampled_from([(neq_cds(n), draw(st.integers(0, 1))), (ip_psm(n), None)]))
+    if draw(st.booleans()):
+        p = dataclasses.replace(p, arrays=None)
+    inputs = st.integers(0, (1 << n) - 1)
+    pairs = draw(st.lists(st.tuples(inputs, inputs), min_size=1, max_size=8))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(pairs), max_size=len(pairs)))
+    return p, s, pairs, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_mixture_case())
+def test_mixture_is_the_weighted_sum_of_the_per_input_counts(case):
+    p, s, pairs, weights = case
+    want: dict = {}
+    for (x, y), weight in zip(pairs, weights):
+        for t, c in transcript_counts(p, x, y, s).items():
+            want[t] = want.get(t, 0) + weight * c
+    got = mixture_counts(p, [x for x, _ in pairs], [y for _, y in pairs], s, weights)
+    assert got == want
+    assert list(got) == sorted(want)

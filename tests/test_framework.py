@@ -28,6 +28,7 @@ from cdslab.framework import (
     enumerate_message_distribution,
     joint_channel,
     mid_protocol_state,
+    mixture_counts,
     pad_counts,
     parallel_repeat,
     protocol_cost,
@@ -299,6 +300,23 @@ def test_budget_reaches_transcript_form_and_hybrid(monkeypatch):
     # 24 randomness bits fit, but not the 2 x 2^24 (key, draw) pairs held at once
     with pytest.raises(ValueError, match="budget"):
         HybridNeqCdqs(4096)
+
+def test_pooled_tallies_hold_every_draw_to_the_budget(monkeypatch):
+    # each row's 2^21 or 2^24 draws fit, but not every row of the pooled grid
+    def allocate(*args, **kwargs):
+        raise AssertionError("the draws were allocated before the budget check")
+
+    psm, key_cds = ip_psm(10), dataclasses.replace(neq_cds(4), randomness_bits=24)
+    monkeypatch.setattr(np, "arange", allocate)
+    with pytest.raises(ValueError, match=r"9 x 2\^21 draws exceed the 2\^24-draw"):
+        mixture_counts(psm, [0] * 9, [1] * 9, None, [1] * 9)
+    with pytest.raises(ValueError, match=r"2 x 2\^24 draws exceed the 2\^24-draw"):
+        pad_counts(key_cds, 0, 1)
+    with pytest.raises(ValueError, match="8 weights for 9 inputs"):
+        mixture_counts(psm, [0] * 9, [1] * 9, None, [1] * 8)
+    # 8 x 2^21 draws are the budget exactly, so drawing starts
+    with pytest.raises(AssertionError, match="allocated before the budget check"):
+        mixture_counts(psm, [0] * 8, [1] * 8, None, [1] * 8)
 
 
 # ---------------------------------------------------------------------------

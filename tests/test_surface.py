@@ -35,6 +35,9 @@ The export guard holds ``cdslab.qcore.__all__`` to the public names
 ``qcore/__init__.py`` imports, so a stale export fails here and not at
 ``from cdslab.qcore import *``.
 
+The framework guard keeps ``_draws``, ``_grid`` and ``_tally`` inside
+``framework.py``, so the classical regime keeps one tally.
+
 The tracing guard resolves every name the benchmark's traced pass looks
 up (``COUNTED`` and ``SPANNED`` in ``cdsbench/tracing.py``), so a rename
 fails here and not only in a traced benchmark run.
@@ -337,6 +340,41 @@ def test_qcore_exports_are_the_names_it_imports():
     exported = cdslab.qcore.__all__
     assert len(set(exported)) == len(exported), "a name is exported twice"
     assert sorted(exported) == sorted(imported)
+
+
+# ---------------------------------------------------------------------------
+# the classical enumeration's privates
+# ---------------------------------------------------------------------------
+
+#: the enumeration's draws and their one sort into runs
+FRAMEWORK_ONLY = {"_draws", "_grid", "_tally"}
+
+
+def test_the_draws_and_their_tally_stay_in_framework():
+    """Only ``framework.py`` draws transcripts and sorts them into runs;
+    every other module in ``src/`` or ``cdsbench/`` counts through its
+    public tallies, so no second tally grows beside it.  A name, an
+    attribute, an imported name or a part of a dotted string counts as a
+    reference; the tests may still reach in."""
+    found = []
+    for tree_root in CALLER_TREES:
+        for path in sorted(tree_root.rglob("*.py")):
+            if path == PACKAGE / "framework.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.alias):
+                    names = {node.name, node.asname}
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = set(node.value.split("."))
+                else:
+                    continue
+                found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                          for name in sorted(names & FRAMEWORK_ONLY)]
+    assert not found, "framework privates used outside framework.py:\n" + "\n".join(found)
 
 
 # ---------------------------------------------------------------------------

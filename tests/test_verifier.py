@@ -495,6 +495,32 @@ def test_productness_holds_for_every_shipped_toy():
         assert checks and all(c["ok"] for c in checks)
 
 
+def test_productness_measures_each_input_once(monkeypatch):
+    # lifted NEQ at n = 1: the verifier's four mid states, then one more per
+    # disclosing input for its fidelity; a hiding distance is read off the report
+    built = []
+    mid_state = framework.mid_protocol_state
+
+    def counted(*args):
+        built.append(args[1:])
+        return mid_state(*args)
+
+    monkeypatch.setattr(framework, "mid_protocol_state", counted)
+    checks = productness_check(lifted_neq(), lifted_neq_function())
+    assert len(checks) == 4 and len(built) == 6
+    assert sorted(built) == sorted([(0, 0), (0, 1), (1, 0), (1, 1), (0, 1), (1, 0)])
+
+
+def test_productness_entries_are_the_direct_measures():
+    # each entry is the input's own measure, as measured outside the verifier
+    for protocol, function in toy_suite():
+        for c in productness_check(protocol, function):
+            if c["value"] == 1:
+                assert c["fidelity"] == float(protocol.entanglement_fidelity(c["x"], c["y"]))
+            else:
+                assert c["distance"] == float(protocol.product_distance(c["x"], c["y"]))
+
+
 def test_productness_entries_carry_the_right_witness():
     checks = productness_check(gated_forwarding(), gated_function())
     by_value = {c["value"]: c for c in checks}
